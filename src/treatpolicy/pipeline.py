@@ -44,9 +44,9 @@ from .policy_eval import (
     baselines,
     bootstrap_tournament,
     build_policy,
-    estimate_policy_value,
     outcome_tree,
     rank_curve,
+    summarize_bootstrap,
 )
 from .propensity import fit_propensity, overlap_report, select_overlap_bounds
 from .report import emit_report
@@ -532,7 +532,6 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
     plug0 = fit_regressor(plug_spec, train.covariates[~tr], train.outcome[~tr], seed=seed)
     plug1 = fit_regressor(plug_spec, train.covariates[tr], train.outcome[tr], seed=seed)
     plug_in = np.column_stack([plug0.predict(test.covariates), plug1.predict(test.covariates)])
-    plug_in_id = f"per-arm {plug_spec.kind}"
     for name in retained:
         if cfg.echo["cate"]["menu"][name]["learner"]["kind"] == plug_spec.kind:
             warnings.append(
@@ -572,31 +571,26 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
         )
     policies.extend(baselines(test, p_star, seed=seed))
 
-    value_rows = [["policy", "source", "estimator", "point", "boot_mean", "boot_std",
-                   "boot_min", "boot_q25", "boot_median", "boot_q75", "boot_max",
-                   "n_deferred", "n_skipped"]]
-    for policy in policies:
-        for est in cfg.estimators:
-            estimate = estimate_policy_value(
-                policy, test, p_star, est,
-                plug_in=plug_in if est == "DR" else None,
-                plug_in_id=plug_in_id,
-                B=eval_cfg["bootstrap_b"], seed=seed,
-            )
-            s = estimate.summary()
-            value_rows.append(
-                [policy.name, policy.source, est, _fmtf(estimate.point),
-                 _fmtf(s["mean"]), _fmtf(s["std"]), _fmtf(s["min"]), _fmtf(s["q25"]),
-                 _fmtf(s["median"]), _fmtf(s["q75"]), _fmtf(s["max"]),
-                 str(estimate.n_deferred), str(estimate.n_skipped)]
-            )
-    _write_csv(layout.path(out, layout.POLICY_VALUES), value_rows)
-    artifacts = [layout.POLICY_VALUES]
-
     tournament = bootstrap_tournament(
         policies, test, p_star,
         estimators=cfg.estimators, B=eval_cfg["bootstrap_b"], seed=seed, plug_in=plug_in,
     )
+    value_rows = [["policy", "source", "estimator", "point", "boot_mean", "boot_std",
+                   "boot_min", "boot_q25", "boot_median", "boot_q75", "boot_max",
+                   "n_deferred", "n_skipped"]]
+    for i, policy in enumerate(policies):
+        for est in cfg.estimators:
+            boot = tournament.distributions[est][i]
+            s = summarize_bootstrap(boot)
+            value_rows.append(
+                [policy.name, policy.source, est, _fmtf(tournament.points[est][i]),
+                 _fmtf(s["mean"]), _fmtf(s["std"]), _fmtf(s["min"]), _fmtf(s["q25"]),
+                 _fmtf(s["median"]), _fmtf(s["q75"]), _fmtf(s["max"]),
+                 str(policy.n_deferred), str(int(np.isnan(boot).sum()))]
+            )
+    _write_csv(layout.path(out, layout.POLICY_VALUES), value_rows)
+    artifacts = [layout.POLICY_VALUES]
+
     names = tournament.policies
     for est in cfg.estimators:
         wins_rows = [["policy", *names]]

@@ -6,6 +6,11 @@ follows the weighting scheme where non-deferred rows matched by the policy
 probability of that arm, self-normalized; deferred rows contribute their
 factual outcome mean; the two parts mix by the empirical defer proportion
 of whatever row set the estimate runs on.
+
+``bootstrap_tournament`` is the one resampling path: it values every
+policy on all rows (``points``) and on B shared row resamples
+(``distributions``), and ``summarize_bootstrap`` reduces one policy's
+replicates to the summary statistics of the value table.
 """
 
 from __future__ import annotations
@@ -21,17 +26,15 @@ __all__ = [
     "DEFER",
     "DecisionRule",
     "Policy",
-    "PolicyValueEstimate",
     "build_policy",
     "value_ipw",
     "value_dr",
-    "estimate_policy_value",
     "baselines",
+    "summarize_bootstrap",
     "TournamentResult",
     "bootstrap_tournament",
     "rank_curve",
     "outcome_tree",
-    "rtb_transform",
 ]
 
 DEFER = -1
@@ -220,93 +223,6 @@ def value_dr(policy: Policy, data: Dataset, p_star, plug_in, clip=P_STAR_CLIP) -
     return _value(policy.rec, data.treatment, data.outcome, p1, plug, "DR", policy.factual)
 
 
-@dataclass
-class PolicyValueEstimate:
-    """Point value plus its bootstrap distribution under one estimator."""
-
-    policy: str
-    estimator: str
-    point: float
-    bootstrap: np.ndarray
-    plug_in_id: str | None = None
-    n_deferred: int = 0
-    n_skipped: int = 0
-
-    def __post_init__(self):
-        self.bootstrap = np.asarray(self.bootstrap, dtype=float)
-
-    def summary(self) -> dict:
-        ok = self.bootstrap[~np.isnan(self.bootstrap)]
-        if ok.size == 0:
-            stats = {k: float("nan") for k in ("mean", "std", "min", "q25", "median", "q75", "max")}
-        else:
-            stats = {
-                "mean": float(ok.mean()),
-                "std": float(ok.std(ddof=1)) if ok.size > 1 else 0.0,
-                "min": float(ok.min()),
-                "q25": float(np.quantile(ok, 0.25)),
-                "median": float(np.quantile(ok, 0.5)),
-                "q75": float(np.quantile(ok, 0.75)),
-                "max": float(ok.max()),
-            }
-        return {"policy": self.policy, "estimator": self.estimator, "point": self.point, **stats}
-
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "estimator": self.estimator,
-            "point": self.point,
-            "bootstrap": [float(v) for v in self.bootstrap],
-            "plug_in_id": self.plug_in_id,
-            "n_deferred": self.n_deferred,
-            "n_skipped": self.n_skipped,
-        }
-
-
-def estimate_policy_value(
-    policy: Policy,
-    data: Dataset,
-    p_star,
-    estimator: str = "IPW",
-    *,
-    plug_in=None,
-    plug_in_id: str | None = None,
-    B: int = 1000,
-    seed: int | None = None,
-    clip=P_STAR_CLIP,
-) -> PolicyValueEstimate:
-    """Point estimate plus B bootstrap replicates (rows resampled uniformly).
-
-    Replicates that fail with zero matched weight are recorded as NaN and
-    counted in ``n_skipped``; the distribution always has length B.
-    """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    _check_policy(policy, data)
-    p1 = _scores(p_star, data.covariates, clip)
-    plug = _plug_in_matrix(plug_in, data) if estimator == "DR" else None
-    args = (policy.rec, data.treatment, data.outcome, p1, plug, estimator, policy.factual)
-    point = _value(*args)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    boot = np.full(B, np.nan)
-    skipped = 0
-    for b in range(B):
-        idx = rng.integers(0, data.n, data.n)
-        try:
-            boot[b] = _value(*args, idx=idx)
-        except EstimationError:
-            skipped += 1
-    return PolicyValueEstimate(
-        policy=policy.name,
-        estimator=estimator,
-        point=point,
-        bootstrap=boot,
-        plug_in_id=plug_in_id if estimator == "DR" else None,
-        n_deferred=policy.n_deferred,
-        n_skipped=skipped,
-    )
-
-
 def baselines(data: Dataset, propensity, seed: int | None = None, clip=P_STAR_CLIP) -> list[Policy]:
     """Reference policies: observed practice, proportion-matched random
     assignment, propensity-threshold assignment, and the two constants."""
@@ -324,25 +240,40 @@ def baselines(data: Dataset, propensity, seed: int | None = None, clip=P_STAR_CL
     ]
 
 
+def summarize_bootstrap(values) -> dict:
+    """Mean, sample std and quantiles of the replicates that did not fail
+    (NaN); every statistic is NaN when all of them failed."""
+    values = np.asarray(values, dtype=float)
+    ok = values[~np.isnan(values)]
+    if ok.size == 0:
+        return {k: float("nan") for k in ("mean", "std", "min", "q25", "median", "q75", "max")}
+    return {
+        "mean": float(ok.mean()),
+        "std": float(ok.std(ddof=1)) if ok.size > 1 else 0.0,
+        "min": float(ok.min()),
+        "q25": float(np.quantile(ok, 0.25)),
+        "median": float(np.quantile(ok, 0.5)),
+        "q75": float(np.quantile(ok, 0.75)),
+        "max": float(ok.max()),
+    }
+
+
 @dataclass
 class TournamentResult:
-    """Pairwise strict-win counts per estimator over shared bootstrap rounds."""
+    """Per-estimator values of every policy over shared bootstrap rounds.
+
+    ``points[est][i]`` values policy i on all rows, ``distributions[est][i]``
+    on each round (NaN where the estimate failed), and ``wins[est][i, j]``
+    counts rounds where policy i strictly beats policy j.
+    """
 
     policies: list
     estimators: tuple
+    points: dict
     wins: dict
     distributions: dict
     skipped: dict
     B: int
-
-    def to_dict(self) -> dict:
-        return {
-            "policies": self.policies,
-            "estimators": list(self.estimators),
-            "wins": {est: [[int(v) for v in row] for row in m] for est, m in self.wins.items()},
-            "skipped": {est: int(v) for est, v in self.skipped.items()},
-            "B": self.B,
-        }
 
 
 def bootstrap_tournament(
@@ -356,21 +287,39 @@ def bootstrap_tournament(
     plug_in=None,
     clip=P_STAR_CLIP,
 ) -> TournamentResult:
-    """Resample rows B times; every policy is valued on the same rounds and
-    wins[i][j] counts rounds where policy i strictly beats policy j.
+    """Value every policy on all rows, then resample rows B times and value
+    every policy on the same rounds.
 
-    A round where a policy's estimate fails contributes no wins in either
-    direction for its pairs; the failure count per estimator is reported.
+    A round where a policy's estimate fails is NaN in its distribution and
+    contributes no wins in either direction for its pairs; the failure
+    count per estimator is reported.  A failure on all rows raises.
     """
     if B < 1:
         raise ValueError(f"need at least one round, got B={B}")
+    for est in estimators:
+        if est not in ESTIMATORS:
+            raise ValueError(f"estimator must be one of {ESTIMATORS}, got {est!r}")
     for policy in policies:
         _check_policy(policy, data)
     if "DR" in estimators and plug_in is None:
         raise ValueError("DR estimation needs plug-in outcome predictions")
     p1 = _scores(p_star, data.covariates, clip)
     plug = _plug_in_matrix(plug_in, data) if plug_in is not None else None
+
+    def value(policy, est, idx=None):
+        return _value(
+            policy.rec,
+            data.treatment,
+            data.outcome,
+            p1,
+            plug if est == "DR" else None,
+            est,
+            policy.factual,
+            idx=idx,
+        )
+
     k = len(policies)
+    points = {est: np.array([value(p, est) for p in policies]) for est in estimators}
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     dists = {est: np.full((k, B), np.nan) for est in estimators}
     skipped = {est: 0 for est in estimators}
@@ -379,30 +328,17 @@ def bootstrap_tournament(
         for i, policy in enumerate(policies):
             for est in estimators:
                 try:
-                    dists[est][i, b] = _value(
-                        policy.rec,
-                        data.treatment,
-                        data.outcome,
-                        p1,
-                        plug if est == "DR" else None,
-                        est,
-                        policy.factual,
-                        idx=idx,
-                    )
+                    dists[est][i, b] = value(policy, est, idx)
                 except EstimationError:
                     skipped[est] += 1
-    wins = {}
-    for est in estimators:
-        v = dists[est]
-        m = np.zeros((k, k), dtype=int)
-        for i in range(k):
-            for j in range(k):
-                if i != j:
-                    m[i, j] = int(np.sum(v[i] > v[j]))
-        wins[est] = m
+    wins = {
+        est: (v[:, None, :] > v[None, :, :]).sum(axis=-1).astype(int)
+        for est, v in dists.items()
+    }
     return TournamentResult(
         policies=[p.name for p in policies],
         estimators=tuple(estimators),
+        points=points,
         wins=wins,
         distributions=dists,
         skipped=skipped,
@@ -481,17 +417,3 @@ def outcome_tree(policy: Policy, data: Dataset) -> dict:
         root["children"][f"arm_{arm}"] = arm_node
     return root
 
-
-def rtb_transform(crea_d, crea_o, crea_b):
-    """Fraction of the way back from the decision-time value to baseline:
-    (decision - observed) / (decision - baseline), NaN where decision
-    equals baseline."""
-    d = np.asarray(crea_d, dtype=float)
-    o = np.asarray(crea_o, dtype=float)
-    b = np.asarray(crea_b, dtype=float)
-    denom = d - b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(denom == 0.0, np.nan, (d - o) / denom)
-    if np.isscalar(crea_d) or (isinstance(crea_d, float) or isinstance(crea_d, int)):
-        return float(out)
-    return out

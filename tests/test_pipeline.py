@@ -9,6 +9,7 @@ from conftest import pipeline_raw, write_observational_csv
 from treatpolicy.config import validate_config
 from treatpolicy.errors import ConfigError, StageError
 from treatpolicy.ingest import load_dataset
+from treatpolicy.policy_eval import summarize_bootstrap
 from treatpolicy.pipeline import (
     STAGE_ORDER,
     RunManifest,
@@ -129,6 +130,20 @@ class TestFullRun:
             "doctors", "random", "propensity", "treat-all-0", "treat-all-1",
         }
         assert len(rows) == 1 + 2 * len(names)  # one row per policy x estimator
+        # the summaries come from the tournament's resamples, read back exactly
+        dists = {}
+        for est in ("IPW", "DR"):
+            dist = read_csv(out / "eval" / f"distributions_{est}.csv")
+            dists[est] = {
+                name: np.array([float(r[j]) for r in dist[1:]]) for j, name in enumerate(dist[0])
+            }
+        header = rows[0]
+        for row in rows[1:]:
+            cells = dict(zip(header, row))
+            boot = dists[cells["estimator"]][cells["policy"]]
+            for stat, v in summarize_bootstrap(boot).items():
+                assert cells[f"boot_{stat}"] == repr(v)
+            assert cells["n_skipped"] == str(int(np.isnan(boot).sum()))
 
     def test_doctors_value_is_the_factual_mean_under_both_estimators(self, full_run):
         _, _, out = full_run

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 from conftest import make_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treatpolicy.errors import EstimationError
 from treatpolicy.policy_eval import (
     DEFER,
     DecisionRule,
     Policy,
+    _value,
     baselines,
     bootstrap_tournament,
     build_policy,
-    estimate_policy_value,
     outcome_tree,
     rank_curve,
-    rtb_transform,
+    summarize_bootstrap,
     value_dr,
     value_ipw,
 )
@@ -186,48 +188,6 @@ class TestValueEstimators:
         assert value_dr(doctors, data, p_star, rng.normal(size=(n, 2))) == y.mean()
 
 
-class TestEstimatePolicyValue:
-    def test_point_matches_direct_call_and_length_is_b(self):
-        data, p_star, policy = four_row_fixture()
-        est = estimate_policy_value(policy, data, p_star, "IPW", B=25, seed=0)
-        assert est.point == value_ipw(policy, data, p_star)
-        assert est.bootstrap.shape == (25,)
-        assert est.policy == "hand" and est.estimator == "IPW"
-
-    def test_same_seed_reproduces(self):
-        data, p_star, policy = four_row_fixture()
-        a = estimate_policy_value(policy, data, p_star, "IPW", B=10, seed=7)
-        b = estimate_policy_value(policy, data, p_star, "IPW", B=10, seed=7)
-        np.testing.assert_array_equal(a.bootstrap, b.bootstrap)
-
-    def test_failed_rounds_recorded_as_nan(self):
-        # only row 0 matches; rounds that drop it have zero weight
-        data = make_dataset(np.zeros((3, 1)), [1, 0, 0], [1.0, 2.0, 3.0])
-        policy = Policy(name="narrow", rec=[1, 1, 1])
-        est = estimate_policy_value(policy, data, np.full(3, 0.5), "IPW", B=60, seed=1)
-        assert est.n_skipped > 0
-        assert int(np.isnan(est.bootstrap).sum()) == est.n_skipped
-        assert est.bootstrap.shape == (60,)
-
-    def test_summary_fields(self):
-        data, p_star, policy = four_row_fixture()
-        s = estimate_policy_value(policy, data, p_star, "IPW", B=40, seed=2).summary()
-        assert set(s) == {"policy", "estimator", "point", "mean", "std", "min", "q25", "median", "q75", "max"}
-        assert s["min"] <= s["q25"] <= s["median"] <= s["q75"] <= s["max"]
-
-    def test_dr_records_plug_in_id(self):
-        data, p_star, policy = four_row_fixture()
-        est = estimate_policy_value(
-            policy, data, p_star, "DR", plug_in=np.zeros((4, 2)), plug_in_id="gbt-t", B=5, seed=0
-        )
-        assert est.plug_in_id == "gbt-t"
-
-    def test_unknown_estimator_rejected(self):
-        data, p_star, policy = four_row_fixture()
-        with pytest.raises(ValueError, match="estimator"):
-            estimate_policy_value(policy, data, p_star, "AIPW", B=2)
-
-
 class TestBaselines:
     def make(self, seed=0, n=400, frac=0.3):
         rng = np.random.default_rng(seed)
@@ -340,6 +300,114 @@ class TestTournament:
                 estimators=("IPW", "DR"), B=2, seed=0,
             )
 
+    def test_points_match_direct_calls(self):
+        data, p_star, policy = four_row_fixture()
+        doctors = Policy(name="doctors", rec=data.treatment, factual=True)
+        plug = np.ones((4, 2))
+        res = bootstrap_tournament(
+            [policy, doctors], data, p_star, estimators=("IPW", "DR"), B=25, seed=0,
+            plug_in=plug,
+        )
+        for i, pol in enumerate([policy, doctors]):
+            assert res.points["IPW"][i] == value_ipw(pol, data, p_star)
+            assert res.points["DR"][i] == value_dr(pol, data, p_star, plug)
+        assert res.distributions["IPW"].shape == (2, 25)
+
+    def test_same_seed_reproduces(self):
+        data, p_star, policy = four_row_fixture()
+        a = bootstrap_tournament([policy], data, p_star, estimators=("IPW",), B=10, seed=7)
+        b = bootstrap_tournament([policy], data, p_star, estimators=("IPW",), B=10, seed=7)
+        np.testing.assert_array_equal(a.distributions["IPW"], b.distributions["IPW"])
+        np.testing.assert_array_equal(a.points["IPW"], b.points["IPW"])
+
+    def test_nan_count_per_row_is_that_policys_skipped_rounds(self):
+        # only row 0 matches "narrow"; rounds that drop it have zero weight
+        data = make_dataset(np.zeros((3, 1)), [1, 0, 0], [1.0, 2.0, 3.0])
+        narrow = Policy(name="narrow", rec=[1, 1, 1])
+        control = Policy(name="control", rec=[0, 0, 0])
+        res = bootstrap_tournament(
+            [control, narrow], data, np.full(3, 0.5), estimators=("IPW",), B=60, seed=1
+        )
+        nan = np.isnan(res.distributions["IPW"]).sum(axis=1)
+        assert nan[0] == 0
+        assert nan[1] == res.skipped["IPW"] > 0
+
+    def test_summarize_bootstrap_fields_and_order(self):
+        data, p_star, policy = four_row_fixture()
+        res = bootstrap_tournament([policy], data, p_star, estimators=("IPW",), B=40, seed=2)
+        s = summarize_bootstrap(res.distributions["IPW"][0])
+        assert set(s) == {"mean", "std", "min", "q25", "median", "q75", "max"}
+        assert s["min"] <= s["q25"] <= s["median"] <= s["q75"] <= s["max"]
+
+    def test_summarize_bootstrap_all_failed_row_is_nan(self):
+        s = summarize_bootstrap(np.full(5, np.nan))
+        assert set(s) == {"mean", "std", "min", "q25", "median", "q75", "max"}
+        assert all(np.isnan(v) for v in s.values())
+
+    def test_unknown_estimator_rejected(self):
+        # a factual policy never reaches the estimator branch of _value
+        data, p_star, _ = four_row_fixture()
+        doctors = Policy(name="doctors", rec=data.treatment, factual=True)
+        with pytest.raises(ValueError, match="estimator"):
+            bootstrap_tournament([doctors], data, p_star, estimators=("AIPW",), B=3, seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                st.lists(st.floats(-5, 5), min_size=n, max_size=n),
+                st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n),
+                st.lists(
+                    st.lists(st.sampled_from([0, 1, DEFER]), min_size=n, max_size=n),
+                    min_size=1,
+                    max_size=3,
+                ),
+                st.booleans(),
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_a_per_round_loop(self, cohort, seed):
+        t, y, p, recs, with_doctors = cohort
+        n = len(t)
+        data = make_dataset(np.zeros((n, 1)), t, y)
+        p1 = np.array(p)
+        plug = np.column_stack([np.full(n, 0.5), np.linspace(-1.0, 1.0, n)])
+        pols = [Policy(name=f"p{i}", rec=r) for i, r in enumerate(recs)]
+        if with_doctors:
+            pols.append(Policy(name="doctors", rec=t, factual=True))
+        B = 7
+        args = dict(estimators=("IPW", "DR"), B=B, seed=seed, plug_in=plug)
+
+        def value(pol, est, idx=None):
+            return _value(
+                pol.rec, data.treatment, data.outcome, p1,
+                plug if est == "DR" else None, est, pol.factual, idx=idx,
+            )
+
+        try:
+            points = {est: [value(pol, est) for pol in pols] for est in ("IPW", "DR")}
+        except EstimationError:
+            with pytest.raises(EstimationError):
+                bootstrap_tournament(pols, data, p1, **args)
+            return
+        res = bootstrap_tournament(pols, data, p1, **args)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        expected = {est: np.full((len(pols), B), np.nan) for est in ("IPW", "DR")}
+        for b in range(B):
+            idx = rng.integers(0, n, n)
+            for i, pol in enumerate(pols):
+                for est in ("IPW", "DR"):
+                    try:
+                        expected[est][i, b] = value(pol, est, idx)
+                    except EstimationError:
+                        pass
+        for est in ("IPW", "DR"):
+            np.testing.assert_array_equal(res.points[est], points[est])
+            np.testing.assert_array_equal(res.distributions[est], expected[est])
+            assert res.skipped[est] == int(np.isnan(expected[est]).sum())
+
 
 class TestRankCurve:
     def randomized(self, seed=10, n=600):
@@ -442,21 +510,6 @@ class TestOutcomeTree:
         assert arm1["children"]["agree"]["mean"] is None
 
 
-class TestRtbTransform:
-    def test_hand_values(self):
-        assert rtb_transform(2.0, 1.0, 1.0) == 1.0
-        assert rtb_transform(2.0, 2.0, 1.0) == 0.0
-        assert rtb_transform(2.0, 1.5, 1.0) == 0.5
-
-    def test_undefined_when_decision_equals_baseline(self):
-        out = rtb_transform([2.0, 2.0], [1.0, 1.5], [2.0, 1.0])
-        assert np.isnan(out[0]) and out[1] == 0.5
-
-    def test_overshoot_and_worsening_leave_unit_range(self):
-        assert rtb_transform(2.0, 0.5, 1.0) == 1.5
-        assert rtb_transform(2.0, 3.0, 1.0) == -1.0
-
-
 class TestDrAccuracy:
     def test_dr_tracks_truth_on_randomized_data(self):
         # correctly specified scores and plug-in: |estimate - truth| <= 3 SE
@@ -481,11 +534,11 @@ class TestDrAccuracy:
                     np.where(tau >= 0, mu0 + tau, mu0).mean(),
                 ),
             }
-            for name, (rec, truth) in policies.items():
-                est = estimate_policy_value(
-                    Policy(name=name, rec=rec), data, p_star, "DR",
-                    plug_in=plug, B=120, seed=seed,
-                )
-                se = np.nanstd(est.bootstrap, ddof=1)
-                results.append(abs(est.point - truth) <= 3 * se)
+            res = bootstrap_tournament(
+                [Policy(name=name, rec=rec) for name, (rec, _) in policies.items()],
+                data, p_star, estimators=("DR",), B=120, seed=seed, plug_in=plug,
+            )
+            for i, (_, truth) in enumerate(policies.values()):
+                se = np.nanstd(res.distributions["DR"][i], ddof=1)
+                results.append(abs(res.points["DR"][i] - truth) <= 3 * se)
         assert np.mean(results) >= 0.9
