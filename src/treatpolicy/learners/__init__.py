@@ -8,6 +8,8 @@ kinds take raw values.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,6 +122,19 @@ class LearnerSpec:
             raise ConfigError(
                 f"learner {self.kind!r} got unknown parameter(s) {sorted(extra)}"
             )
+        if self.kind == "gbt":
+            _check_gbt_values(self.param_dict)
+
+
+def _check_gbt_values(params: dict) -> None:
+    """Reject gbt values fit_gbt cannot use, before any stage runs; bools are not numbers."""
+    for key, lo in (("n_trees", 0), ("max_depth", 1), ("min_samples_leaf", 1)):
+        v = params.get(key, lo)
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < lo:
+            raise ConfigError(f"gbt {key} must be an integer >= {lo}, got {v!r}")
+    v = params.get("learning_rate", 1.0)
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (math.isfinite(v) and v > 0):
+        raise ConfigError(f"gbt learning_rate must be a finite number > 0, got {v!r}")
 
 
 @dataclass

@@ -65,6 +65,15 @@ class TestValidateConfig:
         assert json.loads(bumped.partition("\n")[2])["evaluation"]["bootstrap_b"] == 16
         assert base.partition("\n")[0] != bumped.partition("\n")[0]
 
+    def test_bad_gbt_value_is_a_config_error(self, workspace, capsys):
+        tmp_path, _, raw = workspace
+        raw["cate"]["menu"]["t-ridge"]["learner"] = {"kind": "gbt", "learning_rate": -1}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["validate-config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "learning_rate" in err
+
     def test_output_dir_flag_is_an_override(self, workspace, capsys):
         tmp_path, cfg_path, _ = workspace
         main(["validate-config", str(cfg_path), "--output-dir", str(tmp_path / "elsewhere")])

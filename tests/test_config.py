@@ -162,6 +162,27 @@ class TestMenu:
         with pytest.raises(ConfigError, match="at least one model"):
             validate_config(self.menu({}))
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_depth", 0),
+        ("n_trees", 2.5),
+        ("n_trees", "10"),
+        ("learning_rate", math.nan),
+        ("learning_rate", -1),
+        ("min_samples_leaf", True),
+    ])
+    def test_gbt_hyperparameter_values(self, key, value):
+        learner = {"kind": "gbt", key: value}
+        with pytest.raises(ConfigError, match=rf"m\.learner: gbt {key} must be"):
+            validate_config(self.menu({"m": {"kind": "t", "learner": learner}}))
+        with pytest.raises(ConfigError, match=rf"evaluation\.plug_in: gbt {key} must be"):
+            validate_config(minimal(evaluation={"plug_in": learner}))
+
+    def test_gbt_hyperparameter_boundaries_accepted(self):
+        learner = {"kind": "gbt", "n_trees": 0, "max_depth": 1, "min_samples_leaf": 1,
+                   "learning_rate": 1}
+        echo = validate_config(self.menu({"m": {"kind": "t", "learner": learner}})).echo
+        assert echo["cate"]["menu"]["m"]["learner"] == learner
+
 
 class TestBounds:
     def test_fixed_requires_both_etas(self):

@@ -1,8 +1,96 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treatpolicy.errors import DataError
+from treatpolicy.learners.linear import sigmoid
 from treatpolicy.learners.trees import BoostedTreesModel, Tree, fit_gbt
+
+
+def _oracle_best_split(X, g, idx, min_leaf):
+    """The per-node, per-feature search that presorting replaced.
+
+    Each feature is sorted at each node; rows inside a run of tied values are
+    ordered by row id, and a midpoint that rounds up onto the upper value is
+    replaced by the lower one.
+    """
+    m = idx.size
+    if m < 2 * min_leaf:
+        return None
+    best = None  # (gain, feature, threshold, sorted order, split position)
+    g_node = g[idx]
+    total = float(g_node.sum())
+    base = total * total / m
+    for j in range(X.shape[1]):
+        xs_raw = X[idx, j]
+        order = np.lexsort((idx, xs_raw))
+        xs = xs_raw[order]
+        if xs[0] == xs[-1]:
+            continue
+        gs = g_node[order]
+        left_sum = np.cumsum(gs)[:-1]
+        k = np.arange(1, m)
+        valid = xs[1:] != xs[:-1]
+        if min_leaf > 1:
+            valid &= (k >= min_leaf) & (m - k >= min_leaf)
+        if not valid.any():
+            continue
+        right_sum = total - left_sum
+        gain = left_sum**2 / k + right_sum**2 / (m - k) - base
+        gain = np.where(valid, gain, -np.inf)
+        pos = int(np.argmax(gain))
+        if gain[pos] > 1e-12 and (best is None or gain[pos] > best[0]):
+            thr = 0.5 * (xs[pos] + xs[pos + 1])
+            if thr >= xs[pos + 1]:
+                thr = xs[pos]
+            best = (float(gain[pos]), j, thr, order, pos + 1)
+    return best
+
+
+def _oracle_grow(tree, X, g, idx, depth, max_depth, min_leaf, leaf_value):
+    split = None if depth >= max_depth else _oracle_best_split(X, g, idx, min_leaf)
+    if split is None:
+        return tree.add_leaf(leaf_value(idx))
+    _gain, feat, thr, order, cut = split
+    node = tree.add_split(feat, thr)
+    args = (depth + 1, max_depth, min_leaf, leaf_value)
+    tree.left[node] = _oracle_grow(tree, X, g, idx[order[:cut]], *args)
+    tree.right[node] = _oracle_grow(tree, X, g, idx[order[cut:]], *args)
+    return node
+
+
+def oracle_fit_gbt(X, y, *, loss, n_trees, max_depth, learning_rate, min_samples_leaf):
+    """Boosting with the oracle search and a full prediction after each tree."""
+    if loss == "logistic":
+        p_bar = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
+        base = float(np.log(p_bar / (1.0 - p_bar)))
+    else:
+        base = float(y.mean())
+    F = np.full(X.shape[0], base)
+    trees = []
+    for _ in range(n_trees):
+        if loss == "logistic":
+            p = sigmoid(F)
+            g = y - p
+            h = np.clip(p * (1.0 - p), 1e-12, None)
+
+            def leaf_value(idx, g=g, h=h):
+                return float(g[idx].sum() / max(h[idx].sum(), 1e-12))
+
+        else:
+            g = y - F
+
+            def leaf_value(idx, g=g):
+                return float(g[idx].mean())
+
+        tree = Tree()
+        _oracle_grow(tree, X, g, np.arange(X.shape[0]), 0, max_depth, min_samples_leaf,
+                     leaf_value)
+        trees.append(tree)
+        F += learning_rate * tree.predict(X)
+    return BoostedTreesModel(base_score=base, learning_rate=learning_rate, loss=loss,
+                             trees=trees, n_features=X.shape[1])
 
 
 class TestSingleTreeBehaviour:
@@ -39,6 +127,77 @@ class TestSingleTreeBehaviour:
         root = model.trees[0]
         assert root.feature[0] == 0
         assert root.threshold[0] == pytest.approx(0.5)
+
+
+class TestEdgeCases:
+    def test_zero_columns_give_single_leaf_trees_at_the_mean(self):
+        y = np.array([1.0, 2.0, 4.0, 8.0, 5.0])
+        model = fit_gbt(np.empty((5, 0)), y, n_trees=3, max_depth=2)
+        assert all(tree.feature == [-1] for tree in model.trees)
+        np.testing.assert_allclose(model.predict(np.empty((5, 0))), np.full(5, y.mean()))
+
+    def test_constant_columns_give_single_leaf_trees(self):
+        X = np.full((6, 2), 3.0)
+        y = np.array([0.0, 1.0, 5.0, 2.0, 7.0, 1.0])
+        model = fit_gbt(X, y, n_trees=4, max_depth=3)
+        assert all(tree.feature == [-1] for tree in model.trees)
+        np.testing.assert_allclose(model.predict(X), np.full(6, y.mean()))
+
+    def test_threshold_separates_adjacent_floats(self):
+        # 0.5 * (nextafter(100, 0) + 100) rounds to 100.0, which would send
+        # both rows left
+        lo = np.nextafter(100.0, 0.0)
+        X = np.array([[lo], [100.0]])
+        y = np.array([0.0, 1.0])
+        model = fit_gbt(X, y, n_trees=1, max_depth=1, learning_rate=1.0)
+        assert model.trees[0].threshold[0] == lo
+        np.testing.assert_array_equal(model.predict(X), y)
+
+    def test_node_of_exactly_two_min_leaves_splits(self):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        model = fit_gbt(X, y, n_trees=1, max_depth=1, learning_rate=1.0,
+                        min_samples_leaf=2)
+        root = model.trees[0]
+        assert root.feature[0] == 0
+        assert root.threshold[0] == pytest.approx(1.5)
+        np.testing.assert_allclose(model.predict(X), y, atol=1e-12)
+
+
+@st.composite
+def gbt_problems(draw):
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(0, 4))
+    cols = []
+    for _ in range(d):
+        if draw(st.booleans()):  # integer-valued, so ties are common
+            cell = st.integers(-3, 3).map(float)
+        else:
+            cell = st.floats(-100, 100, allow_nan=False, allow_subnormal=False)
+        cols.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    X = np.array(cols, dtype=float).T.reshape(n, d)
+    loss = draw(st.sampled_from(["squared", "logistic"]))
+    if loss == "logistic":
+        y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    else:
+        y = np.array(draw(st.lists(st.floats(-50, 50, allow_nan=False, allow_subnormal=False),
+                                   min_size=n, max_size=n)))
+    params = dict(
+        loss=loss,
+        n_trees=draw(st.integers(1, 4)),
+        max_depth=draw(st.integers(1, 3)),
+        learning_rate=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        min_samples_leaf=draw(st.integers(1, 3)),
+    )
+    return X, y, params
+
+
+class TestPresortedSearchMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(gbt_problems())
+    def test_models_identical(self, problem):
+        X, y, params = problem
+        assert fit_gbt(X, y, **params).to_dict() == oracle_fit_gbt(X, y, **params).to_dict()
 
 
 class TestBoosting:
