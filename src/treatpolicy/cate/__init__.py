@@ -14,13 +14,12 @@ from .intervals import (
     tilted_mean,
     uncertainty_interval,
 )
-from .meta import CateEnsemble, CateModel, ensemble_cate, fit_meta_learner, predict_cate
+from .meta import CateEnsemble, CateModel, ensemble_cate, fit_meta_learner
 
 __all__ = [
     "CateModel",
     "CateEnsemble",
     "fit_meta_learner",
-    "predict_cate",
     "ensemble_cate",
     "UncertaintySpec",
     "CateFitSpec",

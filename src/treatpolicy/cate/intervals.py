@@ -11,7 +11,6 @@ gives a sharp per-arm shift that grows monotonically with lam.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,20 +48,6 @@ class UncertaintySpec:
         if self.alpha_stat > 0.0 and self.b_boot < 2:
             raise ConfigError("b_boot must be >= 2 when alpha_stat > 0")
 
-    @classmethod
-    def from_log_bound(cls, alpha_stat: float, alpha_causal: float, b_boot: int = 200):
-        """Build a spec from the log-scale sensitivity bound: lam = exp(alpha_causal)."""
-        if alpha_causal < 0.0:
-            raise ConfigError(f"alpha_causal must be >= 0, got {alpha_causal}")
-        return cls(alpha_stat=alpha_stat, lam=math.exp(alpha_causal), b_boot=b_boot)
-
-    def to_dict(self) -> dict:
-        return {"alpha_stat": self.alpha_stat, "lam": self.lam, "b_boot": self.b_boot}
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        return cls(alpha_stat=d["alpha_stat"], lam=d["lam"], b_boot=d["b_boot"])
-
 
 @dataclass(frozen=True)
 class CateFitSpec:
@@ -72,14 +57,9 @@ class CateFitSpec:
     learner: LearnerSpec
     g_constant: float | None = None
 
-    def fit(self, train: Dataset, *, propensity=None, seed: int | None = None) -> CateModel:
+    def fit(self, train: Dataset, *, propensity=None) -> CateModel:
         return fit_meta_learner(
-            self.kind,
-            train,
-            self.learner,
-            propensity=propensity,
-            g_constant=self.g_constant,
-            seed=seed,
+            self.kind, train, self.learner, propensity=propensity, g_constant=self.g_constant
         )
 
 
@@ -99,17 +79,6 @@ class CateInterval:
 
     def contains_zero(self) -> np.ndarray:
         return (self.lower <= 0.0) & (0.0 <= self.upper)
-
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
-
-    def to_dict(self) -> dict:
-        return {
-            "lower": [float(v) for v in self.lower],
-            "point": [float(v) for v in self.point],
-            "upper": [float(v) for v in self.upper],
-            "shift": float(self.shift),
-        }
 
 
 def tilted_mean(residuals, lam: float) -> float:

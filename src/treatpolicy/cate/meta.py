@@ -16,7 +16,7 @@ the interval machinery tilts these pools.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from ..learners import (
     register_codec,
 )
 
-__all__ = ["CateModel", "CateEnsemble", "fit_meta_learner", "predict_cate", "ensemble_cate"]
+__all__ = ["CateModel", "CateEnsemble", "fit_meta_learner", "ensemble_cate"]
 
 KINDS = ("s", "t", "x")
 
@@ -76,7 +76,6 @@ def fit_meta_learner(
     *,
     propensity=None,
     g_constant: float | None = None,
-    seed: int | None = None,
 ) -> CateModel:
     """Fit one meta-learner on the train rows.
 
@@ -98,12 +97,12 @@ def fit_meta_learner(
 
     if kind == "s":
         Xa = np.hstack([X, t.astype(float)[:, None]])
-        f = fit_regressor(spec, Xa, y, seed=seed)
+        f = fit_regressor(spec, Xa, y)
         fitted_obs = f.predict(Xa)
         components = {"f": f}
     else:
-        mu0 = fit_regressor(spec, X[~treated], y[~treated], seed=seed)
-        mu1 = fit_regressor(spec, X[treated], y[treated], seed=seed)
+        mu0 = fit_regressor(spec, X[~treated], y[~treated])
+        mu1 = fit_regressor(spec, X[treated], y[treated])
         fitted_obs = np.where(treated, mu1.predict(X), mu0.predict(X))
         components = {"mu0": mu0, "mu1": mu1}
         if kind == "x":
@@ -113,8 +112,8 @@ def fit_meta_learner(
                 )
             d_treated = y[treated] - mu0.predict(X[treated])
             d_control = mu1.predict(X[~treated]) - y[~treated]
-            components["tau_treated"] = fit_regressor(spec, X[treated], d_treated, seed=seed)
-            components["tau_control"] = fit_regressor(spec, X[~treated], d_control, seed=seed)
+            components["tau_treated"] = fit_regressor(spec, X[treated], d_treated)
+            components["tau_control"] = fit_regressor(spec, X[~treated], d_control)
 
     residuals = y - fitted_obs
     pools = {
@@ -129,10 +128,6 @@ def fit_meta_learner(
         g_constant=g_constant,
         propensity=propensity if kind == "x" else None,
     )
-
-
-def predict_cate(model, X) -> np.ndarray:
-    return model.predict(X)
 
 
 @dataclass

@@ -11,19 +11,10 @@ import argparse
 import json
 import sys
 
+from . import layout
 from .config import load_config
 from .errors import ConfigError, DataError, SchemaError, TreatPolicyError
 from .pipeline import run_pipeline, run_stages
-
-_STAGE_HELP = (
-    ("ingest", "parse, impute, and split the input table"),
-    ("simulate", "stress-test the model menu on synthetic outcomes"),
-    ("fit-propensity", "fit the treatment scorer and the overlap report"),
-    ("fit-cate", "fit the effect-model menu with the held-out error gate"),
-    ("defer", "decide which rows get no recommendation, and why"),
-    ("evaluate", "value every candidate policy on held-out rows"),
-    ("report", "render figures and the index from existing artifacts"),
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("validate-config", "resolve the config, print its echo and hash, run nothing")
-    for name, help_text in _STAGE_HELP:
+    for name, help_text in layout.STAGES:
         add(name, help_text)
     add("all", "run every configured stage in order")
     return parser

@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .ingest import SPLIT_NAMES, TableSchema
 from .learners import LearnerSpec
 from .policy_eval import DIRECTIONS, ESTIMATORS
-from .simulation import FORMS, SimulationSpec
+from .simulation import SimulationSpec
 
 __all__ = [
     "PipelineConfig",
@@ -261,6 +261,8 @@ _SCHEMA = {
             "learner": ("custom", {"kind": "logistic", "lam": 1.0}, _learner("classification")),
             "calibrate": ("value", True, _boolean),
             "bounds": ("custom", {"method": "quantile"}, _bounds),
+            # propensity.seed and cate.seed are recorded in the manifest seeds
+            # but change nothing: every learner fit is deterministic
             "seed": ("value", 0, _integer(0)),
         },
     ),
@@ -273,7 +275,7 @@ _SCHEMA = {
                 _menu,
             ),
             "ensembles": ("value", [], _ensembles),
-            "seed": ("value", 0, _integer(0)),
+            "seed": ("value", 0, _integer(0)),  # no effect, as propensity.seed
         },
     ),
     "uncertainty": ("custom", {}, _uncertainty),
@@ -313,7 +315,6 @@ _SCHEMA = {
             "lam": ("value", 0.5, _number(0.0, 1.0)),
             "effect_size": ("value", 0.5, _number(0.0, lo_open=True)),
             "noise_factor": ("value", 1.2, _number(0.0, lo_open=True)),
-            "form": ("value", "linear", _choice(FORMS)),
             "runs": ("value", 5, _integer(2)),
             "train_frac": ("value", 0.7, _number(0.0, 1.0, lo_open=True, hi_open=True)),
             "seed": ("value", 0, _integer(0)),
@@ -431,7 +432,6 @@ class PipelineConfig:
             lam=s["lam"],
             effect_size=s["effect_size"],
             noise_factor=s["noise_factor"],
-            form=s["form"],
         )
 
     def seeds(self) -> dict:

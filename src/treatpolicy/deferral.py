@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cate.intervals import CateInterval, UncertaintySpec
+from .cate.intervals import CateInterval
 from .errors import DataError
 from .ingest import Dataset, SummaryTable, summarize
 from .learners.linear import fit_linear
@@ -33,11 +33,10 @@ REASON_UNCERTAINTY = "uncertainty"
 
 @dataclass(frozen=True)
 class DeferralRule:
-    """Overlap bounds plus the uncertainty spec and the combination mode."""
+    """Overlap bounds plus the combination mode."""
 
     eta_low: float
     eta_high: float
-    theta: UncertaintySpec
     mode: str = "conservative"
 
     def __post_init__(self):
@@ -47,23 +46,6 @@ class DeferralRule:
             raise ValueError(
                 f"need 0 <= eta_low < eta_high <= 1, got ({self.eta_low}, {self.eta_high})"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "eta_low": self.eta_low,
-            "eta_high": self.eta_high,
-            "theta": self.theta.to_dict(),
-            "mode": self.mode,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        return cls(
-            eta_low=d["eta_low"],
-            eta_high=d["eta_high"],
-            theta=UncertaintySpec.from_dict(d["theta"]),
-            mode=d["mode"],
-        )
 
 
 @dataclass
@@ -76,13 +58,6 @@ class DeferralDecision:
     @property
     def n_deferred(self) -> int:
         return int(self.defer.sum())
-
-    def to_csv_rows(self, row_ids=None) -> list:
-        ids = range(len(self.reason)) if row_ids is None else row_ids
-        rows = [["row_id", "deferred", "reason"]]
-        for rid, d, why in zip(ids, self.defer, self.reason):
-            rows.append([str(rid), "1" if d else "0", why or ""])
-        return rows
 
 
 def evaluate_deferral(

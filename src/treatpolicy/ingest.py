@@ -4,8 +4,8 @@ Conventions
 -----------
 * Covariates are carried as a dense float matrix; missing numeric entries are
   NaN until imputed.
-* Imputation statistics (medians, means, SDs) derive exclusively from
-  train-split rows and are applied unchanged to every other split.
+* Imputation medians derive exclusively from train-split rows and are
+  applied unchanged to every other split.
 * Each column that ever had a missing value gains a 0/1 indicator column named
   ``<column>__missing``.
 * Splits are assigned by a seeded shuffle with largest-remainder rounding of
@@ -21,18 +21,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, SchemaError
+from .layout import fmt_float
 
 __all__ = [
     "ColumnInfo",
     "TableSchema",
     "Dataset",
-    "ImputationStats",
     "SummaryTable",
     "load_table",
     "impute_and_flag",
     "assign_splits",
     "summarize",
-    "standardize",
     "save_dataset",
     "load_dataset",
 ]
@@ -115,15 +114,6 @@ class Dataset:
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
-    def column_index(self, name: str) -> int:
-        for i, c in enumerate(self.columns):
-            if c.name == name:
-                return i
-        raise KeyError(name)
-
-    def covariate(self, name: str) -> np.ndarray:
-        return self.covariates[:, self.column_index(name)]
-
     def subset(self, mask_or_index) -> "Dataset":
         idx = np.asarray(mask_or_index)
         return Dataset(
@@ -140,40 +130,6 @@ class Dataset:
         if self.split is None:
             raise DataError("dataset has no split assignment")
         return self.subset(self.split == split_name)
-
-    def with_outcome(self, outcome: np.ndarray) -> "Dataset":
-        return replace(self, outcome=np.asarray(outcome, dtype=float).copy())
-
-
-@dataclass
-class ImputationStats:
-    """Train-split statistics used for imputation and standardization.
-
-    ``flagged`` lists the columns that received a missing indicator; applying
-    the same stats to new data reproduces the exact train-time schema.
-    """
-
-    medians: dict[str, float]
-    means: dict[str, float]
-    sds: dict[str, float]
-    flagged: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "medians": dict(self.medians),
-            "means": dict(self.means),
-            "sds": dict(self.sds),
-            "flagged": list(self.flagged),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ImputationStats":
-        return cls(
-            medians=dict(d["medians"]),
-            means=dict(d["means"]),
-            sds=dict(d["sds"]),
-            flagged=tuple(d["flagged"]),
-        )
 
 
 def _parse_cell(text: str) -> float:
@@ -263,50 +219,36 @@ def _detect_kind(values: np.ndarray) -> str:
     return KIND_NUMERIC
 
 
-def impute_and_flag(
-    data: Dataset, stats: ImputationStats | None = None
-) -> tuple[Dataset, ImputationStats]:
+def impute_and_flag(data: Dataset) -> tuple[Dataset, tuple[str, ...]]:
     """Median-impute missing covariates and append missing indicators.
 
-    With ``stats=None`` the medians/means/SDs are computed from the train
-    split (all rows when the dataset is unsplit) and the flagged-column set is
-    whatever has a missing value anywhere in this data.  Passing stats reuses
-    both, so validation/test data gets the exact train-time treatment.
-    Applying the function twice is a no-op.
+    Medians come from the train split (all rows when the dataset is
+    unsplit); every column with a missing value anywhere in the data is
+    flagged and gains an indicator.  Returns the new dataset and the flagged
+    column names.  Applying the function twice is a no-op.
     """
     base_idx = [i for i, c in enumerate(data.columns) if c.kind != KIND_INDICATOR]
     existing = set(data.column_names)
 
-    if stats is None:
-        if data.split is not None:
-            train_mask = data.split == "train"
-            if not train_mask.any():
-                raise DataError("no train rows to derive imputation statistics from")
-        else:
-            train_mask = np.ones(data.n, dtype=bool)
-        medians: dict[str, float] = {}
-        for i in base_idx:
-            name = data.columns[i].name
-            col = data.covariates[train_mask, i]
-            present = col[~np.isnan(col)]
-            if present.size == 0:
-                raise DataError(f"column {name!r} entirely missing on the train split")
-            medians[name] = float(np.median(present))
-        flagged = tuple(
-            data.columns[i].name
-            for i in base_idx
-            if np.isnan(data.covariates[:, i]).any()
-        )
+    if data.split is not None:
+        train_mask = data.split == "train"
+        if not train_mask.any():
+            raise DataError("no train rows to derive imputation statistics from")
     else:
-        train_mask = (
-            data.split == "train" if data.split is not None else np.ones(data.n, dtype=bool)
-        )
-        medians = dict(stats.medians)
-        flagged = tuple(stats.flagged)
-        for i in base_idx:
-            name = data.columns[i].name
-            if name not in medians:
-                raise DataError(f"no imputation statistics for column {name!r}")
+        train_mask = np.ones(data.n, dtype=bool)
+    medians: dict[str, float] = {}
+    for i in base_idx:
+        name = data.columns[i].name
+        col = data.covariates[train_mask, i]
+        present = col[~np.isnan(col)]
+        if present.size == 0:
+            raise DataError(f"column {name!r} entirely missing on the train split")
+        medians[name] = float(np.median(present))
+    flagged = tuple(
+        data.columns[i].name
+        for i in base_idx
+        if np.isnan(data.covariates[:, i]).any()
+    )
 
     new_cols = list(data.columns)
     blocks = [data.covariates.copy()]
@@ -329,16 +271,7 @@ def impute_and_flag(
         split=None if data.split is None else data.split.copy(),
         row_ids=data.row_ids.copy(),
     )
-
-    if stats is None or set(stats.means) != set(out.column_names):
-        means = {}
-        sds = {}
-        for j, col in enumerate(out.columns):
-            vals = out.covariates[train_mask, j]
-            means[col.name] = float(np.mean(vals))
-            sds[col.name] = float(np.std(vals))
-        stats = ImputationStats(medians=medians, means=means, sds=sds, flagged=flagged)
-    return out, stats
+    return out, flagged
 
 
 def _largest_remainder_counts(n: int, fractions) -> list[int]:
@@ -453,26 +386,6 @@ def summarize(
     return SummaryTable(group_names=names, rows=rows)
 
 
-def standardize(data: Dataset, stats: ImputationStats) -> np.ndarray:
-    """Z-score the covariate matrix by the train-split mean/SD in ``stats``.
-
-    Constant columns (SD zero) map to all zeros rather than dividing by zero.
-    """
-    means = np.empty(len(data.columns))
-    sds = np.empty(len(data.columns))
-    for j, col in enumerate(data.columns):
-        if col.name not in stats.means:
-            raise DataError(f"no standardization statistics for column {col.name!r}")
-        means[j] = stats.means[col.name]
-        sds[j] = stats.sds[col.name]
-    safe = np.where(sds > 0, sds, 1.0)
-    return (data.covariates - means) / safe
-
-
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def save_dataset(data: Dataset, csv_path, meta: dict | None = None) -> dict:
     """Write the dataset to CSV and return a metadata dict describing it.
 
@@ -489,10 +402,10 @@ def save_dataset(data: Dataset, csv_path, meta: dict | None = None) -> dict:
                 str(int(data.row_ids[i])),
                 "" if data.split is None else str(data.split[i]),
                 str(int(data.treatment[i])),
-                _format_float(data.outcome[i]),
+                fmt_float(data.outcome[i]),
             ]
-            row += [_format_float(data.secondary[k][i]) for k in sec_names]
-            row += [_format_float(v) for v in data.covariates[i]]
+            row += [fmt_float(data.secondary[k][i]) for k in sec_names]
+            row += [fmt_float(v) for v in data.covariates[i]]
             writer.writerow(row)
     description = {
         "columns": [{"name": c.name, "kind": c.kind} for c in data.columns],

@@ -1,13 +1,29 @@
-"""Canonical artifact paths inside a run's output directory.
+"""The stage table, canonical artifact paths, and artifact read/write helpers.
 
 Stages write artifacts at these relative paths and downstream stages read
 them back; keeping the names in one place is what lets a subcommand run in
-isolation against an output directory produced earlier.
+isolation against an output directory produced earlier.  The CLI, the stage
+dispatch and the report index all read the one stage table below.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import os
+
+# Every stage in run order, with the description the CLI help and the report
+# index show.
+STAGES = (
+    ("ingest", "parse the input table, impute (median + indicator), split train/val/test"),
+    ("fit-propensity", "fit the treatment scorer, calibrate it and pick the overlap bounds"),
+    ("simulate", "stress-test the model menu on semi-synthetic outcomes"),
+    ("fit-cate", "fit the effect-model menu behind the held-out error gate"),
+    ("defer", "decide which rows get no recommendation, and why"),
+    ("evaluate", "value every policy on held-out rows (IPW/DR, bootstrap, rank curve, trees)"),
+    ("report", "render the SVG figures and the markdown index from existing artifacts"),
+)
+STAGE_ORDER = tuple(name for name, _ in STAGES)
 
 MANIFEST = "manifest.json"
 IDENTIFICATION = "identification.md"
@@ -62,3 +78,29 @@ def path(out_dir, rel: str) -> str:
     full = os.path.join(out_dir, rel)
     os.makedirs(os.path.dirname(full) or ".", exist_ok=True)
     return full
+
+
+def fmt_float(x) -> str:
+    """Round-trip text for a float: artifacts reload bit-identical."""
+    return repr(float(x))
+
+
+def write_json(full_path, obj) -> None:
+    with open(full_path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(full_path):
+    with open(full_path) as fh:
+        return json.load(fh)
+
+
+def write_csv(full_path, rows) -> None:
+    with open(full_path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def read_csv(full_path) -> list[list[str]]:
+    with open(full_path, newline="") as fh:
+        return list(csv.reader(fh))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,38 +167,38 @@ def _standardizer(X: np.ndarray):
     return center, scale
 
 
-def fit_regressor(spec: LearnerSpec, X, y, seed: int | None = None) -> FittedModel:
+def fit_regressor(spec: LearnerSpec, X, y) -> FittedModel:
     """Fit the named regressor; linear kinds are standardized internally."""
     spec.validate(task="regression")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     p = spec.param_dict
     if spec.kind == "gbt":
-        model = fit_gbt(X, y, loss="squared", seed=seed, **p)
+        model = fit_gbt(X, y, loss="squared", **p)
         return FittedModel(family=spec.kind, task="regression", model=model)
     center, scale = _standardizer(X)
     Z = (X - center) / scale
     penalty = {"ols": "none", "ridge": "l2", "lasso": "l1"}[spec.kind]
-    model = fit_linear(Z, y, family="least-squares", penalty=penalty, seed=seed, **p)
+    model = fit_linear(Z, y, family="least-squares", penalty=penalty, **p)
     return FittedModel(
         family=spec.kind, task="regression", model=model, center=center, scale=scale
     )
 
 
-def fit_classifier(spec: LearnerSpec, X, y, seed: int | None = None) -> FittedModel:
+def fit_classifier(spec: LearnerSpec, X, y) -> FittedModel:
     """Fit the named probabilistic classifier on 0/1 labels."""
     spec.validate(task="classification")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     p = spec.param_dict
     if spec.kind == "gbt":
-        model = fit_gbt(X, y, loss="logistic", seed=seed, **p)
+        model = fit_gbt(X, y, loss="logistic", **p)
         return FittedModel(family=spec.kind, task="classification", model=model)
     p.setdefault("penalty", "l2")
     p.setdefault("lam", 1.0)
     center, scale = _standardizer(X)
     Z = (X - center) / scale
-    model = fit_linear(Z, y, family="logistic", seed=seed, **p)
+    model = fit_linear(Z, y, family="logistic", **p)
     return FittedModel(
         family=spec.kind, task="classification", model=model, center=center, scale=scale
     )

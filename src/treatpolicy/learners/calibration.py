@@ -36,9 +36,6 @@ class CalibratedClassifier:
         z = _logit(np.asarray(self.base.predict_proba(X), dtype=float))
         return sigmoid(self.slope * z + self.offset)
 
-    def to_dict(self) -> dict:
-        return {"slope": float(self.slope), "offset": float(self.offset)}
-
 
 def calibrate(model, X_val, y_val) -> CalibratedClassifier:
     """Fit the sigmoid recalibration on held-out (X_val, y_val).

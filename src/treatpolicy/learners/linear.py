@@ -13,7 +13,7 @@ Solvers: closed-form solve for least squares with none/L2; cyclic coordinate
 descent to a coefficient-change plus duality-gap tolerance for L1; damped
 Newton (iteratively reweighted least squares) for logistic, with an inner
 weighted coordinate descent when the penalty is L1.  All fits are
-deterministic; ``seed`` is accepted for interface symmetry and ignored.
+deterministic.
 """
 
 from __future__ import annotations
@@ -94,14 +94,12 @@ def fit_linear(
     fit_intercept: bool = True,
     tol: float = 1e-6,
     max_iter: int | None = None,
-    seed: int | None = None,
 ) -> LinearModel:
     """Fit a linear model; see the module docstring for objectives and solvers.
 
     Raises ConvergenceError (carrying the last iterate and residual gap) if an
     iterative solver exhausts its iteration cap.
     """
-    del seed  # deterministic fits; accepted for interface symmetry
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:

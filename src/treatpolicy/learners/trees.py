@@ -10,8 +10,7 @@ break toward the lowest feature index, then the lowest threshold.  Leaf
 values are the mean target for squared loss and the gradient/hessian Newton
 step sum(y - p) / sum(p (1 - p)) for logistic loss.
 
-There is no row or feature subsampling, so fits are deterministic; ``seed``
-is stored for interface symmetry only.
+There is no row or feature subsampling, so fits are deterministic.
 """
 
 from __future__ import annotations
@@ -142,7 +141,6 @@ class BoostedTreesModel:
     loss: str
     trees: list[Tree]
     n_features: int
-    seed: int | None = None
 
     def raw_predict(self, X, n_trees: int | None = None) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -172,7 +170,6 @@ class BoostedTreesModel:
             "loss": self.loss,
             "trees": [t.to_dict() for t in self.trees],
             "n_features": int(self.n_features),
-            "seed": self.seed,
         }
 
     @classmethod
@@ -183,7 +180,6 @@ class BoostedTreesModel:
             loss=d["loss"],
             trees=[Tree.from_dict(t) for t in d["trees"]],
             n_features=int(d["n_features"]),
-            seed=d.get("seed"),
         )
 
 
@@ -196,7 +192,6 @@ def fit_gbt(
     max_depth: int = 3,
     learning_rate: float = 0.1,
     min_samples_leaf: int = 1,
-    seed: int | None = None,
 ) -> BoostedTreesModel:
     """Fit a gradient boosted trees model.
 
@@ -256,5 +251,4 @@ def fit_gbt(
         loss=loss,
         trees=trees,
         n_features=X.shape[1],
-        seed=seed,
     )

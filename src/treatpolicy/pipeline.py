@@ -9,7 +9,6 @@ config asks for them, keeping rerun artifacts byte-identical by default.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import time
@@ -37,10 +36,10 @@ from .ingest import (
     save_dataset,
     summarize,
 )
+from .layout import STAGE_ORDER, fmt_float, read_csv, read_json, write_csv, write_json
 from .learners import fit_regressor, load_model, save_model
 from .policy_eval import (
     DEFER,
-    Policy,
     baselines,
     bootstrap_tournament,
     build_policy,
@@ -53,8 +52,6 @@ from .report import emit_report
 from .simulation import run_study
 
 __all__ = ["RunManifest", "run_pipeline", "run_stages", "planned_stages", "STAGE_ORDER"]
-
-STAGE_ORDER = ("ingest", "fit-propensity", "simulate", "fit-cate", "defer", "evaluate", "report")
 
 _CHECKLIST = """\
 # Identification checklist
@@ -82,31 +79,6 @@ downstream can repair it.
   drivers, raise `uncertainty.lam` (or `uncertainty.alpha_causal`) so the
   intervals and the deferral rule absorb that doubt instead of ignoring it.
 """
-
-
-def _fmtf(x) -> str:
-    return repr(float(x))
-
-
-def _write_json(full_path, obj) -> None:
-    with open(full_path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_json(full_path):
-    with open(full_path) as fh:
-        return json.load(fh)
-
-
-def _write_csv(full_path, rows) -> None:
-    with open(full_path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-
-
-def _read_csv(full_path) -> list[list[str]]:
-    with open(full_path, newline="") as fh:
-        return list(csv.reader(fh))
 
 
 def _warn(stage: str, kind: str, message: str) -> dict:
@@ -174,7 +146,7 @@ class RunManifest:
         )
 
     def save(self, out_dir: str) -> None:
-        _write_json(layout.path(out_dir, layout.MANIFEST), self.to_dict())
+        write_json(layout.path(out_dir, layout.MANIFEST), self.to_dict())
 
     @classmethod
     def fresh(cls, cfg: PipelineConfig) -> "RunManifest":
@@ -185,7 +157,7 @@ class RunManifest:
         full = os.path.join(cfg.out_dir, layout.MANIFEST)
         if os.path.exists(full):
             try:
-                prior = cls.from_dict(_read_json(full))
+                prior = cls.from_dict(read_json(full))
             except (KeyError, ValueError, json.JSONDecodeError):
                 return cls.fresh(cfg)
             if prior.config_hash == cfg.hash:
@@ -205,7 +177,7 @@ def _require_ack(cfg: PipelineConfig, stage: str) -> None:
 def _load_data(out_dir: str):
     csv_path = _need(out_dir, layout.DATASET_CSV, "ingest")
     meta_path = _need(out_dir, layout.DATASET_META, "ingest")
-    return load_dataset(csv_path, _read_json(meta_path))
+    return load_dataset(csv_path, read_json(meta_path))
 
 
 # ---------------------------------------------------------------- stages
@@ -219,18 +191,18 @@ def stage_ingest(cfg: PipelineConfig, manifest: RunManifest):
     except OSError as exc:
         raise DataError(f"cannot read data table {d['path']}: {exc}") from exc
     data = assign_splits(data, cfg.echo["splits"]["fractions"], cfg.echo["splits"]["seed"])
-    data, stats = impute_and_flag(data)
+    data, flagged = impute_and_flag(data)
 
     description = save_dataset(data, layout.path(out, layout.DATASET_CSV))
-    _write_json(layout.path(out, layout.DATASET_META), description)
+    write_json(layout.path(out, layout.DATASET_META), description)
     table = summarize(data, group_by=data.treatment == 1, group_names=("control", "treated"))
-    _write_csv(layout.path(out, layout.SUMMARY), table.to_csv_rows())
+    write_csv(layout.path(out, layout.SUMMARY), table.to_csv_rows())
     with open(layout.path(out, layout.IDENTIFICATION), "w") as fh:
         fh.write(_CHECKLIST)
 
     warnings = []
-    if stats.flagged:
-        cols = ", ".join(sorted(stats.flagged))
+    if flagged:
+        cols = ", ".join(sorted(flagged))
         warnings.append(
             _warn("ingest", "imputation", f"missing values imputed (indicators added) in: {cols}")
         )
@@ -244,9 +216,7 @@ def stage_fit_propensity(cfg: PipelineConfig, manifest: RunManifest):
     data = _load_data(out)
     train = data.rows_in("train")
     cal = data.rows_in("validation") if cfg.echo["propensity"]["calibrate"] else None
-    model = fit_propensity(
-        train, cfg.propensity_spec(), calibration=cal, seed=cfg.echo["propensity"]["seed"]
-    )
+    model = fit_propensity(train, cfg.propensity_spec(), calibration=cal)
     scores = model.predict(data.covariates)
     bounds = select_overlap_bounds(scores, treatment=data.treatment, **cfg.bounds_kwargs())
     model = replace(model, bounds=bounds)
@@ -255,12 +225,13 @@ def stage_fit_propensity(cfg: PipelineConfig, manifest: RunManifest):
     rows = [["row_id", "split", "treatment", "score"]]
     for i in range(data.n):
         rows.append(
-            [str(int(data.row_ids[i])), str(data.split[i]), str(int(data.treatment[i])), _fmtf(scores[i])]
+            [str(int(data.row_ids[i])), str(data.split[i]), str(int(data.treatment[i])),
+             fmt_float(scores[i])]
         )
-    _write_csv(layout.path(out, layout.PROPENSITY_SCORES), rows)
+    write_csv(layout.path(out, layout.PROPENSITY_SCORES), rows)
 
     rep = overlap_report(scores, data.treatment, bounds, bins=cfg.echo["report"]["bins"])
-    _write_json(
+    write_json(
         layout.path(out, layout.OVERLAP),
         {"method": cfg.echo["propensity"]["bounds"], "report": rep.to_dict()},
     )
@@ -294,26 +265,26 @@ def stage_simulate(cfg: PipelineConfig, manifest: RunManifest):
         p_star_spec=cfg.propensity_spec(),
         include_ensembles=len(menu) >= 2,
     )
-    _write_json(layout.path(out, layout.STUDY), study.to_dict())
+    write_json(layout.path(out, layout.STUDY), study.to_dict())
 
     agg_rows = [["policy", "n_runs", "v_ipw_mean", "v_ipw_sem", "v_dr_mean", "v_dr_sem",
                  "v_true_mean", "v_true_sem"]]
     for a in study.aggregates:
         agg_rows.append(
             [a["policy"], str(a["n_runs"])]
-            + [_fmtf(a[k]) for k in ("v_ipw_mean", "v_ipw_sem", "v_dr_mean", "v_dr_sem",
+            + [fmt_float(a[k]) for k in ("v_ipw_mean", "v_ipw_sem", "v_dr_mean", "v_dr_sem",
                                      "v_true_mean", "v_true_sem")]
         )
-    _write_csv(layout.path(out, layout.STUDY_AGGREGATES), agg_rows)
+    write_csv(layout.path(out, layout.STUDY_AGGREGATES), agg_rows)
 
     sc_rows = [["run", "policy", "source", "n_deferred", "treated_fraction",
                 "v_ipw", "v_dr", "v_true"]]
     for r in study.rows:
         sc_rows.append(
-            [str(r["run"]), r["policy"], r["source"], str(r["n_deferred"]),
-             _fmtf(r["treated_fraction"]), _fmtf(r["v_ipw"]), _fmtf(r["v_dr"]), _fmtf(r["v_true"])]
+            [str(r["run"]), r["policy"], r["source"], str(r["n_deferred"])]
+            + [fmt_float(r[k]) for k in ("treated_fraction", "v_ipw", "v_dr", "v_true")]
         )
-    _write_csv(layout.path(out, layout.STUDY_SCATTER), sc_rows)
+    write_csv(layout.path(out, layout.STUDY_SCATTER), sc_rows)
 
     warnings = []
     for f in study.failures:
@@ -346,7 +317,6 @@ def stage_fit_cate(cfg: PipelineConfig, manifest: RunManifest):
     val = data.rows_in("validation")
     test = data.rows_in("test")
     menu = cfg.cate_menu()
-    seed = cfg.echo["cate"]["seed"]
 
     # component gate: a model whose held-out outcome error is no better than
     # predicting the mean carries no signal and must not shape a policy
@@ -356,7 +326,7 @@ def stage_fit_cate(cfg: PipelineConfig, manifest: RunManifest):
     warnings = []
     artifacts = []
     for name, fit_spec in menu.items():
-        model = fit_spec.fit(train, propensity=prop, seed=seed)
+        model = fit_spec.fit(train, propensity=prop)
         mse = _heldout_outcome_mse(model, val)
         excluded = bool(mse >= var_val)
         gate[name] = {"heldout_mse": mse, "outcome_variance": var_val, "excluded": excluded}
@@ -374,7 +344,7 @@ def stage_fit_cate(cfg: PipelineConfig, manifest: RunManifest):
         rel = layout.cate_model(name)
         save_model(model, layout.path(out, rel))
         artifacts.append(rel)
-    _write_json(layout.path(out, layout.CATE_GATE), gate)
+    write_json(layout.path(out, layout.CATE_GATE), gate)
     artifacts.append(layout.CATE_GATE)
     if not retained:
         # keep the gate report visible even though the stage did not complete
@@ -397,24 +367,30 @@ def stage_fit_cate(cfg: PipelineConfig, manifest: RunManifest):
         taus[name] = interval.point
         for i in range(test.n):
             est_rows.append(
-                [name, str(int(test.row_ids[i])), _fmtf(interval.point[i]),
-                 _fmtf(interval.lower[i]), _fmtf(interval.upper[i])]
+                [name, str(int(test.row_ids[i])), fmt_float(interval.point[i]),
+                 fmt_float(interval.lower[i]), fmt_float(interval.upper[i])]
             )
-    _write_csv(layout.path(out, layout.CATE_ESTIMATES), est_rows)
+    write_csv(layout.path(out, layout.CATE_ESTIMATES), est_rows)
     artifacts.append(layout.CATE_ESTIMATES)
 
     diag = cate_diagnostics(taus)
-    _write_json(layout.path(out, layout.CATE_DIAGNOSTICS), diag.to_dict())
+    write_json(layout.path(out, layout.CATE_DIAGNOSTICS), diag.to_dict())
     artifacts.append(layout.CATE_DIAGNOSTICS)
     return artifacts, warnings
 
 
 def _retained_names(cfg: PipelineConfig, gate: dict) -> list[str]:
+    for name in cfg.echo["cate"]["menu"]:
+        if name not in gate:
+            raise StageError(
+                f"model {name!r} is in cate.menu but not in {layout.CATE_GATE}; "
+                "the menu changed since fit-cate ran; rerun fit-cate"
+            )
     return [name for name in cfg.echo["cate"]["menu"] if not gate[name]["excluded"]]
 
 
 def _estimates_by_model(out_dir: str, test) -> dict:
-    rows = _read_csv(_need(out_dir, layout.CATE_ESTIMATES, "fit-cate"))[1:]
+    rows = read_csv(_need(out_dir, layout.CATE_ESTIMATES, "fit-cate"))[1:]
     grouped: dict[str, dict] = {}
     for model, row_id, tau, lower, upper in rows:
         g = grouped.setdefault(model, {"row_ids": [], "tau": [], "lower": [], "upper": []})
@@ -442,14 +418,11 @@ def stage_defer(cfg: PipelineConfig, manifest: RunManifest):
     prop = load_model(_need(out, layout.PROPENSITY_MODEL, "fit-propensity"))
     if prop.bounds is None:
         raise StageError("propensity model has no overlap bounds; rerun fit-propensity")
-    gate = _read_json(_need(out, layout.CATE_GATE, "fit-cate"))
+    gate = read_json(_need(out, layout.CATE_GATE, "fit-cate"))
     estimates = _estimates_by_model(out, test)
     scores = prop.predict(test.covariates)
     rule = DeferralRule(
-        eta_low=prop.bounds[0],
-        eta_high=prop.bounds[1],
-        theta=cfg.theta(),
-        mode=cfg.echo["deferral"]["mode"],
+        eta_low=prop.bounds[0], eta_high=prop.bounds[1], mode=cfg.echo["deferral"]["mode"]
     )
 
     warnings = []
@@ -485,13 +458,13 @@ def stage_defer(cfg: PipelineConfig, manifest: RunManifest):
             )
         profile[name] = entry
 
-    _write_csv(layout.path(out, layout.DEFER_DECISIONS), dec_rows)
-    _write_json(layout.path(out, layout.DEFER_SUBPOP), profile)
+    write_csv(layout.path(out, layout.DEFER_DECISIONS), dec_rows)
+    write_json(layout.path(out, layout.DEFER_SUBPOP), profile)
     return [layout.DEFER_DECISIONS, layout.DEFER_SUBPOP], warnings
 
 
 def _defer_flags(out_dir: str, test) -> dict:
-    rows = _read_csv(_need(out_dir, layout.DEFER_DECISIONS, "defer"))[1:]
+    rows = read_csv(_need(out_dir, layout.DEFER_DECISIONS, "defer"))[1:]
     grouped: dict[str, dict] = {}
     for model, row_id, deferred, _reason in rows:
         g = grouped.setdefault(model, {"row_ids": [], "defer": []})
@@ -516,7 +489,7 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
     train = data.rows_in("train")
     test = data.rows_in("test")
     prop = load_model(_need(out, layout.PROPENSITY_MODEL, "fit-propensity"))
-    gate = _read_json(_need(out, layout.CATE_GATE, "fit-cate"))
+    gate = read_json(_need(out, layout.CATE_GATE, "fit-cate"))
     retained = _retained_names(cfg, gate)
     estimates = _estimates_by_model(out, test)
     flags = _defer_flags(out, test)
@@ -529,8 +502,8 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
 
     plug_spec = cfg.plug_in_spec()
     tr = train.treatment == 1
-    plug0 = fit_regressor(plug_spec, train.covariates[~tr], train.outcome[~tr], seed=seed)
-    plug1 = fit_regressor(plug_spec, train.covariates[tr], train.outcome[tr], seed=seed)
+    plug0 = fit_regressor(plug_spec, train.covariates[~tr], train.outcome[~tr])
+    plug1 = fit_regressor(plug_spec, train.covariates[tr], train.outcome[tr])
     plug_in = np.column_stack([plug0.predict(test.covariates), plug1.predict(test.covariates)])
     for name in retained:
         if cfg.echo["cate"]["menu"][name]["learner"]["kind"] == plug_spec.kind:
@@ -583,12 +556,12 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
             boot = tournament.distributions[est][i]
             s = summarize_bootstrap(boot)
             value_rows.append(
-                [policy.name, policy.source, est, _fmtf(tournament.points[est][i]),
-                 _fmtf(s["mean"]), _fmtf(s["std"]), _fmtf(s["min"]), _fmtf(s["q25"]),
-                 _fmtf(s["median"]), _fmtf(s["q75"]), _fmtf(s["max"]),
+                [policy.name, policy.source, est, fmt_float(tournament.points[est][i]),
+                 fmt_float(s["mean"]), fmt_float(s["std"]), fmt_float(s["min"]), fmt_float(s["q25"]),
+                 fmt_float(s["median"]), fmt_float(s["q75"]), fmt_float(s["max"]),
                  str(policy.n_deferred), str(int(np.isnan(boot).sum()))]
             )
-    _write_csv(layout.path(out, layout.POLICY_VALUES), value_rows)
+    write_csv(layout.path(out, layout.POLICY_VALUES), value_rows)
     artifacts = [layout.POLICY_VALUES]
 
     names = tournament.policies
@@ -597,15 +570,15 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
         for name, row in zip(names, tournament.wins[est]):
             wins_rows.append([name, *[str(int(v)) for v in row]])
         rel = layout.wins(est)
-        _write_csv(layout.path(out, rel), wins_rows)
+        write_csv(layout.path(out, rel), wins_rows)
         artifacts.append(rel)
 
         dist = tournament.distributions[est]
         dist_rows = [list(names)]
         for b in range(dist.shape[1]):
-            dist_rows.append([_fmtf(v) for v in dist[:, b]])
+            dist_rows.append([fmt_float(v) for v in dist[:, b]])
         rel = layout.distributions(est)
-        _write_csv(layout.path(out, rel), dist_rows)
+        write_csv(layout.path(out, rel), dist_rows)
         artifacts.append(rel)
 
     curve_est = "DR" if "DR" in cfg.estimators else cfg.estimators[0]
@@ -618,13 +591,13 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
         )
         for pt in curve:
             curve_rows.append(
-                [name, _fmtf(pt["q"]), _fmtf(pt["treated_fraction"]), _fmtf(pt["value"])]
+                [name, fmt_float(pt["q"]), fmt_float(pt["treated_fraction"]), fmt_float(pt["value"])]
             )
-    _write_csv(layout.path(out, layout.RANK_CURVE), curve_rows)
+    write_csv(layout.path(out, layout.RANK_CURVE), curve_rows)
     artifacts.append(layout.RANK_CURVE)
 
     trees = {p.name: outcome_tree(p, test) for p in policies}
-    _write_json(layout.path(out, layout.OUTCOME_TREES), trees)
+    write_json(layout.path(out, layout.OUTCOME_TREES), trees)
     artifacts.append(layout.OUTCOME_TREES)
 
     rec_rows = [["policy", "row_id", "recommendation"]]
@@ -635,24 +608,13 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
             rec_rows.append(
                 [policy.name, str(int(rid)), "defer" if r == DEFER else str(int(r))]
             )
-    _write_csv(layout.path(out, layout.RECOMMENDATIONS), rec_rows)
+    write_csv(layout.path(out, layout.RECOMMENDATIONS), rec_rows)
     artifacts.append(layout.RECOMMENDATIONS)
     return artifacts, warnings
 
 
 def stage_report(cfg: PipelineConfig, manifest: RunManifest):
     return emit_report(cfg.out_dir, manifest.to_dict())
-
-
-_STAGE_FN = {
-    "ingest": stage_ingest,
-    "fit-propensity": stage_fit_propensity,
-    "simulate": stage_simulate,
-    "fit-cate": stage_fit_cate,
-    "defer": stage_defer,
-    "evaluate": stage_evaluate,
-    "report": stage_report,
-}
 
 
 def planned_stages(cfg: PipelineConfig) -> list[str]:
@@ -668,9 +630,10 @@ def planned_stages(cfg: PipelineConfig) -> list[str]:
 
 
 def _execute(cfg: PipelineConfig, stage: str, manifest: RunManifest) -> None:
-    fn = _STAGE_FN.get(stage)
-    if fn is None:
+    if stage not in STAGE_ORDER:
         raise ConfigError(f"unknown stage {stage!r}; stages are {list(STAGE_ORDER)}")
+    # the stage named "fit-cate" in layout.STAGES runs stage_fit_cate, and so on
+    fn = globals()["stage_" + stage.replace("-", "_")]
     include_timings = cfg.echo["report"]["include_timings"]
     start = time.perf_counter()
     try:

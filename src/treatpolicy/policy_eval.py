@@ -68,13 +68,6 @@ class DecisionRule:
             return tau >= self.threshold
         return tau <= self.threshold
 
-    def to_dict(self) -> dict:
-        return {"threshold": self.threshold, "direction": self.direction}
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        return cls(threshold=d.get("threshold", 0.0), direction=d.get("direction", "higher-better"))
-
 
 @dataclass
 class Policy:

@@ -56,7 +56,6 @@ def fit_propensity(
     train: Dataset,
     spec: LearnerSpec,
     calibration: Dataset | None = None,
-    seed: int | None = None,
 ) -> PropensityModel:
     """Fit the treatment scorer on train rows, recalibrating on held-out rows.
 
@@ -67,7 +66,7 @@ def fit_propensity(
     t = train.treatment.astype(float)
     if np.unique(t).size < 2:
         raise DataError("train rows contain a single treatment arm")
-    base = fit_classifier(spec, train.covariates, t, seed=seed)
+    base = fit_classifier(spec, train.covariates, t)
     scorer: object = base
     metrics: dict = {
         "train": eval_metrics(base.predict_proba(train.covariates), t, "classification")

@@ -8,24 +8,13 @@ and the rest of the bundle is still produced.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 from collections import OrderedDict
 
 from . import figures, layout
+from .layout import read_csv, read_json
 
 __all__ = ["emit_report"]
-
-
-def _read_json(full_path):
-    with open(full_path) as fh:
-        return json.load(fh)
-
-
-def _read_csv(full_path) -> list[list[str]]:
-    with open(full_path, newline="") as fh:
-        return list(csv.reader(fh))
 
 
 def _grouped(rows: list[list[str]], key_col: int) -> "OrderedDict[str, list[list[str]]]":
@@ -38,7 +27,7 @@ def _grouped(rows: list[list[str]], key_col: int) -> "OrderedDict[str, list[list
 def _fig_cate_hist(out_dir, bins: int):
     import numpy as np
 
-    rows = _read_csv(os.path.join(out_dir, layout.CATE_ESTIMATES))[1:]
+    rows = read_csv(os.path.join(out_dir, layout.CATE_ESTIMATES))[1:]
     panels = []
     for model, group in _grouped(rows, 0).items():
         tau = np.array([float(r[2]) for r in group])
@@ -61,7 +50,7 @@ def _fig_cate_hist(out_dir, bins: int):
 
 
 def _fig_overlap_hist(out_dir, bins: int):
-    info = _read_json(os.path.join(out_dir, layout.OVERLAP))["report"]
+    info = read_json(os.path.join(out_dir, layout.OVERLAP))["report"]
     panels = []
     for arm in ("0", "1"):
         hist = info["histograms"][arm]
@@ -81,7 +70,7 @@ def _fig_overlap_hist(out_dir, bins: int):
 
 
 def _fig_value_scatter(out_dir, bins: int):
-    rows = _read_csv(os.path.join(out_dir, layout.STUDY_SCATTER))
+    rows = read_csv(os.path.join(out_dir, layout.STUDY_SCATTER))
     header, data = rows[0], rows[1:]
     col = {name: i for i, name in enumerate(header)}
     series = []
@@ -106,7 +95,7 @@ def _fig_value_box(out_dir, bins: int):
     for est in ("DR", "IPW"):
         full = os.path.join(out_dir, layout.distributions(est))
         if os.path.exists(full):
-            rows = _read_csv(full)
+            rows = read_csv(full)
             names = rows[0]
             cols = list(zip(*rows[1:]))
             items = []
@@ -122,7 +111,7 @@ def _fig_value_box(out_dir, bins: int):
 
 
 def _fig_rank_curve(out_dir, bins: int):
-    rows = _read_csv(os.path.join(out_dir, layout.RANK_CURVE))[1:]
+    rows = read_csv(os.path.join(out_dir, layout.RANK_CURVE))[1:]
     series = []
     for model, group in _grouped(rows, 0).items():
         series.append(
@@ -136,7 +125,7 @@ def _fig_rank_curve(out_dir, bins: int):
 
 
 def _fig_outcome_tree(out_dir, bins: int):
-    trees = _read_json(os.path.join(out_dir, layout.OUTCOME_TREES))
+    trees = read_json(os.path.join(out_dir, layout.OUTCOME_TREES))
     name, tree = next(iter(trees.items()))
     return figures.svg_tree(tree, title=f"Observed outcomes under policy {name}")
 
@@ -150,17 +139,6 @@ _FIGURES = (
     ("rank curve", layout.FIG_RANK_CURVE, _fig_rank_curve, (layout.RANK_CURVE,)),
     ("outcome tree", layout.FIG_OUTCOME_TREE, _fig_outcome_tree, (layout.OUTCOME_TREES,)),
 )
-
-_STAGE_BLURBS = (
-    ("ingest", "parsed, imputed, and split the input table"),
-    ("fit-propensity", "fitted the treatment scorer and measured overlap"),
-    ("simulate", "stress-tested the estimation stack on synthetic outcomes"),
-    ("fit-cate", "fitted the effect-model menu with the held-out error gate"),
-    ("defer", "flagged rows where no recommendation should be made"),
-    ("evaluate", "valued every policy against the observed data"),
-    ("report", "rendered figures and this index"),
-)
-
 
 def emit_report(out_dir: str, manifest: dict) -> tuple[list[str], list[dict]]:
     """Render figures and the index; returns (artifact paths, warnings)."""
@@ -222,13 +200,13 @@ def _render_index(manifest: dict, produced, missing) -> str:
     by_stage: OrderedDict[str, list[str]] = OrderedDict()
     for entry in manifest.get("artifacts", []):
         by_stage.setdefault(entry["stage"], []).append(entry["path"])
-    blurbs = dict(_STAGE_BLURBS)
+    descriptions = dict(layout.STAGES)
     for stage, paths in by_stage.items():
         lines.append(f"### {stage}")
         lines.append("")
-        blurb = blurbs.get(stage)
-        if blurb:
-            lines.append(f"This stage {blurb}.")
+        about = descriptions.get(stage)
+        if about:
+            lines.append(f"{about[0].upper()}{about[1:]}.")
             lines.append("")
         for p in paths:
             lines.append(f"- `{p}`")

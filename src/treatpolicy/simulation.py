@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cate import CateFitSpec, ensemble_cate
+from .cate import ensemble_cate
 from .errors import ConfigError, DataError
 from .ingest import ColumnInfo, Dataset
 from .learners import LearnerSpec, fit_classifier, fit_regressor
@@ -40,9 +40,6 @@ __all__ = [
     "run_study",
 ]
 
-FORMS = ("linear",)
-
-
 @dataclass(frozen=True)
 class SimulationSpec:
     """Generator knobs: correctness weight lam, target effect size, noise."""
@@ -51,7 +48,6 @@ class SimulationSpec:
     effect_size: float
     noise_factor: float = 1.2
     seed: int | None = None
-    form: str = "linear"
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -60,8 +56,6 @@ class SimulationSpec:
             raise ConfigError(f"effect_size must be positive, got {self.effect_size}")
         if self.noise_factor <= 0.0:
             raise ConfigError(f"noise_factor must be positive, got {self.noise_factor}")
-        if self.form not in FORMS:
-            raise ConfigError(f"form must be one of {FORMS}, got {self.form!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -69,7 +63,6 @@ class SimulationSpec:
             "effect_size": self.effect_size,
             "noise_factor": self.noise_factor,
             "seed": self.seed,
-            "form": self.form,
         }
 
 
@@ -355,7 +348,6 @@ def _one_run(
             effect_size=sim_spec.effect_size,
             noise_factor=sim_spec.noise_factor,
             seed=sim_seed,
-            form=sim_spec.form,
         ),
     )
     y_obs = outcomes.observed(T)

@@ -134,8 +134,8 @@ def test_criterion_04_null_effect_safety():
         excluding += int(np.sum((iv_stat.lower > 0.0) | (iv_stat.upper < 0.0)))
         iv_tilt = uncertainty_interval(RIDGE_T, train, X_query, theta_tilt, seed=seed)
         scores = np.full(X_query.shape[0], 0.5)
-        rule_c = DeferralRule(0.01, 0.99, theta_tilt, mode="conservative")
-        rule_i = DeferralRule(0.01, 0.99, theta_tilt, mode="inclusive")
+        rule_c = DeferralRule(0.01, 0.99, mode="conservative")
+        rule_i = DeferralRule(0.01, 0.99, mode="inclusive")
         conservative += evaluate_deferral(rule_c, scores, iv_tilt).n_deferred
         inclusive += evaluate_deferral(rule_i, scores, iv_tilt).n_deferred
     rate = excluding / rows
@@ -173,10 +173,8 @@ def test_criterion_05_monotonicity_suite():
     for prev, wide in zip(ivs, ivs[1:]):
         ok &= bool(np.all(wide.lower <= prev.lower) and np.all(wide.upper >= prev.upper))
     defer_by_lam = [
-        evaluate_deferral(DeferralRule(0.1, 0.9, th, mode="conservative"), scores, iv).n_deferred
-        for th, iv in zip(
-            [UncertaintySpec(0.8, lam, 60) for lam in lams], ivs
-        )
+        evaluate_deferral(DeferralRule(0.1, 0.9, mode="conservative"), scores, iv).n_deferred
+        for iv in ivs
     ]
     ok &= all(a <= b for a, b in zip(defer_by_lam, defer_by_lam[1:]))
 
@@ -189,10 +187,8 @@ def test_criterion_05_monotonicity_suite():
         for a in alphas
     ]
     defer_by_alpha = [
-        evaluate_deferral(
-            DeferralRule(0.1, 0.9, UncertaintySpec(a, 1.0, 60), mode="conservative"), scores, iv
-        ).n_deferred
-        for a, iv in zip(alphas, ivs_a)
+        evaluate_deferral(DeferralRule(0.1, 0.9, mode="conservative"), scores, iv).n_deferred
+        for iv in ivs_a
     ]
     ok &= all(a <= b for a, b in zip(defer_by_alpha, defer_by_alpha[1:]))
 
@@ -202,7 +198,7 @@ def test_criterion_05_monotonicity_suite():
     defer_by_width = []
     prev_retained = None
     for w in widths:
-        rule = DeferralRule(0.5 - w, 0.5 + w, UncertaintySpec(0.8, 1.0, 60), mode="conservative")
+        rule = DeferralRule(0.5 - w, 0.5 + w, mode="conservative")
         defer_by_width.append(evaluate_deferral(rule, scores, iv).n_deferred)
         retained = (scores >= 0.5 - w) & (scores <= 0.5 + w)
         if prev_retained is not None:

@@ -1,3 +1,4 @@
+import argparse
 import importlib.metadata
 import json
 import os
@@ -39,6 +40,26 @@ class TestParser:
             args = parser.parse_args([name, "cfg.json"])
             assert args.command == name
 
+    def test_stage_subcommands_follow_the_stage_table(self):
+        from treatpolicy import layout
+
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        listed = [(c.dest, c.help) for c in commands._choices_actions]
+        assert listed[1:-1] == list(layout.STAGES)
+        assert [listed[0][0], listed[-1][0]] == ["validate-config", "all"]
+
+    def test_readme_command_table_is_the_stage_table(self):
+        from treatpolicy import layout
+
+        rows = []
+        for line in (REPO_ROOT / "README.md").read_text().splitlines():
+            if line.startswith("| `"):
+                name, about = (cell.strip() for cell in line.strip("|").split("|"))
+                rows.append((name.strip("`"), about))
+        names = [name for name, _ in rows]
+        assert rows[names.index("ingest"):names.index("report") + 1] == list(layout.STAGES)
+
     def test_set_is_repeatable(self):
         args = build_parser().parse_args(
             ["all", "cfg.json", "--set", "a.b=1", "--set", "c=2"]
@@ -73,6 +94,15 @@ class TestValidateConfig:
         assert main(["validate-config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "learning_rate" in err
+
+    def test_simulation_form_is_no_longer_a_key(self, workspace, capsys):
+        tmp_path, _, raw = workspace
+        raw["simulation"] = {"enabled": True, "form": "linear"}
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(raw))
+        assert main(["validate-config", str(old)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "'form'" in err and "simulation" in err
 
     def test_output_dir_flag_is_an_override(self, workspace, capsys):
         tmp_path, cfg_path, _ = workspace

@@ -215,6 +215,10 @@ class TestUncertainty:
         echo = validate_config(minimal(uncertainty={"alpha_causal": 0.1})).echo
         assert echo["uncertainty"]["lam"] == pytest.approx(math.exp(0.1), abs=1e-15)
         assert "alpha_causal" not in echo["uncertainty"]
+        zero = validate_config(minimal(uncertainty={"alpha_causal": 0.0})).echo
+        assert zero["uncertainty"]["lam"] == 1.0
+        with pytest.raises(ConfigError, match="alpha_causal"):
+            validate_config(minimal(uncertainty={"alpha_causal": -0.2}))
 
     def test_lam_below_one_rejected(self):
         with pytest.raises(ConfigError, match="lam"):

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from conftest import make_dataset
 
-from treatpolicy.cate import CateInterval, UncertaintySpec
+from treatpolicy.cate import CateInterval
 from treatpolicy.deferral import (
     DeferralRule,
     characterize_subpop,
     evaluate_deferral,
 )
 from treatpolicy.errors import DataError
-
-THETA = UncertaintySpec(alpha_stat=0.0, lam=1.0, b_boot=0)
 
 
 def interval(lower, upper):
@@ -22,41 +20,37 @@ def interval(lower, upper):
 class TestRuleValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            DeferralRule(0.1, 0.9, THETA, mode="strict")
+            DeferralRule(0.1, 0.9, mode="strict")
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError, match="eta_low"):
-            DeferralRule(0.9, 0.1, THETA)
-
-    def test_round_trip(self):
-        rule = DeferralRule(0.2, 0.8, UncertaintySpec(0.5, 1.5, 4), mode="inclusive")
-        assert DeferralRule.from_dict(rule.to_dict()) == rule
+            DeferralRule(0.9, 0.1)
 
 
 class TestEvaluateDeferral:
     def test_overlap_clause_fires_regardless_of_interval(self):
-        rule = DeferralRule(0.1, 0.9, THETA, mode="conservative")
+        rule = DeferralRule(0.1, 0.9, mode="conservative")
         out = evaluate_deferral(rule, [0.05], interval([0.2], [0.7]))
         assert out.defer.tolist() == [True]
         assert out.reason == ["overlap"]
 
     def test_interval_excluding_zero_proceeds(self):
-        rule = DeferralRule(0.1, 0.9, THETA, mode="conservative")
+        rule = DeferralRule(0.1, 0.9, mode="conservative")
         out = evaluate_deferral(rule, [0.5], interval([0.2], [0.7]))
         assert out.defer.tolist() == [False]
         assert out.reason == [None]
 
     def test_zero_in_interval_defers_only_in_conservative_mode(self):
         iv = interval([-0.1], [0.3])
-        con = DeferralRule(0.1, 0.9, THETA, mode="conservative")
-        inc = DeferralRule(0.1, 0.9, THETA, mode="inclusive")
+        con = DeferralRule(0.1, 0.9, mode="conservative")
+        inc = DeferralRule(0.1, 0.9, mode="inclusive")
         assert evaluate_deferral(con, [0.5], iv).defer.tolist() == [True]
         assert evaluate_deferral(con, [0.5], iv).reason == ["uncertainty"]
         assert evaluate_deferral(inc, [0.5], iv).defer.tolist() == [False]
 
     def test_bounds_are_inclusive_at_endpoints(self):
         # overlap keeps the closed interval; deferral complements it strictly
-        rule = DeferralRule(0.1, 0.9, THETA, mode="inclusive")
+        rule = DeferralRule(0.1, 0.9, mode="inclusive")
         out = evaluate_deferral(rule, [0.1, 0.9, 0.0999, 0.9001])
         assert out.defer.tolist() == [False, False, True, True]
 
@@ -65,8 +59,8 @@ class TestEvaluateDeferral:
         e = rng.uniform(size=200)
         lo = rng.normal(size=200)
         iv = interval(lo, lo + rng.uniform(size=200))
-        con = evaluate_deferral(DeferralRule(0.2, 0.8, THETA, "conservative"), e, iv)
-        inc = evaluate_deferral(DeferralRule(0.2, 0.8, THETA, "inclusive"), e, iv)
+        con = evaluate_deferral(DeferralRule(0.2, 0.8, "conservative"), e, iv)
+        inc = evaluate_deferral(DeferralRule(0.2, 0.8, "inclusive"), e, iv)
         assert (con.defer | inc.defer).tolist() == con.defer.tolist()
         assert con.n_deferred > inc.n_deferred
 
@@ -74,7 +68,7 @@ class TestEvaluateDeferral:
         rng = np.random.default_rng(1)
         e = rng.uniform(size=500)
         counts = [
-            evaluate_deferral(DeferralRule(lo, hi, THETA, "inclusive"), e).n_deferred
+            evaluate_deferral(DeferralRule(lo, hi, "inclusive"), e).n_deferred
             for lo, hi in ((0.4, 0.6), (0.25, 0.75), (0.1, 0.9))
         ]
         assert counts[0] >= counts[1] >= counts[2]
@@ -84,7 +78,7 @@ class TestEvaluateDeferral:
         rng = np.random.default_rng(2)
         e = np.full(300, 0.5)
         centers = rng.normal(size=300)
-        rule = DeferralRule(0.1, 0.9, THETA, "conservative")
+        rule = DeferralRule(0.1, 0.9, "conservative")
         counts = [
             evaluate_deferral(rule, e, interval(centers - w, centers + w)).n_deferred
             for w in (0.1, 0.5, 2.0)
@@ -93,22 +87,22 @@ class TestEvaluateDeferral:
 
     def test_missing_interval_in_conservative_mode_rejected(self):
         with pytest.raises(ValueError, match="interval"):
-            evaluate_deferral(DeferralRule(0.1, 0.9, THETA, "conservative"), [0.5])
+            evaluate_deferral(DeferralRule(0.1, 0.9, "conservative"), [0.5])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError, match="rows"):
             evaluate_deferral(
-                DeferralRule(0.1, 0.9, THETA, "conservative"), [0.5, 0.6], interval([0.0], [1.0])
+                DeferralRule(0.1, 0.9, "conservative"), [0.5, 0.6], interval([0.0], [1.0])
             )
 
     def test_csv_rows_shape(self):
-        rule = DeferralRule(0.1, 0.9, THETA, mode="conservative")
+        # the per-row flag and reason the defer stage writes to defer/decisions.csv;
+        # overlap is recorded before uncertainty when both fire
+        rule = DeferralRule(0.1, 0.9, mode="conservative")
         out = evaluate_deferral(rule, [0.05, 0.5, 0.5], interval([-1, -1, 1], [1, 0.5, 2]))
-        rows = out.to_csv_rows(row_ids=[10, 11, 12])
-        assert rows[0] == ["row_id", "deferred", "reason"]
-        assert rows[1] == ["10", "1", "overlap"]
-        assert rows[2] == ["11", "1", "uncertainty"]
-        assert rows[3] == ["12", "0", ""]
+        assert out.defer.tolist() == [True, True, False]
+        assert out.reason == ["overlap", "uncertainty", None]
+        assert out.n_deferred == 2
 
 
 class TestCharacterizeSubpop:

@@ -7,14 +7,12 @@ from treatpolicy.errors import DataError, SchemaError
 from treatpolicy.ingest import (
     Dataset,
     ColumnInfo,
-    ImputationStats,
     TableSchema,
     assign_splits,
     impute_and_flag,
     load_dataset,
     load_table,
     save_dataset,
-    standardize,
     summarize,
 )
 
@@ -98,34 +96,25 @@ class TestImputeAndFlag:
         cov = [[1.0], [3.0], [np.nan], [100.0]]
         data = make_dataset(cov, [0, 1, 0, 1], [0, 0, 0, 0],
                             split=["train", "train", "train", "test"])
-        out, stats = impute_and_flag(data)
-        assert stats.medians["x0"] == 2.0
+        out, flagged = impute_and_flag(data)
+        assert flagged == ("x0",)
         assert out.covariates[2, 0] == 2.0
         assert out.column_names == ["x0", "x0__missing"]
         np.testing.assert_array_equal(out.covariates[:, 1], [0, 0, 1, 0])
 
     def test_no_missing_no_indicator(self):
         data = make_dataset([[1.0], [2.0]], [0, 1], [0, 0])
-        out, stats = impute_and_flag(data)
+        out, flagged = impute_and_flag(data)
         assert out.column_names == ["x0"]
-        assert stats.flagged == ()
+        assert flagged == ()
 
     def test_idempotent(self):
         cov = [[1.0], [np.nan], [3.0]]
         data = make_dataset(cov, [0, 1, 0], [0, 0, 0])
-        once, stats = impute_and_flag(data)
-        twice, stats2 = impute_and_flag(once, stats)
+        once, _ = impute_and_flag(data)
+        twice, _ = impute_and_flag(once)
         np.testing.assert_array_equal(once.covariates, twice.covariates)
         assert once.column_names == twice.column_names
-        assert stats.medians == stats2.medians
-
-    def test_train_stats_apply_to_new_data(self):
-        train = make_dataset([[1.0], [np.nan], [5.0]], [0, 1, 0], [0, 0, 0])
-        _, stats = impute_and_flag(train)
-        fresh = make_dataset([[np.nan]], [1], [0])
-        out, _ = impute_and_flag(fresh, stats)
-        assert out.covariates[0, 0] == stats.medians["x0"] == 3.0
-        assert out.column_names == ["x0", "x0__missing"]
 
     def test_entirely_missing_train_column_is_error(self):
         data = make_dataset([[np.nan], [np.nan]], [0, 1], [0, 0])
@@ -202,18 +191,6 @@ class TestSummarize:
         row = next(r for r in table.rows if r["column"] == "x0")
         assert row["missing"] == 1
         assert row["overall"] == "2.00 (0.00)"
-
-
-class TestStandardize:
-    def test_train_stats_and_constant_column(self):
-        cov = [[1.0, 5.0], [3.0, 5.0], [10.0, 5.0]]
-        data = make_dataset(cov, [0, 1, 0], [0, 0, 0],
-                            split=["train", "train", "test"])
-        out, stats = impute_and_flag(data)
-        z = standardize(out, stats)
-        # train mean 2, sd 1 for x0; x1 constant -> zeros
-        np.testing.assert_allclose(z[:, 0], [-1.0, 1.0, 8.0])
-        np.testing.assert_allclose(z[:, 1], [0.0, 0.0, 0.0])
 
 
 class TestRoundTrip:

@@ -227,8 +227,9 @@ class TestBoosting:
 
     def test_deterministic(self):
         X, y = self.sine_fixture()
-        a = fit_gbt(X, y, n_trees=30, max_depth=3, seed=1)
-        b = fit_gbt(X, y, n_trees=30, max_depth=3, seed=99)
+        a = fit_gbt(X, y, n_trees=30, max_depth=3)
+        b = fit_gbt(X, y, n_trees=30, max_depth=3)
+        assert a.to_dict() == b.to_dict()
         np.testing.assert_array_equal(a.predict(X), b.predict(X))
 
     def test_min_samples_leaf_respected(self):
@@ -289,3 +290,7 @@ class TestSerialization:
         model = fit_gbt(X, y, n_trees=12, max_depth=3)
         clone = BoostedTreesModel.from_dict(model.to_dict())
         np.testing.assert_array_equal(model.predict(X), clone.predict(X))
+        # model files that still carry the old, unused seed field load and predict the same
+        legacy = BoostedTreesModel.from_dict({**model.to_dict(), "seed": 0})
+        np.testing.assert_array_equal(model.predict(X), legacy.predict(X))
+        assert legacy.to_dict() == model.to_dict()

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from conftest import pipeline_raw, write_observational_csv
 
+from treatpolicy import layout
+from treatpolicy.cli import main
 from treatpolicy.config import validate_config
 from treatpolicy.errors import ConfigError, StageError
 from treatpolicy.ingest import load_dataset
@@ -219,6 +221,18 @@ class TestFullRun:
             xml.dom.minidom.parse(str(svg))  # well-formed
         assert not [w for w in manifest.warnings if w["stage"] == "report"]
 
+    def test_report_index_describes_stages_from_the_stage_table(self, full_run):
+        _, _, out = full_run
+        index = (out / "report" / "index.md").read_text()
+        described = [name for name in layout.STAGE_ORDER if name != "report"]
+        positions = []
+        for name, about in layout.STAGES:
+            if name in described:
+                heading = f"### {name}\n\n{about[0].upper()}{about[1:]}.\n"
+                assert heading in index
+                positions.append(index.index(heading))
+        assert positions == sorted(positions)
+
     def test_rerun_from_scratch_is_byte_identical(self, full_run):
         cfg, _, out = full_run
         before = {rel: (out / rel).read_bytes() for rel in disk_files(out)}
@@ -333,6 +347,38 @@ class TestSequencing:
         run_stages(resplit, ["ingest"])  # test membership changes under it
         with pytest.raises(StageError, match="rerun fit-cate"):
             run_stages(resplit, ["defer"])
+
+
+class TestChangedMenu:
+    """A stage that reads cate/gate.json after cate.menu changed asks for a fit-cate rerun."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("menu")
+        csv_path = root / "table.csv"
+        write_observational_csv(csv_path, n=200)
+        menu = {"t-ridge": {"kind": "t", "learner": {"kind": "ridge", "lam": 1.0}}}
+        raw = pipeline_raw(csv_path, root / "out", cate={"menu": menu, "ensembles": []},
+                           uncertainty={"alpha_stat": 0.8, "b_boot": 8},
+                           evaluation={"bootstrap_b": 8, "plug_in": {"kind": "ridge", "lam": 1.0}})
+        run_stages(validate_config(raw), ["ingest", "fit-propensity", "fit-cate", "defer"])
+        grown = {**menu, "t-ols": {"kind": "t", "learner": {"kind": "ols"}}}
+        changed = {**raw, "cate": {"menu": grown, "ensembles": []}}
+        cfg_path = root / "changed.json"
+        cfg_path.write_text(json.dumps(changed))
+        return validate_config(changed), cfg_path
+
+    @pytest.mark.parametrize("stage", ["defer", "evaluate"])
+    def test_stage_names_the_model_and_the_gate(self, fitted, stage, capsys):
+        cfg, cfg_path = fitted
+        with pytest.raises(StageError) as info:
+            run_stages(cfg, [stage])
+        message = str(info.value)
+        assert "'t-ols'" in message and "cate/gate.json" in message
+        assert "rerun fit-cate" in message
+        assert main([stage, str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert "stage failure:" in err and "'t-ols'" in err and "rerun fit-cate" in err
 
 
 class TestPlanning:

@@ -49,10 +49,6 @@ class TestDecisionRule:
         with pytest.raises(ValueError, match="direction"):
             DecisionRule(direction="sideways")
 
-    def test_round_trip(self):
-        rule = DecisionRule(0.5, "lower-better")
-        assert DecisionRule.from_dict(rule.to_dict()) == rule
-
 
 class TestBuildPolicy:
     def test_defer_takes_precedence(self):

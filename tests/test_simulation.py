@@ -31,12 +31,10 @@ class TestSimulationSpec:
             SimulationSpec(lam=0.5, effect_size=0.0)
         with pytest.raises(ConfigError, match="noise_factor"):
             SimulationSpec(lam=0.5, effect_size=0.5, noise_factor=-1.0)
-        with pytest.raises(ConfigError, match="form"):
-            SimulationSpec(lam=0.5, effect_size=0.5, form="quadratic")
 
     def test_defaults(self):
         spec = SimulationSpec(lam=0.5, effect_size=0.5)
-        assert spec.noise_factor == 1.2 and spec.form == "linear"
+        assert spec.noise_factor == 1.2
 
 
 class TestSimulateOutcomes:
@@ -212,11 +210,11 @@ class TestRunStudy:
                 self.inner = inner
                 self.calls = 0
 
-            def fit(self, train, propensity=None, seed=None):
+            def fit(self, train, propensity=None):
                 self.calls += 1
                 if self.calls == 1:
                     raise DataError("planted failure")
-                return self.inner.fit(train, propensity=propensity, seed=seed)
+                return self.inner.fit(train, propensity=propensity)
 
         X, T = synthetic_covariates(300, 4, seed=21)
         menu = {"flaky": Flaky(CateFitSpec(kind="t", learner=RIDGE))}
@@ -232,7 +230,7 @@ class TestRunStudy:
 
     def test_all_runs_failing_raises(self):
         class Broken:
-            def fit(self, train, propensity=None, seed=None):
+            def fit(self, train, propensity=None):
                 raise DataError("nope")
 
         X, T = synthetic_covariates(200, 3, seed=22)
