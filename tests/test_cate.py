@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import linear_dataset, make_dataset
 
+import treatpolicy
 from treatpolicy.cate import (
     CateFitSpec,
     CateInterval,
@@ -457,3 +464,29 @@ class TestCateDiagnostics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             cate_diagnostics({"a": np.zeros(3), "b": np.zeros(4)})
+
+    def test_100k_rows_fit_in_1gb_address_space(self):
+        # Two n x n sign matrices at 100k rows would need 160 GB: a quadratic
+        # Kendall fails here with MemoryError instead of swapping.
+        pytest.importorskip("resource")
+        child = (
+            "import json, resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "import numpy as np\n"
+            "from treatpolicy.cate import cate_diagnostics\n"
+            "rng = np.random.default_rng(0)\n"
+            "a = rng.normal(size=100_000)\n"
+            "out = cate_diagnostics({'a': a, 'b': a + rng.normal(size=a.size),\n"
+            "                        'c': np.full(a.size, 0.25)})\n"
+            "print(json.dumps(out.to_dict()))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = str(Path(treatpolicy.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        kendall = np.array(json.loads(proc.stdout)["kendall"])
+        assert 0.4 < kendall[0, 1] < 0.6  # tau = (2 / pi) asin(1 / sqrt 2) = 0.5
+        assert np.isnan(kendall[0, 2]) and np.isnan(kendall[1, 2])

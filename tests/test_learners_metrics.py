@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from treatpolicy.errors import DataError
 from treatpolicy.learners import calibrate
 from treatpolicy.learners.metrics import (
+    _midranks,
     auroc,
     brier,
     calibration_curve,
@@ -34,6 +35,41 @@ def auroc_pair_oracle(scores, labels):
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def _loop_midranks(values):
+    """Loop oracle: each run of tied sorted values at positions i..j gets (i + j) / 2 + 1."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size, dtype=float)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def _brute_kendall(a, b):
+    """Brute-force tau-b over all pairs, with two n x n sign matrices."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = a.size
+    if n < 2:
+        return float("nan")
+    da = np.sign(a[:, None] - a[None, :])
+    db = np.sign(b[:, None] - b[None, :])
+    iu = np.triu_indices(n, k=1)
+    prod = da[iu] * db[iu]
+    concordant_minus_discordant = float(prod.sum())
+    ties_a = int(np.sum(da[iu] == 0))
+    ties_b = int(np.sum(db[iu] == 0))
+    n0 = n * (n - 1) // 2
+    denom = np.sqrt(float(n0 - ties_a) * float(n0 - ties_b))
+    if denom == 0.0:
+        return float("nan")
+    return concordant_minus_discordant / denom
 
 
 small_floats = st.floats(-100, 100, allow_nan=False, width=32)
@@ -80,6 +116,24 @@ class TestAuroc:
         labels = np.array([l for _, l in rows], dtype=float)
         assert auroc(scores, labels) == pytest.approx(
             auroc(np.exp(scores / 50.0), labels), abs=1e-9
+        )
+
+
+class TestMidranks:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(-3, 3).map(float), st.sampled_from([-0.0, 0.0]), small_floats),
+            min_size=1, max_size=200,
+        )
+    )
+    def test_equals_loop_oracle_bitwise(self, values):
+        values = np.array(values, dtype=float)
+        assert np.array_equal(_midranks(values), _loop_midranks(values))
+
+    def test_hand_case(self):
+        np.testing.assert_array_equal(
+            _midranks(np.array([2.0, 1.0, 2.0, 3.0, 2.0])), [3.0, 1.0, 3.0, 5.0, 3.0]
         )
 
 
@@ -159,6 +213,27 @@ class TestEvalMetrics:
             eval_metrics(np.array([]), np.array([]), task="regression")
 
 
+@st.composite
+def kendall_inputs(draw):
+    """Pairs of equal-length vectors, n 0..60, of the shapes Kendall sees."""
+    n = draw(st.integers(0, 60))
+    kind = draw(st.sampled_from(["ties", "continuous", "one-constant", "both-constant", "a=b", "a=-b"]))
+    tied = st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n)
+    continuous = st.lists(small_floats, min_size=n, max_size=n)
+    if kind == "ties":
+        a, b = draw(tied), draw(tied)
+    elif kind == "continuous":
+        a, b = draw(continuous), draw(continuous)
+    elif kind == "one-constant":
+        a, b = draw(st.one_of(tied, continuous)), [draw(small_floats)] * n
+    elif kind == "both-constant":
+        a, b = [draw(small_floats)] * n, [draw(small_floats)] * n
+    else:
+        a = draw(st.one_of(tied, continuous))
+        b = a if kind == "a=b" else [-v for v in a]
+    return np.array(a, dtype=float), np.array(b, dtype=float)
+
+
 class TestCorrelations:
     def test_pearson_matches_numpy(self):
         rng = np.random.default_rng(0)
@@ -190,6 +265,28 @@ class TestCorrelations:
         a = np.arange(10.0)
         assert kendall_tau(a, a * 3 + 1) == pytest.approx(1.0)
         assert kendall_tau(a, -a) == pytest.approx(-1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kendall_inputs())
+    def test_kendall_equals_brute_force_exactly(self, pair):
+        a, b = pair
+        if a.size == 0:
+            with pytest.raises(DataError):
+                kendall_tau(a, b)
+            return
+        got = kendall_tau(a, b)
+        want = _brute_kendall(a, b)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [[5], [2, 5]], ids=["once", "twice"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_kendall_non_finite_input_gives_nan(self, bad, where, side):
+        # the brute force gives a number for a lone infinity; the contract is NaN
+        a = np.arange(8.0)
+        b = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
+        (a if side == "a" else b)[where] = bad
+        assert math.isnan(kendall_tau(a, b))
 
 
 class FixedScorer:

@@ -1,10 +1,12 @@
 import json
+import math
 import shutil
 import xml.dom.minidom
 
 import numpy as np
 import pytest
 from conftest import pipeline_raw, write_observational_csv
+from test_learners_metrics import _brute_kendall
 
 from treatpolicy import layout
 from treatpolicy.cli import main
@@ -110,6 +112,19 @@ class TestFullRun:
             assert [int(r[1]) for r in got] == want
             for _, _, tau, lower, upper in got:
                 assert float(lower) <= float(tau) <= float(upper)
+
+    def test_kendall_cells_equal_the_brute_force_on_stored_estimates(self, full_run):
+        _, _, out = full_run
+        diag = read_json(out / "cate" / "diagnostics.json")
+        rows = read_csv(out / "cate" / "estimates.csv")[1:]
+        names = diag["names"]
+        tau = {name: np.array([float(r[2]) for r in rows if r[0] == name]) for name in names}
+        for i, a in enumerate(names):
+            for j, b in enumerate(names):
+                if i == j:
+                    continue
+                got, want = diag["kendall"][i][j], _brute_kendall(tau[a], tau[b])
+                assert got == want or (math.isnan(got) and math.isnan(want)), (a, b)
 
     def test_defer_decisions_and_subpop(self, full_run):
         _, _, out = full_run
