@@ -14,11 +14,12 @@ from .intervals import (
     tilted_mean,
     uncertainty_interval,
 )
-from .meta import CateEnsemble, CateModel, ensemble_cate, fit_meta_learner
+from .meta import ENSEMBLE_MODES, CateEnsemble, CateModel, ensemble_cate, fit_meta_learner
 
 __all__ = [
     "CateModel",
     "CateEnsemble",
+    "ENSEMBLE_MODES",
     "fit_meta_learner",
     "ensemble_cate",
     "UncertaintySpec",

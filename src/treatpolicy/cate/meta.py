@@ -30,9 +30,11 @@ from ..learners import (
     register_codec,
 )
 
-__all__ = ["CateModel", "CateEnsemble", "fit_meta_learner", "ensemble_cate"]
+__all__ = ["CateModel", "CateEnsemble", "ENSEMBLE_MODES", "fit_meta_learner", "ensemble_cate"]
 
 KINDS = ("s", "t", "x")
+
+ENSEMBLE_MODES = ("average", "majority", "consensus")
 
 
 @dataclass
@@ -176,7 +178,7 @@ def ensemble_cate(models, mode: str) -> CateEnsemble:
     models = list(models)
     if len(models) < 2:
         raise ValueError("ensemble needs at least two members")
-    if mode not in ("average", "majority", "consensus"):
+    if mode not in ENSEMBLE_MODES:
         raise ValueError(f"unknown ensemble mode {mode!r}")
     return CateEnsemble(members=models, mode=mode)
 

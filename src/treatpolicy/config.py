@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .cate import CateFitSpec, UncertaintySpec
+from .cate import ENSEMBLE_MODES, CateFitSpec, UncertaintySpec
 from .errors import ConfigError
 from .ingest import SPLIT_NAMES, TableSchema
 from .learners import LearnerSpec
@@ -36,12 +36,10 @@ _REQUIRED = object()
 # names the evaluate stage claims for its reference policies
 RESERVED_POLICY_NAMES = frozenset(
     {"doctors", "random", "propensity", "treat-all-0", "treat-all-1", "optimal"}
-    | {f"ensemble-{m}" for m in ("average", "majority", "consensus")}
+    | {f"ensemble-{m}" for m in ENSEMBLE_MODES}
 )
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
-
-ENSEMBLE_MODES = ("average", "majority", "consensus")
 
 BOUNDS_METHODS = {
     "fixed": {"eta_low": _REQUIRED, "eta_high": _REQUIRED},

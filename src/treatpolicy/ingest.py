@@ -14,6 +14,7 @@ Conventions
 
 from __future__ import annotations
 
+import array
 import csv
 import math
 from dataclasses import dataclass, field, replace
@@ -431,18 +432,21 @@ def load_dataset(csv_path, description: dict) -> Dataset:
             raise SchemaError(f"{csv_path}: header does not match dataset description")
         row_ids, splits, treatment, outcome = [], [], [], []
         secondary = {k: [] for k in sec_names}
-        rows = []
+        # a flat buffer of doubles, not one live Python float per cell
+        cells = array.array("d")
         for record in reader:
+            if len(record) != len(header):
+                raise SchemaError(f"{csv_path}: row {len(row_ids) + 1} does not match the header")
             row_ids.append(int(record[0]))
             splits.append(record[1])
             treatment.append(int(record[2]))
             outcome.append(float(record[3]))
             for j, k in enumerate(sec_names):
                 secondary[k].append(float(record[4 + j]))
-            rows.append([float(v) for v in record[4 + len(sec_names) :]])
+            cells.extend(map(float, record[4 + len(sec_names) :]))
     split_arr = np.asarray(splits, dtype="<U10")
     return Dataset(
-        covariates=np.asarray(rows, dtype=float),
+        covariates=np.array(cells, dtype=float).reshape(len(row_ids), len(columns)),
         columns=columns,
         treatment=np.asarray(treatment, dtype=np.int8),
         outcome=np.asarray(outcome, dtype=float),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DataError
 from .calibration import CalibratedClassifier, calibrate
 from .linear import LinearModel, fit_linear, sigmoid
 from .metrics import (
@@ -161,6 +161,8 @@ class FittedModel:
 
 
 def _standardizer(X: np.ndarray):
+    if X.shape[0] == 0:
+        raise DataError("cannot fit on an empty dataset")
     center = X.mean(axis=0)
     scale = X.std(axis=0)
     scale = np.where(scale > 0, scale, 1.0)
@@ -204,14 +206,6 @@ def fit_classifier(spec: LearnerSpec, X, y) -> FittedModel:
     )
 
 
-def _encode_linear(m: LinearModel) -> dict:
-    return m.to_dict()
-
-
-def _encode_gbt(m: BoostedTreesModel) -> dict:
-    return m.to_dict()
-
-
 def _encode_calibrated(m: CalibratedClassifier) -> dict:
     return {
         "slope": float(m.slope),
@@ -246,7 +240,7 @@ def _decode_fitted(d: dict) -> FittedModel:
     )
 
 
-register_codec("linear", LinearModel, _encode_linear, LinearModel.from_dict)
-register_codec("gbt", BoostedTreesModel, _encode_gbt, BoostedTreesModel.from_dict)
+register_codec("linear", LinearModel, LinearModel.to_dict, LinearModel.from_dict)
+register_codec("gbt", BoostedTreesModel, BoostedTreesModel.to_dict, BoostedTreesModel.from_dict)
 register_codec("calibrated", CalibratedClassifier, _encode_calibrated, _decode_calibrated)
 register_codec("fitted", FittedModel, _encode_fitted, _decode_fitted)

@@ -106,6 +106,8 @@ def fit_linear(
         raise ValueError("X must be 2-D")
     if y.shape != (X.shape[0],):
         raise ValueError("y length does not match X")
+    if X.shape[0] == 0:
+        raise DataError("cannot fit on an empty dataset")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if penalty not in PENALTIES:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import layout
-from .cate import CateInterval, cate_diagnostics, ensemble_cate, uncertainty_interval
+from .cate import CateInterval, cate_diagnostics, uncertainty_interval
 from .config import PipelineConfig
 from .deferral import (
     REASON_OVERLAP,
@@ -37,12 +37,12 @@ from .ingest import (
     summarize,
 )
 from .layout import STAGE_ORDER, fmt_float, read_csv, read_json, write_csv, write_json
-from .learners import fit_regressor, load_model, save_model
+from .learners import load_model, save_model
 from .policy_eval import (
     DEFER,
-    baselines,
     bootstrap_tournament,
-    build_policy,
+    build_policy_set,
+    fit_plug_in,
     outcome_tree,
     rank_curve,
     summarize_bootstrap,
@@ -251,19 +251,17 @@ def stage_fit_propensity(cfg: PipelineConfig, manifest: RunManifest):
 def stage_simulate(cfg: PipelineConfig, manifest: RunManifest):
     out = cfg.out_dir
     data = _load_data(out)
-    menu = cfg.cate_menu()
     sim = cfg.echo["simulation"]
     study = run_study(
         data.covariates,
         data.treatment,
         cfg.sim_spec(),
-        menu,
+        cfg.cate_menu(),
         runs=sim["runs"],
         seed=sim["seed"],
         train_frac=sim["train_frac"],
         plug_in_spec=cfg.plug_in_spec(),
         p_star_spec=cfg.propensity_spec(),
-        include_ensembles=len(menu) >= 2,
     )
     write_json(layout.path(out, layout.STUDY), study.to_dict())
 
@@ -501,10 +499,7 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
     p_star = prop.predict(test.covariates)
 
     plug_spec = cfg.plug_in_spec()
-    tr = train.treatment == 1
-    plug0 = fit_regressor(plug_spec, train.covariates[~tr], train.outcome[~tr])
-    plug1 = fit_regressor(plug_spec, train.covariates[tr], train.outcome[tr])
-    plug_in = np.column_stack([plug0.predict(test.covariates), plug1.predict(test.covariates)])
+    plug_in = fit_plug_in(plug_spec, train, test.covariates)
     for name in retained:
         if cfg.echo["cate"]["menu"][name]["learner"]["kind"] == plug_spec.kind:
             warnings.append(
@@ -516,24 +511,9 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
                 )
             )
 
-    policies = []
-    for name in retained:
-        policies.append(
-            build_policy(
-                estimates[name]["tau"], rule, defer=flags[name], name=name, source="cate-model"
-            )
-        )
+    members = []
     if cfg.ensembles and len(retained) >= 2:
         members = [load_model(os.path.join(out, layout.cate_model(n))) for n in retained]
-        outside = (prop.bounds[0] > p_star) | (p_star > prop.bounds[1]) if prop.bounds else None
-        for mode in cfg.ensembles:
-            ens = ensemble_cate(members, mode)
-            policies.append(
-                build_policy(
-                    ens, rule, test.covariates, defer=outside,
-                    name=f"ensemble-{mode}", source="ensemble",
-                )
-            )
     elif cfg.ensembles:
         warnings.append(
             _warn(
@@ -542,7 +522,11 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
                 f"ensembles need at least 2 retained models, have {len(retained)}; skipped",
             )
         )
-    policies.extend(baselines(test, p_star, seed=seed))
+    outside = (prop.bounds[0] > p_star) | (p_star > prop.bounds[1]) if prop.bounds else None
+    policies = build_policy_set(
+        {name: estimates[name]["tau"] for name in retained}, rule, test, p_star,
+        defer=flags, members=members, modes=cfg.ensembles, ensemble_defer=outside, seed=seed,
+    )
 
     tournament = bootstrap_tournament(
         policies, test, p_star,

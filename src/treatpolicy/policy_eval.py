@@ -7,8 +7,11 @@ probability of that arm, self-normalized; deferred rows contribute their
 factual outcome mean; the two parts mix by the empirical defer proportion
 of whatever row set the estimate runs on.
 
-``bootstrap_tournament`` is the one resampling path: it values every
-policy on all rows (``points``) and on B shared row resamples
+``point_values`` is the one valuation path: the evaluate stage's
+tournament points and rank curve and the simulation study's IPW and DR
+values all come from it, on policies from ``build_policy_set`` and a DR
+plug-in from ``fit_plug_in``.  ``bootstrap_tournament`` is the one
+resampling path: it values every policy on B shared row resamples
 (``distributions``), and ``summarize_bootstrap`` reduces one policy's
 replicates to the summary statistics of the value table.
 """
@@ -19,17 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cate import ensemble_cate
 from .errors import EstimationError
 from .ingest import Dataset
+from .learners import fit_regressor
 
 __all__ = [
     "DEFER",
     "DecisionRule",
     "Policy",
     "build_policy",
-    "value_ipw",
-    "value_dr",
+    "build_policy_set",
     "baselines",
+    "fit_plug_in",
+    "point_values",
     "summarize_bootstrap",
     "TournamentResult",
     "bootstrap_tournament",
@@ -173,13 +179,9 @@ def _value(
         raise EstimationError("no rows match the recommended arm; zero total weight")
     if estimator == "IPW":
         v_nd = float(np.sum(w * y_nd) / total_w)
-    elif estimator == "DR":
-        if plug_in is None:
-            raise ValueError("DR estimation needs plug-in outcome predictions")
+    else:  # DR; point_values has checked the estimator name and the plug-in
         y_hat = plug_in[nd][np.arange(rec_nd.size), rec_nd]
         v_nd = float(np.sum(w * (y_nd - y_hat)) / total_w + y_hat.mean())
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
     return v_nd * (1.0 - p_def) + v_def * p_def
 
 
@@ -197,25 +199,6 @@ def _plug_in_matrix(plug_in, data: Dataset) -> np.ndarray:
     return arr
 
 
-def value_ipw(policy: Policy, data: Dataset, p_star, clip=P_STAR_CLIP) -> float:
-    """Self-normalized inverse-probability value of the policy on this data."""
-    _check_policy(policy, data)
-    p1 = _scores(p_star, data.covariates, clip)
-    return _value(policy.rec, data.treatment, data.outcome, p1, None, "IPW", policy.factual)
-
-
-def value_dr(policy: Policy, data: Dataset, p_star, plug_in, clip=P_STAR_CLIP) -> float:
-    """Doubly robust value: weighted plug-in residuals plus the plug-in mean.
-
-    ``plug_in`` holds outcome predictions per row for both arms, shape
-    (n, 2), column index = arm.
-    """
-    _check_policy(policy, data)
-    p1 = _scores(p_star, data.covariates, clip)
-    plug = _plug_in_matrix(plug_in, data)
-    return _value(policy.rec, data.treatment, data.outcome, p1, plug, "DR", policy.factual)
-
-
 def baselines(data: Dataset, propensity, seed: int | None = None, clip=P_STAR_CLIP) -> list[Policy]:
     """Reference policies: observed practice, proportion-matched random
     assignment, propensity-threshold assignment, and the two constants."""
@@ -231,6 +214,54 @@ def baselines(data: Dataset, propensity, seed: int | None = None, clip=P_STAR_CL
         Policy(name="treat-all-0", rec=np.zeros(data.n, dtype=np.int8), source="baseline"),
         Policy(name="treat-all-1", rec=np.ones(data.n, dtype=np.int8), source="baseline"),
     ]
+
+
+def build_policy_set(
+    effects: dict,
+    decision_rule: DecisionRule,
+    data: Dataset,
+    propensity,
+    *,
+    defer: dict | None = None,
+    members=(),
+    modes=(),
+    ensemble_defer=None,
+    seed: int | None = None,
+) -> list[Policy]:
+    """The menu policies, then ``ensemble-<mode>`` per mode, then the baselines.
+
+    ``effects`` maps each model name to its effect source for
+    ``build_policy`` (a per-row vector or a fitted model scored at the
+    rows of ``data``); ``defer`` maps every name to its defer flags.
+    Ensembles over ``members`` defer on ``ensemble_defer`` and need at
+    least two members; with fewer none is built.
+    """
+    policies = [
+        build_policy(
+            tau, decision_rule, data.covariates,
+            defer=None if defer is None else defer[name], name=name, source="cate-model",
+        )
+        for name, tau in effects.items()
+    ]
+    if len(members) >= 2:
+        for mode in modes:
+            policies.append(
+                build_policy(
+                    ensemble_cate(members, mode), decision_rule, data.covariates,
+                    defer=ensemble_defer, name=f"ensemble-{mode}", source="ensemble",
+                )
+            )
+    policies.extend(baselines(data, propensity, seed=seed))
+    return policies
+
+
+def fit_plug_in(spec, train: Dataset, X_eval) -> np.ndarray:
+    """Per-arm outcome regressions for the DR estimator, fitted on ``train``
+    and scored at ``X_eval``: shape (n, 2), column index = arm."""
+    treated = train.treatment == 1
+    mu0 = fit_regressor(spec, train.covariates[~treated], train.outcome[~treated])
+    mu1 = fit_regressor(spec, train.covariates[treated], train.outcome[treated])
+    return np.column_stack([mu0.predict(X_eval), mu1.predict(X_eval)])
 
 
 def summarize_bootstrap(values) -> dict:
@@ -269,6 +300,45 @@ class TournamentResult:
     B: int
 
 
+def _valuer(data: Dataset, p_star, plug_in, clip):
+    """``value(policy, est, idx)``: one estimate on rows ``idx`` of ``data``."""
+    p1 = _scores(p_star, data.covariates, clip)
+    plug = _plug_in_matrix(plug_in, data) if plug_in is not None else None
+
+    def value(policy, est, idx=None):
+        dr_plug = plug if est == "DR" else None
+        return _value(policy.rec, data.treatment, data.outcome, p1, dr_plug, est, policy.factual, idx)
+
+    return value
+
+
+def point_values(
+    policies: list,
+    data: Dataset,
+    p_star,
+    *,
+    estimators=ESTIMATORS,
+    plug_in=None,
+    clip=P_STAR_CLIP,
+) -> dict:
+    """Value every policy on all rows: ``{est: values}`` in policy order.
+
+    IPW is the self-normalized inverse-probability value; DR adds the
+    weighted plug-in residuals to the plug-in mean, with ``plug_in`` holding
+    outcome predictions per row for both arms, shape (n, 2), column index =
+    arm.  A factual policy is the plain outcome mean under both.
+    """
+    for est in estimators:
+        if est not in ESTIMATORS:
+            raise ValueError(f"estimator must be one of {ESTIMATORS}, got {est!r}")
+    for policy in policies:
+        _check_policy(policy, data)
+    if "DR" in estimators and plug_in is None:
+        raise ValueError("DR estimation needs plug-in outcome predictions")
+    value = _valuer(data, p_star, plug_in, clip)
+    return {est: np.array([value(p, est) for p in policies]) for est in estimators}
+
+
 def bootstrap_tournament(
     policies: list,
     data: Dataset,
@@ -280,8 +350,8 @@ def bootstrap_tournament(
     plug_in=None,
     clip=P_STAR_CLIP,
 ) -> TournamentResult:
-    """Value every policy on all rows, then resample rows B times and value
-    every policy on the same rounds.
+    """Value every policy on all rows with ``point_values``, then resample
+    rows B times and value every policy on the same rounds.
 
     A round where a policy's estimate fails is NaN in its distribution and
     contributes no wins in either direction for its pairs; the failure
@@ -289,30 +359,12 @@ def bootstrap_tournament(
     """
     if B < 1:
         raise ValueError(f"need at least one round, got B={B}")
-    for est in estimators:
-        if est not in ESTIMATORS:
-            raise ValueError(f"estimator must be one of {ESTIMATORS}, got {est!r}")
-    for policy in policies:
-        _check_policy(policy, data)
-    if "DR" in estimators and plug_in is None:
-        raise ValueError("DR estimation needs plug-in outcome predictions")
-    p1 = _scores(p_star, data.covariates, clip)
-    plug = _plug_in_matrix(plug_in, data) if plug_in is not None else None
-
-    def value(policy, est, idx=None):
-        return _value(
-            policy.rec,
-            data.treatment,
-            data.outcome,
-            p1,
-            plug if est == "DR" else None,
-            est,
-            policy.factual,
-            idx=idx,
-        )
+    points = point_values(
+        policies, data, p_star, estimators=estimators, plug_in=plug_in, clip=clip
+    )
+    value = _valuer(data, p_star, plug_in, clip)
 
     k = len(policies)
-    points = {est: np.array([value(p, est) for p in policies]) for est in estimators}
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     dists = {est: np.full((k, B), np.nan) for est in estimators}
     skipped = {est: 0 for est in estimators}
@@ -360,21 +412,15 @@ def rank_curve(
     tau = np.asarray(tau, dtype=float)
     if tau.size != data.n:
         raise ValueError("effect vector length does not match dataset")
-    p1 = _scores(p_star, data.covariates, clip)
-    plug = _plug_in_matrix(plug_in, data) if estimator == "DR" else None
-    n_steps = int(round(1.0 / step))
-    curve = []
-    for q in np.linspace(0.0, 1.0, n_steps + 1):
-        rec = (tau > np.quantile(tau, q)).astype(np.int8)
-        value = _value(rec, data.treatment, data.outcome, p1, plug, estimator, False)
-        curve.append(
-            {
-                "q": float(q),
-                "treated_fraction": float(rec.mean()),
-                "value": value,
-            }
-        )
-    return curve
+    grid = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
+    policies = [Policy(name=f"q{q}", rec=tau > np.quantile(tau, q)) for q in grid]
+    values = point_values(
+        policies, data, p_star, estimators=(estimator,), plug_in=plug_in, clip=clip
+    )[estimator]
+    return [
+        {"q": float(q), "treated_fraction": float(p.rec.mean()), "value": float(v)}
+        for q, p, v in zip(grid, policies, values)
+    ]
 
 
 def _node(y: np.ndarray) -> dict:

@@ -10,24 +10,23 @@ the optimal policy treats exactly where the effect is negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cate import ensemble_cate
+from .cate import ENSEMBLE_MODES
 from .errors import ConfigError, DataError
 from .ingest import ColumnInfo, Dataset
-from .learners import LearnerSpec, fit_classifier, fit_regressor
+from .learners import LearnerSpec, fit_classifier
 from .learners.linear import fit_linear
 from .learners.metrics import pearson
 from .policy_eval import (
     DEFER,
     DecisionRule,
     Policy,
-    baselines,
-    build_policy,
-    value_dr,
-    value_ipw,
+    build_policy_set,
+    fit_plug_in,
+    point_values,
 )
 
 __all__ = [
@@ -39,6 +38,9 @@ __all__ = [
     "StudyReport",
     "run_study",
 ]
+
+# the generator's convention: smaller outcomes are better, treat where tau <= 0
+STUDY_RULE = DecisionRule(threshold=0.0, direction="lower-better")
 
 @dataclass(frozen=True)
 class SimulationSpec:
@@ -257,25 +259,24 @@ def run_study(
     train_frac: float = 0.7,
     plug_in_spec: LearnerSpec | None = None,
     p_star_spec: LearnerSpec | None = None,
-    decision_rule: DecisionRule | None = None,
-    include_ensembles: bool = True,
 ) -> StudyReport:
     """Validate the estimation stack against simulated ground truth.
 
     Each run re-simulates outcomes on standardized covariates, refits every
-    menu meta-learner on a fresh train split, turns them into policies on
-    the held-out rows (smaller outcomes are better), and records IPW, DR,
-    and true values next to the reference policies.  A run that raises is
-    recorded as a failure and the study continues.
+    menu meta-learner on a fresh train split, and values the policies on the
+    held-out rows with evaluate's own ``fit_plug_in``, ``build_policy_set``
+    and ``point_values`` (every ensemble mode, no deferral, ``STUDY_RULE``),
+    next to their true values.  A run that raises is recorded as a failure
+    and the study continues.
     """
     if runs < 2:
         raise ConfigError(f"need at least 2 runs, got {runs}")
+    if not 0.0 < train_frac < 1.0:
+        raise ConfigError(f"train_frac must be in (0, 1), got {train_frac}")
     if not menu:
         raise ConfigError("empty model menu")
     X = _zscore(np.asarray(X, dtype=float))
     T = np.asarray(T)
-    n = X.shape[0]
-    rule = decision_rule or DecisionRule(threshold=0.0, direction="lower-better")
     plug_spec = plug_in_spec or LearnerSpec.from_dict(
         {"kind": "gbt", "n_trees": 100, "max_depth": 3, "min_samples_leaf": 10}
     )
@@ -293,12 +294,11 @@ def run_study(
         base_seed = int(run_seeds[3 * r + 2])
         try:
             run_rows = _one_run(
-                X, T, sim_spec, menu, rule, plug_spec, pstar_spec, columns,
+                X, T, sim_spec, menu, plug_spec, pstar_spec, columns,
                 train_frac=train_frac,
                 sim_seed=sim_seed,
                 split_seed=split_seed,
                 baseline_seed=base_seed,
-                include_ensembles=include_ensembles,
             )
         except Exception as exc:  # noqa: BLE001 - a failed run must not kill the study
             failures.append({"run": r, "error": f"{type(exc).__name__}: {exc}"})
@@ -335,21 +335,12 @@ def run_study(
 
 
 def _one_run(
-    X, T, sim_spec, menu, rule, plug_spec, pstar_spec, columns,
+    X, T, sim_spec, menu, plug_spec, pstar_spec, columns,
     *,
-    train_frac, sim_seed, split_seed, baseline_seed, include_ensembles,
+    train_frac, sim_seed, split_seed, baseline_seed,
 ) -> list[dict]:
     n = X.shape[0]
-    outcomes = simulate_outcomes(
-        X,
-        T,
-        SimulationSpec(
-            lam=sim_spec.lam,
-            effect_size=sim_spec.effect_size,
-            noise_factor=sim_spec.noise_factor,
-            seed=sim_seed,
-        ),
-    )
+    outcomes = simulate_outcomes(X, T, replace(sim_spec, seed=sim_seed))
     y_obs = outcomes.observed(T)
 
     perm = np.random.default_rng(np.random.SeedSequence(split_seed)).permutation(n)
@@ -366,51 +357,27 @@ def _one_run(
     p_star_model = fit_classifier(pstar_spec, X, T)
     p_star_test = p_star_model.predict_proba(test.covariates)
 
-    # plug-in outcome surfaces for the doubly robust estimator, per arm
-    tr_t = train.treatment == 1
-    plug0 = fit_regressor(plug_spec, train.covariates[~tr_t], train.outcome[~tr_t])
-    plug1 = fit_regressor(plug_spec, train.covariates[tr_t], train.outcome[tr_t])
-    plug_test = np.column_stack([plug0.predict(test.covariates), plug1.predict(test.covariates)])
-
-    policies: list[Policy] = []
-    fitted = {}
-    for name, fit_spec in menu.items():
-        model = fit_spec.fit(train, propensity=p_star_model)
-        fitted[name] = model
-        policies.append(
-            build_policy(model, rule, test.covariates, name=name, source="cate-model")
-        )
-    if include_ensembles and len(fitted) >= 2:
-        members = list(fitted.values())
-        for mode in ("average", "majority", "consensus"):
-            policies.append(
-                build_policy(
-                    ensemble_cate(members, mode),
-                    rule,
-                    test.covariates,
-                    name=f"ensemble-{mode}",
-                    source="ensemble",
-                )
-            )
-    policies.extend(baselines(test, p_star_test, seed=baseline_seed))
-    policies.append(
-        Policy(name="optimal", rec=out_test.optimal_policy, source="baseline")
+    plug_test = fit_plug_in(plug_spec, train, test.covariates)
+    fitted = {name: fit_spec.fit(train, propensity=p_star_model) for name, fit_spec in menu.items()}
+    policies = build_policy_set(
+        fitted, STUDY_RULE, test, p_star_test,
+        members=list(fitted.values()), modes=ENSEMBLE_MODES, seed=baseline_seed,
     )
+    policies.append(Policy(name="optimal", rec=out_test.optimal_policy, source="baseline"))
+    values = point_values(policies, test, p_star_test, plug_in=plug_test)
 
-    rows = []
-    for policy in policies:
-        rows.append(
-            {
-                "policy": policy.name,
-                "source": policy.source,
-                "n_deferred": policy.n_deferred,
-                "treated_fraction": policy.treated_fraction,
-                "v_ipw": value_ipw(policy, test, p_star_test),
-                "v_dr": value_dr(policy, test, p_star_test, plug_test),
-                "v_true": true_policy_value(policy, out_test, test.treatment),
-            }
-        )
-    return rows
+    return [
+        {
+            "policy": policy.name,
+            "source": policy.source,
+            "n_deferred": policy.n_deferred,
+            "treated_fraction": policy.treated_fraction,
+            "v_ipw": float(values["IPW"][i]),
+            "v_dr": float(values["DR"][i]),
+            "v_true": true_policy_value(policy, out_test, test.treatment),
+        }
+        for i, policy in enumerate(policies)
+    ]
 
 
 def _study_checks(rows: list, aggregates: list, menu: dict) -> dict:

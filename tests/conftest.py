@@ -1,6 +1,7 @@
 import numpy as np
 
 from treatpolicy.ingest import ColumnInfo, Dataset
+from treatpolicy.policy_eval import point_values
 
 
 def make_dataset(cov, t, y, columns=None, split=None):
@@ -14,6 +15,16 @@ def make_dataset(cov, t, y, columns=None, split=None):
         outcome=np.asarray(y, dtype=float),
         split=None if split is None else np.asarray(split, dtype="<U10"),
     )
+
+
+def ipw_value(policy, data, p_star):
+    """One policy's IPW point value through the shared valuation path."""
+    return point_values([policy], data, p_star, estimators=("IPW",))["IPW"][0]
+
+
+def dr_value(policy, data, p_star, plug_in):
+    """One policy's DR point value through the shared valuation path."""
+    return point_values([policy], data, p_star, estimators=("DR",), plug_in=plug_in)["DR"][0]
 
 
 def linear_dataset(n, d, beta, effect, seed, noise=1.0, t_prob=0.5):

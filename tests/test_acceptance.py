@@ -10,7 +10,7 @@ import shutil
 import time
 
 import numpy as np
-from conftest import make_dataset, pipeline_raw, write_observational_csv
+from conftest import dr_value, ipw_value, make_dataset, pipeline_raw, write_observational_csv
 
 from treatpolicy.cate import CateFitSpec, UncertaintySpec, uncertainty_interval
 from treatpolicy.config import validate_config
@@ -21,10 +21,9 @@ from treatpolicy.pipeline import run_pipeline, run_stages
 from treatpolicy.policy_eval import (
     DEFER,
     Policy,
-    rank_curve,
     outcome_tree,
-    value_dr,
-    value_ipw,
+    point_values,
+    rank_curve,
 )
 from treatpolicy.simulation import (
     SimulationSpec,
@@ -46,8 +45,8 @@ def test_criterion_01_hand_oracle_estimators():
     data = make_dataset(np.zeros((4, 1)), [1, 0, 1, 0], [2.0, 4.0, 6.0, 0.0])
     p_star = np.array([0.5, 0.5, 0.8, 0.5])
     policy = Policy(name="hand", rec=[1, 1, 1, 0])
-    v_ipw = value_ipw(policy, data, p_star)
-    v_dr = value_dr(policy, data, p_star, plug_in=np.ones((4, 2)))
+    points = point_values([policy], data, p_star, plug_in=np.ones((4, 2)))
+    v_ipw, v_dr = points["IPW"][0], points["DR"][0]
     elapsed = time.perf_counter() - start
     ok = abs(v_ipw - 46 / 21) <= 1e-9 and abs(v_dr - 46 / 21) <= 1e-9 and elapsed < 1.0
     _report(1, ok, f"IPW {v_ipw:.12f}, DR {v_dr:.12f} vs 46/21; {elapsed:.3f}s < 1s")
@@ -226,21 +225,21 @@ def test_criterion_06_estimator_identities():
     p_star = rng.uniform(0.2, 0.8, n)
     plug = rng.normal(size=(n, 2))
 
-    zero_plug = value_dr(policy, data, p_star, np.zeros((n, 2))) == value_ipw(policy, data, p_star)
+    zero_plug = dr_value(policy, data, p_star, np.zeros((n, 2))) == ipw_value(policy, data, p_star)
     doctors = Policy(name="doctors", rec=t, factual=True)
     doctors_ok = (
-        value_ipw(doctors, data, p_star) == y.mean()
-        and value_dr(doctors, data, p_star, plug) == y.mean()
+        ipw_value(doctors, data, p_star) == y.mean()
+        and dr_value(doctors, data, p_star, plug) == y.mean()
     )
     all_defer = Policy(name="defer", rec=np.full(n, DEFER, dtype=np.int8))
     defer_ok = (
-        value_ipw(all_defer, data, p_star) == y.mean()
-        and value_dr(all_defer, data, p_star, plug) == y.mean()
+        ipw_value(all_defer, data, p_star) == y.mean()
+        and dr_value(all_defer, data, p_star, plug) == y.mean()
     )
     shifted = make_dataset(data.covariates, t, y + 7.5)
     shift_ok = (
-        abs(value_ipw(policy, shifted, p_star) - value_ipw(policy, data, p_star) - 7.5) <= 1e-9
-        and abs(value_dr(policy, shifted, p_star, plug) - value_dr(policy, data, p_star, plug) - 7.5)
+        abs(ipw_value(policy, shifted, p_star) - ipw_value(policy, data, p_star) - 7.5) <= 1e-9
+        and abs(dr_value(policy, shifted, p_star, plug) - dr_value(policy, data, p_star, plug) - 7.5)
         <= 1e-9
     )
     ok = zero_plug and doctors_ok and defer_ok and shift_ok
@@ -267,14 +266,14 @@ def test_criterion_07_rank_endpoints_and_tree_leaves():
         curve = rank_curve(tau, data, p_star, estimator=est, step=0.1, **kw)
         ok &= len(curve) == 11
         all0 = Policy(name="treat-all-0", rec=np.zeros(n, dtype=np.int8))
-        end_value = value_ipw(all0, data, p_star) if est == "IPW" else value_dr(all0, data, p_star, plug)
+        end_value = ipw_value(all0, data, p_star) if est == "IPW" else dr_value(all0, data, p_star, plug)
         ok &= curve[-1]["value"] == end_value  # bit-exact
         ok &= curve[-1]["treated_fraction"] == 0.0
         # q = 0 treats everyone except the single minimum-effect row
         ok &= curve[0]["treated_fraction"] == (n - 1) / n
         rec0 = (tau > tau.min()).astype(np.int8)
         first = Policy(name="q0", rec=rec0)
-        first_value = value_ipw(first, data, p_star) if est == "IPW" else value_dr(first, data, p_star, plug)
+        first_value = ipw_value(first, data, p_star) if est == "IPW" else dr_value(first, data, p_star, plug)
         ok &= curve[0]["value"] == first_value
 
     leaves_ok = True

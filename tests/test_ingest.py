@@ -208,3 +208,13 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back.split, data.split)
         np.testing.assert_array_equal(back.secondary["aux"], data.secondary["aux"])
         np.testing.assert_array_equal(back.row_ids, data.row_ids)
+
+    @pytest.mark.parametrize("edit", ["extra", "missing"])
+    def test_row_with_wrong_cell_count_rejected(self, tmp_path, edit):
+        data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], [1.0, 2.0, 3.0])
+        desc = save_dataset(data, tmp_path / "d.csv")
+        lines = (tmp_path / "d.csv").read_text().splitlines()
+        lines[2] = lines[2] + ",9.0" if edit == "extra" else lines[2].rsplit(",", 1)[0]
+        (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="row 2"):
+            load_dataset(tmp_path / "d.csv", desc)

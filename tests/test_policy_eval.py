@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
-from conftest import make_dataset
+from conftest import dr_value, ipw_value, make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treatpolicy.errors import EstimationError
+from treatpolicy.cate import ENSEMBLE_MODES
+from treatpolicy.errors import DataError, EstimationError
+from treatpolicy.learners import LearnerSpec
 from treatpolicy.policy_eval import (
     DEFER,
     DecisionRule,
@@ -13,11 +17,12 @@ from treatpolicy.policy_eval import (
     baselines,
     bootstrap_tournament,
     build_policy,
+    build_policy_set,
+    fit_plug_in,
     outcome_tree,
+    point_values,
     rank_curve,
     summarize_bootstrap,
-    value_dr,
-    value_ipw,
 )
 
 HIGHER = DecisionRule(threshold=0.0, direction="higher-better")
@@ -87,14 +92,14 @@ class TestBuildPolicy:
 class TestValueEstimators:
     def test_ipw_hand_fixture(self):
         data, p_star, policy = four_row_fixture()
-        v = value_ipw(policy, data, p_star)
+        v = ipw_value(policy, data, p_star)
         expected = (2 * 2.0 + 1.25 * 6.0 + 2 * 0.0) / (2 + 1.25 + 2)
         assert v == pytest.approx(expected, abs=1e-9)
         assert v == pytest.approx(46 / 21, abs=1e-9)
 
     def test_dr_hand_fixture_constant_plug_in(self):
         data, p_star, policy = four_row_fixture()
-        v = value_dr(policy, data, p_star, plug_in=np.ones((4, 2)))
+        v = dr_value(policy, data, p_star, plug_in=np.ones((4, 2)))
         expected = (2 * 1.0 + 1.25 * 5.0 + 2 * (-1.0)) / 5.25 + 1.0
         assert v == pytest.approx(expected, abs=1e-9)
         assert v == pytest.approx(46 / 21, abs=1e-9)
@@ -102,8 +107,8 @@ class TestValueEstimators:
     def test_all_deferred_collapses_to_factual_mean(self):
         data, p_star, _ = four_row_fixture()
         policy = Policy(name="defer", rec=[DEFER] * 4)
-        assert value_ipw(policy, data, p_star) == data.outcome.mean()
-        assert value_dr(policy, data, p_star, np.zeros((4, 2))) == data.outcome.mean()
+        assert ipw_value(policy, data, p_star) == data.outcome.mean()
+        assert dr_value(policy, data, p_star, np.zeros((4, 2))) == data.outcome.mean()
 
     def test_policy_equal_to_observed_with_constant_half(self):
         rng = np.random.default_rng(1)
@@ -111,7 +116,7 @@ class TestValueEstimators:
         y = rng.normal(size=50)
         data = make_dataset(np.zeros((50, 1)), t, y)
         policy = Policy(name="obs", rec=t)
-        v = value_ipw(policy, data, np.full(50, 0.5))
+        v = ipw_value(policy, data, np.full(50, 0.5))
         assert v == pytest.approx(y.mean(), abs=1e-12)
 
     def test_dr_with_perfect_plug_in_and_observed_policy(self):
@@ -121,7 +126,7 @@ class TestValueEstimators:
         data = make_dataset(np.zeros((30, 1)), t, y)
         plug = np.zeros((30, 2))
         plug[np.arange(30), t] = y
-        v = value_dr(Policy(name="obs", rec=t), data, np.full(30, 0.5), plug)
+        v = dr_value(Policy(name="obs", rec=t), data, np.full(30, 0.5), plug)
         assert v == pytest.approx(y.mean(), abs=1e-12)
 
     def test_dr_equals_ipw_for_zero_plug_in(self):
@@ -133,25 +138,25 @@ class TestValueEstimators:
         data = make_dataset(rng.normal(size=(n, 2)), t, y)
         policy = Policy(name="p", rec=rec)
         p_star = rng.uniform(0.2, 0.8, n)
-        assert value_dr(policy, data, p_star, np.zeros((n, 2))) == value_ipw(
+        assert dr_value(policy, data, p_star, np.zeros((n, 2))) == ipw_value(
             policy, data, p_star
         )
 
     def test_deferred_rows_mix_by_empirical_proportion(self):
         data = make_dataset(np.zeros((2, 1)), [1, 0], [2.0, 10.0])
         policy = Policy(name="mix", rec=[1, DEFER])
-        assert value_ipw(policy, data, np.array([0.5, 0.5])) == pytest.approx(6.0, abs=1e-12)
+        assert ipw_value(policy, data, np.array([0.5, 0.5])) == pytest.approx(6.0, abs=1e-12)
 
     def test_zero_matched_weight_raises(self):
         data = make_dataset(np.zeros((2, 1)), [0, 0], [1.0, 2.0])
         policy = Policy(name="never", rec=[1, 1])
         with pytest.raises(EstimationError, match="weight"):
-            value_ipw(policy, data, np.array([0.5, 0.5]))
+            ipw_value(policy, data, np.array([0.5, 0.5]))
 
     def test_scores_are_clipped_before_weighting(self):
         data = make_dataset(np.zeros((2, 1)), [1, 1], [1.0, 3.0])
         policy = Policy(name="all1", rec=[1, 1])
-        v = value_ipw(policy, data, np.array([0.001, 0.5]))
+        v = ipw_value(policy, data, np.array([0.001, 0.5]))
         assert v == pytest.approx((100 * 1.0 + 2 * 3.0) / 102, abs=1e-12)
 
     def test_outcome_shift_moves_values_by_constant(self):
@@ -165,11 +170,11 @@ class TestValueEstimators:
         pol = Policy(name="p", rec=rec)
         base = make_dataset(np.zeros((n, 1)), t, y)
         shifted = make_dataset(np.zeros((n, 1)), t, y + 5.0)
-        assert value_ipw(pol, shifted, p_star) == pytest.approx(
-            value_ipw(pol, base, p_star) + 5.0, abs=1e-9
+        assert ipw_value(pol, shifted, p_star) == pytest.approx(
+            ipw_value(pol, base, p_star) + 5.0, abs=1e-9
         )
-        assert value_dr(pol, shifted, p_star, plug) == pytest.approx(
-            value_dr(pol, base, p_star, plug) + 5.0, abs=1e-9
+        assert dr_value(pol, shifted, p_star, plug) == pytest.approx(
+            dr_value(pol, base, p_star, plug) + 5.0, abs=1e-9
         )
 
     def test_factual_policy_is_plain_mean_under_both_estimators(self):
@@ -180,8 +185,98 @@ class TestValueEstimators:
         data = make_dataset(rng.normal(size=(n, 3)), t, y)
         doctors = Policy(name="doctors", rec=t, factual=True)
         p_star = rng.uniform(0.1, 0.9, n)
-        assert value_ipw(doctors, data, p_star) == y.mean()
-        assert value_dr(doctors, data, p_star, rng.normal(size=(n, 2))) == y.mean()
+        assert ipw_value(doctors, data, p_star) == y.mean()
+        assert dr_value(doctors, data, p_star, rng.normal(size=(n, 2))) == y.mean()
+
+
+class TestPointValues:
+    def test_values_every_policy_in_order(self):
+        data, p_star, policy = four_row_fixture()
+        doctors = Policy(name="doctors", rec=data.treatment, factual=True)
+        points = point_values([policy, doctors], data, p_star, plug_in=np.ones((4, 2)))
+        assert set(points) == {"IPW", "DR"}
+        assert points["IPW"].tolist() == [ipw_value(policy, data, p_star), data.outcome.mean()]
+
+    def test_inputs_validated(self):
+        data, p_star, policy = four_row_fixture()
+        with pytest.raises(ValueError, match="estimator"):
+            point_values([policy], data, p_star, estimators=("AIPW",))
+        with pytest.raises(ValueError, match="rows"):
+            point_values([Policy(name="short", rec=[1, 0])], data, p_star, estimators=("IPW",))
+        with pytest.raises(ValueError, match="plug-in"):
+            point_values([policy], data, p_star)
+        with pytest.raises(ValueError, match="shaped"):
+            point_values([policy], data, p_star, plug_in=np.ones((3, 2)))
+
+
+class Constant:
+    """A fitted-model stand-in whose effect estimate is one value everywhere."""
+
+    def __init__(self, tau):
+        self.tau = tau
+
+    def predict(self, X):
+        return np.full(np.asarray(X).shape[0], self.tau)
+
+
+class TestBuildPolicySet:
+    def make(self):
+        data = make_dataset(np.zeros((4, 1)), [1, 0, 1, 0], [2.0, 4.0, 6.0, 0.0])
+        return data, np.full(4, 0.5)
+
+    def test_menu_then_ensembles_then_baselines(self):
+        data, e = self.make()
+        effects = {"b": np.array([1.0, -1.0, 1.0, -1.0]), "a": Constant(2.0)}
+        policies = build_policy_set(
+            effects, HIGHER, data, e,
+            members=[Constant(1.0), Constant(-1.0)], modes=ENSEMBLE_MODES, seed=3,
+        )
+        names = [p.name for p in baselines(data, e, seed=3)]
+        assert [p.name for p in policies] == [
+            "b", "a", "ensemble-average", "ensemble-majority", "ensemble-consensus", *names
+        ]
+        assert [p.source for p in policies[:5]] == ["cate-model"] * 2 + ["ensemble"] * 3
+        assert policies[0].rec.tolist() == [1, 0, 1, 0]
+        assert policies[1].rec.tolist() == [1, 1, 1, 1]
+        for got, want in zip(policies[5:], baselines(data, e, seed=3)):
+            assert got.rec.tolist() == want.rec.tolist() and got.factual == want.factual
+
+    def test_defer_takes_precedence_over_the_rule(self):
+        data, e = self.make()
+        policies = build_policy_set(
+            {"a": np.full(4, 5.0), "b": np.full(4, -5.0)}, HIGHER, data, e,
+            defer={"a": [True, False, False, True], "b": [False, True, False, False]},
+            members=[Constant(1.0), Constant(2.0)], modes=("average",),
+            ensemble_defer=np.array([False, False, True, False]),
+        )
+        assert policies[0].rec.tolist() == [DEFER, 1, 1, DEFER]
+        assert policies[1].rec.tolist() == [0, DEFER, 0, 0]
+        assert policies[2].name == "ensemble-average"
+        assert policies[2].rec.tolist() == [1, 1, DEFER, 1]
+
+    def test_ensembles_skipped_with_fewer_than_two_members(self):
+        data, e = self.make()
+        for members in ([], [Constant(1.0)]):
+            policies = build_policy_set(
+                {"a": Constant(1.0)}, HIGHER, data, e, members=members, modes=ENSEMBLE_MODES,
+            )
+            assert [p.source for p in policies] == ["cate-model"] + ["baseline"] * 5
+
+
+class TestFitPlugIn:
+    def test_columns_are_per_arm_predictions(self):
+        train = make_dataset([[0.0], [1.0], [2.0], [0.0], [1.0], [2.0]], [0, 0, 0, 1, 1, 1],
+                             [1.0, 1.0, 1.0, 3.0, 3.0, 3.0])
+        plug = fit_plug_in(LearnerSpec.make("ols"), train, np.array([[0.5], [5.0]]))
+        np.testing.assert_allclose(plug, [[1.0, 3.0], [1.0, 3.0]], atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["ols", "ridge", "lasso", "gbt"])
+    def test_arm_without_training_rows_raises_before_arithmetic(self, kind):
+        train = make_dataset(np.arange(6.0)[:, None], [0] * 6, np.arange(6.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="cannot fit on an empty dataset"):
+                fit_plug_in(LearnerSpec.make(kind), train, np.zeros((2, 1)))
 
 
 class TestBaselines:
@@ -305,8 +400,8 @@ class TestTournament:
             plug_in=plug,
         )
         for i, pol in enumerate([policy, doctors]):
-            assert res.points["IPW"][i] == value_ipw(pol, data, p_star)
-            assert res.points["DR"][i] == value_dr(pol, data, p_star, plug)
+            assert res.points["IPW"][i] == ipw_value(pol, data, p_star)
+            assert res.points["DR"][i] == dr_value(pol, data, p_star, plug)
         assert res.distributions["IPW"].shape == (2, 25)
 
     def test_same_seed_reproduces(self):
@@ -421,7 +516,7 @@ class TestRankCurve:
         all0 = Policy(name="treat-all-0", rec=np.zeros(data.n, dtype=np.int8))
         assert curve[-1]["q"] == 1.0
         assert curve[-1]["treated_fraction"] == 0.0
-        assert curve[-1]["value"] == value_ipw(all0, data, p_star)
+        assert curve[-1]["value"] == ipw_value(all0, data, p_star)
 
     def test_bottom_endpoint_treats_all_but_minimum(self):
         data, tau = self.randomized()

@@ -163,7 +163,6 @@ def small_study(**kw):
         runs=3,
         seed=77,
         plug_in_spec=RIDGE,
-        include_ensembles=True,
     )
     defaults.update(kw)
     return run_study(X, T, SimulationSpec(lam=0.5, effect_size=1.0), MENU, **defaults)
@@ -220,7 +219,7 @@ class TestRunStudy:
         menu = {"flaky": Flaky(CateFitSpec(kind="t", learner=RIDGE))}
         report = run_study(
             X, T, SimulationSpec(lam=0.5, effect_size=1.0), menu,
-            runs=3, seed=5, plug_in_spec=RIDGE, include_ensembles=False,
+            runs=3, seed=5, plug_in_spec=RIDGE,
         )
         assert report.n_failed == 1
         assert report.failures[0]["run"] == 0
@@ -244,7 +243,7 @@ class TestRunStudy:
         X, T = synthetic_covariates(900, 5, seed=23)
         report = run_study(
             X, T, SimulationSpec(lam=1.0, effect_size=3.0), {"ridge-t": MENU["ridge-t"]},
-            runs=3, seed=8, plug_in_spec=RIDGE, include_ensembles=False,
+            runs=3, seed=8, plug_in_spec=RIDGE,
         )
         doctors = report.aggregate("doctors")["v_true_mean"]
         prop = report.aggregate("propensity")["v_true_mean"]
@@ -259,3 +258,9 @@ class TestRunStudy:
             run_study(X, T, SimulationSpec(0.5, 1.0), MENU, runs=1)
         with pytest.raises(ConfigError, match="menu"):
             run_study(X, T, SimulationSpec(0.5, 1.0), {}, runs=2)
+
+    @pytest.mark.parametrize("train_frac", [-0.2, 0.0, 1.0, 1.5, float("nan")])
+    def test_train_frac_outside_unit_interval_rejected(self, train_frac):
+        X, T = synthetic_covariates(100, 3, seed=24)
+        with pytest.raises(ConfigError, match="train_frac"):
+            run_study(X, T, SimulationSpec(0.5, 1.0), MENU, runs=2, train_frac=train_frac)
