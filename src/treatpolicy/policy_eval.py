@@ -1,19 +1,19 @@
 """Policies over effect estimates and their off-policy value estimation.
 
-A policy maps each row to Treat1, Treat0, or Defer.  Value estimation
-follows the weighting scheme where non-deferred rows matched by the policy
-(observed arm equals the recommendation) are weighted by the inverse
-probability of that arm, self-normalized; deferred rows contribute their
-factual outcome mean; the two parts mix by the empirical defer proportion
-of whatever row set the estimate runs on.
+A policy maps each row to Treat1, Treat0, or Defer.  Non-deferred rows
+matched by the policy (observed arm equals the recommendation) are weighted
+by the inverse probability of that arm, self-normalized; deferred rows
+contribute their factual outcome mean; the two parts mix by the empirical
+defer proportion of the rows valued.
 
-``point_values`` is the one valuation path: the evaluate stage's
+``point_values`` values policies on all rows: the evaluate stage's
 tournament points and rank curve and the simulation study's IPW and DR
 values all come from it, on policies from ``build_policy_set`` and a DR
-plug-in from ``fit_plug_in``.  ``bootstrap_tournament`` is the one
-resampling path: it values every policy on B shared row resamples
-(``distributions``), and ``summarize_bootstrap`` reduces one policy's
-replicates to the summary statistics of the value table.
+plug-in from ``fit_plug_in``.  ``bootstrap_tournament`` values every policy
+on B shared row resamples held as draw counts: each estimate is a ratio of
+count-weighted sums of per-row terms, one matmul per chunk of rounds and
+policy.  ``summarize_bootstrap`` reduces one policy's replicates to the
+summary statistics of the value table.
 """
 
 from __future__ import annotations
@@ -28,19 +28,9 @@ from .ingest import Dataset
 from .learners import fit_regressor
 
 __all__ = [
-    "DEFER",
-    "DecisionRule",
-    "Policy",
-    "build_policy",
-    "build_policy_set",
-    "baselines",
-    "fit_plug_in",
-    "point_values",
-    "summarize_bootstrap",
-    "TournamentResult",
-    "bootstrap_tournament",
-    "rank_curve",
-    "outcome_tree",
+    "DEFER", "DecisionRule", "Policy", "build_policy", "build_policy_set", "baselines",
+    "fit_plug_in", "point_values", "summarize_bootstrap", "TournamentResult",
+    "bootstrap_tournament", "rank_curve", "outcome_tree",
 ]
 
 DEFER = -1
@@ -50,6 +40,10 @@ P_STAR_CLIP = (0.01, 0.99)
 ESTIMATORS = ("IPW", "DR")
 
 DIRECTIONS = ("higher-better", "lower-better")
+
+# bytes of one chunk of bootstrap count rows (at least one round is taken);
+# small, so that the chunk does not set the process's peak memory
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -89,10 +83,6 @@ class Policy:
         bad = ~np.isin(self.rec, (0, 1, DEFER))
         if bad.any():
             raise ValueError(f"recommendations must be 0, 1, or {DEFER}")
-
-    @property
-    def n(self) -> int:
-        return self.rec.size
 
     @property
     def n_deferred(self) -> int:
@@ -147,21 +137,8 @@ def _scores(p_star, X, clip) -> np.ndarray:
     return np.clip(p, clip[0], clip[1])
 
 
-def _value(
-    rec: np.ndarray,
-    t: np.ndarray,
-    y: np.ndarray,
-    p1: np.ndarray,
-    plug_in: np.ndarray | None,
-    estimator: str,
-    factual: bool,
-    idx: np.ndarray | None = None,
-) -> float:
-    """One value estimate on rows ``idx`` (all rows when None)."""
-    if idx is not None:
-        rec, t, y, p1 = rec[idx], t[idx], y[idx], p1[idx]
-        if plug_in is not None:
-            plug_in = plug_in[idx]
+def _value(rec, t, y, p1, plug_in, estimator: str, factual: bool) -> float:
+    """One value estimate on all rows given."""
     if factual:
         return float(y.mean())
     nd = rec != DEFER
@@ -183,6 +160,32 @@ def _value(
         y_hat = plug_in[nd][np.arange(rec_nd.size), rec_nd]
         v_nd = float(np.sum(w * (y_nd - y_hat)) / total_w + y_hat.mean())
     return v_nd * (1.0 - p_def) + v_def * p_def
+
+
+def _sum_columns(policy: Policy, t, y, p1, plug_in) -> np.ndarray:
+    """Per-row terms whose count-weighted sums give ``_value`` on a resample:
+    the deferred indicator d, d*y, the matched weight w (1[t = rec]/p_rec, 0
+    where deferred), w*y, w*y_hat and y_hat, with y_hat the plug-in at the
+    recommended arm (0 where deferred or without a plug-in).  A factual
+    policy is valued as one that defers every row: the plain outcome mean."""
+    d = (policy.rec == DEFER) | policy.factual
+    arm = np.where(d, 0, policy.rec)
+    w = np.where(~d & (t == arm), 1.0 / np.where(arm == 1, p1, 1.0 - p1), 0.0)
+    y_hat = np.where(d, 0.0, 0.0 if plug_in is None else plug_in[np.arange(y.size), arm])
+    return np.column_stack([d, d * y, w, w * y, w * y_hat, y_hat])
+
+
+def _round_values(sums: np.ndarray, n: int, estimator: str) -> np.ndarray:
+    """Values on a chunk of rounds from their ``_sum_columns`` sums.  A round
+    with zero matched weight has zero w*y and w*y_hat sums, so 0/0 makes it
+    NaN; one that drew only deferred rows is their mean, as in ``_value``."""
+    n_def, s_dy, s_w, s_wy, s_wyhat, s_yhat = sums.T
+    n_nd = n - n_def
+    p_def = n_def / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_def = np.where(n_def > 0, s_dy / n_def, 0.0)
+        v_nd = s_wy / s_w if estimator == "IPW" else (s_wy - s_wyhat) / s_w + s_yhat / n_nd
+    return np.where(n_nd == 0, v_def, v_nd * (1.0 - p_def) + v_def * p_def)
 
 
 def _check_policy(policy: Policy, data: Dataset) -> None:
@@ -300,18 +303,6 @@ class TournamentResult:
     B: int
 
 
-def _valuer(data: Dataset, p_star, plug_in, clip):
-    """``value(policy, est, idx)``: one estimate on rows ``idx`` of ``data``."""
-    p1 = _scores(p_star, data.covariates, clip)
-    plug = _plug_in_matrix(plug_in, data) if plug_in is not None else None
-
-    def value(policy, est, idx=None):
-        dr_plug = plug if est == "DR" else None
-        return _value(policy.rec, data.treatment, data.outcome, p1, dr_plug, est, policy.factual, idx)
-
-    return value
-
-
 def point_values(
     policies: list,
     data: Dataset,
@@ -335,8 +326,16 @@ def point_values(
         _check_policy(policy, data)
     if "DR" in estimators and plug_in is None:
         raise ValueError("DR estimation needs plug-in outcome predictions")
-    value = _valuer(data, p_star, plug_in, clip)
-    return {est: np.array([value(p, est) for p in policies]) for est in estimators}
+    p1 = _scores(p_star, data.covariates, clip)
+    plug = _plug_in_matrix(plug_in, data) if plug_in is not None else None
+    return {
+        est: np.array([
+            _value(p.rec, data.treatment, data.outcome, p1, plug if est == "DR" else None,
+                   est, p.factual)
+            for p in policies
+        ])
+        for est in estimators
+    }
 
 
 def bootstrap_tournament(
@@ -350,44 +349,44 @@ def bootstrap_tournament(
     plug_in=None,
     clip=P_STAR_CLIP,
 ) -> TournamentResult:
-    """Value every policy on all rows with ``point_values``, then resample
-    rows B times and value every policy on the same rounds.
+    """Value every policy on all rows with ``point_values``, then on B
+    shared row resamples.
 
-    A round where a policy's estimate fails is NaN in its distribution and
-    contributes no wins in either direction for its pairs; the failure
-    count per estimator is reported.  A failure on all rows raises.
+    Round b draws rows ``rng.integers(0, n, n)`` from ``SeedSequence(seed)``
+    and is held as a row of draw counts.  One matmul of a chunk of count
+    rows with a policy's ``_sum_columns`` stack gives every sum its
+    estimators need on those rounds; the values are ratios of the sums and
+    match a per-round ``_value`` up to summation order (about 1e-15).  A
+    round with zero matched weight is NaN, wins no pair in either direction
+    and counts in ``skipped``; a failure on all rows raises.
     """
     if B < 1:
         raise ValueError(f"need at least one round, got B={B}")
-    points = point_values(
-        policies, data, p_star, estimators=estimators, plug_in=plug_in, clip=clip
-    )
-    value = _valuer(data, p_star, plug_in, clip)
+    points = point_values(policies, data, p_star, estimators=estimators, plug_in=plug_in, clip=clip)
+    n = data.n
+    p1 = _scores(p_star, data.covariates, clip)
+    plug = _plug_in_matrix(plug_in, data) if plug_in is not None else None
+    stacks = [_sum_columns(p, data.treatment, data.outcome, p1, plug) for p in policies]
 
-    k = len(policies)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dists = {est: np.full((k, B), np.nan) for est in estimators}
-    skipped = {est: 0 for est in estimators}
-    for b in range(B):
-        idx = rng.integers(0, data.n, data.n)
-        for i, policy in enumerate(policies):
+    dists = {est: np.empty((len(policies), B)) for est in estimators}
+    chunk = max(1, _CHUNK_BYTES // (8 * n))
+    for start in range(0, B, chunk):
+        counts = np.empty((min(chunk, B - start), n))
+        for row in counts:
+            row[:] = np.bincount(rng.integers(0, n, n), minlength=n)
+        for i, stack in enumerate(stacks):
+            sums = counts @ stack
             for est in estimators:
-                try:
-                    dists[est][i, b] = value(policy, est, idx)
-                except EstimationError:
-                    skipped[est] += 1
+                dists[est][i, start:start + len(counts)] = _round_values(sums, n, est)
+    skipped = {est: int(np.isnan(v).sum()) for est, v in dists.items()}
     wins = {
         est: (v[:, None, :] > v[None, :, :]).sum(axis=-1).astype(int)
         for est, v in dists.items()
     }
     return TournamentResult(
-        policies=[p.name for p in policies],
-        estimators=tuple(estimators),
-        points=points,
-        wins=wins,
-        distributions=dists,
-        skipped=skipped,
-        B=B,
+        policies=[p.name for p in policies], estimators=tuple(estimators), points=points,
+        wins=wins, distributions=dists, skipped=skipped, B=B,
     )
 
 

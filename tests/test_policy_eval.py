@@ -1,4 +1,6 @@
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from conftest import dr_value, ipw_value, make_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treatpolicy import policy_eval
 from treatpolicy.cate import ENSEMBLE_MODES
 from treatpolicy.errors import DataError, EstimationError
 from treatpolicy.learners import LearnerSpec
@@ -319,6 +322,30 @@ class TestBaselines:
         assert (pols[3].rec == 0).all() and (pols[4].rec == 1).all()
 
 
+def per_round_value(pol, est, data, p1, plug, idx=slice(None)):
+    """``_value`` on rows ``idx``: the per-round oracle of the tournament."""
+    return _value(
+        pol.rec[idx], data.treatment[idx], data.outcome[idx], p1[idx],
+        plug[idx] if est == "DR" else None, est, pol.factual,
+    )
+
+
+def per_round_loop(pols, data, p1, plug, B, seed):
+    """Distributions from one ``_value`` call per round, policy and estimator,
+    on the rounds ``bootstrap_tournament`` draws for ``seed``."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    out = {est: np.full((len(pols), B), np.nan) for est in ("IPW", "DR")}
+    for b in range(B):
+        idx = rng.integers(0, data.n, data.n)
+        for i, pol in enumerate(pols):
+            for est in ("IPW", "DR"):
+                try:
+                    out[est][i, b] = per_round_value(pol, est, data, p1, plug, idx)
+                except EstimationError:
+                    pass
+    return out
+
+
 class TestTournament:
     def test_dominant_policy_wins_every_round(self):
         rng = np.random.default_rng(6)
@@ -460,6 +487,8 @@ class TestTournament:
         st.integers(0, 2**32 - 1),
     )
     def test_rows_equal_a_per_round_loop(self, cohort, seed):
+        # a matmul sums in another order than _value, so replicate values
+        # agree to rounding; points, failed rounds and skipped are exact
         t, y, p, recs, with_doctors = cohort
         n = len(t)
         data = make_dataset(np.zeros((n, 1)), t, y)
@@ -471,33 +500,105 @@ class TestTournament:
         B = 7
         args = dict(estimators=("IPW", "DR"), B=B, seed=seed, plug_in=plug)
 
-        def value(pol, est, idx=None):
-            return _value(
-                pol.rec, data.treatment, data.outcome, p1,
-                plug if est == "DR" else None, est, pol.factual, idx=idx,
-            )
-
         try:
-            points = {est: [value(pol, est) for pol in pols] for est in ("IPW", "DR")}
+            points = {est: [per_round_value(pol, est, data, p1, plug) for pol in pols]
+                      for est in ("IPW", "DR")}
         except EstimationError:
             with pytest.raises(EstimationError):
                 bootstrap_tournament(pols, data, p1, **args)
             return
         res = bootstrap_tournament(pols, data, p1, **args)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        expected = {est: np.full((len(pols), B), np.nan) for est in ("IPW", "DR")}
-        for b in range(B):
-            idx = rng.integers(0, n, n)
-            for i, pol in enumerate(pols):
-                for est in ("IPW", "DR"):
-                    try:
-                        expected[est][i, b] = value(pol, est, idx)
-                    except EstimationError:
-                        pass
+        expected = per_round_loop(pols, data, p1, plug, B, seed)
         for est in ("IPW", "DR"):
             np.testing.assert_array_equal(res.points[est], points[est])
+            got, want = res.distributions[est], expected[est]
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            ok = ~np.isnan(want)
+            assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * np.maximum(1.0, np.abs(want[ok])))
+            assert res.skipped[est] == int(np.isnan(want).sum())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                st.lists(st.sampled_from([0.2, 0.5]), min_size=n, max_size=n),
+                st.lists(st.integers(-4, 4), min_size=2 * n, max_size=2 * n),
+                st.lists(
+                    st.lists(st.sampled_from([0, 1, DEFER]), min_size=n, max_size=n),
+                    min_size=1,
+                    max_size=3,
+                ),
+                st.booleans(),
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_exact_on_dyadic_data(self, cohort, seed):
+        # integer y and plug-in with matched weights 1/p in {2, 5, 1.25}
+        # make every sum exact in float64, whatever its order, so the
+        # count-matrix rounds must equal the per-round loop bit for bit;
+        # three rounds per chunk also covers a short last chunk
+        t, y, p, plug, recs, with_doctors = cohort
+        n = len(t)
+        data = make_dataset(np.zeros((n, 1)), t, y)
+        p1 = np.array(p)
+        plug = np.array(plug, dtype=float).reshape(n, 2)
+        pols = [Policy(name=f"p{i}", rec=r) for i, r in enumerate(recs)]
+        if with_doctors:
+            pols.append(Policy(name="doctors", rec=t, factual=True))
+        B = 7
+        try:
+            point_values(pols, data, p1, plug_in=plug)
+        except EstimationError:
+            return
+        with mock.patch.object(policy_eval, "_CHUNK_BYTES", 3 * 8 * n):
+            res = bootstrap_tournament(pols, data, p1, B=B, seed=seed, plug_in=plug)
+        expected = per_round_loop(pols, data, p1, plug, B, seed)
+        for est in ("IPW", "DR"):
             np.testing.assert_array_equal(res.distributions[est], expected[est])
             assert res.skipped[est] == int(np.isnan(expected[est]).sum())
+
+    def test_identical_policies_tie_bit_for_bit_across_chunks(self):
+        rng = np.random.default_rng(11)
+        n = 50
+        t = rng.integers(0, 2, n)
+        data = make_dataset(np.zeros((n, 1)), t, rng.normal(size=n))
+        rec = rng.choice([0, 1, DEFER], size=n)
+        pols = [
+            Policy(name="a", rec=rec),
+            Policy(name="other", rec=np.ones(n, dtype=np.int8)),
+            Policy(name="b", rec=rec.copy()),
+        ]
+        B = 25
+        with mock.patch.object(policy_eval, "_CHUNK_BYTES", 4 * 8 * n):
+            res = bootstrap_tournament(
+                pols, data, rng.uniform(0.2, 0.8, n), B=B, seed=5, plug_in=rng.normal(size=(n, 2))
+            )
+        for est in ("IPW", "DR"):
+            np.testing.assert_array_equal(res.distributions[est][0], res.distributions[est][2])
+            assert res.wins[est][0, 2] == 0 and res.wins[est][2, 0] == 0
+
+    def test_memory_is_bounded_by_one_chunk_of_rounds(self):
+        # an unchunked count matrix at 100,000 rows and B = 400 is 320 MB
+        rng = np.random.default_rng(12)
+        n, B = 100_000, 400
+        t = rng.integers(0, 2, n)
+        data = make_dataset(np.zeros((n, 1)), t, rng.normal(size=n))
+        pols = [Policy(name="all1", rec=np.ones(n, dtype=np.int8)), Policy(name="obs", rec=t)]
+        p1 = np.full(n, 0.5)
+        plug = np.zeros((n, 2))
+        stacks = len(pols) * n * 6 * 8
+        chunk = max(policy_eval._CHUNK_BYTES, 8 * n)
+        tracemalloc.start()
+        try:
+            res = bootstrap_tournament(pols, data, p1, B=B, seed=0, plug_in=plug)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.distributions["DR"].shape == (2, B)
+        assert peak < stacks + chunk + 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestRankCurve:
