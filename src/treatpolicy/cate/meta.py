@@ -30,11 +30,9 @@ from ..learners import (
     register_codec,
 )
 
-__all__ = ["CateModel", "CateEnsemble", "ENSEMBLE_MODES", "fit_meta_learner", "ensemble_cate"]
+__all__ = ["CateModel", "fit_meta_learner"]
 
 KINDS = ("s", "t", "x")
-
-ENSEMBLE_MODES = ("average", "majority", "consensus")
 
 
 @dataclass
@@ -66,9 +64,15 @@ class CateModel:
             return np.full(X.shape[0], float(self.g_constant))
         return np.asarray(self.propensity.predict(X), dtype=float)
 
-    def predict_with_defer(self, X) -> tuple[np.ndarray, np.ndarray]:
-        tau = self.predict(X)
-        return tau, np.zeros(tau.shape[0], dtype=bool)
+    def predict_outcome(self, X, t) -> np.ndarray:
+        """Predicted outcome of each row under its observed arm ``t``."""
+        X = np.asarray(X, dtype=float)
+        t = np.asarray(t)
+        if self.kind == "s":
+            return self.components["f"].predict(np.hstack([X, t.astype(float)[:, None]]))
+        return np.where(
+            t == 1, self.components["mu1"].predict(X), self.components["mu0"].predict(X)
+        )
 
 
 def fit_meta_learner(
@@ -98,14 +102,10 @@ def fit_meta_learner(
         )
 
     if kind == "s":
-        Xa = np.hstack([X, t.astype(float)[:, None]])
-        f = fit_regressor(spec, Xa, y)
-        fitted_obs = f.predict(Xa)
-        components = {"f": f}
+        components = {"f": fit_regressor(spec, np.hstack([X, t.astype(float)[:, None]]), y)}
     else:
         mu0 = fit_regressor(spec, X[~treated], y[~treated])
         mu1 = fit_regressor(spec, X[treated], y[treated])
-        fitted_obs = np.where(treated, mu1.predict(X), mu0.predict(X))
         components = {"mu0": mu0, "mu1": mu1}
         if kind == "x":
             if propensity is None and g_constant is None:
@@ -117,70 +117,20 @@ def fit_meta_learner(
             components["tau_treated"] = fit_regressor(spec, X[treated], d_treated)
             components["tau_control"] = fit_regressor(spec, X[~treated], d_control)
 
-    residuals = y - fitted_obs
-    pools = {
-        0: np.sort(residuals[~treated]),
-        1: np.sort(residuals[treated]),
-    }
-    return CateModel(
+    model = CateModel(
         kind=kind,
         family=spec.kind,
         components=components,
-        residual_pools=pools,
+        residual_pools={},
         g_constant=g_constant,
         propensity=propensity if kind == "x" else None,
     )
-
-
-@dataclass
-class CateEnsemble:
-    """Combines member effect estimates into one policy-ready scorer.
-
-    Modes: "average" passes the mean effect through on the original scale;
-    "majority" takes a sign vote (tau >= 0 counts positive) and outputs a
-    +1/-1 pseudo-effect, deferring exact ties; "consensus" outputs the
-    shared sign only on unanimity and defers otherwise.  Deferred rows get
-    pseudo-effect 0 alongside a True defer flag.
-    """
-
-    members: list
-    mode: str
-
-    @property
-    def kind(self) -> str:
-        return f"ensemble-{self.mode}"
-
-    def predict_with_defer(self, X) -> tuple[np.ndarray, np.ndarray]:
-        taus = np.stack([m.predict(X) for m in self.members])
-        if self.mode == "average":
-            return taus.mean(axis=0), np.zeros(taus.shape[1], dtype=bool)
-        n_members = len(self.members)
-        n_plus = (taus >= 0.0).sum(axis=0)
-        if self.mode == "majority":
-            plus = n_plus * 2 > n_members
-            minus = n_plus * 2 < n_members
-        elif self.mode == "consensus":
-            plus = n_plus == n_members
-            minus = n_plus == 0
-        else:
-            raise ValueError(f"unknown ensemble mode {self.mode!r}")
-        defer = ~(plus | minus)
-        pseudo = np.where(plus, 1.0, -1.0)
-        pseudo = np.where(defer, 0.0, pseudo)
-        return pseudo, defer
-
-    def predict(self, X) -> np.ndarray:
-        return self.predict_with_defer(X)[0]
-
-
-def ensemble_cate(models, mode: str) -> CateEnsemble:
-    """Build an ensemble scorer over at least two fitted members."""
-    models = list(models)
-    if len(models) < 2:
-        raise ValueError("ensemble needs at least two members")
-    if mode not in ENSEMBLE_MODES:
-        raise ValueError(f"unknown ensemble mode {mode!r}")
-    return CateEnsemble(members=models, mode=mode)
+    residuals = y - model.predict_outcome(X, t)
+    model.residual_pools = {
+        0: np.sort(residuals[~treated]),
+        1: np.sort(residuals[treated]),
+    }
+    return model
 
 
 def _encode_cate(m: CateModel) -> dict:

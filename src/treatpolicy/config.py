@@ -16,11 +16,11 @@ import math
 import re
 from dataclasses import dataclass
 
-from .cate import ENSEMBLE_MODES, CateFitSpec, UncertaintySpec
+from .cate import CateFitSpec, UncertaintySpec
 from .errors import ConfigError
 from .ingest import SPLIT_NAMES, TableSchema
 from .learners import LearnerSpec
-from .policy_eval import DIRECTIONS, ESTIMATORS
+from .policy_eval import DIRECTIONS, ENSEMBLE_MODES, ESTIMATORS
 from .simulation import SimulationSpec
 
 __all__ = [

@@ -15,6 +15,7 @@ import numpy as np
 from .cate.intervals import CateInterval
 from .errors import DataError
 from .ingest import Dataset, SummaryTable, summarize
+from .learners import standardize
 from .learners.linear import fit_linear
 
 __all__ = [
@@ -119,10 +120,7 @@ def characterize_subpop(deferred, data: Dataset, lam: float = 0.1) -> SubpopProf
     if n_def == 0 or n_def == data.n:
         raise DataError("deferral characterization needs both deferred and recommended rows")
 
-    X = data.covariates
-    mean = X.mean(axis=0)
-    sd = X.std(axis=0)
-    Z = (X - mean) / np.where(sd > 0, sd, 1.0)
+    Z = standardize(data.covariates)[0]
     model = fit_linear(Z, flags.astype(float), family="logistic", penalty="l1", lam=lam)
     ranked = sorted(
         (

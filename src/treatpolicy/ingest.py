@@ -348,9 +348,8 @@ def summarize(
     data: Dataset,
     group_by: np.ndarray | None = None,
     group_names: tuple[str, str] = ("group0", "group1"),
-    include_outcome: bool = True,
 ) -> SummaryTable:
-    """Descriptive table over covariates (and treatment/outcome) with optional
+    """Descriptive table over covariates, treatment and outcome with optional
     two-group breakdown.
 
     ``group_by`` is a boolean row mask; False rows go under ``group_names[0]``.
@@ -370,8 +369,7 @@ def summarize(
         for j, c in enumerate(data.columns)
     ]
     entries.append(("treatment", KIND_BINARY, data.treatment.astype(float)))
-    if include_outcome:
-        entries.append(("outcome", KIND_NUMERIC, data.outcome))
+    entries.append(("outcome", KIND_NUMERIC, data.outcome))
 
     rows = []
     for name, kind, values in entries:
@@ -387,7 +385,7 @@ def summarize(
     return SummaryTable(group_names=names, rows=rows)
 
 
-def save_dataset(data: Dataset, csv_path, meta: dict | None = None) -> dict:
+def save_dataset(data: Dataset, csv_path) -> dict:
     """Write the dataset to CSV and return a metadata dict describing it.
 
     Floats are written with full round-trip precision so a reload is
@@ -408,14 +406,11 @@ def save_dataset(data: Dataset, csv_path, meta: dict | None = None) -> dict:
             row += [fmt_float(data.secondary[k][i]) for k in sec_names]
             row += [fmt_float(v) for v in data.covariates[i]]
             writer.writerow(row)
-    description = {
+    return {
         "columns": [{"name": c.name, "kind": c.kind} for c in data.columns],
         "secondary_outcomes": sec_names,
         "n_rows": data.n,
     }
-    if meta:
-        description.update(meta)
-    return description
 
 
 def load_dataset(csv_path, description: dict) -> Dataset:

@@ -42,6 +42,7 @@ __all__ = [
     "FittedModel",
     "fit_regressor",
     "fit_classifier",
+    "standardize",
     "LinearModel",
     "fit_linear",
     "BoostedTreesModel",
@@ -160,13 +161,15 @@ class FittedModel:
         return self.model.predict_proba(self._transform(X))
 
 
-def _standardizer(X: np.ndarray):
+def standardize(X: np.ndarray):
+    """Z-score the columns of X (a constant column keeps scale 1); returns
+    the scores with the center and scale used."""
     if X.shape[0] == 0:
         raise DataError("cannot fit on an empty dataset")
     center = X.mean(axis=0)
     scale = X.std(axis=0)
     scale = np.where(scale > 0, scale, 1.0)
-    return center, scale
+    return (X - center) / scale, center, scale
 
 
 def fit_regressor(spec: LearnerSpec, X, y) -> FittedModel:
@@ -178,8 +181,7 @@ def fit_regressor(spec: LearnerSpec, X, y) -> FittedModel:
     if spec.kind == "gbt":
         model = fit_gbt(X, y, loss="squared", **p)
         return FittedModel(family=spec.kind, task="regression", model=model)
-    center, scale = _standardizer(X)
-    Z = (X - center) / scale
+    Z, center, scale = standardize(X)
     penalty = {"ols": "none", "ridge": "l2", "lasso": "l1"}[spec.kind]
     model = fit_linear(Z, y, family="least-squares", penalty=penalty, **p)
     return FittedModel(
@@ -198,8 +200,7 @@ def fit_classifier(spec: LearnerSpec, X, y) -> FittedModel:
         return FittedModel(family=spec.kind, task="classification", model=model)
     p.setdefault("penalty", "l2")
     p.setdefault("lam", 1.0)
-    center, scale = _standardizer(X)
-    Z = (X - center) / scale
+    Z, center, scale = standardize(X)
     model = fit_linear(Z, y, family="logistic", **p)
     return FittedModel(
         family=spec.kind, task="classification", model=model, center=center, scale=scale

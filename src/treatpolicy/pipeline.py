@@ -295,17 +295,6 @@ def stage_simulate(cfg: PipelineConfig, manifest: RunManifest):
     return [layout.STUDY, layout.STUDY_AGGREGATES, layout.STUDY_SCATTER], warnings
 
 
-def _heldout_outcome_mse(model, data) -> float:
-    if model.kind == "s":
-        arm = data.treatment.astype(float)[:, None]
-        pred = model.components["f"].predict(np.hstack([data.covariates, arm]))
-    else:
-        p0 = model.components["mu0"].predict(data.covariates)
-        p1 = model.components["mu1"].predict(data.covariates)
-        pred = np.where(data.treatment == 1, p1, p0)
-    return float(np.mean((pred - data.outcome) ** 2))
-
-
 def stage_fit_cate(cfg: PipelineConfig, manifest: RunManifest):
     _require_ack(cfg, "fit-cate")
     out = cfg.out_dir
@@ -325,7 +314,8 @@ def stage_fit_cate(cfg: PipelineConfig, manifest: RunManifest):
     artifacts = []
     for name, fit_spec in menu.items():
         model = fit_spec.fit(train, propensity=prop)
-        mse = _heldout_outcome_mse(model, val)
+        pred = model.predict_outcome(val.covariates, val.treatment)
+        mse = float(np.mean((pred - val.outcome) ** 2))
         excluded = bool(mse >= var_val)
         gate[name] = {"heldout_mse": mse, "outcome_variance": var_val, "excluded": excluded}
         if excluded:
@@ -387,25 +377,28 @@ def _retained_names(cfg: PipelineConfig, gate: dict) -> list[str]:
     return [name for name in cfg.echo["cate"]["menu"] if not gate[name]["excluded"]]
 
 
-def _estimates_by_model(out_dir: str, test) -> dict:
-    rows = read_csv(_need(out_dir, layout.CATE_ESTIMATES, "fit-cate"))[1:]
-    grouped: dict[str, dict] = {}
-    for model, row_id, tau, lower, upper in rows:
-        g = grouped.setdefault(model, {"row_ids": [], "tau": [], "lower": [], "upper": []})
-        g["row_ids"].append(int(row_id))
-        g["tau"].append(float(tau))
-        g["lower"].append(float(lower))
-        g["upper"].append(float(upper))
+def _per_model_values(out_dir: str, rel: str, producer: str, test, names, width: int) -> dict:
+    """``{name: values}`` for each of ``names``: the first ``width`` columns
+    after ``model,row_id`` of a per-model artifact, as a (width, n) float
+    array in test-split order.  A model without rows, or whose rows do not
+    line up with the current test split, asks for ``producer`` to be rerun."""
+    row_ids: dict[str, list] = {}
+    values: dict[str, list] = {}
+    for model, row_id, *cells in read_csv(_need(out_dir, rel, producer))[1:]:
+        row_ids.setdefault(model, []).append(int(row_id))
+        values.setdefault(model, []).append([float(c) for c in cells[:width]])
     want = [int(r) for r in test.row_ids]
-    for model, g in grouped.items():
-        if g["row_ids"] != want:
+    out = {}
+    for name in names:
+        if name not in row_ids:
+            raise StageError(f"{rel} has no rows for model {name!r}; rerun {producer}")
+        if row_ids[name] != want:
             raise StageError(
-                f"stored effect estimates for {model!r} do not line up with the current "
-                "test split; rerun fit-cate"
+                f"{rel} rows for model {name!r} do not line up with the current test "
+                f"split; rerun {producer}"
             )
-        for key in ("tau", "lower", "upper"):
-            g[key] = np.asarray(g[key], dtype=float)
-    return grouped
+        out[name] = np.array(values[name], dtype=float).T.copy()
+    return out
 
 
 def stage_defer(cfg: PipelineConfig, manifest: RunManifest):
@@ -417,7 +410,8 @@ def stage_defer(cfg: PipelineConfig, manifest: RunManifest):
     if prop.bounds is None:
         raise StageError("propensity model has no overlap bounds; rerun fit-propensity")
     gate = read_json(_need(out, layout.CATE_GATE, "fit-cate"))
-    estimates = _estimates_by_model(out, test)
+    retained = _retained_names(cfg, gate)
+    estimates = _per_model_values(out, layout.CATE_ESTIMATES, "fit-cate", test, retained, 3)
     scores = prop.predict(test.covariates)
     rule = DeferralRule(
         eta_low=prop.bounds[0], eta_high=prop.bounds[1], mode=cfg.echo["deferral"]["mode"]
@@ -426,9 +420,9 @@ def stage_defer(cfg: PipelineConfig, manifest: RunManifest):
     warnings = []
     dec_rows = [["model", "row_id", "deferred", "reason"]]
     profile = {}
-    for name in _retained_names(cfg, gate):
-        g = estimates[name]
-        interval = CateInterval(lower=g["lower"], point=g["tau"], upper=g["upper"])
+    for name in retained:
+        tau, lower, upper = estimates[name]
+        interval = CateInterval(lower=lower, point=tau, upper=upper)
         decision = evaluate_deferral(rule, scores, interval=interval)
         for rid, d, why in zip(test.row_ids, decision.defer, decision.reason):
             dec_rows.append([name, str(int(rid)), "1" if d else "0", why or ""])
@@ -461,25 +455,6 @@ def stage_defer(cfg: PipelineConfig, manifest: RunManifest):
     return [layout.DEFER_DECISIONS, layout.DEFER_SUBPOP], warnings
 
 
-def _defer_flags(out_dir: str, test) -> dict:
-    rows = read_csv(_need(out_dir, layout.DEFER_DECISIONS, "defer"))[1:]
-    grouped: dict[str, dict] = {}
-    for model, row_id, deferred, _reason in rows:
-        g = grouped.setdefault(model, {"row_ids": [], "defer": []})
-        g["row_ids"].append(int(row_id))
-        g["defer"].append(deferred == "1")
-    want = [int(r) for r in test.row_ids]
-    out = {}
-    for model, g in grouped.items():
-        if g["row_ids"] != want:
-            raise StageError(
-                f"stored deferral decisions for {model!r} do not line up with the "
-                "current test split; rerun defer"
-            )
-        out[model] = np.asarray(g["defer"], dtype=bool)
-    return out
-
-
 def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
     _require_ack(cfg, "evaluate")
     out = cfg.out_dir
@@ -489,8 +464,10 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
     prop = load_model(_need(out, layout.PROPENSITY_MODEL, "fit-propensity"))
     gate = read_json(_need(out, layout.CATE_GATE, "fit-cate"))
     retained = _retained_names(cfg, gate)
-    estimates = _estimates_by_model(out, test)
-    flags = _defer_flags(out, test)
+    estimates = _per_model_values(out, layout.CATE_ESTIMATES, "fit-cate", test, retained, 1)
+    taus = {name: v[0] for name, v in estimates.items()}
+    decisions = _per_model_values(out, layout.DEFER_DECISIONS, "defer", test, retained, 1)
+    flags = {name: v[0] == 1.0 for name, v in decisions.items()}
     rule = cfg.decision_rule()
     eval_cfg = cfg.echo["evaluation"]
     seed = eval_cfg["seed"]
@@ -511,10 +488,7 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
                 )
             )
 
-    members = []
-    if cfg.ensembles and len(retained) >= 2:
-        members = [load_model(os.path.join(out, layout.cate_model(n))) for n in retained]
-    elif cfg.ensembles:
+    if cfg.ensembles and len(retained) < 2:
         warnings.append(
             _warn(
                 "evaluate",
@@ -524,8 +498,8 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
         )
     outside = (prop.bounds[0] > p_star) | (p_star > prop.bounds[1]) if prop.bounds else None
     policies = build_policy_set(
-        {name: estimates[name]["tau"] for name in retained}, rule, test, p_star,
-        defer=flags, members=members, modes=cfg.ensembles, ensemble_defer=outside, seed=seed,
+        taus, rule, test, p_star,
+        defer=flags, modes=cfg.ensembles, ensemble_defer=outside, seed=seed,
     )
 
     tournament = bootstrap_tournament(
@@ -569,7 +543,7 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
     curve_rows = [["model", "q", "treated_fraction", "value"]]
     for name in retained:
         curve = rank_curve(
-            estimates[name]["tau"], test, p_star,
+            taus[name], test, p_star,
             estimator=curve_est, step=eval_cfg["rank_step"],
             plug_in=plug_in if curve_est == "DR" else None,
         )

@@ -6,10 +6,13 @@ by the inverse probability of that arm, self-normalized; deferred rows
 contribute their factual outcome mean; the two parts mix by the empirical
 defer proportion of the rows valued.
 
-``point_values`` values policies on all rows: the evaluate stage's
-tournament points and rank curve and the simulation study's IPW and DR
-values all come from it, on policies from ``build_policy_set`` and a DR
-plug-in from ``fit_plug_in``.  ``bootstrap_tournament`` values every policy
+Policies are built from per-row effect vectors only: ``build_policy_set``
+turns each model's estimates into a policy and each ``ensemble-<mode>``
+into a vote over those same vectors (``ensemble_effects``), so a policy
+never scores a fitted model.  ``point_values`` values policies on all
+rows: the evaluate stage's tournament points and rank curve and the
+simulation study's IPW and DR values all come from it, with a DR plug-in
+from ``fit_plug_in``.  ``bootstrap_tournament`` values every policy
 on B shared row resamples held as draw counts: each estimate is a ratio of
 count-weighted sums of per-row terms, one matmul per chunk of rounds and
 policy.  ``summarize_bootstrap`` reduces one policy's replicates to the
@@ -22,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cate import ensemble_cate
 from .errors import EstimationError
 from .ingest import Dataset
 from .learners import fit_regressor
 
 __all__ = [
-    "DEFER", "DecisionRule", "Policy", "build_policy", "build_policy_set", "baselines",
+    "DEFER", "ENSEMBLE_MODES", "DecisionRule", "Policy", "build_policy", "ensemble_effects",
+    "build_policy_set", "baselines",
     "fit_plug_in", "point_values", "summarize_bootstrap", "TournamentResult",
     "bootstrap_tournament", "rank_curve", "outcome_tree",
 ]
@@ -40,6 +43,8 @@ P_STAR_CLIP = (0.01, 0.99)
 ESTIMATORS = ("IPW", "DR")
 
 DIRECTIONS = ("higher-better", "lower-better")
+
+ENSEMBLE_MODES = ("average", "majority", "consensus")
 
 # bytes of one chunk of bootstrap count rows (at least one round is taken);
 # small, so that the chunk does not set the process's peak memory
@@ -94,47 +99,57 @@ class Policy:
 
 
 def build_policy(
-    cate_source,
+    tau,
     decision_rule: DecisionRule,
-    X=None,
     *,
     defer=None,
     name: str = "policy",
     source: str = "cate-model",
 ) -> Policy:
-    """Apply the decision rule to effect estimates, with deferral taking
-    precedence over the rule.
-
-    ``cate_source`` is either a per-row effect vector or a fitted model
-    scored at ``X``; models exposing their own defer flags (voting
-    ensembles) contribute them, and ``defer`` adds rule-based flags on top.
-    """
-    if isinstance(cate_source, np.ndarray) or isinstance(cate_source, (list, tuple)):
-        tau = np.asarray(cate_source, dtype=float)
-        model_defer = np.zeros(tau.size, dtype=bool)
-    else:
-        if X is None:
-            raise ValueError("scoring a model needs the evaluation covariates")
-        if hasattr(cate_source, "predict_with_defer"):
-            tau, model_defer = cate_source.predict_with_defer(np.asarray(X, dtype=float))
-        else:
-            tau = np.asarray(cate_source.predict(np.asarray(X, dtype=float)), dtype=float)
-            model_defer = np.zeros(tau.size, dtype=bool)
-    flags = model_defer.copy()
+    """Apply the decision rule to a per-row effect vector, with deferral
+    taking precedence over the rule."""
+    tau = np.asarray(tau, dtype=float)
+    rec = decision_rule.apply(tau).astype(np.int8)
     if defer is not None:
         defer = np.asarray(defer, dtype=bool)
-        if defer.shape != flags.shape:
+        if defer.shape != tau.shape:
             raise ValueError("defer flags length does not match effect estimates")
-        flags |= defer
-    rec = np.where(flags, DEFER, decision_rule.apply(tau).astype(np.int8))
+        rec = np.where(defer, DEFER, rec)
     return Policy(name=name, rec=rec, source=source)
 
 
-def _scores(p_star, X, clip) -> np.ndarray:
-    p = np.asarray(p_star, dtype=float) if not hasattr(p_star, "predict") else np.asarray(
-        p_star.predict(np.asarray(X, dtype=float)), dtype=float
-    )
-    return np.clip(p, clip[0], clip[1])
+def ensemble_effects(taus, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Combine a (k, n) stack of member effect vectors into a pseudo-effect
+    and defer flags per row.
+
+    "average" passes the mean effect through on the original scale;
+    "majority" takes a sign vote (tau >= 0 counts positive) and outputs a
+    +1/-1 pseudo-effect, deferring exact ties; "consensus" outputs the
+    shared sign only on unanimity and defers otherwise.  Deferred rows get
+    pseudo-effect 0.  Needs at least two members.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 2 or taus.shape[0] < 2:
+        raise ValueError("ensemble needs at least two members")
+    if mode not in ENSEMBLE_MODES:
+        raise ValueError(f"unknown ensemble mode {mode!r}")
+    if mode == "average":
+        return taus.mean(axis=0), np.zeros(taus.shape[1], dtype=bool)
+    n_members = taus.shape[0]
+    n_plus = (taus >= 0.0).sum(axis=0)
+    if mode == "majority":
+        plus = n_plus * 2 > n_members
+        minus = n_plus * 2 < n_members
+    else:
+        plus = n_plus == n_members
+        minus = n_plus == 0
+    defer = ~(plus | minus)
+    pseudo = np.where(defer, 0.0, np.where(plus, 1.0, -1.0))
+    return pseudo, defer
+
+
+def _scores(p_star, clip) -> np.ndarray:
+    return np.clip(np.asarray(p_star, dtype=float), clip[0], clip[1])
 
 
 def _value(rec, t, y, p1, plug_in, estimator: str, factual: bool) -> float:
@@ -206,7 +221,7 @@ def baselines(data: Dataset, propensity, seed: int | None = None, clip=P_STAR_CL
     """Reference policies: observed practice, proportion-matched random
     assignment, propensity-threshold assignment, and the two constants."""
     t = np.asarray(data.treatment, dtype=np.int8)
-    e = _scores(propensity, data.covariates, clip)
+    e = _scores(propensity, clip)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     frac = float((t == 1).mean())
     random_rec = (rng.random(data.n) < frac).astype(np.int8)
@@ -226,32 +241,35 @@ def build_policy_set(
     propensity,
     *,
     defer: dict | None = None,
-    members=(),
     modes=(),
     ensemble_defer=None,
     seed: int | None = None,
 ) -> list[Policy]:
     """The menu policies, then ``ensemble-<mode>`` per mode, then the baselines.
 
-    ``effects`` maps each model name to its effect source for
-    ``build_policy`` (a per-row vector or a fitted model scored at the
-    rows of ``data``); ``defer`` maps every name to its defer flags.
-    Ensembles over ``members`` defer on ``ensemble_defer`` and need at
-    least two members; with fewer none is built.
+    ``effects`` maps each model name to its effect vector on the rows of
+    ``data``; ``defer`` maps every name to its defer flags.  Each ensemble
+    votes over all of ``effects`` in insertion order, defers on its own
+    vote and on ``ensemble_defer``, and needs at least two models; with
+    fewer none is built.
     """
     policies = [
         build_policy(
-            tau, decision_rule, data.covariates,
-            defer=None if defer is None else defer[name], name=name, source="cate-model",
+            tau, decision_rule, defer=None if defer is None else defer[name], name=name,
+            source="cate-model",
         )
         for name, tau in effects.items()
     ]
-    if len(members) >= 2:
+    if len(effects) >= 2:
+        taus = np.stack(list(effects.values()))
         for mode in modes:
+            pseudo, vote_defer = ensemble_effects(taus, mode)
+            if ensemble_defer is not None:
+                vote_defer |= np.asarray(ensemble_defer, dtype=bool)
             policies.append(
                 build_policy(
-                    ensemble_cate(members, mode), decision_rule, data.covariates,
-                    defer=ensemble_defer, name=f"ensemble-{mode}", source="ensemble",
+                    pseudo, decision_rule, defer=vote_defer, name=f"ensemble-{mode}",
+                    source="ensemble",
                 )
             )
     policies.extend(baselines(data, propensity, seed=seed))
@@ -326,7 +344,7 @@ def point_values(
         _check_policy(policy, data)
     if "DR" in estimators and plug_in is None:
         raise ValueError("DR estimation needs plug-in outcome predictions")
-    p1 = _scores(p_star, data.covariates, clip)
+    p1 = _scores(p_star, clip)
     plug = _plug_in_matrix(plug_in, data) if plug_in is not None else None
     return {
         est: np.array([
@@ -364,7 +382,7 @@ def bootstrap_tournament(
         raise ValueError(f"need at least one round, got B={B}")
     points = point_values(policies, data, p_star, estimators=estimators, plug_in=plug_in, clip=clip)
     n = data.n
-    p1 = _scores(p_star, data.covariates, clip)
+    p1 = _scores(p_star, clip)
     plug = _plug_in_matrix(plug_in, data) if plug_in is not None else None
     stacks = [_sum_columns(p, data.treatment, data.outcome, p1, plug) for p in policies]
 

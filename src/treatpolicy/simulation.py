@@ -14,14 +14,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cate import ENSEMBLE_MODES
 from .errors import ConfigError, DataError
 from .ingest import ColumnInfo, Dataset
-from .learners import LearnerSpec, fit_classifier
+from .learners import LearnerSpec, fit_classifier, standardize
 from .learners.linear import fit_linear
 from .learners.metrics import pearson
 from .policy_eval import (
     DEFER,
+    ENSEMBLE_MODES,
     DecisionRule,
     Policy,
     build_policy_set,
@@ -203,11 +203,6 @@ def synthetic_covariates(n: int, d: int, seed: int | None = None) -> tuple[np.nd
     return X, T
 
 
-def _zscore(X: np.ndarray) -> np.ndarray:
-    sd = X.std(axis=0)
-    return (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
-
-
 @dataclass
 class StudyReport:
     """Per-run policy values, their aggregates, and the validation checks."""
@@ -275,7 +270,7 @@ def run_study(
         raise ConfigError(f"train_frac must be in (0, 1), got {train_frac}")
     if not menu:
         raise ConfigError("empty model menu")
-    X = _zscore(np.asarray(X, dtype=float))
+    X = standardize(np.asarray(X, dtype=float))[0]
     T = np.asarray(T)
     plug_spec = plug_in_spec or LearnerSpec.from_dict(
         {"kind": "gbt", "n_trees": 100, "max_depth": 3, "min_samples_leaf": 10}
@@ -358,10 +353,12 @@ def _one_run(
     p_star_test = p_star_model.predict_proba(test.covariates)
 
     plug_test = fit_plug_in(plug_spec, train, test.covariates)
-    fitted = {name: fit_spec.fit(train, propensity=p_star_model) for name, fit_spec in menu.items()}
+    taus = {
+        name: fit_spec.fit(train, propensity=p_star_model).predict(test.covariates)
+        for name, fit_spec in menu.items()
+    }
     policies = build_policy_set(
-        fitted, STUDY_RULE, test, p_star_test,
-        members=list(fitted.values()), modes=ENSEMBLE_MODES, seed=baseline_seed,
+        taus, STUDY_RULE, test, p_star_test, modes=ENSEMBLE_MODES, seed=baseline_seed
     )
     policies.append(Policy(name="optimal", rec=out_test.optimal_policy, source="baseline"))
     values = point_values(policies, test, p_star_test, plug_in=plug_test)

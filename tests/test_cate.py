@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -17,13 +18,13 @@ from treatpolicy.cate import (
     causal_shift,
     cate_calibration_curve,
     cate_diagnostics,
-    ensemble_cate,
     fit_meta_learner,
     tilted_mean,
     uncertainty_interval,
 )
 from treatpolicy.errors import ConfigError, DataError
 from treatpolicy.learners import LearnerSpec, decode_model, encode_model, fit_classifier
+from treatpolicy.policy_eval import ensemble_effects
 
 
 class Const:
@@ -177,55 +178,58 @@ class TestMetaLearners:
 
 
 class TestEnsembles:
-    def members(self, *values):
-        return [Const(v) for v in values]
+    def members(self, *values, n=4):
+        """A (members, n) effect matrix, each member constant over the rows."""
+        return np.repeat(np.array(values, dtype=float)[:, None], n, axis=1)
 
     def test_enumerated_votes(self):
-        X = np.zeros((4, 2))
-        avg = ensemble_cate(self.members(1, 1, -1), "average")
-        tau, defer = avg.predict_with_defer(X)
+        # one row per sign pattern of three members; tau = 0 votes positive
+        taus = np.array(list(itertools.product([1.0, 0.0, -1.0], repeat=3))).T
+        avg, avg_defer = ensemble_effects(taus, "average")
+        maj, maj_defer = ensemble_effects(taus, "majority")
+        con, con_defer = ensemble_effects(taus, "consensus")
+        assert avg.tolist() == taus.mean(axis=0).tolist() and not avg_defer.any()
+        for i, column in enumerate(taus.T):
+            n_plus = sum(v >= 0.0 for v in column)
+            assert maj[i] == (1.0 if n_plus >= 2 else -1.0) and not maj_defer[i]
+            unanimous = n_plus in (0, 3)
+            assert con_defer[i] == (not unanimous)
+            assert con[i] == (0.0 if not unanimous else (1.0 if n_plus == 3 else -1.0))
+
+        tau, defer = ensemble_effects(self.members(1, 1, -1), "average")
         np.testing.assert_allclose(tau, np.full(4, 1 / 3))
         assert not defer.any()
-
-        maj = ensemble_cate(self.members(1, 1, -1), "majority")
-        tau, defer = maj.predict_with_defer(X)
+        tau, defer = ensemble_effects(self.members(1, 1, -1), "majority")
         assert tau.tolist() == [1.0] * 4 and not defer.any()
-
-        con = ensemble_cate(self.members(1, 1, -1), "consensus")
-        tau, defer = con.predict_with_defer(X)
+        _, defer = ensemble_effects(self.members(1, 1, -1), "consensus")
         assert defer.all()
 
     def test_even_split_pair(self):
-        X = np.zeros((3, 2))
-        tau, defer = ensemble_cate(self.members(2, -2), "average").predict_with_defer(X)
+        tau, defer = ensemble_effects(self.members(2, -2, n=3), "average")
         assert tau.tolist() == [0.0] * 3 and not defer.any()
-        tau, defer = ensemble_cate(self.members(2, -2), "majority").predict_with_defer(X)
-        assert defer.all()
-        _, defer = ensemble_cate(self.members(2, -2), "consensus").predict_with_defer(X)
-        assert defer.all()
+        tau, defer = ensemble_effects(self.members(2, -2, n=3), "majority")
+        assert tau.tolist() == [0.0] * 3 and defer.all()
+        tau, defer = ensemble_effects(self.members(2, -2, n=3), "consensus")
+        assert tau.tolist() == [0.0] * 3 and defer.all()
 
     def test_unanimous_members_agree_with_single_model(self):
-        X = np.zeros((5, 2))
         for mode in ("average", "majority", "consensus"):
-            ens = ensemble_cate(self.members(-1.5, -1.5), mode)
-            tau, defer = ens.predict_with_defer(X)
+            tau, defer = ensemble_effects(self.members(-1.5, -1.5, n=5), mode)
             assert not defer.any()
             expected = -1.5 if mode == "average" else -1.0
             assert tau.tolist() == [expected] * 5
 
     def test_negative_unanimity_is_minus_one(self):
-        tau, defer = ensemble_cate(self.members(-3, -1), "consensus").predict_with_defer(
-            np.zeros((2, 1))
-        )
+        tau, defer = ensemble_effects(self.members(-3, -1, n=2), "consensus")
         assert tau.tolist() == [-1.0, -1.0] and not defer.any()
 
     def test_too_few_members_rejected(self):
         with pytest.raises(ValueError, match="two members"):
-            ensemble_cate(self.members(1), "average")
+            ensemble_effects(self.members(1), "average")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            ensemble_cate(self.members(1, 2), "median")
+            ensemble_effects(self.members(1, 2), "median")
 
 
 class TestTiltedMean:

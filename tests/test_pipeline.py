@@ -13,7 +13,8 @@ from treatpolicy.cli import main
 from treatpolicy.config import validate_config
 from treatpolicy.errors import ConfigError, StageError
 from treatpolicy.ingest import load_dataset
-from treatpolicy.policy_eval import summarize_bootstrap
+from treatpolicy.learners import load_model, save_model
+from treatpolicy.policy_eval import ensemble_effects, summarize_bootstrap
 from treatpolicy.pipeline import (
     STAGE_ORDER,
     RunManifest,
@@ -31,6 +32,13 @@ def read_csv(path):
 
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def write_csv(path, rows):
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def read_json(path):
@@ -394,6 +402,74 @@ class TestChangedMenu:
         assert main([stage, str(cfg_path)]) == 4
         err = capsys.readouterr().err
         assert "stage failure:" in err and "'t-ols'" in err and "rerun fit-cate" in err
+
+
+class TestStoredPerModelArtifacts:
+    """defer and evaluate take each retained model's rows from the stored CSVs."""
+
+    @pytest.fixture()
+    def run_dir(self, tmp_path):
+        csv_path = tmp_path / "table.csv"
+        write_observational_csv(csv_path, n=200)
+        raw = pipeline_raw(csv_path, tmp_path / "out", uncertainty={"alpha_stat": 0.8, "b_boot": 8},
+                           evaluation={"bootstrap_b": 8, "plug_in": {"kind": "ridge", "lam": 1.0}})
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        cfg = validate_config(raw)
+        run_stages(cfg, ["ingest", "fit-propensity", "fit-cate", "defer", "evaluate"])
+        return cfg, cfg_path, tmp_path / "out"
+
+    def damage(self, path, model, how):
+        header, *rows = read_csv(path)
+        mine = [r for r in rows if r[0] == model]
+        rest = [r for r in rows if r[0] != model]
+        write_csv(path, [header, *rest, *(mine[::-1] if how == "reordered" else [])])
+
+    @pytest.mark.parametrize(("rel", "stage", "producer"), [
+        ("defer/decisions.csv", "evaluate", "defer"),
+        ("cate/estimates.csv", "defer", "fit-cate"),
+        ("cate/estimates.csv", "evaluate", "fit-cate"),
+    ])
+    @pytest.mark.parametrize("how", ["removed", "reordered"])
+    def test_model_rows_missing_or_out_of_line_ask_for_a_rerun(
+        self, run_dir, rel, stage, producer, how, capsys
+    ):
+        cfg, cfg_path, out = run_dir
+        self.damage(out / rel, "t-ridge", how)
+        with pytest.raises(StageError) as info:
+            run_stages(cfg, [stage])
+        message = str(info.value)
+        assert "'t-ridge'" in message and rel in message and f"rerun {producer}" in message
+        assert main([stage, str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert "stage failure:" in err and f"rerun {producer}" in err
+
+    def test_ensembles_vote_over_stored_estimates_not_model_files(self, run_dir):
+        cfg, _, out = run_dir
+        recs = out / "eval" / "recommendations.csv"
+        before = recs.read_bytes()
+        assert b"ensemble-majority" in before
+        est = read_csv(out / "cate" / "estimates.csv")[1:]
+        stored = np.stack([
+            np.array([float(r[2]) for r in est if r[0] == name]) for name in ("t-ridge", "s-ols")
+        ])
+        # a t-ridge model file whose effects are the stored ones with the sign flipped
+        model_path = out / "cate" / "models" / "t-ridge.json"
+        model = load_model(model_path)
+        model.components["mu0"], model.components["mu1"] = (
+            model.components["mu1"], model.components["mu0"],
+        )
+        flipped = model.predict(load_test_split(out).covariates)
+        np.testing.assert_array_equal(flipped, -stored[0])
+        save_model(model, model_path)
+        vote = ensemble_effects(stored, "majority")[0]
+        assert (ensemble_effects(np.stack([flipped, stored[1]]), "majority")[0] != vote).any()
+
+        run_stages(cfg, ["evaluate"])
+        assert recs.read_bytes() == before
+        majority = [r[2] for r in read_csv(recs)[1:] if r[0] == "ensemble-majority"]
+        allowed = {1.0: {"1", "defer"}, -1.0: {"0", "defer"}, 0.0: {"defer"}}
+        assert all(r in allowed[v] for r, v in zip(majority, vote))
 
 
 class TestPlanning:

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treatpolicy import policy_eval
-from treatpolicy.cate import ENSEMBLE_MODES
 from treatpolicy.errors import DataError, EstimationError
 from treatpolicy.learners import LearnerSpec
 from treatpolicy.policy_eval import (
     DEFER,
+    ENSEMBLE_MODES,
     DecisionRule,
     Policy,
     _value,
@@ -70,22 +70,6 @@ class TestBuildPolicy:
             base = build_policy(tau, rule).rec
             scaled = build_policy(7.3 * tau, rule).rec
             assert (base == scaled).all()
-
-    def test_model_defer_flags_flow_through(self):
-        class Voting:
-            def predict_with_defer(self, X):
-                return np.array([1.0, -1.0, 0.0]), np.array([False, False, True])
-
-        policy = build_policy(Voting(), HIGHER, X=np.zeros((3, 1)))
-        assert policy.rec.tolist() == [1, 0, DEFER]
-
-    def test_model_without_covariates_rejected(self):
-        class M:
-            def predict(self, X):
-                return np.zeros(X.shape[0])
-
-        with pytest.raises(ValueError, match="covariates"):
-            build_policy(M(), HIGHER)
 
     def test_invalid_recommendation_values_rejected(self):
         with pytest.raises(ValueError, match="recommendations"):
@@ -212,16 +196,6 @@ class TestPointValues:
             point_values([policy], data, p_star, plug_in=np.ones((3, 2)))
 
 
-class Constant:
-    """A fitted-model stand-in whose effect estimate is one value everywhere."""
-
-    def __init__(self, tau):
-        self.tau = tau
-
-    def predict(self, X):
-        return np.full(np.asarray(X).shape[0], self.tau)
-
-
 class TestBuildPolicySet:
     def make(self):
         data = make_dataset(np.zeros((4, 1)), [1, 0, 1, 0], [2.0, 4.0, 6.0, 0.0])
@@ -229,11 +203,8 @@ class TestBuildPolicySet:
 
     def test_menu_then_ensembles_then_baselines(self):
         data, e = self.make()
-        effects = {"b": np.array([1.0, -1.0, 1.0, -1.0]), "a": Constant(2.0)}
-        policies = build_policy_set(
-            effects, HIGHER, data, e,
-            members=[Constant(1.0), Constant(-1.0)], modes=ENSEMBLE_MODES, seed=3,
-        )
+        effects = {"b": np.array([1.0, -1.0, 1.0, -1.0]), "a": np.full(4, 2.0)}
+        policies = build_policy_set(effects, HIGHER, data, e, modes=ENSEMBLE_MODES, seed=3)
         names = [p.name for p in baselines(data, e, seed=3)]
         assert [p.name for p in policies] == [
             "b", "a", "ensemble-average", "ensemble-majority", "ensemble-consensus", *names
@@ -241,16 +212,19 @@ class TestBuildPolicySet:
         assert [p.source for p in policies[:5]] == ["cate-model"] * 2 + ["ensemble"] * 3
         assert policies[0].rec.tolist() == [1, 0, 1, 0]
         assert policies[1].rec.tolist() == [1, 1, 1, 1]
+        # the ensembles vote over the effects above: a tie wherever b is negative
+        assert policies[2].rec.tolist() == [1, 1, 1, 1]
+        assert policies[3].rec.tolist() == [1, DEFER, 1, DEFER]
+        assert policies[4].rec.tolist() == [1, DEFER, 1, DEFER]
         for got, want in zip(policies[5:], baselines(data, e, seed=3)):
             assert got.rec.tolist() == want.rec.tolist() and got.factual == want.factual
 
     def test_defer_takes_precedence_over_the_rule(self):
         data, e = self.make()
         policies = build_policy_set(
-            {"a": np.full(4, 5.0), "b": np.full(4, -5.0)}, HIGHER, data, e,
+            {"a": np.full(4, 5.0), "b": np.full(4, -3.0)}, HIGHER, data, e,
             defer={"a": [True, False, False, True], "b": [False, True, False, False]},
-            members=[Constant(1.0), Constant(2.0)], modes=("average",),
-            ensemble_defer=np.array([False, False, True, False]),
+            modes=("average",), ensemble_defer=np.array([False, False, True, False]),
         )
         assert policies[0].rec.tolist() == [DEFER, 1, 1, DEFER]
         assert policies[1].rec.tolist() == [0, DEFER, 0, 0]
@@ -259,11 +233,9 @@ class TestBuildPolicySet:
 
     def test_ensembles_skipped_with_fewer_than_two_members(self):
         data, e = self.make()
-        for members in ([], [Constant(1.0)]):
-            policies = build_policy_set(
-                {"a": Constant(1.0)}, HIGHER, data, e, members=members, modes=ENSEMBLE_MODES,
-            )
-            assert [p.source for p in policies] == ["cate-model"] + ["baseline"] * 5
+        for effects in ({}, {"a": np.ones(4)}):
+            policies = build_policy_set(effects, HIGHER, data, e, modes=ENSEMBLE_MODES)
+            assert [p.source for p in policies] == ["cate-model"] * len(effects) + ["baseline"] * 5
 
 
 class TestFitPlugIn:
