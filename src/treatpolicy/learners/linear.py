@@ -9,11 +9,15 @@ with penalty = lam * ||beta||_1 for L1 and 0.5 * lam * ||beta||^2 for L2, on
 the raw sum scale, so the L2 least-squares solution without intercept is the
 closed form (X'X + lam I)^(-1) X'y.
 
-Solvers: closed-form solve for least squares with none/L2; cyclic coordinate
-descent to a coefficient-change plus duality-gap tolerance for L1; damped
-Newton (iteratively reweighted least squares) for logistic, with an inner
-weighted coordinate descent when the penalty is L1.  All fits are
-deterministic.
+Solvers: one weighted least-squares core minimises
+0.5 * sum_i w_i (z_i - b - x_i beta)^2 + penalty.  Weighted centring removes
+the intercept and sqrt(w)-scaled rows leave an unweighted problem: one linear
+solve for none/L2, cyclic coordinate descent to a coefficient-change plus
+duality-gap tolerance for L1.  Least squares calls the core once with unit
+weights.  Logistic runs damped Newton as iteratively reweighted least squares:
+each step calls the core on the working response eta + (y - p) / w with
+weights w = p (1 - p), then halves the step until the penalized loss does not
+increase.  All fits are deterministic.
 """
 
 from __future__ import annotations
@@ -118,31 +122,51 @@ def fit_linear(
         lam = 0.0
 
     if family == "least-squares":
-        if penalty == "l1":
-            return _fit_lasso(X, y, lam, fit_intercept, tol, max_iter or 1000)
-        return _fit_ridge(X, y, lam, fit_intercept, penalty)
+        beta0 = np.zeros(X.shape[1])
+        return _weighted_fit(X, y, None, beta0, penalty, lam, fit_intercept, tol, max_iter or 1000)
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise DataError("logistic family requires 0/1 targets")
     return _fit_logistic(X, y, penalty, lam, fit_intercept, tol, max_iter or 200)
 
 
-def _fit_ridge(X, y, lam, fit_intercept, penalty) -> LinearModel:
+def _weighted_fit(X, z, w, beta, penalty, lam, fit_intercept, tol, max_iter) -> LinearModel:
+    """Minimise 0.5 * sum_i w_i (z_i - b - x_i beta)^2 + penalty over (b, beta).
+
+    ``w=None`` means unit weights and skips the row scaling.  The L1 solve
+    starts from ``beta``; past ``max_iter`` sweeps it raises ConvergenceError
+    carrying the last iterate, intercept included.
+    """
     if fit_intercept:
-        xm = X.mean(axis=0)
-        ym = float(y.mean())
-        Xc = X - xm
-        yc = y - ym
+        if w is None:
+            xm, zm = X.mean(axis=0), float(z.mean())
+        else:
+            w_sum = float(w.sum())
+            xm, zm = (w @ X) / w_sum, float(w @ z) / w_sum
+        X, z = X - xm, z - zm
+    if w is not None:
+        sw = np.sqrt(w)
+        X, z = X * sw[:, None], z * sw
+    if penalty == "l1":
+        beta = beta.copy()
+        col_sq = (X * X).sum(axis=0)
+        converged, n_iter, gap = _cd_sweeps(X, z, beta, z - X @ beta, col_sq, lam, tol, max_iter)
     else:
-        Xc, yc = X, y
-    d = X.shape[1]
-    gram = Xc.T @ Xc + lam * np.eye(d)
-    rhs = Xc.T @ yc
-    try:
-        beta = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        beta = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    intercept = ym - float(xm @ beta) if fit_intercept else 0.0
-    return LinearModel(beta, intercept, "least-squares", penalty, lam)
+        gram = X.T @ X + lam * np.eye(X.shape[1])
+        rhs = X.T @ z
+        try:
+            beta = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            beta = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+        converged, n_iter = True, 0
+    intercept = zm - float(xm @ beta) if fit_intercept else 0.0
+    model = LinearModel(beta, intercept, "least-squares", penalty, lam, n_iter)
+    if not converged:
+        raise ConvergenceError(
+            f"coordinate descent did not converge in {max_iter} sweeps (gap {gap:.3e})",
+            last_model=model,
+            gap=gap,
+        )
+    return model
 
 
 def _soft_threshold(z: float, t: float) -> float:
@@ -170,7 +194,7 @@ def _lasso_gap(Xc, yc, beta, resid, lam) -> float:
 def _cd_sweeps(Xc, yc, beta, resid, col_sq, lam, tol, max_iter):
     """Cyclic coordinate descent on 0.5*||yc - Xc b||^2 + lam*||b||_1.
 
-    Returns (n_sweeps, gap); raises ConvergenceError past max_iter.
+    Updates ``beta`` and ``resid`` in place; returns (converged, n_sweeps, gap).
     """
     d = Xc.shape[1]
     for sweep in range(1, max_iter + 1):
@@ -190,30 +214,8 @@ def _cd_sweeps(Xc, yc, beta, resid, col_sq, lam, tol, max_iter):
         if max_delta < tol * max(1.0, float(np.abs(beta).max(initial=0.0))):
             gap = _lasso_gap(Xc, yc, beta, resid, lam)
             if gap < tol or max_delta == 0.0:
-                return sweep, gap
-    gap = _lasso_gap(Xc, yc, beta, resid, lam)
-    raise ConvergenceError(
-        f"coordinate descent did not converge in {max_iter} sweeps (gap {gap:.3e})",
-        last_model=LinearModel(beta.copy(), 0.0, "least-squares", "l1", lam, max_iter),
-        gap=gap,
-    )
-
-
-def _fit_lasso(X, y, lam, fit_intercept, tol, max_iter) -> LinearModel:
-    if fit_intercept:
-        xm = X.mean(axis=0)
-        ym = float(y.mean())
-        Xc = X - xm
-        yc = y - ym
-    else:
-        Xc, yc = X, y.copy()
-    d = X.shape[1]
-    beta = np.zeros(d)
-    resid = yc.copy()
-    col_sq = (Xc * Xc).sum(axis=0)
-    sweeps, _gap = _cd_sweeps(Xc, yc, beta, resid, col_sq, lam, tol, max_iter)
-    intercept = ym - float(xm @ beta) if fit_intercept else 0.0
-    return LinearModel(beta, intercept, "least-squares", "l1", lam, sweeps)
+                return True, sweep, gap
+    return False, max_iter, _lasso_gap(Xc, yc, beta, resid, lam)
 
 
 def _logistic_loss(eta, y, lam_l2, lam_l1, beta):
@@ -229,31 +231,18 @@ def _fit_logistic(X, y, penalty, lam, fit_intercept, tol, max_iter) -> LinearMod
     intercept = 0.0
     eta = np.zeros(n)
     loss = _logistic_loss(eta, y, lam_l2, lam_l1, beta)
+    inner_tol = max(tol / 10.0, 1e-10)
 
     for iteration in range(1, max_iter + 1):
+        # Newton step == weighted least squares on the working response
         p = sigmoid(eta)
         w = np.clip(p * (1.0 - p), 1e-10, None)
-
-        if penalty == "l1":
-            new_beta, new_intercept = _weighted_lasso_step(
-                X, eta, y, p, w, beta, intercept, lam_l1, fit_intercept, tol
-            )
-        else:
-            grad = X.T @ (p - y) + lam_l2 * beta
-            cols = [X]
-            if fit_intercept:
-                cols = [X, np.ones((n, 1))]
-            Xa = np.hstack(cols) if fit_intercept else X
-            H = (Xa * w[:, None]).T @ Xa
-            if lam_l2 > 0:
-                H[:d, :d] += lam_l2 * np.eye(d)
-            g_full = np.concatenate([grad, [float(np.sum(p - y))]]) if fit_intercept else grad
-            try:
-                step = np.linalg.solve(H, g_full)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(H, g_full, rcond=None)[0]
-            new_beta = beta - step[:d]
-            new_intercept = intercept - (step[d] if fit_intercept else 0.0)
+        z = eta + (y - p) / w
+        try:
+            fit = _weighted_fit(X, z, w, beta, penalty, lam, fit_intercept, inner_tol, 100)
+        except ConvergenceError as err:  # an inner L1 solve may stop short
+            fit = err.last_model
+        new_beta, new_intercept = fit.coefficients, fit.intercept
 
         # damping: halve the step until the penalized loss does not increase
         scale = 1.0
@@ -279,35 +268,3 @@ def _fit_logistic(X, y, penalty, lam, fit_intercept, tol, max_iter) -> LinearMod
         last_model=LinearModel(beta, intercept, "logistic", penalty, lam, max_iter),
         gap=grad_norm,
     )
-
-
-def _weighted_lasso_step(X, eta, y, p, w, beta, intercept, lam, fit_intercept, tol):
-    """One quadratic-approximation step: weighted lasso on the working response."""
-    z = eta + (y - p) / w
-    beta = beta.copy()
-    b0 = intercept
-    col_sq = (X * X * w[:, None]).sum(axis=0)
-    resid = z - X @ beta - b0
-    inner_tol = max(tol / 10.0, 1e-10)
-    for _ in range(100):
-        max_delta = 0.0
-        if fit_intercept:
-            shift = float(np.sum(w * resid) / np.sum(w))
-            b0 += shift
-            resid -= shift
-            max_delta = abs(shift)
-        for j in range(X.shape[1]):
-            if col_sq[j] == 0.0:
-                continue
-            old = beta[j]
-            if old != 0.0:
-                resid += X[:, j] * old
-            rho = float((w * X[:, j]) @ resid)
-            new = _soft_threshold(rho, lam) / col_sq[j]
-            if new != 0.0:
-                resid -= X[:, j] * new
-            beta[j] = new
-            max_delta = max(max_delta, abs(new - old))
-        if max_delta < inner_tol * max(1.0, float(np.abs(beta).max(initial=0.0))):
-            break
-    return beta, b0

@@ -1,14 +1,15 @@
 """Gradient boosted regression trees, squared and logistic loss.
 
-Trees are grown greedily by variance reduction on the stage targets
-(residuals for squared loss, pseudo-residuals y - p for logistic loss) with
-the exact search over presorted columns (Chen & Guestrin, KDD 2016): each
-column is sorted once per fit, rows inside a run of tied values by row id.
-Thresholds are midpoints between consecutive distinct sorted values, or the
-lower value where the midpoint rounds up onto the upper one; ties in gain
-break toward the lowest feature index, then the lowest threshold.  Leaf
-values are the mean target for squared loss and the gradient/hessian Newton
-step sum(y - p) / sum(p (1 - p)) for logistic loss.
+Trees are grown greedily by variance reduction on the stage gradients g
+(residuals y - F for squared loss, pseudo-residuals y - p for logistic loss)
+with the exact search over presorted columns (Chen & Guestrin, KDD 2016):
+each column is sorted once per fit, rows inside a run of tied values by row
+id.  Thresholds are midpoints between consecutive distinct sorted values, or
+the lower value where the midpoint rounds up onto the upper one; ties in gain
+break toward the lowest feature index, then the lowest threshold.  Both
+losses share one leaf rule, the Newton step sum(g) / sum(h) over the leaf's
+rows, with hessian h = p (1 - p) for logistic loss and h = 1 for squared loss
+(where the step is the mean residual).
 
 There is no row or feature subsampling, so fits are deterministic.
 """
@@ -117,10 +118,11 @@ def _best_split(X, g, rows, S, min_leaf):
     return feat, (thr if thr < hi else lo), pos + 1
 
 
-def _grow(tree, X, g, rows, S, depth, max_depth, min_leaf, leaf_value, step):
+def _grow(tree, X, g, h, rows, S, depth, max_depth, min_leaf, step):
     split = None if depth >= max_depth else _best_split(X, g, rows, S, min_leaf)
     if split is None:
-        step[rows] = value = leaf_value(rows)  # the tree's prediction for these rows
+        # the Newton step is the tree's prediction for these rows
+        step[rows] = value = float(g[rows].sum() / max(h[rows].sum(), 1e-12))
         return tree.add_leaf(value)
     feat, thr, cut = split
     node = tree.add_split(feat, thr)
@@ -128,9 +130,9 @@ def _grow(tree, X, g, rows, S, depth, max_depth, min_leaf, leaf_value, step):
     go_left = np.zeros(step.size, dtype=bool)
     go_left[S[feat, :cut]] = True
     mask = go_left[S]
-    args = (depth + 1, max_depth, min_leaf, leaf_value, step)
-    tree.left[node] = _grow(tree, X, g, S[feat, :cut], S[mask].reshape(len(S), cut), *args)
-    tree.right[node] = _grow(tree, X, g, S[feat, cut:], S[~mask].reshape(len(S), -1), *args)
+    args = (depth + 1, max_depth, min_leaf, step)
+    tree.left[node] = _grow(tree, X, g, h, S[feat, :cut], S[mask].reshape(len(S), cut), *args)
+    tree.right[node] = _grow(tree, X, g, h, S[feat, cut:], S[~mask].reshape(len(S), -1), *args)
     return node
 
 
@@ -223,25 +225,18 @@ def fit_gbt(
         base = float(y.mean())
 
     F = np.full(n, base)
+    h = np.ones(n)  # the squared-loss hessian
     trees: list[Tree] = []
     for _ in range(n_trees):
         if loss == "logistic":
             p = sigmoid(F)
             g = y - p
             h = np.clip(p * (1.0 - p), 1e-12, None)
-
-            def leaf_value(idx, g=g, h=h):
-                return float(g[idx].sum() / max(h[idx].sum(), 1e-12))
-
         else:
             g = y - F
-
-            def leaf_value(idx, g=g):
-                return float(g[idx].mean())
-
         tree = Tree()
         step = np.empty(n)
-        _grow(tree, X, g, np.arange(n), S0, 0, max_depth, min_samples_leaf, leaf_value, step)
+        _grow(tree, X, g, h, np.arange(n), S0, 0, max_depth, min_samples_leaf, step)
         trees.append(tree)
         F += learning_rate * step
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treatpolicy.errors import ConvergenceError, DataError
 from treatpolicy.learners import LearnerSpec, fit_classifier, fit_regressor
-from treatpolicy.learners.linear import LinearModel, fit_linear, sigmoid
+from treatpolicy.learners.linear import LinearModel, _weighted_fit, fit_linear, sigmoid
 
 
 def random_xy(seed, n=20, d=5, noise=0.1):
@@ -172,3 +174,220 @@ class TestDispatch:
 
         with pytest.raises(ConfigError):
             LearnerSpec.make("ridge", depth=3).validate()
+
+
+# The solvers the weighted least-squares core replaced, kept as oracles:
+# a centred ridge solve, unweighted lasso coordinate descent and a logistic
+# Newton solve on the augmented Hessian.
+
+
+def oracle_fit_ridge(X, y, lam, fit_intercept, penalty):
+    if fit_intercept:
+        xm = X.mean(axis=0)
+        ym = float(y.mean())
+        Xc = X - xm
+        yc = y - ym
+    else:
+        Xc, yc = X, y
+    d = X.shape[1]
+    gram = Xc.T @ Xc + lam * np.eye(d)
+    rhs = Xc.T @ yc
+    try:
+        beta = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        beta = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    intercept = ym - float(xm @ beta) if fit_intercept else 0.0
+    return LinearModel(beta, intercept, "least-squares", penalty, lam)
+
+
+def _oracle_soft_threshold(z, t):
+    if z > t:
+        return z - t
+    if z < -t:
+        return z + t
+    return 0.0
+
+
+def _oracle_lasso_gap(Xc, yc, beta, resid, lam):
+    corr = float(np.abs(Xc.T @ resid).max(initial=0.0))
+    if lam <= 0.0:
+        return corr
+    primal = 0.5 * float(resid @ resid) + lam * float(np.abs(beta).sum())
+    scale = min(1.0, lam / corr) if corr > lam else 1.0
+    theta = scale * resid
+    dual = 0.5 * float(yc @ yc) - 0.5 * float((theta - yc) @ (theta - yc))
+    return primal - dual
+
+
+def oracle_fit_lasso(X, y, lam, fit_intercept, tol, max_iter):
+    """Returns the model; on exhaustion, the last coefficients and gap instead."""
+    if fit_intercept:
+        xm = X.mean(axis=0)
+        ym = float(y.mean())
+        Xc = X - xm
+        yc = y - ym
+    else:
+        Xc, yc = X, y.copy()
+    d = X.shape[1]
+    beta = np.zeros(d)
+    resid = yc.copy()
+    col_sq = (Xc * Xc).sum(axis=0)
+    for sweep in range(1, max_iter + 1):
+        max_delta = 0.0
+        for j in range(d):
+            if col_sq[j] == 0.0:
+                continue
+            old = beta[j]
+            if old != 0.0:
+                resid += Xc[:, j] * old
+            rho = float(Xc[:, j] @ resid)
+            new = _oracle_soft_threshold(rho, lam) / col_sq[j]
+            if new != 0.0:
+                resid -= Xc[:, j] * new
+            beta[j] = new
+            max_delta = max(max_delta, abs(new - old))
+        if max_delta < tol * max(1.0, float(np.abs(beta).max(initial=0.0))):
+            gap = _oracle_lasso_gap(Xc, yc, beta, resid, lam)
+            if gap < tol or max_delta == 0.0:
+                intercept = ym - float(xm @ beta) if fit_intercept else 0.0
+                return LinearModel(beta, intercept, "least-squares", "l1", lam, sweep)
+    return beta, _oracle_lasso_gap(Xc, yc, beta, resid, lam)
+
+
+def _oracle_logistic_loss(eta, y, lam_l2, beta):
+    return float(np.sum(np.logaddexp(0.0, eta) - y * eta)) + 0.5 * lam_l2 * float(beta @ beta)
+
+
+def oracle_fit_logistic(X, y, lam_l2, fit_intercept, tol, max_iter):
+    """Damped Newton with the Hessian assembled on [X, 1]; none/L2 only."""
+    n, d = X.shape
+    beta = np.zeros(d)
+    intercept = 0.0
+    eta = np.zeros(n)
+    loss = _oracle_logistic_loss(eta, y, lam_l2, beta)
+    for _ in range(max_iter):
+        p = sigmoid(eta)
+        w = np.clip(p * (1.0 - p), 1e-10, None)
+        grad = X.T @ (p - y) + lam_l2 * beta
+        Xa = np.hstack([X, np.ones((n, 1))]) if fit_intercept else X
+        H = (Xa * w[:, None]).T @ Xa
+        H[:d, :d] += lam_l2 * np.eye(d)
+        g_full = np.concatenate([grad, [float(np.sum(p - y))]]) if fit_intercept else grad
+        try:
+            step = np.linalg.solve(H, g_full)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(H, g_full, rcond=None)[0]
+        new_beta = beta - step[:d]
+        new_intercept = intercept - (step[d] if fit_intercept else 0.0)
+        scale = 1.0
+        for _ in range(40):
+            cand_beta = beta + scale * (new_beta - beta)
+            cand_int = intercept + scale * (new_intercept - intercept)
+            cand_eta = X @ cand_beta + cand_int
+            cand_loss = _oracle_logistic_loss(cand_eta, y, lam_l2, cand_beta)
+            if cand_loss <= loss + 1e-12:
+                break
+            scale *= 0.5
+        delta = max(
+            float(np.abs(cand_beta - beta).max(initial=0.0)), abs(cand_int - intercept)
+        )
+        beta, intercept, eta, loss = cand_beta, cand_int, cand_eta, cand_loss
+        if delta < tol:
+            return beta, intercept
+    return None
+
+
+@st.composite
+def least_squares_problems(draw):
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(0, 4))
+    cell = st.one_of(
+        st.integers(-3, 3).map(float),  # ties and collinear columns are common
+        st.floats(-100, 100, allow_nan=False, allow_subnormal=False),
+    )
+    X = np.array(draw(st.lists(cell, min_size=n * d, max_size=n * d)), dtype=float)
+    y = np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)
+    penalty = draw(st.sampled_from(["none", "l2", "l1"]))
+    lam = 0.0 if penalty == "none" else draw(st.sampled_from([0.0, 0.1, 1.0, 10.0]))
+    return X.reshape(n, d), y, penalty, lam, draw(st.booleans())
+
+
+class TestWeightedCoreMatchesReplacedSolvers:
+    @settings(max_examples=200, deadline=None)
+    @given(least_squares_problems())
+    def test_least_squares_bit_identical(self, problem):
+        X, y, penalty, lam, fit_intercept = problem
+        kw = dict(penalty=penalty, lam=lam, fit_intercept=fit_intercept)
+        if penalty != "l1":
+            model = fit_linear(X, y, **kw)
+            oracle = oracle_fit_ridge(X, y, lam, fit_intercept, penalty)
+            assert model.n_iter == oracle.n_iter == 0
+        else:
+            oracle = oracle_fit_lasso(X, y, lam, fit_intercept, 1e-6, 50)
+            if isinstance(oracle, tuple):
+                with pytest.raises(ConvergenceError) as err:
+                    fit_linear(X, y, max_iter=50, **kw)
+                np.testing.assert_array_equal(err.value.last_model.coefficients, oracle[0])
+                assert err.value.gap == oracle[1]
+                return
+            model = fit_linear(X, y, max_iter=50, **kw)
+            assert model.n_iter == oracle.n_iter
+        np.testing.assert_array_equal(model.coefficients, oracle.coefficients)
+        np.testing.assert_array_equal(model.intercept, oracle.intercept)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        penalty=st.sampled_from(["none", "l2"]),
+        lam=st.sampled_from([0.01, 1.0, 20.0]),
+        fit_intercept=st.booleans(),
+    )
+    def test_logistic_agrees_with_augmented_newton(self, seed, d, penalty, lam, fit_intercept):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(120, d))
+        y = (rng.random(120) < sigmoid(X @ rng.normal(size=d) - 0.3)).astype(float)
+        lam_l2 = lam if penalty == "l2" else 0.0
+        oracle = oracle_fit_logistic(X, y, lam_l2, fit_intercept, 1e-12, 200)
+        assume(oracle is not None)  # separable samples diverge without a penalty
+        model = fit_linear(X, y, family="logistic", penalty=penalty, lam=lam,
+                           fit_intercept=fit_intercept, tol=1e-12)
+        np.testing.assert_allclose(model.coefficients, oracle[0], rtol=0, atol=1e-9)
+        assert model.intercept == pytest.approx(oracle[1], rel=0, abs=1e-9)
+
+
+class TestWeightedCore:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
+        counts=st.lists(st.integers(0, 3), min_size=2, max_size=12),
+        penalty=st.sampled_from(["none", "l2", "l1"]),
+        lam=st.sampled_from([0.05, 1.0, 5.0]),
+        fit_intercept=st.booleans(),
+    )
+    def test_integer_weights_equal_repeated_rows(self, seed, d, counts, penalty, lam,
+                                                 fit_intercept):
+        c = np.array(counts)
+        assume(np.count_nonzero(c) >= d + 2)  # full rank, so the optimum is unique
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(c.size, d))
+        z = rng.normal(size=c.size) + 3.0
+        beta0 = rng.normal(size=d)  # the L1 warm start must not matter
+        args = (penalty, 0.0 if penalty == "none" else lam, fit_intercept, 1e-12, 100_000)
+        weighted = _weighted_fit(X, z, c.astype(float), beta0, *args)
+        repeated = _weighted_fit(np.repeat(X, c, axis=0), np.repeat(z, c), None,
+                                 np.zeros(d), *args)
+        np.testing.assert_allclose(weighted.coefficients, repeated.coefficients,
+                                   rtol=1e-7, atol=1e-8)
+        assert weighted.intercept == pytest.approx(repeated.intercept, rel=1e-7, abs=1e-8)
+
+    def test_nonconverged_lasso_carries_the_iterate_intercept(self):
+        X, y = random_xy(6, n=50, d=10, noise=0.2)
+        y = y + 100.0
+        with pytest.raises(ConvergenceError) as err:
+            fit_linear(X, y, penalty="l1", lam=0.01, max_iter=1, tol=1e-14)
+        last = err.value.last_model
+        xm = X.mean(axis=0)
+        assert last.intercept == pytest.approx(y.mean() - xm @ last.coefficients)
+        assert last.predict(X).mean() == pytest.approx(y.mean())
