@@ -102,7 +102,8 @@ def fit_meta_learner(
         )
 
     if kind == "s":
-        components = {"f": fit_regressor(spec, np.hstack([X, t.astype(float)[:, None]]), y)}
+        design = np.hstack([X, t.astype(float)[:, None]])
+        components = {"f": fit_regressor(spec, design, y)}
     else:
         mu0 = fit_regressor(spec, X[~treated], y[~treated])
         mu1 = fit_regressor(spec, X[treated], y[treated])
@@ -125,7 +126,8 @@ def fit_meta_learner(
         g_constant=g_constant,
         propensity=propensity if kind == "x" else None,
     )
-    residuals = y - model.predict_outcome(X, t)
+    fitted = components["f"].predict(design) if kind == "s" else model.predict_outcome(X, t)
+    residuals = y - fitted
     model.residual_pools = {
         0: np.sort(residuals[~treated]),
         1: np.sort(residuals[treated]),

@@ -17,6 +17,7 @@ from .errors import DataError
 from .ingest import Dataset, SummaryTable, summarize
 from .learners import standardize
 from .learners.linear import fit_linear
+from .propensity import overlap_mask
 
 __all__ = [
     "DeferralRule",
@@ -66,11 +67,11 @@ def evaluate_deferral(
     prop_scores,
     interval: CateInterval | None = None,
 ) -> DeferralDecision:
-    """Apply the rule row-wise: defer when the score leaves the overlap
-    interval (strict on both sides) or, in conservative mode, when the
-    effect interval contains zero.  Overlap wins as the recorded reason."""
+    """Apply the rule row-wise: defer when the score is outside the closed
+    overlap interval (:func:`overlap_mask`) or, in conservative mode, when
+    the effect interval contains zero.  Overlap wins as the recorded reason."""
     e = np.asarray(prop_scores, dtype=float)
-    outside = (rule.eta_low > e) | (e > rule.eta_high)
+    outside = ~overlap_mask(e, rule.eta_low, rule.eta_high)
     if rule.mode == "conservative":
         if interval is None:
             raise ValueError("conservative mode needs an effect interval")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, SchemaError
-from .layout import fmt_float
+from .layout import read_table, write_table
 
 __all__ = [
     "ColumnInfo",
@@ -322,15 +322,18 @@ class SummaryTable:
     group_names: tuple[str, ...]
     rows: list[dict]
 
+    @property
+    def header(self) -> list[str]:
+        return ["column", "statistic", "missing", "overall", *self.group_names]
+
+    def columns(self) -> list[list]:
+        """One list per ``header`` name, in row order."""
+        return [[r[k] for r in self.rows] for k in self.header[:4]] + [
+            [r["groups"][g] for r in self.rows] for g in self.group_names
+        ]
+
     def to_csv_rows(self) -> list[list[str]]:
-        header = ["column", "statistic", "missing", "overall", *self.group_names]
-        out = [header]
-        for r in self.rows:
-            out.append(
-                [r["column"], r["statistic"], str(r["missing"]), r["overall"]]
-                + [r["groups"][g] for g in self.group_names]
-            )
-        return out
+        return [self.header, *([str(cell) for cell in row] for row in zip(*self.columns()))]
 
 
 def _format_stat(values: np.ndarray, kind: str) -> str:
@@ -393,19 +396,9 @@ def save_dataset(data: Dataset, csv_path) -> dict:
     """
     sec_names = sorted(data.secondary)
     header = ["row_id", "split", "treatment", "outcome", *sec_names, *data.column_names]
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(data.n):
-            row = [
-                str(int(data.row_ids[i])),
-                "" if data.split is None else str(data.split[i]),
-                str(int(data.treatment[i])),
-                fmt_float(data.outcome[i]),
-            ]
-            row += [fmt_float(data.secondary[k][i]) for k in sec_names]
-            row += [fmt_float(v) for v in data.covariates[i]]
-            writer.writerow(row)
+    split = [""] * data.n if data.split is None else data.split
+    write_table(csv_path, header, [data.row_ids, split, data.treatment.astype(int), data.outcome,
+                                   *(data.secondary[k] for k in sec_names), *data.covariates.T])
     return {
         "columns": [{"name": c.name, "kind": c.kind} for c in data.columns],
         "secondary_outcomes": sec_names,
@@ -417,35 +410,23 @@ def load_dataset(csv_path, description: dict) -> Dataset:
     """Reload a dataset written by :func:`save_dataset`."""
     columns = [ColumnInfo(c["name"], c["kind"]) for c in description["columns"]]
     sec_names = list(description["secondary_outcomes"])
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = ["row_id", "split", "treatment", "outcome", *sec_names] + [
-            c.name for c in columns
-        ]
-        if header != expected:
-            raise SchemaError(f"{csv_path}: header does not match dataset description")
-        row_ids, splits, treatment, outcome = [], [], [], []
-        secondary = {k: [] for k in sec_names}
-        # a flat buffer of doubles, not one live Python float per cell
-        cells = array.array("d")
-        for record in reader:
-            if len(record) != len(header):
-                raise SchemaError(f"{csv_path}: row {len(row_ids) + 1} does not match the header")
-            row_ids.append(int(record[0]))
-            splits.append(record[1])
-            treatment.append(int(record[2]))
-            outcome.append(float(record[3]))
-            for j, k in enumerate(sec_names):
-                secondary[k].append(float(record[4 + j]))
-            cells.extend(map(float, record[4 + len(sec_names) :]))
-    split_arr = np.asarray(splits, dtype="<U10")
+    header = ["row_id", "split", "treatment", "outcome", *sec_names, *(c.name for c in columns)]
+    row_ids, splits, treatment = [], [], []
+    # a flat buffer of doubles, not one live Python float per cell
+    cells = array.array("d")
+    for record in read_table(csv_path, header):
+        row_ids.append(int(record[0]))
+        splits.append(record[1])
+        treatment.append(int(record[2]))
+        cells.extend(map(float, record[3:]))
+    # outcome, secondary outcomes, covariates: one row per record
+    table = np.frombuffer(cells).reshape(len(row_ids), len(header) - 3)
     return Dataset(
-        covariates=np.array(cells, dtype=float).reshape(len(row_ids), len(columns)),
+        covariates=np.ascontiguousarray(table[:, 1 + len(sec_names):]),
         columns=columns,
         treatment=np.asarray(treatment, dtype=np.int8),
-        outcome=np.asarray(outcome, dtype=float),
-        secondary={k: np.asarray(v, dtype=float) for k, v in secondary.items()},
-        split=None if all(s == "" for s in splits) else split_arr,
+        outcome=table[:, 0].copy(),
+        secondary={k: table[:, 1 + j].copy() for j, k in enumerate(sec_names)},
+        split=None if all(s == "" for s in splits) else np.asarray(splits, dtype="<U10"),
         row_ids=np.asarray(row_ids, dtype=int),
     )

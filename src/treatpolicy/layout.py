@@ -1,9 +1,15 @@
-"""The stage table, canonical artifact paths, and artifact read/write helpers.
+"""The stage table, canonical artifact paths, and the artifact codecs.
 
 Stages write artifacts at these relative paths and downstream stages read
 them back; keeping the names in one place is what lets a subcommand run in
 isolation against an output directory produced earlier.  The CLI, the stage
 dispatch and the report index all read the one stage table below.
+
+Every CSV artifact is written by :func:`write_table` from the columns a
+stage hands over and read back by :func:`read_table`: one header row, floats
+as ``repr`` (a reload is bit-identical), integers and booleans as decimals,
+text quoted by ``csv``.  Both stream a row block at a time, so no table is
+ever held as text.
 """
 
 from __future__ import annotations
@@ -11,6 +17,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+
+import numpy as np
+
+from .errors import SchemaError
 
 # Every stage in run order, with the description the CLI help and the report
 # index show.
@@ -60,6 +70,21 @@ FIG_RANK_CURVE = "report/fig_rank_curve.svg"
 FIG_OUTCOME_TREE = "report/fig_outcome_tree.svg"
 REPORT_INDEX = "report/index.md"
 
+# The header of every CSV artifact whose columns are fixed, by its path.
+HEADERS = {
+    PROPENSITY_SCORES: ("row_id", "split", "treatment", "score"),
+    STUDY_AGGREGATES: ("policy", "n_runs", "v_ipw_mean", "v_ipw_sem", "v_dr_mean", "v_dr_sem",
+                       "v_true_mean", "v_true_sem"),
+    STUDY_SCATTER: ("run", "policy", "source", "n_deferred", "treated_fraction",
+                    "v_ipw", "v_dr", "v_true"),
+    CATE_ESTIMATES: ("model", "row_id", "tau", "lower", "upper"),
+    DEFER_DECISIONS: ("model", "row_id", "deferred", "reason"),
+    POLICY_VALUES: ("policy", "source", "estimator", "point", "boot_mean", "boot_std", "boot_min",
+                    "boot_q25", "boot_median", "boot_q75", "boot_max", "n_deferred", "n_skipped"),
+    RANK_CURVE: ("model", "q", "treated_fraction", "value"),
+    RECOMMENDATIONS: ("policy", "row_id", "recommendation"),
+}
+
 
 def cate_model(name: str) -> str:
     return f"cate/models/{name}.json"
@@ -80,11 +105,6 @@ def path(out_dir, rel: str) -> str:
     return full
 
 
-def fmt_float(x) -> str:
-    """Round-trip text for a float: artifacts reload bit-identical."""
-    return repr(float(x))
-
-
 def write_json(full_path, obj) -> None:
     with open(full_path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -96,11 +116,48 @@ def read_json(full_path):
         return json.load(fh)
 
 
-def write_csv(full_path, rows) -> None:
-    with open(full_path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+# rows formatted per write call: bounds the text held at once
+BLOCK_ROWS = 1024
 
 
-def read_csv(full_path) -> list[list[str]]:
-    with open(full_path, newline="") as fh:
-        return list(csv.reader(fh))
+def write_table(full_path, header, columns) -> None:
+    """Write ``header``, then one row per index of the equal-length ``columns``.
+
+    Columns are positional, so a header may repeat a name.  Floats are
+    written as ``repr``, integers and booleans as decimals, text as-is.
+    """
+    cols = [np.asarray(c) for c in columns]
+    cols = [c.astype(int) if c.dtype == bool else c for c in cols]
+    n = len(cols[0]) if cols else 0
+    if len(cols) != len(header) or any(c.shape != (n,) for c in cols):
+        raise ValueError(f"{full_path}: need {len(header)} columns of one length")
+    with open(full_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for start in range(0, n, BLOCK_ROWS):
+            # tolist gives Python floats, ints and strs; csv writes a float as its repr
+            writer.writerows(zip(*(c[start:start + BLOCK_ROWS].tolist() for c in cols)))
+
+
+def read_table(full_path, header=None):
+    """Yield the rows of a table written by :func:`write_table` as lists of text.
+
+    With ``header`` given, the file's first row must equal it and only the
+    data rows are yielded; without, the file's first row is yielded first.
+    Every row must be as wide as the header; data rows count from 1.
+    """
+    with open(full_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise SchemaError(f"{full_path}: empty file, expected a header row")
+        if header is None:
+            yield first
+        elif first != list(header):
+            raise SchemaError(f"{full_path}: header does not match {list(header)}")
+        for number, row in enumerate(reader, start=1):
+            if len(row) != len(first):
+                raise SchemaError(
+                    f"{full_path}: row {number} has {len(row)} fields, expected {len(first)}"
+                )
+            yield row

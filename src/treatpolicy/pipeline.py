@@ -9,11 +9,10 @@ config asks for them, keeping rerun artifacts byte-identical by default.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .ingest import (
     save_dataset,
     summarize,
 )
-from .layout import STAGE_ORDER, fmt_float, read_csv, read_json, write_csv, write_json
+from .layout import STAGE_ORDER, read_json, read_table, write_json, write_table
 from .learners import load_model, save_model
 from .policy_eval import (
     DEFER,
@@ -47,7 +46,7 @@ from .policy_eval import (
     rank_curve,
     summarize_bootstrap,
 )
-from .propensity import fit_propensity, overlap_report, select_overlap_bounds
+from .propensity import fit_propensity, overlap_mask, overlap_report, select_overlap_bounds
 from .report import emit_report
 from .simulation import run_study
 
@@ -104,11 +103,13 @@ class RunManifest:
     warnings: list = field(default_factory=list)
     timings: dict | None = None
 
-    def record(self, stage: str, artifacts, warnings, elapsed: float | None = None) -> None:
-        if stage in self.stages:
-            self.artifacts = [a for a in self.artifacts if a["stage"] != stage]
-            self.warnings = [w for w in self.warnings if w["stage"] != stage]
-        else:
+    def record(self, stage: str, artifacts, warnings, elapsed=None, complete=True) -> None:
+        """Replace ``stage``'s artifacts and warnings; only a complete stage is in ``stages``."""
+        self.artifacts = [a for a in self.artifacts if a["stage"] != stage]
+        self.warnings = [w for w in self.warnings if w["stage"] != stage]
+        if not complete:
+            self.stages = [s for s in self.stages if s != stage]
+        elif stage not in self.stages:
             self.stages.append(stage)
         self.artifacts.extend({"path": p, "stage": stage} for p in artifacts)
         self.warnings.extend(warnings)
@@ -121,29 +122,12 @@ class RunManifest:
         return [a["path"] for a in self.artifacts]
 
     def to_dict(self) -> dict:
-        out = {
-            "config_hash": self.config_hash,
-            "config": self.config,
-            "seeds": self.seeds,
-            "stages": list(self.stages),
-            "artifacts": list(self.artifacts),
-            "warnings": list(self.warnings),
-        }
-        if self.timings is not None:
-            out["timings"] = dict(self.timings)
-        return out
+        # timings are left out unless recorded, so reruns stay byte-identical
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
-        return cls(
-            config_hash=d["config_hash"],
-            config=d["config"],
-            seeds=d["seeds"],
-            stages=list(d.get("stages", [])),
-            artifacts=list(d.get("artifacts", [])),
-            warnings=list(d.get("warnings", [])),
-            timings=d.get("timings"),
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     def save(self, out_dir: str) -> None:
         write_json(layout.path(out_dir, layout.MANIFEST), self.to_dict())
@@ -158,7 +142,7 @@ class RunManifest:
         if os.path.exists(full):
             try:
                 prior = cls.from_dict(read_json(full))
-            except (KeyError, ValueError, json.JSONDecodeError):
+            except (TypeError, ValueError):  # a missing field, or not JSON
                 return cls.fresh(cfg)
             if prior.config_hash == cfg.hash:
                 return prior
@@ -196,7 +180,7 @@ def stage_ingest(cfg: PipelineConfig, manifest: RunManifest):
     description = save_dataset(data, layout.path(out, layout.DATASET_CSV))
     write_json(layout.path(out, layout.DATASET_META), description)
     table = summarize(data, group_by=data.treatment == 1, group_names=("control", "treated"))
-    write_csv(layout.path(out, layout.SUMMARY), table.to_csv_rows())
+    write_table(layout.path(out, layout.SUMMARY), table.header, table.columns())
     with open(layout.path(out, layout.IDENTIFICATION), "w") as fh:
         fh.write(_CHECKLIST)
 
@@ -222,13 +206,7 @@ def stage_fit_propensity(cfg: PipelineConfig, manifest: RunManifest):
     model = replace(model, bounds=bounds)
     save_model(model, layout.path(out, layout.PROPENSITY_MODEL))
 
-    rows = [["row_id", "split", "treatment", "score"]]
-    for i in range(data.n):
-        rows.append(
-            [str(int(data.row_ids[i])), str(data.split[i]), str(int(data.treatment[i])),
-             fmt_float(scores[i])]
-        )
-    write_csv(layout.path(out, layout.PROPENSITY_SCORES), rows)
+    _write_table(out, layout.PROPENSITY_SCORES, [data.row_ids, data.split, data.treatment, scores])
 
     rep = overlap_report(scores, data.treatment, bounds, bins=cfg.echo["report"]["bins"])
     write_json(
@@ -265,24 +243,8 @@ def stage_simulate(cfg: PipelineConfig, manifest: RunManifest):
     )
     write_json(layout.path(out, layout.STUDY), study.to_dict())
 
-    agg_rows = [["policy", "n_runs", "v_ipw_mean", "v_ipw_sem", "v_dr_mean", "v_dr_sem",
-                 "v_true_mean", "v_true_sem"]]
-    for a in study.aggregates:
-        agg_rows.append(
-            [a["policy"], str(a["n_runs"])]
-            + [fmt_float(a[k]) for k in ("v_ipw_mean", "v_ipw_sem", "v_dr_mean", "v_dr_sem",
-                                     "v_true_mean", "v_true_sem")]
-        )
-    write_csv(layout.path(out, layout.STUDY_AGGREGATES), agg_rows)
-
-    sc_rows = [["run", "policy", "source", "n_deferred", "treated_fraction",
-                "v_ipw", "v_dr", "v_true"]]
-    for r in study.rows:
-        sc_rows.append(
-            [str(r["run"]), r["policy"], r["source"], str(r["n_deferred"])]
-            + [fmt_float(r[k]) for k in ("treated_fraction", "v_ipw", "v_dr", "v_true")]
-        )
-    write_csv(layout.path(out, layout.STUDY_SCATTER), sc_rows)
+    _write_records(out, layout.STUDY_AGGREGATES, study.aggregates)
+    _write_records(out, layout.STUDY_SCATTER, study.rows)
 
     warnings = []
     for f in study.failures:
@@ -336,8 +298,7 @@ def stage_fit_cate(cfg: PipelineConfig, manifest: RunManifest):
     artifacts.append(layout.CATE_GATE)
     if not retained:
         # keep the gate report visible even though the stage did not complete
-        manifest.artifacts.extend({"path": p, "stage": "fit-cate"} for p in artifacts)
-        manifest.warnings.extend(warnings)
+        manifest.record("fit-cate", artifacts, warnings, complete=False)
         raise StageError(
             "every model in the menu failed the held-out error gate; "
             f"see {layout.CATE_GATE}"
@@ -345,20 +306,18 @@ def stage_fit_cate(cfg: PipelineConfig, manifest: RunManifest):
 
     theta = cfg.theta()
     u_seed = cfg.echo["uncertainty"]["seed"]
-    est_rows = [["model", "row_id", "tau", "lower", "upper"]]
-    taus = {}
-    for name, model in retained.items():
-        interval = uncertainty_interval(
+    intervals = [
+        uncertainty_interval(
             menu[name], train, test.covariates, theta, seed=u_seed,
             propensity=prop, model=model,
         )
-        taus[name] = interval.point
-        for i in range(test.n):
-            est_rows.append(
-                [name, str(int(test.row_ids[i])), fmt_float(interval.point[i]),
-                 fmt_float(interval.lower[i]), fmt_float(interval.upper[i])]
-            )
-    write_csv(layout.path(out, layout.CATE_ESTIMATES), est_rows)
+        for name, model in retained.items()
+    ]
+    taus = {name: interval.point for name, interval in zip(retained, intervals)}
+    _write_per_model(
+        out, layout.CATE_ESTIMATES, list(retained), test.row_ids,
+        [iv.point for iv in intervals], [iv.lower for iv in intervals], [iv.upper for iv in intervals],
+    )
     artifacts.append(layout.CATE_ESTIMATES)
 
     diag = cate_diagnostics(taus)
@@ -374,7 +333,25 @@ def _retained_names(cfg: PipelineConfig, gate: dict) -> list[str]:
                 f"model {name!r} is in cate.menu but not in {layout.CATE_GATE}; "
                 "the menu changed since fit-cate ran; rerun fit-cate"
             )
-    return [name for name in cfg.echo["cate"]["menu"] if not gate[name]["excluded"]]
+    retained = [name for name in cfg.echo["cate"]["menu"] if not gate[name]["excluded"]]
+    if not retained:
+        raise StageError(f"no model passed the held-out error gate in {layout.CATE_GATE}")
+    return retained
+
+
+def _write_table(out_dir: str, rel: str, columns) -> None:
+    write_table(layout.path(out_dir, rel), layout.HEADERS[rel], columns)
+
+
+def _write_records(out_dir: str, rel: str, records) -> None:
+    """One row per record, a dict keyed by the header names of ``rel``."""
+    _write_table(out_dir, rel, [[r[k] for r in records] for k in layout.HEADERS[rel]])
+
+
+def _write_per_model(out_dir: str, rel: str, names, row_ids, *columns) -> None:
+    """Rows name by name, one per row id; each of ``columns`` has one array per name."""
+    repeat = [np.repeat(names, len(row_ids)), np.tile(row_ids, len(names))]
+    _write_table(out_dir, rel, repeat + [np.concatenate(c) for c in columns])
 
 
 def _per_model_values(out_dir: str, rel: str, producer: str, test, names, width: int) -> dict:
@@ -384,7 +361,7 @@ def _per_model_values(out_dir: str, rel: str, producer: str, test, names, width:
     line up with the current test split, asks for ``producer`` to be rerun."""
     row_ids: dict[str, list] = {}
     values: dict[str, list] = {}
-    for model, row_id, *cells in read_csv(_need(out_dir, rel, producer))[1:]:
+    for model, row_id, *cells in read_table(_need(out_dir, rel, producer), layout.HEADERS[rel]):
         row_ids.setdefault(model, []).append(int(row_id))
         values.setdefault(model, []).append([float(c) for c in cells[:width]])
     want = [int(r) for r in test.row_ids]
@@ -401,14 +378,19 @@ def _per_model_values(out_dir: str, rel: str, producer: str, test, names, width:
     return out
 
 
+def _bounded_propensity(out_dir: str):
+    prop = load_model(_need(out_dir, layout.PROPENSITY_MODEL, "fit-propensity"))
+    if prop.bounds is None:
+        raise StageError("propensity model has no overlap bounds; rerun fit-propensity")
+    return prop
+
+
 def stage_defer(cfg: PipelineConfig, manifest: RunManifest):
     _require_ack(cfg, "defer")
     out = cfg.out_dir
     data = _load_data(out)
     test = data.rows_in("test")
-    prop = load_model(_need(out, layout.PROPENSITY_MODEL, "fit-propensity"))
-    if prop.bounds is None:
-        raise StageError("propensity model has no overlap bounds; rerun fit-propensity")
+    prop = _bounded_propensity(out)
     gate = read_json(_need(out, layout.CATE_GATE, "fit-cate"))
     retained = _retained_names(cfg, gate)
     estimates = _per_model_values(out, layout.CATE_ESTIMATES, "fit-cate", test, retained, 3)
@@ -418,20 +400,20 @@ def stage_defer(cfg: PipelineConfig, manifest: RunManifest):
     )
 
     warnings = []
-    dec_rows = [["model", "row_id", "deferred", "reason"]]
+    flags, reasons = [], []
     profile = {}
     for name in retained:
         tau, lower, upper = estimates[name]
         interval = CateInterval(lower=lower, point=tau, upper=upper)
         decision = evaluate_deferral(rule, scores, interval=interval)
-        for rid, d, why in zip(test.row_ids, decision.defer, decision.reason):
-            dec_rows.append([name, str(int(rid)), "1" if d else "0", why or ""])
-        reasons = Counter(w for w in decision.reason if w)
+        flags.append(decision.defer)
+        reasons.append([why or "" for why in decision.reason])
+        why = Counter(w for w in decision.reason if w)
         entry = {
             "n_deferred": decision.n_deferred,
             "n_recommended": test.n - decision.n_deferred,
-            "n_overlap": int(reasons.get(REASON_OVERLAP, 0)),
-            "n_uncertainty": int(reasons.get(REASON_UNCERTAINTY, 0)),
+            "n_overlap": int(why.get(REASON_OVERLAP, 0)),
+            "n_uncertainty": int(why.get(REASON_UNCERTAINTY, 0)),
             "profile": None,
         }
         try:
@@ -450,7 +432,7 @@ def stage_defer(cfg: PipelineConfig, manifest: RunManifest):
             )
         profile[name] = entry
 
-    write_csv(layout.path(out, layout.DEFER_DECISIONS), dec_rows)
+    _write_per_model(out, layout.DEFER_DECISIONS, retained, test.row_ids, flags, reasons)
     write_json(layout.path(out, layout.DEFER_SUBPOP), profile)
     return [layout.DEFER_DECISIONS, layout.DEFER_SUBPOP], warnings
 
@@ -461,7 +443,7 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
     data = _load_data(out)
     train = data.rows_in("train")
     test = data.rows_in("test")
-    prop = load_model(_need(out, layout.PROPENSITY_MODEL, "fit-propensity"))
+    prop = _bounded_propensity(out)
     gate = read_json(_need(out, layout.CATE_GATE, "fit-cate"))
     retained = _retained_names(cfg, gate)
     estimates = _per_model_values(out, layout.CATE_ESTIMATES, "fit-cate", test, retained, 1)
@@ -496,77 +478,59 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
                 f"ensembles need at least 2 retained models, have {len(retained)}; skipped",
             )
         )
-    outside = (prop.bounds[0] > p_star) | (p_star > prop.bounds[1]) if prop.bounds else None
     policies = build_policy_set(
-        taus, rule, test, p_star,
-        defer=flags, modes=cfg.ensembles, ensemble_defer=outside, seed=seed,
+        taus, rule, test, p_star, defer=flags, modes=cfg.ensembles,
+        ensemble_defer=~overlap_mask(p_star, *prop.bounds), seed=seed,
     )
 
     tournament = bootstrap_tournament(
         policies, test, p_star,
         estimators=cfg.estimators, B=eval_cfg["bootstrap_b"], seed=seed, plug_in=plug_in,
     )
-    value_rows = [["policy", "source", "estimator", "point", "boot_mean", "boot_std",
-                   "boot_min", "boot_q25", "boot_median", "boot_q75", "boot_max",
-                   "n_deferred", "n_skipped"]]
+    values = []
     for i, policy in enumerate(policies):
         for est in cfg.estimators:
             boot = tournament.distributions[est][i]
-            s = summarize_bootstrap(boot)
-            value_rows.append(
-                [policy.name, policy.source, est, fmt_float(tournament.points[est][i]),
-                 fmt_float(s["mean"]), fmt_float(s["std"]), fmt_float(s["min"]), fmt_float(s["q25"]),
-                 fmt_float(s["median"]), fmt_float(s["q75"]), fmt_float(s["max"]),
-                 str(policy.n_deferred), str(int(np.isnan(boot).sum()))]
+            values.append(
+                {"policy": policy.name, "source": policy.source, "estimator": est,
+                 "point": tournament.points[est][i],
+                 **{f"boot_{k}": v for k, v in summarize_bootstrap(boot).items()},
+                 "n_deferred": policy.n_deferred, "n_skipped": int(np.isnan(boot).sum())}
             )
-    write_csv(layout.path(out, layout.POLICY_VALUES), value_rows)
+    _write_records(out, layout.POLICY_VALUES, values)
     artifacts = [layout.POLICY_VALUES]
 
     names = tournament.policies
     for est in cfg.estimators:
-        wins_rows = [["policy", *names]]
-        for name, row in zip(names, tournament.wins[est]):
-            wins_rows.append([name, *[str(int(v)) for v in row]])
         rel = layout.wins(est)
-        write_csv(layout.path(out, rel), wins_rows)
+        write_table(layout.path(out, rel), ["policy", *names], [names, *tournament.wins[est].T])
         artifacts.append(rel)
-
-        dist = tournament.distributions[est]
-        dist_rows = [list(names)]
-        for b in range(dist.shape[1]):
-            dist_rows.append([fmt_float(v) for v in dist[:, b]])
         rel = layout.distributions(est)
-        write_csv(layout.path(out, rel), dist_rows)
+        write_table(layout.path(out, rel), names, tournament.distributions[est])
         artifacts.append(rel)
 
     curve_est = "DR" if "DR" in cfg.estimators else cfg.estimators[0]
-    curve_rows = [["model", "q", "treated_fraction", "value"]]
-    for name in retained:
-        curve = rank_curve(
+    curve = [
+        {"model": name, **pt}
+        for name in retained
+        for pt in rank_curve(
             taus[name], test, p_star,
             estimator=curve_est, step=eval_cfg["rank_step"],
             plug_in=plug_in if curve_est == "DR" else None,
         )
-        for pt in curve:
-            curve_rows.append(
-                [name, fmt_float(pt["q"]), fmt_float(pt["treated_fraction"]), fmt_float(pt["value"])]
-            )
-    write_csv(layout.path(out, layout.RANK_CURVE), curve_rows)
+    ]
+    _write_records(out, layout.RANK_CURVE, curve)
     artifacts.append(layout.RANK_CURVE)
 
     trees = {p.name: outcome_tree(p, test) for p in policies}
     write_json(layout.path(out, layout.OUTCOME_TREES), trees)
     artifacts.append(layout.OUTCOME_TREES)
 
-    rec_rows = [["policy", "row_id", "recommendation"]]
-    for policy in policies:
-        if policy.source == "baseline":
-            continue
-        for rid, r in zip(test.row_ids, policy.rec):
-            rec_rows.append(
-                [policy.name, str(int(rid)), "defer" if r == DEFER else str(int(r))]
-            )
-    write_csv(layout.path(out, layout.RECOMMENDATIONS), rec_rows)
+    recommending = [p for p in policies if p.source != "baseline"]
+    _write_per_model(
+        out, layout.RECOMMENDATIONS, [p.name for p in recommending], test.row_ids,
+        [np.where(p.rec == DEFER, "defer", p.rec.astype(str)) for p in recommending],
+    )
     artifacts.append(layout.RECOMMENDATIONS)
     return artifacts, warnings
 

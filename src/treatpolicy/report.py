@@ -12,25 +12,35 @@ import os
 from collections import OrderedDict
 
 from . import figures, layout
-from .layout import read_csv, read_json
+from .layout import read_json, read_table
 
 __all__ = ["emit_report"]
 
 
-def _grouped(rows: list[list[str]], key_col: int) -> "OrderedDict[str, list[list[str]]]":
-    groups: OrderedDict[str, list[list[str]]] = OrderedDict()
+def _read(out_dir, rel):
+    """The data rows of the fixed-header artifact ``rel``, streamed."""
+    return read_table(os.path.join(out_dir, rel), layout.HEADERS[rel])
+
+
+def _float_columns(rows, cols, key=None) -> dict:
+    """Columns ``cols`` of the streamed ``rows`` as lists of floats, grouped by
+    the text in column ``key`` in order of first appearance (one group,
+    ``None``, when there is no key)."""
+    groups: dict = {}
     for row in rows:
-        groups.setdefault(row[key_col], []).append(row)
+        group = groups.setdefault(None if key is None else row[key], [[] for _ in cols])
+        for values, c in zip(group, cols):
+            values.append(float(row[c]))
     return groups
 
 
 def _fig_cate_hist(out_dir, bins: int):
     import numpy as np
 
-    rows = read_csv(os.path.join(out_dir, layout.CATE_ESTIMATES))[1:]
+    rows = _read(out_dir, layout.CATE_ESTIMATES)
     panels = []
-    for model, group in _grouped(rows, 0).items():
-        tau = np.array([float(r[2]) for r in group])
+    for model, (tau,) in _float_columns(rows, [2], key=0).items():
+        tau = np.array(tau)
         lo, hi = float(tau.min()), float(tau.max())
         if hi - lo <= max(abs(lo), abs(hi), 1.0) * 1e-9:
             # effectively constant estimates (e.g. a purely linear s-learner)
@@ -70,18 +80,10 @@ def _fig_overlap_hist(out_dir, bins: int):
 
 
 def _fig_value_scatter(out_dir, bins: int):
-    rows = read_csv(os.path.join(out_dir, layout.STUDY_SCATTER))
-    header, data = rows[0], rows[1:]
-    col = {name: i for i, name in enumerate(header)}
-    series = []
-    for est in ("v_dr", "v_ipw"):
-        series.append(
-            {
-                "label": est.replace("v_", "").upper(),
-                "x": [float(r[col["v_true"]]) for r in data],
-                "y": [float(r[col[est]]) for r in data],
-            }
-        )
+    header = layout.HEADERS[layout.STUDY_SCATTER]
+    cols = [header.index(name) for name in ("v_true", "v_dr", "v_ipw")]
+    truth, dr, ipw = _float_columns(_read(out_dir, layout.STUDY_SCATTER), cols).get(None, [[], [], []])
+    series = [{"label": "DR", "x": truth, "y": dr}, {"label": "IPW", "x": truth, "y": ipw}]
     return figures.svg_scatter(
         series,
         title="Estimated against true policy value",
@@ -95,15 +97,11 @@ def _fig_value_box(out_dir, bins: int):
     for est in ("DR", "IPW"):
         full = os.path.join(out_dir, layout.distributions(est))
         if os.path.exists(full):
-            rows = read_csv(full)
-            names = rows[0]
-            cols = list(zip(*rows[1:]))
-            items = []
-            for name, values in zip(names, cols):
-                vals = [float(v) for v in values]
-                if all(v != v for v in vals):  # NaN-only columns cannot be drawn
-                    continue
-                items.append({"label": name, "values": vals})
+            rows = read_table(full)
+            names = next(rows)
+            cols = _float_columns(rows, range(len(names))).get(None, [[] for _ in names])
+            # NaN-only columns cannot be drawn
+            items = [{"label": k, "values": v} for k, v in zip(names, cols) if any(x == x for x in v)]
             return figures.svg_box(
                 items, title=f"Bootstrap policy values ({est})", y_label="policy value"
             )
@@ -111,16 +109,11 @@ def _fig_value_box(out_dir, bins: int):
 
 
 def _fig_rank_curve(out_dir, bins: int):
-    rows = read_csv(os.path.join(out_dir, layout.RANK_CURVE))[1:]
-    series = []
-    for model, group in _grouped(rows, 0).items():
-        series.append(
-            {
-                "label": model,
-                "fractions": [float(r[2]) for r in group],
-                "values": [float(r[3]) for r in group],
-            }
-        )
+    series = [
+        {"label": model, "fractions": fractions, "values": values}
+        for model, (fractions, values) in
+        _float_columns(_read(out_dir, layout.RANK_CURVE), [2, 3], key=0).items()
+    ]
     return figures.svg_rank_curve(series, title="Value by fraction treated")
 
 

@@ -1,8 +1,12 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treatpolicy import layout
 from treatpolicy.errors import DataError, SchemaError
 from treatpolicy.ingest import (
     Dataset,
@@ -218,3 +222,130 @@ class TestRoundTrip:
         (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="row 2"):
             load_dataset(tmp_path / "d.csv", desc)
+
+    def test_mismatched_header_rejected(self, tmp_path):
+        data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], [1.0, 2.0, 3.0])
+        desc = save_dataset(data, tmp_path / "d.csv")
+        desc["columns"][1]["name"] = "renamed"
+        with pytest.raises(SchemaError, match="header does not match"):
+            load_dataset(tmp_path / "d.csv", desc)
+
+    def test_unsplit_dataset_reloads_without_split(self, tmp_path):
+        data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], [1.0, 2.0, 3.0])
+        back = load_dataset(tmp_path / "d.csv", save_dataset(data, tmp_path / "d.csv"))
+        assert back.split is None
+        np.testing.assert_array_equal(back.covariates, data.covariates)
+
+    def test_covariates_named_like_fixed_columns_round_trip(self, tmp_path):
+        names = ["row_id", "split", "age, years", 'say "x"']
+        cov = np.arange(12.0).reshape(3, 4) - 5.5
+        data = make_dataset(cov, [0, 1, 0], [1.0, 2.0, 3.0], split=["train", "test", "test"],
+                            columns=[ColumnInfo(n, "numeric") for n in names])
+        back = load_dataset(tmp_path / "d.csv", save_dataset(data, tmp_path / "d.csv"))
+        assert back.column_names == names
+        np.testing.assert_array_equal(back.covariates, cov)
+        np.testing.assert_array_equal(back.row_ids, [0, 1, 2])
+        np.testing.assert_array_equal(back.split, ["train", "test", "test"])
+
+    def test_reloaded_covariates_are_c_contiguous(self, tmp_path):
+        data = make_dataset(np.arange(12.0).reshape(4, 3), [0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0])
+        data.secondary["aux"] = np.ones(4)
+        back = load_dataset(tmp_path / "d.csv", save_dataset(data, tmp_path / "d.csv"))
+        assert back.covariates.flags["C_CONTIGUOUS"]
+
+
+def _per_row_save_dataset(data, csv_path):
+    """The dataset writer before the table codec: one formatted row at a time."""
+    sec_names = sorted(data.secondary)
+    header = ["row_id", "split", "treatment", "outcome", *sec_names, *data.column_names]
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(data.n):
+            row = [
+                str(int(data.row_ids[i])),
+                "" if data.split is None else str(data.split[i]),
+                str(int(data.treatment[i])),
+                repr(float(data.outcome[i])),
+            ]
+            row += [repr(float(data.secondary[k][i])) for k in sec_names]
+            row += [repr(float(v)) for v in data.covariates[i]]
+            writer.writerow(row)
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072e-308, 1e308]
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(_SPECIAL_FLOATS)
+# header names and text cells: csv must quote commas, quotes and line breaks
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                max_size=6) | st.sampled_from(["a,b", 'say "hi"', "x", "two\nlines", ""])
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 30))
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "bool", "str"]), min_size=1, max_size=5))
+    # few distinct names, so headers often repeat one
+    header = draw(st.lists(st.sampled_from(["x", "a,b", 'q"t']) | _TEXT,
+                           min_size=len(kinds), max_size=len(kinds)))
+    values = {"float": _FLOATS, "int": st.integers(-2**63, 2**63 - 1),
+              "bool": st.booleans(), "str": _TEXT}
+    dtypes = {"float": float, "int": np.int64, "bool": bool, "str": None}
+    columns = [draw(st.lists(values[k], min_size=n, max_size=n)) for k in kinds]
+    columns = [c if dtypes[k] is None else np.array(c, dtype=dtypes[k])
+               for k, c in zip(kinds, columns)]
+    return header, kinds, columns
+
+
+def _same_float(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestTableCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(_tables())
+    def test_write_read_round_trip(self, tmp_path_factory, table):
+        header, kinds, columns = table
+        path = tmp_path_factory.mktemp("codec") / "t.csv"
+        layout.write_table(path, header, columns)
+        rows = list(layout.read_table(path, header))
+        assert len(rows) == len(columns[0])
+        assert next(layout.read_table(path)) == header
+        for j, (kind, column) in enumerate(zip(kinds, columns)):
+            cells = [row[j] for row in rows]
+            if kind == "float":
+                assert all(_same_float(float(c), v) for c, v in zip(cells, column.tolist()))
+            elif kind == "str":
+                assert cells == list(column)
+            else:
+                assert [int(c) for c in cells] == [int(v) for v in column.tolist()]
+
+    @pytest.mark.parametrize("split", [True, False])
+    def test_dataset_bytes_match_the_per_row_writer_across_blocks(self, tmp_path, split):
+        rng = np.random.default_rng(3)
+        n = 2 * layout.BLOCK_ROWS + 3
+        cov = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+        cov[layout.BLOCK_ROWS - 2 : layout.BLOCK_ROWS + 6, 1] = _SPECIAL_FLOATS
+        names = ["a", "b, c", 'd"e']
+        data = make_dataset(cov, rng.integers(0, 2, n), rng.normal(size=n),
+                            columns=[ColumnInfo(k, "numeric") for k in names],
+                            split=rng.choice(["train", "validation", "test"], n) if split else None)
+        data.secondary["aux"] = rng.normal(size=n)
+        _per_row_save_dataset(data, tmp_path / "old.csv")
+        save_dataset(data, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_reader_checks_header_and_row_width(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\r\n1,2\r\n3\r\n")
+        with pytest.raises(SchemaError, match="header does not match"):
+            list(layout.read_table(path, ["a", "c"]))
+        with pytest.raises(SchemaError, match="row 2 has 1 fields, expected 2"):
+            list(layout.read_table(path, ["a", "b"]))
+
+    def test_writer_rejects_columns_that_do_not_fit_the_header(self, tmp_path):
+        with pytest.raises(ValueError):
+            layout.write_table(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
+        with pytest.raises(ValueError):
+            layout.write_table(tmp_path / "t.csv", ["a"], [[1.0], [2.0]])

@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+from dataclasses import replace
 import xml.dom.minidom
 
 import numpy as np
@@ -338,6 +339,24 @@ class TestComponentGate:
         assert "cate/gate.json" in saved.paths()
         assert any(w["kind"] == "component-gate" for w in saved.warnings)
 
+    def test_failed_rerun_replaces_the_partial_record(self, tmp_path):
+        csv_path = tmp_path / "table.csv"
+        write_observational_csv(csv_path, n=150)
+        raw = pipeline_raw(
+            csv_path, tmp_path / "out",
+            cate={"menu": {"planted": {"kind": "s", "learner": {"kind": "lasso", "lam": 1e9}}},
+                  "ensembles": []},
+        )
+        cfg = validate_config(raw)
+        run_stages(cfg, ["ingest", "fit-propensity"])
+        for _ in range(2):
+            with pytest.raises(StageError, match="every model in the menu failed"):
+                run_stages(cfg, ["fit-cate"])
+        saved = RunManifest.from_dict(read_json(tmp_path / "out" / "manifest.json"))
+        assert saved.stages == ["ingest", "fit-propensity"]
+        assert saved.paths().count("cate/gate.json") == 1
+        assert [w["kind"] for w in saved.warnings].count("component-gate") == 1
+
 
 class TestSequencing:
     def test_stage_without_upstream_artifacts_fails(self, tmp_path):
@@ -443,6 +462,15 @@ class TestStoredPerModelArtifacts:
         assert main([stage, str(cfg_path)]) == 4
         err = capsys.readouterr().err
         assert "stage failure:" in err and f"rerun {producer}" in err
+
+    @pytest.mark.parametrize("stage", ["defer", "evaluate"])
+    def test_propensity_model_without_bounds_asks_for_a_rerun(self, run_dir, stage, capsys):
+        _, cfg_path, out = run_dir
+        model_path = out / "propensity" / "model.json"
+        save_model(replace(load_model(model_path), bounds=None), model_path)
+        assert main([stage, str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert "no overlap bounds" in err and "rerun fit-propensity" in err
 
     def test_ensembles_vote_over_stored_estimates_not_model_files(self, run_dir):
         cfg, _, out = run_dir
