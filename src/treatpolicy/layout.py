@@ -1,9 +1,15 @@
-"""The stage table, canonical artifact paths, and the artifact codecs.
+"""The stage table, canonical artifact paths, the stage recorder and the codecs.
 
 Stages write artifacts at these relative paths and downstream stages read
 them back; keeping the names in one place is what lets a subcommand run in
 isolation against an output directory produced earlier.  The CLI, the stage
 dispatch and the report index all read the one stage table below.
+
+A stage run finds its input artifacts and writes its own only through its
+:class:`StageIO`: ``need`` finds an input and names the stage that produces
+it when it is missing, ``out`` lists every file the stage writes, and
+``warn`` stamps the stage's name on a warning.  The manifest records what
+the recorder saw, so it lists exactly the files each stage wrote.
 
 Every CSV artifact is written by :func:`write_table` from the columns a
 stage hands over and read back by :func:`read_table`: one header row, floats
@@ -20,7 +26,7 @@ import os
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, StageError
 
 # Every stage in run order, with the description the CLI help and the report
 # index show.
@@ -70,6 +76,22 @@ FIG_RANK_CURVE = "report/fig_rank_curve.svg"
 FIG_OUTCOME_TREE = "report/fig_outcome_tree.svg"
 REPORT_INDEX = "report/index.md"
 
+# The stage that writes each fixed artifact, by its path.
+PRODUCER = {
+    rel: stage
+    for stage, rels in (
+        ("ingest", (IDENTIFICATION, DATASET_CSV, DATASET_META, SUMMARY)),
+        ("fit-propensity", (PROPENSITY_MODEL, PROPENSITY_SCORES, OVERLAP)),
+        ("simulate", (STUDY, STUDY_AGGREGATES, STUDY_SCATTER)),
+        ("fit-cate", (CATE_ESTIMATES, CATE_GATE, CATE_DIAGNOSTICS)),
+        ("defer", (DEFER_DECISIONS, DEFER_SUBPOP)),
+        ("evaluate", (POLICY_VALUES, RECOMMENDATIONS, RANK_CURVE, OUTCOME_TREES)),
+        ("report", (FIG_CATE_HIST, FIG_OVERLAP_HIST, FIG_VALUE_SCATTER, FIG_VALUE_BOX,
+                    FIG_RANK_CURVE, FIG_OUTCOME_TREE, REPORT_INDEX)),
+    )
+    for rel in rels
+}
+
 # The header of every CSV artifact whose columns are fixed, by its path.
 HEADERS = {
     PROPENSITY_SCORES: ("row_id", "split", "treatment", "score"),
@@ -98,11 +120,32 @@ def distributions(estimator: str) -> str:
     return f"eval/distributions_{estimator}.csv"
 
 
-def path(out_dir, rel: str) -> str:
-    """Absolute location of an artifact, creating its parent directory."""
-    full = os.path.join(out_dir, rel)
-    os.makedirs(os.path.dirname(full) or ".", exist_ok=True)
-    return full
+class StageIO:
+    """One stage run's record: the artifacts it wrote and the warnings it raised."""
+
+    def __init__(self, out_dir, stage: str):
+        self.out_dir = out_dir
+        self.stage = stage
+        self.written: list[str] = []
+        self.warnings: list[dict] = []
+
+    def out(self, rel: str) -> str:
+        """Where to write the artifact ``rel``, which is listed as written;
+        creates its parent directory."""
+        full = os.path.join(self.out_dir, rel)
+        os.makedirs(os.path.dirname(full) or ".", exist_ok=True)
+        self.written.append(rel)
+        return full
+
+    def need(self, rel: str) -> str:
+        """Where to read the artifact ``rel``; a missing one names its producer."""
+        full = os.path.join(self.out_dir, rel)
+        if not os.path.exists(full):
+            raise StageError(f"missing artifact {rel}; run the {PRODUCER[rel]!r} stage first")
+        return full
+
+    def warn(self, kind: str, message: str) -> None:
+        self.warnings.append({"stage": self.stage, "kind": kind, "message": message})
 
 
 def write_json(full_path, obj) -> None:

@@ -2,9 +2,12 @@
 
 Every stage reads its inputs from the output directory and writes its
 artifacts back there, so subcommands can rerun any stage in isolation.
-The manifest records the resolved config, its hash, seeds, every emitted
-file, and accumulated warnings; stage timings are only recorded when the
-config asks for them, keeping rerun artifacts byte-identical by default.
+Each stage run gets one :class:`layout.StageIO`, through which it finds its
+inputs, writes its artifacts and raises its warnings.  The manifest records
+the resolved config, its hash, seeds, the files each stage wrote and their
+warnings, whether the stage completed or failed; a failed stage is left off
+``stages``.  Stage timings are only recorded when the config asks for them,
+keeping rerun artifacts byte-identical by default.
 """
 
 from __future__ import annotations
@@ -80,17 +83,6 @@ downstream can repair it.
 """
 
 
-def _warn(stage: str, kind: str, message: str) -> dict:
-    return {"stage": stage, "kind": kind, "message": message}
-
-
-def _need(out_dir: str, rel: str, producer: str) -> str:
-    full = os.path.join(out_dir, rel)
-    if not os.path.exists(full):
-        raise StageError(f"missing artifact {rel}; run the {producer!r} stage first")
-    return full
-
-
 @dataclass
 class RunManifest:
     """Ledger of one run: config echo and hash, seeds, files, warnings."""
@@ -130,7 +122,7 @@ class RunManifest:
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     def save(self, out_dir: str) -> None:
-        write_json(layout.path(out_dir, layout.MANIFEST), self.to_dict())
+        write_json(os.path.join(out_dir, layout.MANIFEST), self.to_dict())
 
     @classmethod
     def fresh(cls, cfg: PipelineConfig) -> "RunManifest":
@@ -138,37 +130,21 @@ class RunManifest:
 
     @classmethod
     def load_or_fresh(cls, cfg: PipelineConfig) -> "RunManifest":
-        full = os.path.join(cfg.out_dir, layout.MANIFEST)
-        if os.path.exists(full):
-            try:
-                prior = cls.from_dict(read_json(full))
-            except (TypeError, ValueError):  # a missing field, or not JSON
-                return cls.fresh(cfg)
-            if prior.config_hash == cfg.hash:
-                return prior
-        return cls.fresh(cfg)
+        try:
+            prior = cls.from_dict(read_json(os.path.join(cfg.out_dir, layout.MANIFEST)))
+        except (FileNotFoundError, TypeError, ValueError):  # absent, a missing field, or not JSON
+            return cls.fresh(cfg)
+        return prior if prior.config_hash == cfg.hash else cls.fresh(cfg)
 
 
-def _require_ack(cfg: PipelineConfig, stage: str) -> None:
-    if not cfg.echo["identification"]["acknowledged"]:
-        raise ConfigError(
-            f"stage {stage!r} estimates effects from observational data; review "
-            f"{layout.IDENTIFICATION} in the output directory (written by the ingest "
-            "stage) and set identification.acknowledged = true"
-        )
-
-
-def _load_data(out_dir: str):
-    csv_path = _need(out_dir, layout.DATASET_CSV, "ingest")
-    meta_path = _need(out_dir, layout.DATASET_META, "ingest")
-    return load_dataset(csv_path, read_json(meta_path))
+def _load_data(io):
+    return load_dataset(io.need(layout.DATASET_CSV), read_json(io.need(layout.DATASET_META)))
 
 
 # ---------------------------------------------------------------- stages
 
 
-def stage_ingest(cfg: PipelineConfig, manifest: RunManifest):
-    out = cfg.out_dir
+def stage_ingest(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
     d = cfg.echo["data"]
     try:
         data = load_table(d["path"], cfg.table_schema(), delimiter=d["delimiter"])
@@ -177,58 +153,44 @@ def stage_ingest(cfg: PipelineConfig, manifest: RunManifest):
     data = assign_splits(data, cfg.echo["splits"]["fractions"], cfg.echo["splits"]["seed"])
     data, flagged = impute_and_flag(data)
 
-    description = save_dataset(data, layout.path(out, layout.DATASET_CSV))
-    write_json(layout.path(out, layout.DATASET_META), description)
-    table = summarize(data, group_by=data.treatment == 1, group_names=("control", "treated"))
-    write_table(layout.path(out, layout.SUMMARY), table.header, table.columns())
-    with open(layout.path(out, layout.IDENTIFICATION), "w") as fh:
+    with open(io.out(layout.IDENTIFICATION), "w") as fh:
         fh.write(_CHECKLIST)
-
-    warnings = []
+    description = save_dataset(data, io.out(layout.DATASET_CSV))
+    write_json(io.out(layout.DATASET_META), description)
+    table = summarize(data, group_by=data.treatment == 1, group_names=("control", "treated"))
+    write_table(io.out(layout.SUMMARY), table.header, table.columns())
     if flagged:
         cols = ", ".join(sorted(flagged))
-        warnings.append(
-            _warn("ingest", "imputation", f"missing values imputed (indicators added) in: {cols}")
-        )
-    artifacts = [layout.IDENTIFICATION, layout.DATASET_CSV, layout.DATASET_META, layout.SUMMARY]
-    return artifacts, warnings
+        io.warn("imputation", f"missing values imputed (indicators added) in: {cols}")
 
 
-def stage_fit_propensity(cfg: PipelineConfig, manifest: RunManifest):
-    _require_ack(cfg, "fit-propensity")
-    out = cfg.out_dir
-    data = _load_data(out)
+def stage_fit_propensity(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
+    data = _load_data(io)
     train = data.rows_in("train")
     cal = data.rows_in("validation") if cfg.echo["propensity"]["calibrate"] else None
     model = fit_propensity(train, cfg.propensity_spec(), calibration=cal)
     scores = model.predict(data.covariates)
     bounds = select_overlap_bounds(scores, treatment=data.treatment, **cfg.bounds_kwargs())
     model = replace(model, bounds=bounds)
-    save_model(model, layout.path(out, layout.PROPENSITY_MODEL))
+    save_model(model, io.out(layout.PROPENSITY_MODEL))
 
-    _write_table(out, layout.PROPENSITY_SCORES, [data.row_ids, data.split, data.treatment, scores])
+    _write_table(io, layout.PROPENSITY_SCORES, [data.row_ids, data.split, data.treatment, scores])
 
     rep = overlap_report(scores, data.treatment, bounds, bins=cfg.echo["report"]["bins"])
     write_json(
-        layout.path(out, layout.OVERLAP),
+        io.out(layout.OVERLAP),
         {"method": cfg.echo["propensity"]["bounds"], "report": rep.to_dict()},
     )
-    warnings = []
     if rep.auroc_flag:
-        warnings.append(
-            _warn(
-                "fit-propensity",
-                "overlap",
-                f"treatment scores separate the arms (AUROC {rep.auroc:.3f} >= "
-                f"{rep.auroc_flag_threshold}); overlap is strained and deferral rates will be high",
-            )
+        io.warn(
+            "overlap",
+            f"treatment scores separate the arms (AUROC {rep.auroc:.3f} >= "
+            f"{rep.auroc_flag_threshold}); overlap is strained and deferral rates will be high",
         )
-    return [layout.PROPENSITY_MODEL, layout.PROPENSITY_SCORES, layout.OVERLAP], warnings
 
 
-def stage_simulate(cfg: PipelineConfig, manifest: RunManifest):
-    out = cfg.out_dir
-    data = _load_data(out)
+def stage_simulate(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
+    data = _load_data(io)
     sim = cfg.echo["simulation"]
     study = run_study(
         data.covariates,
@@ -241,27 +203,21 @@ def stage_simulate(cfg: PipelineConfig, manifest: RunManifest):
         plug_in_spec=cfg.plug_in_spec(),
         p_star_spec=cfg.propensity_spec(),
     )
-    write_json(layout.path(out, layout.STUDY), study.to_dict())
+    write_json(io.out(layout.STUDY), study.to_dict())
 
-    _write_records(out, layout.STUDY_AGGREGATES, study.aggregates)
-    _write_records(out, layout.STUDY_SCATTER, study.rows)
+    _write_records(io, layout.STUDY_AGGREGATES, study.aggregates)
+    _write_records(io, layout.STUDY_SCATTER, study.rows)
 
-    warnings = []
     for f in study.failures:
-        warnings.append(_warn("simulate", "study-run-failed", f"run {f['run']}: {f['error']}"))
+        io.warn("study-run-failed", f"run {f['run']}: {f['error']}")
     for name, info in study.checks.items():
         if not info.get("pass", False):
-            warnings.append(
-                _warn("simulate", "study-check", f"validation check {name!r} did not pass")
-            )
-    return [layout.STUDY, layout.STUDY_AGGREGATES, layout.STUDY_SCATTER], warnings
+            io.warn("study-check", f"validation check {name!r} did not pass")
 
 
-def stage_fit_cate(cfg: PipelineConfig, manifest: RunManifest):
-    _require_ack(cfg, "fit-cate")
-    out = cfg.out_dir
-    data = _load_data(out)
-    prop = load_model(_need(out, layout.PROPENSITY_MODEL, "fit-propensity"))
+def stage_fit_cate(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
+    data = _load_data(io)
+    prop = load_model(io.need(layout.PROPENSITY_MODEL))
     train = data.rows_in("train")
     val = data.rows_in("validation")
     test = data.rows_in("test")
@@ -272,33 +228,25 @@ def stage_fit_cate(cfg: PipelineConfig, manifest: RunManifest):
     var_val = float(np.var(val.outcome))
     gate = {}
     retained = {}
-    warnings = []
-    artifacts = []
     for name, fit_spec in menu.items():
         model = fit_spec.fit(train, propensity=prop)
         pred = model.predict_outcome(val.covariates, val.treatment)
         mse = float(np.mean((pred - val.outcome) ** 2))
         excluded = bool(mse >= var_val)
-        gate[name] = {"heldout_mse": mse, "outcome_variance": var_val, "excluded": excluded}
+        # the menu entry the model was fitted from, checked by the stages that read it
+        gate[name] = {"heldout_mse": mse, "outcome_variance": var_val, "excluded": excluded,
+                      "spec": cfg.echo["cate"]["menu"][name]}
         if excluded:
-            warnings.append(
-                _warn(
-                    "fit-cate",
-                    "component-gate",
-                    f"model {name!r} excluded: held-out MSE {mse:.6g} >= outcome "
-                    f"variance {var_val:.6g}",
-                )
+            io.warn(
+                "component-gate",
+                f"model {name!r} excluded: held-out MSE {mse:.6g} >= outcome "
+                f"variance {var_val:.6g}",
             )
             continue
         retained[name] = model
-        rel = layout.cate_model(name)
-        save_model(model, layout.path(out, rel))
-        artifacts.append(rel)
-    write_json(layout.path(out, layout.CATE_GATE), gate)
-    artifacts.append(layout.CATE_GATE)
+        save_model(model, io.out(layout.cate_model(name)))
+    write_json(io.out(layout.CATE_GATE), gate)
     if not retained:
-        # keep the gate report visible even though the stage did not complete
-        manifest.record("fit-cate", artifacts, warnings, complete=False)
         raise StageError(
             "every model in the menu failed the held-out error gate; "
             f"see {layout.CATE_GATE}"
@@ -315,91 +263,82 @@ def stage_fit_cate(cfg: PipelineConfig, manifest: RunManifest):
     ]
     taus = {name: interval.point for name, interval in zip(retained, intervals)}
     _write_per_model(
-        out, layout.CATE_ESTIMATES, list(retained), test.row_ids,
+        io, layout.CATE_ESTIMATES, list(retained), test.row_ids,
         [iv.point for iv in intervals], [iv.lower for iv in intervals], [iv.upper for iv in intervals],
     )
-    artifacts.append(layout.CATE_ESTIMATES)
-
     diag = cate_diagnostics(taus)
-    write_json(layout.path(out, layout.CATE_DIAGNOSTICS), diag.to_dict())
-    artifacts.append(layout.CATE_DIAGNOSTICS)
-    return artifacts, warnings
+    write_json(io.out(layout.CATE_DIAGNOSTICS), diag.to_dict())
 
 
 def _retained_names(cfg: PipelineConfig, gate: dict) -> list[str]:
-    for name in cfg.echo["cate"]["menu"]:
-        if name not in gate:
+    menu = cfg.echo["cate"]["menu"]
+    for name, spec in menu.items():
+        if gate.get(name, {}).get("spec") != spec:
             raise StageError(
-                f"model {name!r} is in cate.menu but not in {layout.CATE_GATE}; "
+                f"model {name!r} in cate.menu is not the entry recorded in {layout.CATE_GATE}; "
                 "the menu changed since fit-cate ran; rerun fit-cate"
             )
-    retained = [name for name in cfg.echo["cate"]["menu"] if not gate[name]["excluded"]]
+    retained = [name for name in menu if not gate[name]["excluded"]]
     if not retained:
         raise StageError(f"no model passed the held-out error gate in {layout.CATE_GATE}")
     return retained
 
 
-def _write_table(out_dir: str, rel: str, columns) -> None:
-    write_table(layout.path(out_dir, rel), layout.HEADERS[rel], columns)
+def _write_table(io, rel: str, columns) -> None:
+    write_table(io.out(rel), layout.HEADERS[rel], columns)
 
 
-def _write_records(out_dir: str, rel: str, records) -> None:
+def _write_records(io, rel: str, records) -> None:
     """One row per record, a dict keyed by the header names of ``rel``."""
-    _write_table(out_dir, rel, [[r[k] for r in records] for k in layout.HEADERS[rel]])
+    _write_table(io, rel, [[r[k] for r in records] for k in layout.HEADERS[rel]])
 
 
-def _write_per_model(out_dir: str, rel: str, names, row_ids, *columns) -> None:
+def _write_per_model(io, rel: str, names, row_ids, *columns) -> None:
     """Rows name by name, one per row id; each of ``columns`` has one array per name."""
     repeat = [np.repeat(names, len(row_ids)), np.tile(row_ids, len(names))]
-    _write_table(out_dir, rel, repeat + [np.concatenate(c) for c in columns])
+    _write_table(io, rel, repeat + [np.concatenate(c) for c in columns])
 
 
-def _per_model_values(out_dir: str, rel: str, producer: str, test, names, width: int) -> dict:
+def _per_model_values(io, rel: str, test, names, width: int) -> dict:
     """``{name: values}`` for each of ``names``: the first ``width`` columns
     after ``model,row_id`` of a per-model artifact, as a (width, n) float
     array in test-split order.  A model without rows, or whose rows do not
-    line up with the current test split, asks for ``producer`` to be rerun."""
+    line up with the current test split, asks for the producer of ``rel`` to
+    be rerun."""
     row_ids: dict[str, list] = {}
     values: dict[str, list] = {}
-    for model, row_id, *cells in read_table(_need(out_dir, rel, producer), layout.HEADERS[rel]):
+    for model, row_id, *cells in read_table(io.need(rel), layout.HEADERS[rel]):
         row_ids.setdefault(model, []).append(int(row_id))
         values.setdefault(model, []).append([float(c) for c in cells[:width]])
     want = [int(r) for r in test.row_ids]
     out = {}
     for name in names:
-        if name not in row_ids:
-            raise StageError(f"{rel} has no rows for model {name!r}; rerun {producer}")
-        if row_ids[name] != want:
+        if row_ids.get(name) != want:
             raise StageError(
-                f"{rel} rows for model {name!r} do not line up with the current test "
-                f"split; rerun {producer}"
+                f"{rel} rows for model {name!r} are missing or do not line up with the "
+                f"current test split; rerun {layout.PRODUCER[rel]}"
             )
         out[name] = np.array(values[name], dtype=float).T.copy()
     return out
 
 
-def _bounded_propensity(out_dir: str):
-    prop = load_model(_need(out_dir, layout.PROPENSITY_MODEL, "fit-propensity"))
+def _bounded_propensity(io):
+    prop = load_model(io.need(layout.PROPENSITY_MODEL))
     if prop.bounds is None:
         raise StageError("propensity model has no overlap bounds; rerun fit-propensity")
     return prop
 
 
-def stage_defer(cfg: PipelineConfig, manifest: RunManifest):
-    _require_ack(cfg, "defer")
-    out = cfg.out_dir
-    data = _load_data(out)
-    test = data.rows_in("test")
-    prop = _bounded_propensity(out)
-    gate = read_json(_need(out, layout.CATE_GATE, "fit-cate"))
-    retained = _retained_names(cfg, gate)
-    estimates = _per_model_values(out, layout.CATE_ESTIMATES, "fit-cate", test, retained, 3)
+def stage_defer(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
+    test = _load_data(io).rows_in("test")
+    prop = _bounded_propensity(io)
+    retained = _retained_names(cfg, read_json(io.need(layout.CATE_GATE)))
+    estimates = _per_model_values(io, layout.CATE_ESTIMATES, test, retained, 3)
     scores = prop.predict(test.covariates)
     rule = DeferralRule(
         eta_low=prop.bounds[0], eta_high=prop.bounds[1], mode=cfg.echo["deferral"]["mode"]
     )
 
-    warnings = []
     flags, reasons = [], []
     profile = {}
     for name in retained:
@@ -422,38 +361,30 @@ def stage_defer(cfg: PipelineConfig, manifest: RunManifest):
             )
             entry["profile"] = {**prof.to_dict(), "table": prof.table.to_csv_rows()}
         except DataError:
-            warnings.append(
-                _warn(
-                    "defer",
-                    "subpopulation",
-                    f"model {name!r}: deferral split has a single class "
-                    f"({decision.n_deferred}/{test.n} deferred); no profile fitted",
-                )
+            io.warn(
+                "subpopulation",
+                f"model {name!r}: deferral split has a single class "
+                f"({decision.n_deferred}/{test.n} deferred); no profile fitted",
             )
         profile[name] = entry
 
-    _write_per_model(out, layout.DEFER_DECISIONS, retained, test.row_ids, flags, reasons)
-    write_json(layout.path(out, layout.DEFER_SUBPOP), profile)
-    return [layout.DEFER_DECISIONS, layout.DEFER_SUBPOP], warnings
+    _write_per_model(io, layout.DEFER_DECISIONS, retained, test.row_ids, flags, reasons)
+    write_json(io.out(layout.DEFER_SUBPOP), profile)
 
 
-def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
-    _require_ack(cfg, "evaluate")
-    out = cfg.out_dir
-    data = _load_data(out)
+def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
+    data = _load_data(io)
     train = data.rows_in("train")
     test = data.rows_in("test")
-    prop = _bounded_propensity(out)
-    gate = read_json(_need(out, layout.CATE_GATE, "fit-cate"))
-    retained = _retained_names(cfg, gate)
-    estimates = _per_model_values(out, layout.CATE_ESTIMATES, "fit-cate", test, retained, 1)
+    prop = _bounded_propensity(io)
+    retained = _retained_names(cfg, read_json(io.need(layout.CATE_GATE)))
+    estimates = _per_model_values(io, layout.CATE_ESTIMATES, test, retained, 1)
     taus = {name: v[0] for name, v in estimates.items()}
-    decisions = _per_model_values(out, layout.DEFER_DECISIONS, "defer", test, retained, 1)
+    decisions = _per_model_values(io, layout.DEFER_DECISIONS, test, retained, 1)
     flags = {name: v[0] == 1.0 for name, v in decisions.items()}
     rule = cfg.decision_rule()
     eval_cfg = cfg.echo["evaluation"]
     seed = eval_cfg["seed"]
-    warnings = []
 
     p_star = prop.predict(test.covariates)
 
@@ -461,22 +392,15 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
     plug_in = fit_plug_in(plug_spec, train, test.covariates)
     for name in retained:
         if cfg.echo["cate"]["menu"][name]["learner"]["kind"] == plug_spec.kind:
-            warnings.append(
-                _warn(
-                    "evaluate",
-                    "congeniality",
-                    f"policy model {name!r} and the DR plug-in share the learner family "
-                    f"{plug_spec.kind!r}; DR values for that policy may be optimistic",
-                )
+            io.warn(
+                "congeniality",
+                f"policy model {name!r} and the DR plug-in share the learner family "
+                f"{plug_spec.kind!r}; DR values for that policy may be optimistic",
             )
 
     if cfg.ensembles and len(retained) < 2:
-        warnings.append(
-            _warn(
-                "evaluate",
-                "ensembles",
-                f"ensembles need at least 2 retained models, have {len(retained)}; skipped",
-            )
+        io.warn(
+            "ensembles", f"ensembles need at least 2 retained models, have {len(retained)}; skipped"
         )
     policies = build_policy_set(
         taus, rule, test, p_star, defer=flags, modes=cfg.ensembles,
@@ -497,17 +421,12 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
                  **{f"boot_{k}": v for k, v in summarize_bootstrap(boot).items()},
                  "n_deferred": policy.n_deferred, "n_skipped": int(np.isnan(boot).sum())}
             )
-    _write_records(out, layout.POLICY_VALUES, values)
-    artifacts = [layout.POLICY_VALUES]
+    _write_records(io, layout.POLICY_VALUES, values)
 
     names = tournament.policies
     for est in cfg.estimators:
-        rel = layout.wins(est)
-        write_table(layout.path(out, rel), ["policy", *names], [names, *tournament.wins[est].T])
-        artifacts.append(rel)
-        rel = layout.distributions(est)
-        write_table(layout.path(out, rel), names, tournament.distributions[est])
-        artifacts.append(rel)
+        write_table(io.out(layout.wins(est)), ["policy", *names], [names, *tournament.wins[est].T])
+        write_table(io.out(layout.distributions(est)), names, tournament.distributions[est])
 
     curve_est = "DR" if "DR" in cfg.estimators else cfg.estimators[0]
     curve = [
@@ -519,24 +438,24 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest):
             plug_in=plug_in if curve_est == "DR" else None,
         )
     ]
-    _write_records(out, layout.RANK_CURVE, curve)
-    artifacts.append(layout.RANK_CURVE)
+    _write_records(io, layout.RANK_CURVE, curve)
 
     trees = {p.name: outcome_tree(p, test) for p in policies}
-    write_json(layout.path(out, layout.OUTCOME_TREES), trees)
-    artifacts.append(layout.OUTCOME_TREES)
+    write_json(io.out(layout.OUTCOME_TREES), trees)
 
     recommending = [p for p in policies if p.source != "baseline"]
     _write_per_model(
-        out, layout.RECOMMENDATIONS, [p.name for p in recommending], test.row_ids,
+        io, layout.RECOMMENDATIONS, [p.name for p in recommending], test.row_ids,
         [np.where(p.rec == DEFER, "defer", p.rec.astype(str)) for p in recommending],
     )
-    artifacts.append(layout.RECOMMENDATIONS)
-    return artifacts, warnings
 
 
-def stage_report(cfg: PipelineConfig, manifest: RunManifest):
-    return emit_report(cfg.out_dir, manifest.to_dict())
+def stage_report(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
+    io.written, io.warnings = emit_report(io.out_dir, manifest.to_dict())
+
+
+# the stages locked until the identification checklist is acknowledged
+_ESTIMATING = ("fit-propensity", "fit-cate", "defer", "evaluate")
 
 
 def planned_stages(cfg: PipelineConfig) -> list[str]:
@@ -556,37 +475,42 @@ def _execute(cfg: PipelineConfig, stage: str, manifest: RunManifest) -> None:
         raise ConfigError(f"unknown stage {stage!r}; stages are {list(STAGE_ORDER)}")
     # the stage named "fit-cate" in layout.STAGES runs stage_fit_cate, and so on
     fn = globals()["stage_" + stage.replace("-", "_")]
-    include_timings = cfg.echo["report"]["include_timings"]
+    io = layout.StageIO(cfg.out_dir, stage)
     start = time.perf_counter()
     try:
-        artifacts, warnings = fn(cfg, manifest)
-    except TreatPolicyError:
-        manifest.save(cfg.out_dir)
-        raise
+        if stage in _ESTIMATING and not cfg.echo["identification"]["acknowledged"]:
+            raise ConfigError(
+                f"stage {stage!r} estimates effects from observational data; review "
+                f"{layout.IDENTIFICATION} in the output directory (written by the ingest "
+                "stage) and set identification.acknowledged = true"
+            )
+        fn(cfg, manifest, io)
     except Exception as exc:
+        # what the stage wrote before failing stays listed; the stage is not complete
+        manifest.record(stage, io.written, io.warnings, complete=False)
         manifest.save(cfg.out_dir)
+        if isinstance(exc, TreatPolicyError):
+            raise
         raise StageError(f"stage {stage!r} failed: {exc}") from exc
-    elapsed = time.perf_counter() - start
-    manifest.record(stage, artifacts, warnings, elapsed if include_timings else None)
+    elapsed = time.perf_counter() - start if cfg.echo["report"]["include_timings"] else None
+    manifest.record(stage, io.written, io.warnings, elapsed)
     manifest.save(cfg.out_dir)
+
+
+def _run(cfg: PipelineConfig, stages, manifest: RunManifest) -> RunManifest:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    for stage in stages:
+        _execute(cfg, stage, manifest)
+    return manifest
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     """Execute every planned stage from scratch; abort on the first failure,
     leaving the manifest of completed stages behind."""
-    manifest = RunManifest.fresh(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    manifest.save(cfg.out_dir)
-    for stage in planned_stages(cfg):
-        _execute(cfg, stage, manifest)
-    return manifest
+    return _run(cfg, planned_stages(cfg), RunManifest.fresh(cfg))
 
 
 def run_stages(cfg: PipelineConfig, stages) -> RunManifest:
     """Run selected stages, merging into the directory's manifest when the
     config hash matches (stale manifests are replaced)."""
-    manifest = RunManifest.load_or_fresh(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    for stage in stages:
-        _execute(cfg, stage, manifest)
-    return manifest
+    return _run(cfg, stages, RunManifest.load_or_fresh(cfg))

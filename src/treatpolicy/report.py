@@ -1,9 +1,10 @@
 """Report bundle: figures rendered from stage artifacts plus an index page.
 
 The emitter never recomputes results; it only reads what earlier stages
-wrote under the output directory.  A missing upstream artifact downgrades
-the corresponding figure to a placeholder entry in the index and a warning,
-and the rest of the bundle is still produced.
+wrote under the output directory, and writes through one
+:class:`layout.StageIO`.  A missing upstream artifact downgrades the
+corresponding figure to a placeholder entry in the index and a warning, and
+the rest of the bundle is still produced.
 """
 
 from __future__ import annotations
@@ -17,9 +18,17 @@ from .layout import read_json, read_table
 __all__ = ["emit_report"]
 
 
+def _at(out_dir, rel):
+    """Where to read ``rel``; a missing one raises FileNotFoundError naming ``rel``."""
+    full = os.path.join(out_dir, rel)
+    if not os.path.exists(full):
+        raise FileNotFoundError(rel)
+    return full
+
+
 def _read(out_dir, rel):
     """The data rows of the fixed-header artifact ``rel``, streamed."""
-    return read_table(os.path.join(out_dir, rel), layout.HEADERS[rel])
+    return read_table(_at(out_dir, rel), layout.HEADERS[rel])
 
 
 def _float_columns(rows, cols, key=None) -> dict:
@@ -60,7 +69,7 @@ def _fig_cate_hist(out_dir, bins: int):
 
 
 def _fig_overlap_hist(out_dir, bins: int):
-    info = read_json(os.path.join(out_dir, layout.OVERLAP))["report"]
+    info = read_json(_at(out_dir, layout.OVERLAP))["report"]
     panels = []
     for arm in ("0", "1"):
         hist = info["histograms"][arm]
@@ -118,63 +127,43 @@ def _fig_rank_curve(out_dir, bins: int):
 
 
 def _fig_outcome_tree(out_dir, bins: int):
-    trees = read_json(os.path.join(out_dir, layout.OUTCOME_TREES))
+    trees = read_json(_at(out_dir, layout.OUTCOME_TREES))
     name, tree = next(iter(trees.items()))
     return figures.svg_tree(tree, title=f"Observed outcomes under policy {name}")
 
 
-# figure name -> (relative output path, renderer, artifacts it needs)
+# figure name -> (relative output path, renderer)
 _FIGURES = (
-    ("effect histograms", layout.FIG_CATE_HIST, _fig_cate_hist, (layout.CATE_ESTIMATES,)),
-    ("overlap histograms", layout.FIG_OVERLAP_HIST, _fig_overlap_hist, (layout.OVERLAP,)),
-    ("value scatter", layout.FIG_VALUE_SCATTER, _fig_value_scatter, (layout.STUDY_SCATTER,)),
-    ("value box plot", layout.FIG_VALUE_BOX, _fig_value_box, ()),
-    ("rank curve", layout.FIG_RANK_CURVE, _fig_rank_curve, (layout.RANK_CURVE,)),
-    ("outcome tree", layout.FIG_OUTCOME_TREE, _fig_outcome_tree, (layout.OUTCOME_TREES,)),
+    ("effect histograms", layout.FIG_CATE_HIST, _fig_cate_hist),
+    ("overlap histograms", layout.FIG_OVERLAP_HIST, _fig_overlap_hist),
+    ("value scatter", layout.FIG_VALUE_SCATTER, _fig_value_scatter),
+    ("value box plot", layout.FIG_VALUE_BOX, _fig_value_box),
+    ("rank curve", layout.FIG_RANK_CURVE, _fig_rank_curve),
+    ("outcome tree", layout.FIG_OUTCOME_TREE, _fig_outcome_tree),
 )
 
 def emit_report(out_dir: str, manifest: dict) -> tuple[list[str], list[dict]]:
     """Render figures and the index; returns (artifact paths, warnings)."""
     bins = int(manifest.get("config", {}).get("report", {}).get("bins", 20))
-    artifacts: list[str] = []
-    warnings: list[dict] = []
+    io = layout.StageIO(out_dir, "report")
     produced: list[tuple[str, str]] = []
     missing: list[tuple[str, str]] = []
 
-    for label, rel, render, needs in _FIGURES:
-        absent = [n for n in needs if not os.path.exists(os.path.join(out_dir, n))]
-        if absent:
-            missing.append((label, absent[0]))
-            warnings.append(
-                {
-                    "stage": "report",
-                    "kind": "missing-artifact",
-                    "message": f"{label} skipped: missing {absent[0]}",
-                }
-            )
-            continue
+    for label, rel, render in _FIGURES:
         try:
             svg = render(out_dir, bins)
         except FileNotFoundError as exc:
             missing.append((label, str(exc)))
-            warnings.append(
-                {
-                    "stage": "report",
-                    "kind": "missing-artifact",
-                    "message": f"{label} skipped: missing {exc}",
-                }
-            )
+            io.warn("missing-artifact", f"{label} skipped: missing {exc}")
             continue
-        with open(layout.path(out_dir, rel), "w") as fh:
+        with open(io.out(rel), "w") as fh:
             fh.write(svg)
-        artifacts.append(rel)
         produced.append((label, rel))
 
     index = _render_index(manifest, produced, missing)
-    with open(layout.path(out_dir, layout.REPORT_INDEX), "w") as fh:
+    with open(io.out(layout.REPORT_INDEX), "w") as fh:
         fh.write(index)
-    artifacts.append(layout.REPORT_INDEX)
-    return artifacts, warnings
+    return io.written, io.warnings
 
 
 def _render_index(manifest: dict, produced, missing) -> str:

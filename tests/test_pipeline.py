@@ -604,3 +604,104 @@ class TestEvaluateWarnings:
         assert {"congeniality", "ensembles"} <= kinds
         names = {r[0] for r in read_csv(tmp_path / "out" / "eval" / "policy_values.csv")[1:]}
         assert not any(n.startswith("ensemble-") for n in names)
+
+
+class TestChangedMenuEntry:
+    """A menu entry that keeps its name but changes its learner asks for a fit-cate rerun."""
+
+    @pytest.fixture(scope="class")
+    def refitted(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("entry")
+        csv_path = root / "table.csv"
+        write_observational_csv(csv_path, n=200)
+        menu = {"t-ridge": {"kind": "t", "learner": {"kind": "ridge", "lam": 1.0}}}
+        raw = pipeline_raw(csv_path, root / "out", cate={"menu": menu, "ensembles": []},
+                           uncertainty={"alpha_stat": 0.8, "b_boot": 8},
+                           evaluation={"bootstrap_b": 8, "plug_in": {"kind": "ols"}})
+        cfg = validate_config(raw)
+        run_stages(cfg, ["ingest", "fit-propensity", "fit-cate", "defer"])
+        gbt = {"t-ridge": {"kind": "t", "learner": {"kind": "gbt", "n_trees": 5}}}
+        changed = {**raw, "cate": {"menu": gbt, "ensembles": []}}
+        cfg_path = root / "changed.json"
+        cfg_path.write_text(json.dumps(changed))
+        return cfg, validate_config(changed), cfg_path, root / "out"
+
+    def test_gate_records_each_menu_entry(self, refitted):
+        cfg, _, _, out = refitted
+        gate = read_json(out / "cate" / "gate.json")
+        assert {name: entry["spec"] for name, entry in gate.items()} == cfg.echo["cate"]["menu"]
+
+    @pytest.mark.parametrize("stage", ["defer", "evaluate"])
+    def test_stage_refuses_the_old_estimates(self, refitted, stage, capsys):
+        _, changed, cfg_path, _ = refitted
+        with pytest.raises(StageError) as info:
+            run_stages(changed, [stage])
+        message = str(info.value)
+        assert "'t-ridge'" in message and "cate/gate.json" in message
+        assert "rerun fit-cate" in message
+        assert main([stage, str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert "stage failure:" in err and "'t-ridge'" in err and "rerun fit-cate" in err
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("default")
+    csv_path = root / "table.csv"
+    write_observational_csv(csv_path, n=200)
+    raw = pipeline_raw(csv_path, root / "out", uncertainty={"alpha_stat": 0.8, "b_boot": 8},
+                       evaluation={"bootstrap_b": 8, "plug_in": {"kind": "ridge", "lam": 1.0}})
+    cfg = validate_config(raw)
+    assert planned_stages(cfg) == DEFAULT_STAGES
+    run_pipeline(cfg)
+    return cfg, root / "out"
+
+
+# The stage that writes under each top-level name of the output directory.
+WRITES_UNDER = {
+    "identification.md": "ingest", "data": "ingest", "propensity": "fit-propensity",
+    "study": "simulate", "cate": "fit-cate", "defer": "defer", "eval": "evaluate",
+    "report": "report",
+}
+
+
+class TestManifestRecord:
+    """After ``all``, the manifest lists exactly the files each stage wrote."""
+
+    @pytest.fixture(params=["default_run", "full_run", "sim_run"])
+    def saved(self, request):
+        out = request.getfixturevalue(request.param)[-1]
+        return RunManifest.from_dict(read_json(out / "manifest.json")), out
+
+    def test_each_file_is_listed_once_under_the_stage_that_wrote_it(self, saved):
+        manifest, out = saved
+        listed = {a["path"]: a["stage"] for a in manifest.artifacts}
+        assert len(listed) == len(manifest.artifacts)
+        on_disk = disk_files(out) - {"manifest.json"}
+        assert listed == {rel: WRITES_UNDER[rel.split("/")[0]] for rel in on_disk}
+
+    def test_every_fixed_artifact_is_listed_under_its_producer(self, saved):
+        manifest, _ = saved
+        listed = {a["path"]: a["stage"] for a in manifest.artifacts}
+        unlisted = {rel for rel, stage in layout.PRODUCER.items()
+                    if stage in manifest.stages and listed.get(rel) != stage}
+        # without a study there is no value scatter to draw
+        no_study = "report" in manifest.stages and "simulate" not in manifest.stages
+        assert unlisted == ({layout.FIG_VALUE_SCATTER} if no_study else set())
+
+
+class TestFailedStage:
+    def test_failed_stage_is_dropped_from_the_record(self, tmp_path):
+        csv_path = tmp_path / "table.csv"
+        write_observational_csv(csv_path, n=200)
+        raw = pipeline_raw(csv_path, tmp_path / "out", uncertainty={"alpha_stat": 0.8, "b_boot": 8},
+                           evaluation={"bootstrap_b": 8, "plug_in": {"kind": "ridge", "lam": 1.0}})
+        cfg = validate_config(raw)
+        run_pipeline(cfg)
+        (tmp_path / "out" / "defer" / "decisions.csv").unlink()
+        with pytest.raises(StageError, match="run the 'defer' stage first"):
+            run_stages(cfg, ["evaluate"])
+        saved = RunManifest.from_dict(read_json(tmp_path / "out" / "manifest.json"))
+        assert saved.stages == [s for s in DEFAULT_STAGES if s != "evaluate"]
+        assert [a for a in saved.artifacts if a["stage"] == "evaluate"] == []
+        assert [w for w in saved.warnings if w["stage"] == "evaluate"] == []
