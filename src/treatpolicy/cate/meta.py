@@ -10,8 +10,8 @@ Three fit strategies over a shared learner menu:
   propensity score g(x): tau(x) = g(x) tau_c(x) + (1 - g(x)) tau_t(x).
 
 Every fitted model keeps per-arm pools of sorted training residuals
-(y - predicted outcome under the observed arm); the sensitivity analysis in
-the interval machinery tilts these pools.
+(y - predicted outcome under the observed arm); intervals tilt the point fit's
+pools, and solve ols and ridge refits from count-weighted moments, with none.
 """
 
 from __future__ import annotations

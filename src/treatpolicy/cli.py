@@ -14,7 +14,7 @@ import sys
 from . import layout
 from .config import load_config
 from .errors import ConfigError, DataError, SchemaError, TreatPolicyError
-from .pipeline import run_pipeline, run_stages
+from .pipeline import RunManifest, run_pipeline, run_stages
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,8 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warnings(manifest: RunManifest) -> None:
+    for w in manifest.warnings:
+        print(f"warning [{w['stage']}/{w['kind']}]: {w['message']}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cfg = None
     try:
         overrides = list(args.overrides)
         if args.output_dir:
@@ -65,21 +71,21 @@ def main(argv=None) -> int:
             manifest = run_pipeline(cfg)
         else:
             manifest = run_stages(cfg, [args.command])
-        for w in manifest.warnings:
-            print(f"warning [{w['stage']}/{w['kind']}]: {w['message']}", file=sys.stderr)
+        _print_warnings(manifest)
         print(
             f"{args.command}: ok - {len(manifest.artifacts)} artifact(s) under {cfg.out_dir}"
         )
         return 0
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"config error: {exc}", 2
     except (SchemaError, DataError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"data error: {exc}", 3
     except TreatPolicyError as exc:
-        print(f"stage failure: {exc}", file=sys.stderr)
-        return 4
+        message, code = f"stage failure: {exc}", 4
+    if cfg is not None:  # the warnings recorded before the failure often say why
+        _print_warnings(RunManifest.load_or_fresh(cfg))
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

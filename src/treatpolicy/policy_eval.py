@@ -51,6 +51,21 @@ ENSEMBLE_MODES = ("average", "majority", "consensus")
 _CHUNK_BYTES = 1 << 18
 
 
+def _resample_counts(seed, sizes, B: int):
+    """Yield B resamples as (start, draws, counts) chunks of about ``_CHUNK_BYTES`` of count
+    rows; replicate by replicate and stratum by stratum, n rows draw ``rng.integers(0, n, n)``
+    from ``SeedSequence(seed)`` (the stream of ``rng.choice(rows, n)``), held per stratum."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    chunk = max(1, _CHUNK_BYTES // (8 * sum(sizes)))
+    for start in range(0, B, chunk):
+        draws = [[] for _ in sizes]
+        for _ in range(min(chunk, B - start)):
+            for d, n in zip(draws, sizes):
+                d.append(rng.integers(0, n, n))
+        yield start, draws, [np.array([np.bincount(r, minlength=n) for r in d], float)
+                             for d, n in zip(draws, sizes)]
+
+
 @dataclass(frozen=True)
 class DecisionRule:
     """Threshold rule turning effect estimates into treat/control calls.
@@ -386,13 +401,8 @@ def bootstrap_tournament(
     plug = _plug_in_matrix(plug_in, data) if plug_in is not None else None
     stacks = [_sum_columns(p, data.treatment, data.outcome, p1, plug) for p in policies]
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     dists = {est: np.empty((len(policies), B)) for est in estimators}
-    chunk = max(1, _CHUNK_BYTES // (8 * n))
-    for start in range(0, B, chunk):
-        counts = np.empty((min(chunk, B - start), n))
-        for row in counts:
-            row[:] = np.bincount(rng.integers(0, n, n), minlength=n)
+    for start, _, (counts,) in _resample_counts(seed, [n], B):
         for i, stack in enumerate(stacks):
             sums = counts @ stack
             for est in estimators:

@@ -3,13 +3,18 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import linear_dataset, make_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treatpolicy
+from treatpolicy import policy_eval
 from treatpolicy.cate import (
     CateFitSpec,
     CateInterval,
@@ -19,6 +24,7 @@ from treatpolicy.cate import (
     cate_calibration_curve,
     cate_diagnostics,
     fit_meta_learner,
+    intervals,
     tilted_mean,
     uncertainty_interval,
 )
@@ -366,6 +372,154 @@ class TestUncertaintyInterval:
     def test_contains_zero_and_width(self):
         iv = CateInterval(lower=[-1.0, 0.5], point=[0.0, 1.0], upper=[1.0, 2.0])
         assert iv.contains_zero().tolist() == [True, False]
+
+
+def _stratified_resample(rng, treatment):
+    idx0 = np.flatnonzero(treatment == 0)
+    idx1 = np.flatnonzero(treatment == 1)
+    take0 = rng.choice(idx0, size=idx0.size, replace=True)
+    take1 = rng.choice(idx1, size=idx1.size, replace=True)
+    return np.concatenate([take0, take1])
+
+
+def loop_bootstrap(fit_spec, model, train, X_query, B, seed, propensity):
+    """The per-replicate refit loop on ``_stratified_resample`` draws, kept as an oracle."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    boot = np.empty((B, X_query.shape[0]))
+    for b in range(B):
+        take = _stratified_resample(rng, train.treatment)
+        boot[b] = fit_spec.fit(train.subset(take), propensity=propensity).predict(X_query)
+    return boot
+
+
+QUIRKS = ("none", "two-row arm", "binary", "arm-constant", "singular")
+
+
+@st.composite
+def linear_refit_cases(draw):
+    kind = draw(st.sampled_from(["s", "t", "x"]))
+    learner = draw(st.sampled_from(["ols", "ridge"]))
+    quirk = draw(st.sampled_from(QUIRKS))
+    d = draw(st.integers(1, 3))
+    sizes = [draw(st.integers(20, 45)), draw(st.integers(20, 45))]
+    if quirk == "two-row arm":
+        sizes[1] = 2
+        if learner == "ols" and kind != "s":
+            d = 1  # two rows fix one slope
+    if quirk == "singular":
+        d = max(d, 2)
+    params = {"fit_intercept": draw(st.booleans())}
+    if learner == "ridge":
+        params["lam"] = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    g_constant = draw(st.sampled_from([None, 0.3])) if kind == "x" else None
+    B = draw(st.integers(2, 9))
+    per_chunk = draw(st.integers(1, B))
+    seed = draw(st.integers(0, 2**32 - 1))
+    learner = LearnerSpec.make(learner, **params)
+    return kind, learner, quirk, d, sizes, g_constant, B, per_chunk, seed
+
+
+class TestLinearRefits:
+    """ols and ridge refits solved from count-weighted moments equal refits on the rows."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(linear_refit_cases())
+    def test_batched_refits_match_fits_on_the_resampled_rows(self, case):
+        kind, learner, quirk, d, sizes, g_constant, B, per_chunk, seed = case
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        t = np.repeat([0, 1], sizes)
+        X = rng.normal(size=(n, d)) + rng.uniform(-3.0, 3.0, size=d)
+        if quirk == "binary":
+            # one or two ones per arm: many replicates draw none of them
+            X[:, 0] = 0.0
+            for rows in (np.flatnonzero(t == 0), np.flatnonzero(t == 1)):
+                X[rng.choice(rows, int(rng.integers(1, 3)), replace=False), 0] = 1.0
+        if quirk == "arm-constant":
+            X[t == 1, 0] = 0.3
+        if quirk == "singular":
+            X[:, 1] = X[:, 0]
+        y = X @ rng.normal(size=d) + t * (1.0 + X[:, 0]) + rng.normal(size=n)
+        train = make_dataset(X, t, y)
+        X_query = rng.normal(size=(5, d)) + 1.0
+        prop = None
+        if kind == "x" and g_constant is None:
+            prop = fit_classifier(LearnerSpec.make("logistic", lam=1.0), X, t)
+        spec = CateFitSpec(kind, learner, g_constant=g_constant)
+        model = spec.fit(train, propensity=prop)
+
+        counted = mock.patch.object(intervals, "fit_meta_learner", wraps=fit_meta_learner)
+        chunked = mock.patch.object(policy_eval, "_CHUNK_BYTES", 8 * n * per_chunk)
+        with counted as loop_fits, chunked:
+            boot = intervals._bootstrap(spec, model, train, X_query, B, seed, prop)
+        expected = loop_bootstrap(spec, model, train, X_query, B, seed, prop)
+        np.testing.assert_allclose(boot, expected, rtol=0.0, atol=1e-10)
+        if quirk == "none":
+            assert loop_fits.call_count == 0
+        if (quirk == "singular" and learner.kind == "ols") or (
+            quirk == "arm-constant" and kind != "s"
+        ):
+            assert loop_fits.call_count == B
+
+        iv = uncertainty_interval(
+            spec, train, X_query, UncertaintySpec(0.8, 1.0, B), seed=seed, propensity=prop
+        )
+        assert iv.point.tobytes() == model.predict(X_query).tobytes()
+
+    @pytest.mark.parametrize("learner", [
+        {"kind": "gbt", "n_trees": 8, "max_depth": 2, "min_samples_leaf": 3},
+        {"kind": "lasso", "lam": 0.05},
+    ])
+    def test_other_learners_refit_on_the_loop_draws(self, learner):
+        data = small_dataset(seed=31, n=70)
+        spec = CateFitSpec("t", LearnerSpec.from_dict(learner))
+        theta = UncertaintySpec(0.8, 1.3, b_boot=7)
+        X_query = data.covariates[:20]
+        with mock.patch.object(policy_eval, "_CHUNK_BYTES", 8 * data.n * 3):
+            iv = uncertainty_interval(spec, data, X_query, theta, seed=4)
+        with mock.patch.object(intervals, "_bootstrap", loop_bootstrap):
+            expected = uncertainty_interval(spec, data, X_query, theta, seed=4)
+        assert iv.lower.tobytes() == expected.lower.tobytes()
+        assert iv.upper.tobytes() == expected.upper.tobytes()
+
+    def test_bounds_do_not_depend_on_blas_threads(self):
+        # in fresh processes: eval-bootstrap's train split, query rows and b_boot, and
+        # large-cohort's shapes, t kind only (its 20-covariate propensity fit already
+        # moves with threads)
+        child = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from conftest import make_dataset
+            from treatpolicy.cate import CateFitSpec, UncertaintySpec, uncertainty_interval
+            from treatpolicy.learners import LearnerSpec, fit_classifier
+            digest = hashlib.sha256()
+            for n, m, d, kinds, b_boot in ((7200, 3000, 10, 'tx', 200), (12000, 5000, 20, 't', 5)):
+                rng = np.random.default_rng(0)
+                X = rng.normal(size=(n + m, d))
+                t = (rng.random(n + m) < 1.0 / (1.0 + np.exp(-X[:, 0]))).astype(int)
+                y = X @ rng.normal(size=d) + t * (0.5 + 0.8 * X[:, 2]) + rng.normal(size=n + m)
+                train = make_dataset(X[:n], t[:n], y[:n])
+                prop = fit_classifier(LearnerSpec.make('logistic', lam=1.0), X[:n], t[:n])
+                for kind in kinds:
+                    spec = CateFitSpec(kind, LearnerSpec.make('ridge', lam=1.0))
+                    theta = UncertaintySpec(0.9, 1.0, b_boot)
+                    iv = uncertainty_interval(spec, train, X[n:], theta, seed=0, propensity=prop)
+                    digest.update(iv.lower.tobytes() + iv.upper.tobytes())
+            print(digest.hexdigest())
+        """)
+        src = str(Path(treatpolicy.__file__).resolve().parents[1])
+        tests = str(Path(__file__).resolve().parent)
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([src, tests])
+            proc = subprocess.run(
+                [sys.executable, "-c", child], capture_output=True, text=True, env=env,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestCalibrationCurve:

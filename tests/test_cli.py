@@ -162,6 +162,16 @@ class TestWarningsSurface:
         assert "warning [fit-cate/component-gate]:" in err
         assert "'planted'" in err
 
+    def test_failed_run_prints_the_warnings_it_recorded(self, workspace, capsys):
+        _, cfg_path, raw = workspace
+        raw["cate"]["menu"] = {"planted": {"kind": "s", "learner": {"kind": "lasso", "lam": 1e9}}}
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["all", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        warning = err.index("warning [fit-cate/component-gate]:")
+        assert "'planted'" in err
+        assert err.index("stage failure:") > warning
+
 
 def _child_env(bin_dir=None):
     """Environment for a child process that runs the code under test.
