@@ -2,12 +2,13 @@
 
 The statistical part is a percentile interval over bootstrap refits with
 resampling stratified by arm; ols and ridge refits are solved from
-count-weighted moments, with no residual pools.  The causal part widens the
-interval against hidden confounding bounded by a sensitivity parameter
-lam >= 1: each train residual's weight may drift anywhere in [1/lam, lam], and
-the worst-case weighted mean over a sorted pool is attained by down-weighting
-everything below some cut and up-weighting everything above it, so scanning
-all cuts gives a sharp per-arm shift that grows monotonically with lam.
+count-weighted moments, and no refit builds residual pools.  The causal part
+widens the interval against hidden confounding bounded by a sensitivity
+parameter lam >= 1: each train residual's weight may drift anywhere in
+[1/lam, lam], and the worst-case weighted mean over a sorted pool is attained
+by down-weighting everything below some cut and up-weighting everything above
+it, so scanning all cuts gives a sharp per-arm shift that grows monotonically
+with lam.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ class CateFitSpec:
     learner: LearnerSpec
     g_constant: float | None = None
 
-    def fit(self, train: Dataset, *, propensity=None) -> CateModel:
+    def fit(self, train: Dataset, *, propensity=None, pools: bool = True) -> CateModel:
         return fit_meta_learner(
-            self.kind, train, self.learner, propensity=propensity, g_constant=self.g_constant
+            self.kind, train, self.learner,
+            propensity=propensity, g_constant=self.g_constant, pools=pools,
         )
 
 
@@ -195,7 +197,8 @@ def _bootstrap(fit_spec, model, train: Dataset, X_query, B: int, seed, propensit
         ok, chunk[:] = effects(counts) if effects else (np.zeros(len(chunk), bool), np.nan)
         for j in np.flatnonzero(~ok):
             take = np.concatenate([rows[d[j]] for rows, d in zip(arms, draws)])
-            chunk[j] = fit_spec.fit(train.subset(take), propensity=propensity).predict(X_query)
+            refit = fit_spec.fit(train.subset(take), propensity=propensity, pools=False)
+            chunk[j] = refit.predict(X_query)
     return boot
 
 

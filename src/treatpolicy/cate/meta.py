@@ -9,9 +9,9 @@ Three fit strategies over a shared learner menu:
   (y - mu_0(x) on treated rows, mu_1(x) - y on controls), blended by the
   propensity score g(x): tau(x) = g(x) tau_c(x) + (1 - g(x)) tau_t(x).
 
-Every fitted model keeps per-arm pools of sorted training residuals
-(y - predicted outcome under the observed arm); intervals tilt the point fit's
-pools, and solve ols and ridge refits from count-weighted moments, with none.
+A point fit keeps per-arm pools of sorted training residuals (y - predicted
+outcome under the observed arm), which intervals tilt; bootstrap refits build
+none, and ols and ridge refits are solved from count-weighted moments.
 """
 
 from __future__ import annotations
@@ -82,11 +82,13 @@ def fit_meta_learner(
     *,
     propensity=None,
     g_constant: float | None = None,
+    pools: bool = True,
 ) -> CateModel:
     """Fit one meta-learner on the train rows.
 
     The "x" kind needs either a propensity scorer or a constant blend weight.
-    Each arm must hold at least two rows.
+    Each arm must hold at least two rows.  With ``pools`` false the model gets
+    no residual pools, which only a point fit's intervals read.
     """
     kind = kind.lower()
     if kind not in KINDS:
@@ -126,12 +128,13 @@ def fit_meta_learner(
         g_constant=g_constant,
         propensity=propensity if kind == "x" else None,
     )
-    fitted = components["f"].predict(design) if kind == "s" else model.predict_outcome(X, t)
-    residuals = y - fitted
-    model.residual_pools = {
-        0: np.sort(residuals[~treated]),
-        1: np.sort(residuals[treated]),
-    }
+    if pools:
+        fitted = components["f"].predict(design) if kind == "s" else model.predict_outcome(X, t)
+        residuals = y - fitted
+        model.residual_pools = {
+            0: np.sort(residuals[~treated]),
+            1: np.sort(residuals[treated]),
+        }
     return model
 
 

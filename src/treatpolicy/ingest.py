@@ -35,6 +35,7 @@ __all__ = [
     "summarize",
     "save_dataset",
     "load_dataset",
+    "saved_dataset",
 ]
 
 SPLIT_NAMES = ("train", "validation", "test")
@@ -407,10 +408,14 @@ def save_dataset(data: Dataset, csv_path) -> dict:
 
 
 def load_dataset(csv_path, description: dict) -> Dataset:
-    """Reload a dataset written by :func:`save_dataset`."""
-    columns = [ColumnInfo(c["name"], c["kind"]) for c in description["columns"]]
+    """Reload a dataset written by :func:`save_dataset`.
+
+    A split label that is not a split name, or an empty one among labels,
+    raises SchemaError naming its data row.
+    """
     sec_names = list(description["secondary_outcomes"])
-    header = ["row_id", "split", "treatment", "outcome", *sec_names, *(c.name for c in columns)]
+    header = ["row_id", "split", "treatment", "outcome", *sec_names,
+              *(c["name"] for c in description["columns"])]
     row_ids, splits, treatment = [], [], []
     # a flat buffer of doubles, not one live Python float per cell
     cells = array.array("d")
@@ -421,12 +426,49 @@ def load_dataset(csv_path, description: dict) -> Dataset:
         cells.extend(map(float, record[3:]))
     # outcome, secondary outcomes, covariates: one row per record
     table = np.frombuffer(cells).reshape(len(row_ids), len(header) - 3)
+    return _stored_dataset(
+        description, row_ids, splits, treatment, table[:, 0],
+        [table[:, 1 + j] for j in range(len(sec_names))], table[:, 1 + len(sec_names):],
+        source=csv_path,
+    )
+
+
+def saved_dataset(data: Dataset, description: dict) -> Dataset:
+    """``data`` as :func:`load_dataset` reloads it from the file that
+    :func:`save_dataset` wrote with ``description``, built without the parse."""
+    return _stored_dataset(
+        description, data.row_ids, [""] * data.n if data.split is None else data.split,
+        data.treatment, data.outcome,
+        [data.secondary[k] for k in description["secondary_outcomes"]], data.covariates,
+    )
+
+
+def _stored_dataset(
+    description: dict, row_ids, splits, treatment, outcome, secondary, covariates, source="dataset"
+) -> Dataset:
+    """The Dataset that a saved dataset's columns and ``description`` stand for.
+
+    Fixes the dtypes, makes every float array contiguous (copying only a
+    strided one) and reads an all-empty split column as no split.  Any other
+    split label that is not a split name raises SchemaError naming the data
+    row of ``source``, counted from 1, and the label.
+    """
+    splits = np.asarray(splits, dtype="<U10")
+    no_split = bool((splits == "").all())
+    if not no_split:
+        bad = np.flatnonzero(~np.isin(splits, SPLIT_NAMES))
+        if bad.size:
+            raise SchemaError(
+                f"{source}: row {bad[0] + 1} has split label {str(splits[bad[0]])!r}; "
+                f"expected one of {list(SPLIT_NAMES)}, or no label on any row"
+            )
     return Dataset(
-        covariates=np.ascontiguousarray(table[:, 1 + len(sec_names):]),
-        columns=columns,
+        covariates=np.ascontiguousarray(covariates, dtype=float),
+        columns=[ColumnInfo(c["name"], c["kind"]) for c in description["columns"]],
         treatment=np.asarray(treatment, dtype=np.int8),
-        outcome=table[:, 0].copy(),
-        secondary={k: table[:, 1 + j].copy() for j, k in enumerate(sec_names)},
-        split=None if all(s == "" for s in splits) else np.asarray(splits, dtype="<U10"),
+        outcome=np.ascontiguousarray(outcome, dtype=float),
+        secondary={k: np.ascontiguousarray(v, dtype=float)
+                   for k, v in zip(description["secondary_outcomes"], secondary)},
+        split=None if no_split else splits,
         row_ids=np.asarray(row_ids, dtype=int),
     )

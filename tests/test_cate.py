@@ -482,6 +482,22 @@ class TestLinearRefits:
         assert iv.lower.tobytes() == expected.lower.tobytes()
         assert iv.upper.tobytes() == expected.upper.tobytes()
 
+    def test_loop_refits_build_no_residual_pools(self):
+        data = small_dataset(seed=31, n=70)
+        spec = CateFitSpec("t", LearnerSpec.from_dict({"kind": "lasso", "lam": 0.05}))
+        fitted = []
+
+        def recording(*args, **kwargs):
+            fitted.append(fit_meta_learner(*args, **kwargs))
+            return fitted[-1]
+
+        with mock.patch.object(intervals, "fit_meta_learner", recording):
+            uncertainty_interval(spec, data, data.covariates[:10], UncertaintySpec(0.8, 1.3, 5),
+                                 seed=4)
+        point, *refits = fitted
+        assert [p.size for p in point.residual_pools.values()] == [35, 35]
+        assert len(refits) == 5 and all(m.residual_pools == {} for m in refits)
+
     def test_bounds_do_not_depend_on_blas_threads(self):
         # in fresh processes: eval-bootstrap's train split, query rows and b_boot, and
         # large-cohort's shapes, t kind only (its 20-covariate propensity fit already

@@ -236,6 +236,20 @@ class TestRoundTrip:
         assert back.split is None
         np.testing.assert_array_equal(back.covariates, data.covariates)
 
+    def test_unknown_split_label_names_its_row(self, tmp_path):
+        data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], [1.0, 2.0, 3.0],
+                            split=["train", "trian", "test"])
+        desc = save_dataset(data, tmp_path / "d.csv")
+        with pytest.raises(SchemaError, match="row 2 has split label 'trian'"):
+            load_dataset(tmp_path / "d.csv", desc)
+
+    def test_empty_split_label_among_labels_names_its_row(self, tmp_path):
+        data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], [1.0, 2.0, 3.0],
+                            split=["train", "test", ""])
+        desc = save_dataset(data, tmp_path / "d.csv")
+        with pytest.raises(SchemaError, match="row 3 has split label ''"):
+            load_dataset(tmp_path / "d.csv", desc)
+
     def test_covariates_named_like_fixed_columns_round_trip(self, tmp_path):
         names = ["row_id", "split", "age, years", 'say "x"']
         cov = np.arange(12.0).reshape(3, 4) - 5.5

@@ -1,18 +1,23 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import pipeline_raw, write_observational_csv
 from test_learners_metrics import _brute_kendall
 
-from treatpolicy import layout
+import treatpolicy
+from treatpolicy import layout, pipeline
 from treatpolicy.cli import main
 from treatpolicy.config import validate_config
-from treatpolicy.errors import ConfigError, StageError
+from treatpolicy.errors import ConfigError, SchemaError, StageError
 from treatpolicy.ingest import load_dataset
 from treatpolicy.learners import load_model, save_model
 from treatpolicy.policy_eval import ensemble_effects, summarize_bootstrap
@@ -705,3 +710,162 @@ class TestFailedStage:
         assert saved.stages == [s for s in DEFAULT_STAGES if s != "evaluate"]
         assert [a for a in saved.artifacts if a["stage"] == "evaluate"] == []
         assert [w for w in saved.warnings if w["stage"] == "evaluate"] == []
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Every Dataset the stages parse from data/dataset.csv, in call order."""
+    parsed = []
+
+    def counting(csv_path, description):
+        parsed.append(load_dataset(csv_path, description))
+        return parsed[-1]
+
+    monkeypatch.setattr(pipeline, "load_dataset", counting)
+    return parsed
+
+
+def _small_raw(tmp_path, **extra):
+    csv_path = tmp_path / "table.csv"
+    write_observational_csv(csv_path, n=150)
+    return pipeline_raw(csv_path, tmp_path / "out", uncertainty={"alpha_stat": 0.8, "b_boot": 8},
+                        evaluation={"bootstrap_b": 8, "plug_in": {"kind": "ridge", "lam": 1.0}},
+                        **extra)
+
+
+def _shared(out):
+    """The dataset a stage run on ``out`` would get now."""
+    return pipeline._load_data(layout.StageIO(str(out), "fit-propensity"))
+
+
+class TestSharedDataset:
+    """Stages in one process share one read-only parse of data/dataset.csv, keyed by its
+    content; load_dataset stays the parser and the oracle."""
+
+    def test_run_pipeline_parses_nothing_after_ingest(self, tmp_path, parses):
+        cfg = validate_config(_small_raw(tmp_path, simulation={"enabled": True, "runs": 2}))
+        assert run_pipeline(cfg).stages == SIM_STAGES
+        assert parses == []
+
+    def test_stages_run_one_at_a_time_parse_nothing_after_ingest(self, tmp_path, parses):
+        cfg = validate_config(_small_raw(tmp_path, simulation={"enabled": True, "runs": 2}))
+        for stage in planned_stages(cfg):
+            run_stages(cfg, [stage])
+        assert RunManifest.from_dict(read_json(tmp_path / "out" / "manifest.json")).stages \
+            == SIM_STAGES
+        assert parses == []
+
+    def test_edited_cell_is_seen_by_the_next_stage(self, tmp_path, parses):
+        cfg = validate_config(_small_raw(tmp_path))
+        run_stages(cfg, ["ingest", "fit-propensity"])
+        before = read_csv(tmp_path / "out" / "propensity" / "scores.csv")
+        rows = read_csv(tmp_path / "out" / "data" / "dataset.csv")
+        rows[1][-1] = "123.5"  # the last covariate of the first data row
+        write_csv(tmp_path / "out" / "data" / "dataset.csv", rows)
+        run_stages(cfg, ["fit-propensity"])
+        assert len(parses) == 1 and parses[0].covariates[0, -1] == 123.5
+        after = read_csv(tmp_path / "out" / "propensity" / "scores.csv")
+        assert after[1][3] != before[1][3]
+        run_stages(cfg, ["fit-propensity"])  # the new parse is the shared one now
+        assert len(parses) == 1
+
+    def test_edited_column_kind_is_seen_by_the_next_stage(self, tmp_path, parses):
+        cfg = validate_config(_small_raw(tmp_path))
+        run_stages(cfg, ["ingest"])
+        meta_path = tmp_path / "out" / "data" / "dataset.json"
+        meta = read_json(meta_path)
+        assert meta["columns"][0]["kind"] == "numeric"
+        meta["columns"][0]["kind"] = "binary"
+        layout.write_json(meta_path, meta)
+        run_stages(cfg, ["fit-propensity"])
+        assert len(parses) == 1 and parses[0].columns[0].kind == "binary"
+        assert _shared(tmp_path / "out") is parses[0]
+
+    def test_header_mismatch_still_raises(self, tmp_path, parses):
+        cfg = validate_config(_small_raw(tmp_path))
+        run_stages(cfg, ["ingest"])
+        meta_path = tmp_path / "out" / "data" / "dataset.json"
+        meta = read_json(meta_path)
+        meta["columns"][1]["name"] = "renamed"
+        layout.write_json(meta_path, meta)
+        with pytest.raises(SchemaError, match="header does not match"):
+            run_stages(cfg, ["fit-propensity"])
+
+    def test_missing_dataset_still_names_ingest(self, tmp_path):
+        cfg = validate_config(_small_raw(tmp_path))
+        run_stages(cfg, ["ingest"])
+        (tmp_path / "out" / "data" / "dataset.csv").unlink()
+        with pytest.raises(StageError, match="run the 'ingest' stage first"):
+            run_stages(cfg, ["fit-propensity"])
+
+    @pytest.mark.parametrize("source", ["seeded", "parsed"])
+    def test_shared_arrays_refuse_writes(self, tmp_path, parses, monkeypatch, source):
+        cfg = validate_config(_small_raw(tmp_path))
+        run_stages(cfg, ["ingest"])
+        if source == "parsed":
+            monkeypatch.setattr(pipeline, "_shared", None)
+        data = _shared(tmp_path / "out")
+        assert len(parses) == (source == "parsed")
+        arrays = [data.covariates, data.treatment, data.outcome, data.split, data.row_ids]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[-1]
+        # a stage's row subsets are its own copies
+        data.rows_in("train").covariates[0, 0] = 0.0
+
+    def test_seeded_dataset_equals_a_reload(self, tmp_path, parses):
+        csv_path = tmp_path / "table.csv"
+        write_observational_csv(csv_path, n=150)
+        rows = read_csv(csv_path)
+        rows[0].append("aux")
+        for i, row in enumerate(rows[1:]):
+            row.append("" if i % 7 == 0 else repr(i / 3.0))  # secondary outcome with NaN
+            if i % 11 == 0:
+                row[1] = ""  # x1 missing: imputed, with an indicator column
+        write_csv(csv_path, rows)
+        raw = pipeline_raw(csv_path, tmp_path / "out")
+        raw["data"]["secondary_outcomes"] = ["aux"]
+        run_stages(validate_config(raw), ["ingest"])
+        out = tmp_path / "out"
+        seeded = _shared(out)
+        assert parses == []
+        back = load_dataset(out / "data" / "dataset.csv", read_json(out / "data" / "dataset.json"))
+        assert seeded.columns == back.columns
+        assert seeded.columns[-1].name == "x1__missing"
+        assert list(seeded.secondary) == list(back.secondary) == ["aux"]
+        assert np.isnan(back.secondary["aux"]).sum() == 22
+        pairs = [(seeded.covariates, back.covariates), (seeded.treatment, back.treatment),
+                 (seeded.outcome, back.outcome), (seeded.split, back.split),
+                 (seeded.row_ids, back.row_ids), (seeded.secondary["aux"], back.secondary["aux"])]
+        for a, b in pairs:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.flags["C_CONTIGUOUS"] and b.flags["C_CONTIGUOUS"]
+            np.testing.assert_array_equal(a, b)
+            if a.dtype == float:
+                assert a.tobytes() == b.tobytes()
+
+    def test_all_in_process_matches_each_stage_in_a_fresh_process(self, tmp_path, monkeypatch):
+        # the same relative paths in two directories, so the config echoes are equal
+        raw = _small_raw(tmp_path, simulation={"enabled": True, "runs": 2})
+        raw["data"]["path"], raw["output_dir"] = "table.csv", "out"
+        dirs = {side: tmp_path / side for side in ("shared", "parsed")}
+        for d in dirs.values():
+            d.mkdir()
+            shutil.copy(tmp_path / "table.csv", d / "table.csv")
+            (d / "config.json").write_text(json.dumps(raw))
+        monkeypatch.chdir(dirs["shared"])
+        cfg = validate_config(raw)
+        run_pipeline(cfg)
+
+        env = dict(os.environ, PYTHONPATH=str(Path(treatpolicy.__file__).resolve().parents[1]))
+        for stage in planned_stages(cfg):
+            proc = subprocess.run(
+                [sys.executable, "-m", "treatpolicy.cli", stage, "config.json"],
+                cwd=dirs["parsed"], env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+        shared, parsed = (d / "out" for d in dirs.values())
+        assert "manifest.json" in disk_files(shared)
+        assert disk_files(shared) == disk_files(parsed)
+        assert [rel for rel in sorted(disk_files(shared))
+                if (shared / rel).read_bytes() != (parsed / rel).read_bytes()] == []
