@@ -2,7 +2,8 @@
 
 The statistical part is a percentile interval over bootstrap refits with
 resampling stratified by arm; ols and ridge refits are solved from
-count-weighted moments, and no refit builds residual pools.  The causal part
+count-weighted moments, gbt refits fit each drawn row once with its count as
+row weight, and no refit builds residual pools.  The causal part
 widens the interval against hidden confounding bounded by a sensitivity
 parameter lam >= 1: each train residual's weight may drift anywhere in
 [1/lam, lam], and the worst-case weighted mean over a sorted pool is attained
@@ -59,10 +60,12 @@ class CateFitSpec:
     learner: LearnerSpec
     g_constant: float | None = None
 
-    def fit(self, train: Dataset, *, propensity=None, pools: bool = True) -> CateModel:
+    def fit(
+        self, train: Dataset, *, weights=None, propensity=None, pools: bool = True
+    ) -> CateModel:
         return fit_meta_learner(
             self.kind, train, self.learner,
-            propensity=propensity, g_constant=self.g_constant, pools=pools,
+            propensity=propensity, g_constant=self.g_constant, pools=pools, weights=weights,
         )
 
 
@@ -186,18 +189,30 @@ def _linear_refits(fit_spec: CateFitSpec, model: CateModel, train: Dataset, arms
 
 
 def _bootstrap(fit_spec, model, train: Dataset, X_query, B: int, seed, propensity) -> np.ndarray:
-    """(B, rows) refit effects on arm-stratified resamples, control arm drawn first; other
-    learners than ols and ridge, and degenerate replicates, refit on the resampled rows."""
+    """(B, rows) refit effects on arm-stratified resamples, control arm drawn first.
+
+    gbt refits fit the drawn rows once each, weighted by their counts; lasso refits, and
+    degenerate ols and ridge replicates, refit on the resampled rows."""
     arms = [np.flatnonzero(train.treatment == a) for a in (0, 1)]
-    linear = fit_spec.learner.kind in ("ols", "ridge")
+    kind = fit_spec.learner.kind
+    linear = kind in ("ols", "ridge")
     effects = _linear_refits(fit_spec, model, train, arms, X_query) if linear else None
     boot = np.empty((B, len(X_query)))
     for start, draws, counts in _resample_counts(seed, [rows.size for rows in arms], B):
         chunk = boot[start:start + len(counts[0])]
         ok, chunk[:] = effects(counts) if effects else (np.zeros(len(chunk), bool), np.nan)
         for j in np.flatnonzero(~ok):
-            take = np.concatenate([rows[d[j]] for rows, d in zip(arms, draws)])
-            refit = fit_spec.fit(train.subset(take), propensity=propensity, pools=False)
+            if kind == "gbt":
+                c = np.zeros(train.n)
+                for rows, cnt in zip(arms, counts):
+                    c[rows] = cnt[j]
+                keep = np.flatnonzero(c)
+                refit = fit_spec.fit(
+                    train.subset(keep), weights=c[keep], propensity=propensity, pools=False
+                )
+            else:
+                take = np.concatenate([rows[d[j]] for rows, d in zip(arms, draws)])
+                refit = fit_spec.fit(train.subset(take), propensity=propensity, pools=False)
             chunk[j] = refit.predict(X_query)
     return boot
 

@@ -11,7 +11,10 @@ Three fit strategies over a shared learner menu:
 
 A point fit keeps per-arm pools of sorted training residuals (y - predicted
 outcome under the observed arm), which intervals tilt; bootstrap refits build
-none, and ols and ridge refits are solved from count-weighted moments.
+none.  Row weights reach every base fit (the design rows for "s", each arm's
+rows for "t" and both stages of "x"), so a bootstrap refit can fit each drawn
+row once with its count as weight; only gbt takes them.  ols and ridge refits
+are solved from count-weighted moments instead.
 """
 
 from __future__ import annotations
@@ -83,12 +86,14 @@ def fit_meta_learner(
     propensity=None,
     g_constant: float | None = None,
     pools: bool = True,
+    weights=None,
 ) -> CateModel:
-    """Fit one meta-learner on the train rows.
+    """Fit one meta-learner on the train rows, each weighted by ``weights`` if given.
 
     The "x" kind needs either a propensity scorer or a constant blend weight.
-    Each arm must hold at least two rows.  With ``pools`` false the model gets
-    no residual pools, which only a point fit's intervals read.
+    Each arm must hold at least two rows, counted by weight.  With ``pools``
+    false the model gets no residual pools, which only a point fit's intervals
+    read; a weighted fit must pass ``pools=False``.
     """
     kind = kind.lower()
     if kind not in KINDS:
@@ -97,18 +102,28 @@ def fit_meta_learner(
     y = train.outcome
     t = train.treatment.astype(int)
     treated = t == 1
-    if treated.sum() < 2 or (~treated).sum() < 2:
+    if weights is None:
+        w = w0 = w1 = None
+        sizes = int((~treated).sum()), int(treated.sum())
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != t.shape:
+            raise ValueError(f"weights have shape {w.shape}, expected ({len(t)},)")
+        if pools:
+            raise ValueError("residual pools come from unweighted rows; pass pools=False")
+        w0, w1 = w[~treated], w[treated]
+        sizes = float(w0.sum()), float(w1.sum())
+    if min(sizes) < 2:
         raise DataError(
-            f"need at least two rows per arm, got {int((~treated).sum())} control "
-            f"and {int(treated.sum())} treated"
+            f"need at least two rows per arm, got {sizes[0]} control and {sizes[1]} treated"
         )
 
     if kind == "s":
         design = np.hstack([X, t.astype(float)[:, None]])
-        components = {"f": fit_regressor(spec, design, y)}
+        components = {"f": fit_regressor(spec, design, y, w)}
     else:
-        mu0 = fit_regressor(spec, X[~treated], y[~treated])
-        mu1 = fit_regressor(spec, X[treated], y[treated])
+        mu0 = fit_regressor(spec, X[~treated], y[~treated], w0)
+        mu1 = fit_regressor(spec, X[treated], y[treated], w1)
         components = {"mu0": mu0, "mu1": mu1}
         if kind == "x":
             if propensity is None and g_constant is None:
@@ -117,8 +132,8 @@ def fit_meta_learner(
                 )
             d_treated = y[treated] - mu0.predict(X[treated])
             d_control = mu1.predict(X[~treated]) - y[~treated]
-            components["tau_treated"] = fit_regressor(spec, X[treated], d_treated)
-            components["tau_control"] = fit_regressor(spec, X[~treated], d_control)
+            components["tau_treated"] = fit_regressor(spec, X[treated], d_treated, w1)
+            components["tau_control"] = fit_regressor(spec, X[~treated], d_control, w0)
 
     model = CateModel(
         kind=kind,

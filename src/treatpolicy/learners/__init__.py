@@ -172,15 +172,20 @@ def standardize(X: np.ndarray):
     return (X - center) / scale, center, scale
 
 
-def fit_regressor(spec: LearnerSpec, X, y) -> FittedModel:
-    """Fit the named regressor; linear kinds are standardized internally."""
+def fit_regressor(spec: LearnerSpec, X, y, sample_weight=None) -> FittedModel:
+    """Fit the named regressor; linear kinds are standardized internally.
+
+    Row weights (``sample_weight``) are taken by gbt only.
+    """
     spec.validate(task="regression")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     p = spec.param_dict
     if spec.kind == "gbt":
-        model = fit_gbt(X, y, loss="squared", **p)
+        model = fit_gbt(X, y, loss="squared", sample_weight=sample_weight, **p)
         return FittedModel(family=spec.kind, task="regression", model=model)
+    if sample_weight is not None:
+        raise ValueError(f"learner {spec.kind!r} takes no sample_weight; only gbt does")
     Z, center, scale = standardize(X)
     penalty = {"ols": "none", "ridge": "l2", "lasso": "l1"}[spec.kind]
     model = fit_linear(Z, y, family="least-squares", penalty=penalty, **p)

@@ -11,12 +11,23 @@ losses share one leaf rule, the Newton step sum(g) / sum(h) over the leaf's
 rows, with hessian h = p (1 - p) for logistic loss and h = 1 for squared loss
 (where the step is the mean residual).
 
+Optional row weights w > 0 act as row counts: the search cumulates w g and w,
+``min_samples_leaf`` bounds a child's summed weight, leaves take
+sum(w g) / sum(w h), and the base score is the weighted mean.  A row with
+integer weight c therefore fits as c copies of it would, up to rounding.
+Without weights the arithmetic is the unweighted one.
+
+Only a column that holds tied values can have equal neighbours in a node's
+sorted rows, so the presort flags those columns once per fit and a node
+compares sorted values in them alone; every other boundary is a candidate.
+
 There is no row or feature subsampling, so fits are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,34 +103,59 @@ class Tree:
         )
 
 
-def _best_split(X, g, rows, S, min_leaf):
+def _best_split(fit, g, rows, S):
     """Best (feature, threshold, cut) by variance reduction over one node.
 
-    Row j of ``S`` holds the node's ``rows`` sorted by feature j.  Returns
-    None when no split strictly improves the squared-error criterion.
+    Row j of ``S`` holds the node's ``rows`` sorted by feature j, and ``g`` is
+    the gradient times the row weight.  Returns None when no split strictly
+    improves the squared-error criterion.
     """
     d, m = S.shape
-    if d == 0 or m < 2 * min_leaf:
+    min_leaf, w = fit.min_leaf, fit.w
+    size = m if w is None else float(w[rows].sum())
+    if d == 0 or m < 2 or size < 2 * min_leaf:
         return None
     total = float(g[rows].sum())
-    xs = np.take_along_axis(X.T, S, axis=1)
-    left_sum = np.cumsum(g[S], axis=1)[:, :-1]
-    k = np.arange(1, m)
-    gain = left_sum**2 / k + (total - left_sum) ** 2 / (m - k) - total * total / m
-    valid = xs[:, 1:] != xs[:, :-1]
-    if min_leaf > 1:
-        valid &= (k >= min_leaf) & (m - k >= min_leaf)
-    gain[~valid] = -np.inf
+    if w is None:
+        left_sum, k = np.cumsum(g[S], axis=1)[:, :-1], np.arange(1, m)
+    else:  # one complex cumsum runs both sums, each in its own exact order
+        both = np.cumsum(fit.gw[S], axis=1)[:, :-1]
+        left_sum, k = both.real, both.imag
+    gain = left_sum**2 / k + (total - left_sum) ** 2 / (size - k) - total * total / size
+    if w is not None:
+        gain[(k < min_leaf) | (size - k < min_leaf)] = -np.inf
+    elif min_leaf > 1:
+        gain[:, : min_leaf - 1] = -np.inf
+        gain[:, m - min_leaf :] = -np.inf
+    if fit.tied.size:  # a boundary between equal values is no threshold
+        xs = np.take_along_axis(fit.x_tied, S[fit.tied], axis=1)
+        part = gain[fit.tied]
+        part[xs[:, 1:] == xs[:, :-1]] = -np.inf
+        gain[fit.tied] = part
     feat, pos = divmod(int(np.argmax(gain)), m - 1)  # lowest feature, then threshold
     if not gain[feat, pos] > 1e-12:
         return None
-    lo, hi = xs[feat, pos], xs[feat, pos + 1]
+    lo, hi = fit.X[S[feat, pos], feat], fit.X[S[feat, pos + 1], feat]
     thr = 0.5 * (lo + hi)
     return feat, (thr if thr < hi else lo), pos + 1
 
 
-def _grow(tree, X, g, h, rows, S, depth, max_depth, min_leaf, step):
-    split = None if depth >= max_depth else _best_split(X, g, rows, S, min_leaf)
+class _Fit(NamedTuple):
+    """What every node of one fit's trees reads: the covariates, the row weights
+    (None for unit weights) and w g + i w for the tree being grown, the columns
+    holding ties with their values, and the growth limits."""
+
+    X: np.ndarray
+    w: np.ndarray | None
+    gw: np.ndarray | None
+    tied: np.ndarray
+    x_tied: np.ndarray
+    max_depth: int
+    min_leaf: int
+
+
+def _grow(tree, fit, g, h, rows, S, depth, step):
+    split = None if depth >= fit.max_depth else _best_split(fit, g, rows, S)
     if split is None:
         # the Newton step is the tree's prediction for these rows
         step[rows] = value = float(g[rows].sum() / max(h[rows].sum(), 1e-12))
@@ -127,12 +163,18 @@ def _grow(tree, X, g, h, rows, S, depth, max_depth, min_leaf, step):
     feat, thr, cut = split
     node = tree.add_split(feat, thr)
     # a stable partition by the split keeps every feature's row order sorted
-    go_left = np.zeros(step.size, dtype=bool)
-    go_left[S[feat, :cut]] = True
-    mask = go_left[S]
-    args = (depth + 1, max_depth, min_leaf, step)
-    tree.left[node] = _grow(tree, X, g, h, S[feat, :cut], S[mask].reshape(len(S), cut), *args)
-    tree.right[node] = _grow(tree, X, g, h, S[feat, cut:], S[~mask].reshape(len(S), -1), *args)
+    depth += 1
+    left = right = None  # a leaf reads its rows only
+    if depth < fit.max_depth:
+        go_left = np.zeros(step.size, dtype=bool)
+        go_left[S[feat, :cut]] = True
+        mask = go_left[S].ravel()
+        # np.compress, not boolean indexing: the same rows, faster on nodes of hundreds of rows
+        flat, d = S.ravel(), len(S)
+        left = np.compress(mask, flat).reshape(d, cut)
+        right = np.compress(~mask, flat).reshape(d, -1)
+    tree.left[node] = _grow(tree, fit, g, h, S[feat, :cut], left, depth, step)
+    tree.right[node] = _grow(tree, fit, g, h, S[feat, cut:], right, depth, step)
     return node
 
 
@@ -194,11 +236,13 @@ def fit_gbt(
     max_depth: int = 3,
     learning_rate: float = 0.1,
     min_samples_leaf: int = 1,
+    sample_weight=None,
 ) -> BoostedTreesModel:
-    """Fit a gradient boosted trees model.
+    """Fit a gradient boosted trees model, optionally with row weights.
 
     A constant target yields a single-leaf model (every tree degenerates to a
-    zero leaf), never an error.
+    zero leaf), never an error.  ``sample_weight`` must hold one finite weight
+    > 0 per row.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -212,17 +256,23 @@ def fit_gbt(
         raise ValueError(f"unknown loss {loss!r}")
     if n_trees < 0 or max_depth < 1 or min_samples_leaf < 1:
         raise ValueError("n_trees, max_depth, min_samples_leaf out of range")
+    w = None if sample_weight is None else _check_weights(sample_weight, X.shape[0])
 
     n = X.shape[0]
     S0 = np.argsort(X.T, axis=1, kind="stable")  # shared by every tree
+    xs = np.take_along_axis(X.T, S0, axis=1)
+    tied = np.flatnonzero((xs[:, 1:] == xs[:, :-1]).any(axis=1))
+    gw = None if w is None else w * 1j
+    fit = _Fit(X, w, gw, tied, np.ascontiguousarray(X.T[tied]), max_depth, min_samples_leaf)
 
+    y_bar = float(y.mean() if w is None else (w * y).sum() / w.sum())
     if loss == "logistic":
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise DataError("logistic loss requires 0/1 targets")
-        p_bar = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
+        p_bar = float(np.clip(y_bar, 1e-6, 1.0 - 1e-6))
         base = float(np.log(p_bar / (1.0 - p_bar)))
     else:
-        base = float(y.mean())
+        base = y_bar
 
     F = np.full(n, base)
     h = np.ones(n)  # the squared-loss hessian
@@ -236,7 +286,10 @@ def fit_gbt(
             g = y - F
         tree = Tree()
         step = np.empty(n)
-        _grow(tree, X, g, h, np.arange(n), S0, 0, max_depth, min_samples_leaf, step)
+        wg, wh = (g, h) if w is None else (w * g, w * h)
+        if gw is not None:
+            gw.real = wg
+        _grow(tree, fit, wg, wh, np.arange(n), S0, 0, step)
         trees.append(tree)
         F += learning_rate * step
 
@@ -247,3 +300,14 @@ def fit_gbt(
         trees=trees,
         n_features=X.shape[1],
     )
+
+
+def _check_weights(sample_weight, n: int) -> np.ndarray:
+    w = np.asarray(sample_weight, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"sample_weight has shape {w.shape}, expected ({n},)")
+    if not np.isfinite(w).all():
+        raise ValueError("sample_weight must be finite")
+    if not (w > 0).all():
+        raise ValueError("sample_weight must be > 0")
+    return w

@@ -479,8 +479,12 @@ class TestLinearRefits:
             iv = uncertainty_interval(spec, data, X_query, theta, seed=4)
         with mock.patch.object(intervals, "_bootstrap", loop_bootstrap):
             expected = uncertainty_interval(spec, data, X_query, theta, seed=4)
-        assert iv.lower.tobytes() == expected.lower.tobytes()
-        assert iv.upper.tobytes() == expected.upper.tobytes()
+        if learner["kind"] == "gbt":  # refits on counts round apart from fits on the copies
+            np.testing.assert_allclose(iv.lower, expected.lower, rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(iv.upper, expected.upper, rtol=0.0, atol=1e-10)
+        else:
+            assert iv.lower.tobytes() == expected.lower.tobytes()
+            assert iv.upper.tobytes() == expected.upper.tobytes()
 
     def test_loop_refits_build_no_residual_pools(self):
         data = small_dataset(seed=31, n=70)
@@ -501,15 +505,21 @@ class TestLinearRefits:
     def test_bounds_do_not_depend_on_blas_threads(self):
         # in fresh processes: eval-bootstrap's train split, query rows and b_boot, and
         # large-cohort's shapes, t kind only (its 20-covariate propensity fit already
-        # moves with threads)
+        # moves with threads); then t-gbt with gbt-bootstrap's trees on fewer rows
         child = textwrap.dedent("""
             import hashlib
             import numpy as np
             from conftest import make_dataset
             from treatpolicy.cate import CateFitSpec, UncertaintySpec, uncertainty_interval
             from treatpolicy.learners import LearnerSpec, fit_classifier
+            ridge = LearnerSpec.make('ridge', lam=1.0)
+            gbt = LearnerSpec.make('gbt', n_trees=50, max_depth=3, min_samples_leaf=10)
             digest = hashlib.sha256()
-            for n, m, d, kinds, b_boot in ((7200, 3000, 10, 'tx', 200), (12000, 5000, 20, 't', 5)):
+            for n, m, d, kinds, b_boot, learner in (
+                (7200, 3000, 10, 'tx', 200, ridge),
+                (12000, 5000, 20, 't', 5, ridge),
+                (1600, 400, 10, 't', 6, gbt),
+            ):
                 rng = np.random.default_rng(0)
                 X = rng.normal(size=(n + m, d))
                 t = (rng.random(n + m) < 1.0 / (1.0 + np.exp(-X[:, 0]))).astype(int)
@@ -517,7 +527,7 @@ class TestLinearRefits:
                 train = make_dataset(X[:n], t[:n], y[:n])
                 prop = fit_classifier(LearnerSpec.make('logistic', lam=1.0), X[:n], t[:n])
                 for kind in kinds:
-                    spec = CateFitSpec(kind, LearnerSpec.make('ridge', lam=1.0))
+                    spec = CateFitSpec(kind, learner)
                     theta = UncertaintySpec(0.9, 1.0, b_boot)
                     iv = uncertainty_interval(spec, train, X[n:], theta, seed=0, propensity=prop)
                     digest.update(iv.lower.tobytes() + iv.upper.tobytes())
@@ -536,6 +546,63 @@ class TestLinearRefits:
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.strip())
         assert digests[0] == digests[1]
+
+
+class TestGbtRefits:
+    """gbt refits fit each drawn row once, with its draw count as row weight."""
+
+    @pytest.mark.parametrize("kind", ["s", "t", "x"])
+    def test_gbt_refits_on_count_weights_match_the_loop(self, kind):
+        # leaves of at least 10 drawn rows: in a node of a handful of distinct rows, two
+        # features often cut the same partition, their gains tie in exact arithmetic, and
+        # rounding, which differs between counts and copies, picks the feature
+        data = small_dataset(seed=32, n=200)
+        prop = fit_classifier(LearnerSpec.make("logistic", lam=1.0), data.covariates,
+                              data.treatment) if kind == "x" else None
+        gbt = LearnerSpec.make("gbt", n_trees=15, max_depth=3, min_samples_leaf=10)
+        spec = CateFitSpec(kind, gbt)
+        model = spec.fit(data, propensity=prop)
+        X_query = data.covariates[::3]
+        with mock.patch.object(policy_eval, "_CHUNK_BYTES", 8 * data.n * 2):
+            boot = intervals._bootstrap(spec, model, data, X_query, 6, 11, prop)
+        expected = loop_bootstrap(spec, model, data, X_query, 6, 11, prop)
+        np.testing.assert_allclose(boot, expected, rtol=0.0, atol=1e-10)
+
+    def test_gbt_refits_see_each_drawn_row_once(self):
+        data = small_dataset(seed=33, n=70)
+        data.treatment[:25] = 0
+        data.treatment[25:] = 1
+        spec = CateFitSpec("t", LearnerSpec.make("gbt", n_trees=3, max_depth=2))
+        model = spec.fit(data)
+        calls = []
+
+        def recording(kind, train, learner, **kwargs):
+            calls.append((train, kwargs))
+            return fit_meta_learner(kind, train, learner, **kwargs)
+
+        with mock.patch.object(intervals, "fit_meta_learner", recording):
+            intervals._bootstrap(spec, model, data, data.covariates[:5], 4, 2, None)
+        assert len(calls) == 4
+        for train, kwargs in calls:
+            assert np.unique(train.row_ids).size == train.n < data.n
+            assert kwargs["pools"] is False
+            w = kwargs["weights"]
+            assert w.shape == (train.n,) and np.all(w >= 1)
+            assert [w[train.treatment == a].sum() for a in (0, 1)] == [25.0, 45.0]
+
+    def test_weighted_meta_fits_are_gbt_only_and_checked(self):
+        data = small_dataset(seed=34, n=40)
+        gbt = LearnerSpec.make("gbt", n_trees=2, max_depth=2)
+        w = np.full(data.n, 2.0)
+        with pytest.raises(ValueError, match="pools=False"):
+            fit_meta_learner("t", data, gbt, weights=w)
+        with pytest.raises(ValueError, match="shape"):
+            fit_meta_learner("t", data, gbt, weights=w[:-1], pools=False)
+        with pytest.raises(ValueError, match="sample_weight"):
+            fit_meta_learner("t", data, RIDGE, weights=w, pools=False)
+        one_each = data.subset([0, data.n - 1])
+        fitted = fit_meta_learner("s", one_each, gbt, weights=[2.0, 3.0], pools=False)
+        assert fitted.residual_pools == {}
 
 
 class TestCalibrationCurve:

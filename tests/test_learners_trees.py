@@ -294,3 +294,107 @@ class TestSerialization:
         legacy = BoostedTreesModel.from_dict({**model.to_dict(), "seed": 0})
         np.testing.assert_array_equal(model.predict(X), legacy.predict(X))
         assert legacy.to_dict() == model.to_dict()
+
+
+@st.composite
+def resampled_problems(draw):
+    """A tree problem and a resample of 2**p of its rows.  Squared loss gets small integer
+    targets and logistic loss draws half the resample from each label, so the base score,
+    every gradient and every sum below is exact and row counts fit as row copies do."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(0, 4))
+    cols = []
+    for _ in range(d):
+        if draw(st.booleans()):
+            cell = st.integers(-3, 3).map(float)
+        else:
+            cell = st.floats(-100, 100, allow_nan=False, allow_subnormal=False)
+        cols.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    X = np.array(cols, dtype=float).T.reshape(n, d)
+    size = 2 ** draw(st.integers(1, 6))
+    loss = draw(st.sampled_from(["squared", "logistic"]))
+    if loss == "logistic":
+        ones = draw(st.integers(1, n - 1))
+        y = np.repeat([1.0, 0.0], [ones, n - ones])
+        half = st.lists(st.integers(0, ones - 1), min_size=size // 2, max_size=size // 2)
+        rest = st.lists(st.integers(ones, n - 1), min_size=size // 2, max_size=size // 2)
+        take = np.array(draw(half) + draw(rest))
+    else:
+        y = np.array(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)), dtype=float)
+        take = np.array(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
+    params = dict(
+        loss=loss,
+        n_trees=1,
+        max_depth=draw(st.integers(1, 4)),
+        learning_rate=draw(st.sampled_from([0.1, 1.0])),
+        min_samples_leaf=draw(st.integers(1, 3)),
+    )
+    return X, y, take, params
+
+
+def count_weights(n, take):
+    c = np.bincount(take, minlength=n).astype(float)
+    keep = np.flatnonzero(c)
+    return keep, c[keep]
+
+
+class TestCountWeightsMatchRowCopies:
+    """A row of weight c fits as c copies of it: exactly for one tree on exact sums, to
+    rounding over many trees."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(resampled_problems())
+    def test_one_tree_identical(self, problem):
+        X, y, take, params = problem
+        keep, w = count_weights(len(y), take)
+        weighted = fit_gbt(X[keep], y[keep], sample_weight=w, **params)
+        assert weighted.to_dict() == fit_gbt(X[take], y[take], **params).to_dict()
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_fifty_trees_same_splits(self, loss):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(600, 5))
+        signal = X[:, 0] + np.sin(2.0 * X[:, 1])
+        if loss == "logistic":
+            y = (signal + rng.normal(size=600) > 0).astype(float)
+        else:
+            y = signal + rng.normal(scale=0.5, size=600)
+        take = rng.integers(0, 600, 600)
+        keep, w = count_weights(600, take)
+        params = dict(loss=loss, n_trees=50, max_depth=3, min_samples_leaf=10)
+        weighted = fit_gbt(X[keep], y[keep], sample_weight=w, **params)
+        copies = fit_gbt(X[take], y[take], **params)
+        for a, b in zip(weighted.trees, copies.trees, strict=True):
+            assert (a.feature, a.threshold) == (b.feature, b.threshold)
+        np.testing.assert_allclose(weighted.predict(X), copies.predict(X), rtol=0.0, atol=1e-12)
+
+    def test_unit_weights_change_nothing(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(80, 3))
+        X[:, 2] = rng.integers(0, 2, 80)
+        y = X[:, 0] + rng.normal(size=80)
+        params = dict(n_trees=10, max_depth=3, min_samples_leaf=4)
+        assert (fit_gbt(X, y, sample_weight=np.ones(80), **params).to_dict()
+                == fit_gbt(X, y, **params).to_dict())
+
+    def test_min_samples_leaf_counts_weight(self):
+        X = np.array([[0.0], [1.0]])
+        y = np.array([0.0, 1.0])
+        w = np.array([5.0, 5.0])
+        split = fit_gbt(X, y, sample_weight=w, n_trees=1, max_depth=1, min_samples_leaf=5)
+        assert split.trees[0].feature[0] == 0
+        leaf = fit_gbt(X, y, sample_weight=w, n_trees=1, max_depth=1, min_samples_leaf=6)
+        assert leaf.trees[0].feature == [-1]
+
+    @pytest.mark.parametrize("w, problem", [
+        (np.ones(3), "shape"),
+        (np.ones((4, 1)), "shape"),
+        (np.array([1.0, 0.0, 1.0, 1.0]), "> 0"),
+        (np.array([1.0, -2.0, 1.0, 1.0]), "> 0"),
+        (np.array([1.0, np.nan, 1.0, 1.0]), "finite"),
+        (np.array([1.0, np.inf, 1.0, 1.0]), "finite"),
+    ])
+    def test_bad_weights_rejected(self, w, problem):
+        X = np.arange(4.0)[:, None]
+        with pytest.raises(ValueError, match=problem):
+            fit_gbt(X, np.arange(4.0), sample_weight=w, n_trees=1)

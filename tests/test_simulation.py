@@ -209,11 +209,11 @@ class TestRunStudy:
                 self.inner = inner
                 self.calls = 0
 
-            def fit(self, train, propensity=None):
+            def fit(self, train, propensity=None, pools=True):
                 self.calls += 1
                 if self.calls == 1:
                     raise DataError("planted failure")
-                return self.inner.fit(train, propensity=propensity)
+                return self.inner.fit(train, propensity=propensity, pools=pools)
 
         X, T = synthetic_covariates(300, 4, seed=21)
         menu = {"flaky": Flaky(CateFitSpec(kind="t", learner=RIDGE))}
@@ -229,7 +229,7 @@ class TestRunStudy:
 
     def test_all_runs_failing_raises(self):
         class Broken:
-            def fit(self, train, propensity=None):
+            def fit(self, train, propensity=None, pools=True):
                 raise DataError("nope")
 
         X, T = synthetic_covariates(200, 3, seed=22)
