@@ -14,7 +14,6 @@ Conventions
 
 from __future__ import annotations
 
-import array
 import csv
 import math
 from dataclasses import dataclass, field, replace
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, SchemaError
-from .layout import read_table, write_table
+from .layout import parse_columns, read_columns, write_table
 
 __all__ = [
     "ColumnInfo",
@@ -33,6 +32,7 @@ __all__ = [
     "impute_and_flag",
     "assign_splits",
     "summarize",
+    "DatasetDescription",
     "save_dataset",
     "load_dataset",
     "saved_dataset",
@@ -147,16 +147,15 @@ def _parse_cell(text: str) -> float:
 def load_table(path, schema: TableSchema, delimiter: str = ",") -> Dataset:
     """Read a headered CSV into a Dataset per the schema's column roles.
 
+    The file is read as UTF-8, after a byte-order mark if there is one.
     Unparseable numeric cells become missing (NaN).  Treatment must be an
     exact 0/1 and the primary outcome must parse on every row; violations
     raise SchemaError naming the offending row and column.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = next(csv.reader(fh, delimiter=delimiter), None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file")
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})
@@ -171,47 +170,51 @@ def load_table(path, schema: TableSchema, delimiter: str = ",") -> Dataset:
         special = {schema.treatment, schema.outcome, *schema.secondary_outcomes, *schema.ignore}
         cov_names = [h for h in header if h not in special]
         col_of = {h: i for i, h in enumerate(header)}
+        t_col, y_col = col_of[schema.treatment], col_of[schema.outcome]
+        rest = [col_of[k] for k in (*schema.secondary_outcomes, *cov_names)]
 
-        treatment: list[int] = []
-        outcome: list[float] = []
-        secondary: dict[str, list[float]] = {k: [] for k in schema.secondary_outcomes}
-        rows: list[list[float]] = []
-
-        for rownum, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise SchemaError(
-                    f"{path}: row {rownum} has {len(record)} fields, expected {len(header)}"
-                )
-            t_raw = record[col_of[schema.treatment]].strip()
+        def parse_row(record, rownum):
+            t_raw = record[t_col].strip()
             t_val = _parse_cell(t_raw)
             if math.isnan(t_val) or t_val not in (0.0, 1.0):
                 raise SchemaError(
                     f"{path}: row {rownum}: treatment column "
                     f"{schema.treatment!r} must be 0 or 1, got {t_raw!r}"
                 )
-            y_val = _parse_cell(record[col_of[schema.outcome]])
+            y_val = _parse_cell(record[y_col])
             if math.isnan(y_val):
                 raise SchemaError(
                     f"{path}: row {rownum}: outcome column {schema.outcome!r} is missing"
                 )
-            treatment.append(int(t_val))
-            outcome.append(y_val)
-            for k in schema.secondary_outcomes:
-                secondary[k].append(_parse_cell(record[col_of[k]]))
-            rows.append([_parse_cell(record[col_of[c]]) for c in cov_names])
+            return [t_val, y_val, *(_parse_cell(record[j]) for j in rest)]
 
-    if not rows:
+        def valid(columns):
+            # the checks parse_row makes, on a block parsed in bulk
+            return bool(np.isin(columns[0], (0.0, 1.0)).all() and not np.isnan(columns[1]).any())
+
+        (treatment, outcome, *values), _ = parse_columns(
+            fh, path, len(header), [t_col, y_col, *rest], row=parse_row, valid=valid,
+            delimiter=delimiter, first_row=2,
+        )
+
+    if not len(treatment):
         raise SchemaError(f"{path}: no data rows")
 
-    covariates = np.asarray(rows, dtype=float)
+    n_sec = len(schema.secondary_outcomes)
+    covariates = _matrix(values[n_sec:], len(treatment))
     columns = [ColumnInfo(name, _detect_kind(covariates[:, j])) for j, name in enumerate(cov_names)]
     return Dataset(
         covariates=covariates,
         columns=columns,
-        treatment=np.asarray(treatment, dtype=np.int8),
-        outcome=np.asarray(outcome, dtype=float),
-        secondary={k: np.asarray(v, dtype=float) for k, v in secondary.items()},
+        treatment=treatment.astype(np.int8),
+        outcome=outcome,
+        secondary=dict(zip(schema.secondary_outcomes, values[:n_sec])),
     )
+
+
+def _matrix(columns, n: int) -> np.ndarray:
+    """The ``n``-row float columns side by side, as a C-ordered matrix."""
+    return np.stack(columns, axis=1) if columns else np.empty((n, 0))
 
 
 def _detect_kind(values: np.ndarray) -> str:
@@ -389,7 +392,17 @@ def summarize(
     return SummaryTable(group_names=names, rows=rows)
 
 
-def save_dataset(data: Dataset, csv_path) -> dict:
+class DatasetDescription(dict):
+    """The description of a saved dataset, as ``data/dataset.json`` holds it.
+
+    ``sha256`` is the digest of the CSV file :func:`save_dataset` wrote; it
+    is an attribute, not a key, so the description serialises without it.
+    """
+
+    sha256: str
+
+
+def save_dataset(data: Dataset, csv_path) -> DatasetDescription:
     """Write the dataset to CSV and return a metadata dict describing it.
 
     Floats are written with full round-trip precision so a reload is
@@ -398,13 +411,15 @@ def save_dataset(data: Dataset, csv_path) -> dict:
     sec_names = sorted(data.secondary)
     header = ["row_id", "split", "treatment", "outcome", *sec_names, *data.column_names]
     split = [""] * data.n if data.split is None else data.split
-    write_table(csv_path, header, [data.row_ids, split, data.treatment.astype(int), data.outcome,
-                                   *(data.secondary[k] for k in sec_names), *data.covariates.T])
-    return {
-        "columns": [{"name": c.name, "kind": c.kind} for c in data.columns],
-        "secondary_outcomes": sec_names,
-        "n_rows": data.n,
-    }
+    description = DatasetDescription(
+        columns=[{"name": c.name, "kind": c.kind} for c in data.columns],
+        secondary_outcomes=sec_names,
+        n_rows=data.n,
+    )
+    description.sha256 = write_table(
+        csv_path, header, [data.row_ids, split, data.treatment.astype(int), data.outcome,
+                           *(data.secondary[k] for k in sec_names), *data.covariates.T])
+    return description
 
 
 def load_dataset(csv_path, description: dict) -> Dataset:
@@ -416,20 +431,12 @@ def load_dataset(csv_path, description: dict) -> Dataset:
     sec_names = list(description["secondary_outcomes"])
     header = ["row_id", "split", "treatment", "outcome", *sec_names,
               *(c["name"] for c in description["columns"])]
-    row_ids, splits, treatment = [], [], []
-    # a flat buffer of doubles, not one live Python float per cell
-    cells = array.array("d")
-    for record in read_table(csv_path, header):
-        row_ids.append(int(record[0]))
-        splits.append(record[1])
-        treatment.append(int(record[2]))
-        cells.extend(map(float, record[3:]))
-    # outcome, secondary outcomes, covariates: one row per record
-    table = np.frombuffer(cells).reshape(len(row_ids), len(header) - 3)
+    (row_ids, treatment, outcome, *values), (splits,) = read_columns(
+        csv_path, header, [0, 2, *range(3, len(header))], ints=(0, 2), text=(1,)
+    )
     return _stored_dataset(
-        description, row_ids, splits, treatment, table[:, 0],
-        [table[:, 1 + j] for j in range(len(sec_names))], table[:, 1 + len(sec_names):],
-        source=csv_path,
+        description, row_ids, splits, treatment, outcome, values[:len(sec_names)],
+        _matrix(values[len(sec_names):], len(row_ids)), source=csv_path,
     )
 
 

@@ -12,15 +12,25 @@ it when it is missing, ``out`` lists every file the stage writes, and
 the recorder saw, so it lists exactly the files each stage wrote.
 
 Every CSV artifact is written by :func:`write_table` from the columns a
-stage hands over and read back by :func:`read_table`: one header row, floats
-as ``repr`` (a reload is bit-identical), integers and booleans as decimals,
-text quoted by ``csv``.  Both stream a row block at a time, so no table is
-ever held as text.
+stage hands over: one header row, floats as ``repr`` (a reload is
+bit-identical), integers and booleans as decimals, text quoted as ``csv``
+quotes it, UTF-8 with ``\r\n`` line ends.  It formats a block of rows a
+column at a time and returns the sha256 of the bytes it wrote.
+:func:`read_columns` reads named columns back as arrays.  It, and the input
+table's reader, parse a block of rows in bulk with ``np.loadtxt``; a block
+that does not parse in bulk, or that fails the caller's check, is parsed
+again one row at a time by the caller's cell rules, so an error names the
+same row and text as a row-by-row parse.  :func:`read_table` yields rows as
+text.  Each holds one block of text at a time, so no table is ever held as
+text.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
+import itertools
 import json
 import os
 
@@ -159,27 +169,80 @@ def read_json(full_path):
         return json.load(fh)
 
 
-# rows formatted per write call: bounds the text held at once
+# rows formatted or parsed per step: bounds the text held at once
 BLOCK_ROWS = 1024
 
+# a field holding one of these is quoted by csv's QUOTE_MINIMAL rule
+_QUOTED = (",", '"', "\r", "\n")
 
-def write_table(full_path, header, columns) -> None:
-    """Write ``header``, then one row per index of the equal-length ``columns``.
+
+def write_table(full_path, header, columns) -> str:
+    """Write ``header``, then one row per index of the equal-length ``columns``;
+    returns the sha256 of the bytes written.
 
     Columns are positional, so a header may repeat a name.  Floats are
-    written as ``repr``, integers and booleans as decimals, text as-is.
+    written as ``repr``, integers and booleans as decimals, text as-is,
+    quoted as ``csv.writer`` quotes it.
     """
     cols = [np.asarray(c) for c in columns]
     cols = [c.astype(int) if c.dtype == bool else c for c in cols]
     n = len(cols[0]) if cols else 0
     if len(cols) != len(header) or any(c.shape != (n,) for c in cols):
         raise ValueError(f"{full_path}: need {len(header)} columns of one length")
-    with open(full_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for start in range(0, n, BLOCK_ROWS):
-            # tolist gives Python floats, ints and strs; csv writes a float as its repr
-            writer.writerows(zip(*(c[start:start + BLOCK_ROWS].tolist() for c in cols)))
+    digest = hashlib.sha256()
+    with open(full_path, "wb") as fh:
+        for text in _table_text(header, cols, n):
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
+
+
+def _table_text(header, cols, n):
+    """The text of the table, one block of rows at a time."""
+    yield _csv_text([header])
+    for start in range(0, n, BLOCK_ROWS):
+        block = [c[start:start + BLOCK_ROWS] for c in cols]
+        text = _block_text(block)
+        # tolist gives Python floats, ints and strs; csv writes a float as its repr
+        yield _csv_text(zip(*(c.tolist() for c in block))) if text is None else text
+
+
+def _csv_text(rows) -> str:
+    """``rows`` as ``csv.writer`` writes them."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _block_text(block) -> str | None:
+    """The rows of ``block`` formatted column by column, as ``csv.writer``
+    would write them; None for a block the column rule does not cover."""
+    cells = []
+    for c in block:
+        kind = c.dtype.kind
+        if kind == "f" and c.dtype.itemsize <= 8:
+            cells.append(map(repr, c.tolist()))
+        elif kind in "iu":
+            cells.append(map(str, c.tolist()))
+        elif kind == "U":
+            values = c.tolist()
+            if len(block) == 1 and "" in values:
+                return None  # csv writes a row of one empty field as ""
+            cells.append(_quoted(values))
+        else:
+            return None
+    return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+
+
+def _quoted(values: list) -> list:
+    """Text cells as QUOTE_MINIMAL writes them: a field holding a comma, a
+    quote or a line break is quoted, with its quotes doubled."""
+    joined = "".join(values)
+    if not any(ch in joined for ch in _QUOTED):
+        return values
+    return ['"' + v.replace('"', '""') + '"' if any(ch in v for ch in _QUOTED) else v
+            for v in values]
 
 
 def read_table(full_path, header=None):
@@ -191,16 +254,111 @@ def read_table(full_path, header=None):
     """
     with open(full_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise SchemaError(f"{full_path}: empty file, expected a header row")
+        first = _header(full_path, next(reader, None), header)
         if header is None:
             yield first
-        elif first != list(header):
-            raise SchemaError(f"{full_path}: header does not match {list(header)}")
         for number, row in enumerate(reader, start=1):
-            if len(row) != len(first):
-                raise SchemaError(
-                    f"{full_path}: row {number} has {len(row)} fields, expected {len(first)}"
-                )
+            _check_width(full_path, number, row, len(first))
             yield row
+
+
+def read_columns(full_path, header, numbers, *, ints=(), text=()):
+    """Columns of a table written by :func:`write_table`, whose first row
+    must equal ``header``.
+
+    Returns ``(arrays, texts)``: one array per index in ``numbers`` (int64
+    for one also in ``ints``, else float64) and one list of text per index
+    in ``text``.  Cells convert as ``int`` and ``float`` convert them; a
+    cell that does not raises their ValueError, and a row of the wrong width
+    raises SchemaError naming it, counted from 1.
+    """
+    with open(full_path, newline="", encoding="utf-8") as fh:
+        _header(full_path, next(csv.reader(fh), None), header)
+        return parse_columns(fh, full_path, len(header), numbers, ints=ints, text=text)
+
+
+def parse_columns(fh, where, width, numbers, *, ints=(), text=(), row=None, valid=None,
+                  delimiter=",", first_row=1):
+    """Parse the rest of the open CSV file ``fh``, ``width`` fields a row,
+    into the columns ``numbers`` (arrays) and ``text`` (lists of text).
+
+    A block of rows is parsed in bulk by ``np.loadtxt``, whose numbers are
+    those Python's ``int`` and ``float`` read from the same text.  A block
+    that it cannot parse, that holds a row of another width or that fails
+    ``valid`` (called with the block's arrays, in ``numbers`` order) is
+    parsed again one row at a time: ``row(record, number)`` gives the
+    numbers of one record, by default through ``int`` and ``float``, and
+    raises what the row is wrong in.  A quote character sends the rest of
+    the file through ``csv.reader`` row by row, because a quoted field may
+    span lines.  ``where`` names the file in errors; rows count from
+    ``first_row``.
+    """
+    ints = set(ints)
+    dtype = np.dtype([(f"c{i}", np.int64 if j in ints else np.float64)
+                      for i, j in enumerate(numbers)])
+    if row is None:
+        def row(record, number):
+            return [int(record[j]) if j in ints else float(record[j]) for j in numbers]
+
+    def by_row(records, number):
+        values, texts = [], [[] for _ in text]
+        for number, record in enumerate(records, start=number):
+            _check_width(where, number, record, width)
+            values.append(tuple(row(record, number)))
+            for cells, j in zip(texts, text):
+                cells.append(record[j])
+        return np.array(values, dtype=dtype), texts
+
+    bulk = delimiter not in '"\r\n'
+    blocks = [(np.empty(0, dtype), [[] for _ in text])]
+    number = first_row
+    for lines in _blocks(fh):
+        if not bulk or '"' in "".join(lines):
+            for records in _blocks(csv.reader(itertools.chain(lines, fh), delimiter=delimiter)):
+                blocks.append(by_row(records, number))
+                number += len(records)
+            break
+        parsed = _bulk(lines, width, numbers, dtype, text, valid, delimiter)
+        # without quotes, each line is one record
+        blocks.append(parsed or by_row(csv.reader(lines, delimiter=delimiter), number))
+        number += len(lines)
+    arrays = [np.concatenate([b[name] for b, _ in blocks]) for name in dtype.names]
+    texts = [[cell for _, t in blocks for cell in t[k]] for k in range(len(text))]
+    return arrays, texts
+
+
+def _blocks(items):
+    """Lists of up to ``BLOCK_ROWS`` of ``items``, in order."""
+    return iter(lambda: list(itertools.islice(items, BLOCK_ROWS)), [])
+
+
+def _bulk(lines, width, numbers, dtype, text, valid, delimiter):
+    """The block of unquoted ``lines`` parsed in bulk, or None when a row has
+    another width, a cell does not parse or ``valid`` refuses the block."""
+    if set(map(str.count, lines, itertools.repeat(delimiter))) != {width - 1}:
+        return None
+    if width == 1 and any(not line.strip() for line in lines):
+        return None  # loadtxt skips a blank line; csv reads it as a row of no fields
+    try:
+        values = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
+                            usecols=numbers, ndmin=1)
+    except ValueError:
+        return None
+    if valid and not valid([values[n] for n in dtype.names]):
+        return None
+    return values, [[line.rstrip("\r\n").split(delimiter, j + 1)[j] for line in lines]
+                    for j in text]
+
+
+def _header(where, first, header):
+    """The file's first row ``first``, which must equal ``header`` when given."""
+    if first is None:
+        raise SchemaError(f"{where}: empty file, expected a header row")
+    if header is not None and first != list(header):
+        raise SchemaError(f"{where}: header does not match {list(header)}")
+    return first
+
+
+def _check_width(where, number, row, width) -> None:
+    if len(row) != width:
+        raise SchemaError(f"{where}: row {number} has {len(row)} fields, expected {width}")

@@ -49,8 +49,8 @@ def save_model(obj, path) -> None:
         "model": encode_model(obj),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        # dumps runs the C encoder; dump streams through the pure-Python one
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_model(path):

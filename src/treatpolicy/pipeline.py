@@ -44,7 +44,7 @@ from .ingest import (
     saved_dataset,
     summarize,
 )
-from .layout import STAGE_ORDER, read_json, read_table, write_json, write_table
+from .layout import STAGE_ORDER, read_json, write_json, write_table
 from .learners import load_model, save_model
 from .policy_eval import (
     DEFER,
@@ -188,7 +188,7 @@ def stage_ingest(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
     d = cfg.echo["data"]
     try:
         data = load_table(d["path"], cfg.table_schema(), delimiter=d["delimiter"])
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read data table {d['path']}: {exc}") from exc
     data = assign_splits(data, cfg.echo["splits"]["fractions"], cfg.echo["splits"]["seed"])
     data, flagged = impute_and_flag(data)
@@ -201,7 +201,7 @@ def stage_ingest(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
     table = summarize(data, group_by=data.treatment == 1, group_names=("control", "treated"))
     write_table(io.out(layout.SUMMARY), table.header, table.columns())
     # the later stages of this process read what was just saved without parsing it
-    _share((_sha256(csv_path), description), saved_dataset(data, description))
+    _share((description.sha256, description), saved_dataset(data, description))
     if flagged:
         cols = ", ".join(sorted(flagged))
         io.warn("imputation", f"missing values imputed (indicators added) in: {cols}")
@@ -348,20 +348,19 @@ def _per_model_values(io, rel: str, test, names, width: int) -> dict:
     array in test-split order.  A model without rows, or whose rows do not
     line up with the current test split, asks for the producer of ``rel`` to
     be rerun."""
-    row_ids: dict[str, list] = {}
-    values: dict[str, list] = {}
-    for model, row_id, *cells in read_table(io.need(rel), layout.HEADERS[rel]):
-        row_ids.setdefault(model, []).append(int(row_id))
-        values.setdefault(model, []).append([float(c) for c in cells[:width]])
-    want = [int(r) for r in test.row_ids]
+    (row_ids, *values), (models,) = layout.read_columns(
+        io.need(rel), layout.HEADERS[rel], [1, *range(2, 2 + width)], ints=(1,), text=(0,)
+    )
+    models = np.asarray(models, dtype=str)
     out = {}
     for name in names:
-        if row_ids.get(name) != want:
+        rows = np.flatnonzero(models == name)
+        if not np.array_equal(row_ids[rows], test.row_ids):
             raise StageError(
                 f"{rel} rows for model {name!r} are missing or do not line up with the "
                 f"current test split; rerun {layout.PRODUCER[rel]}"
             )
-        out[name] = np.array(values[name], dtype=float).T.copy()
+        out[name] = np.stack([v[rows] for v in values])
     return out
 
 

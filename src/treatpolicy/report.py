@@ -12,8 +12,10 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 
+import numpy as np
+
 from . import figures, layout
-from .layout import read_json, read_table
+from .layout import read_columns, read_json, read_table
 
 __all__ = ["emit_report"]
 
@@ -26,29 +28,25 @@ def _at(out_dir, rel):
     return full
 
 
-def _read(out_dir, rel):
-    """The data rows of the fixed-header artifact ``rel``, streamed."""
-    return read_table(_at(out_dir, rel), layout.HEADERS[rel])
+def _float_columns(full_path, header, cols, key=None) -> dict:
+    """Columns ``cols`` of the table at ``full_path`` as lists of floats,
+    grouped by the text in column ``key`` in order of first appearance (one
+    group, ``None``, when there is no key and the table has rows)."""
+    values, texts = read_columns(full_path, header, cols, text=() if key is None else (key,))
+    if key is None:
+        return {None: [v.tolist() for v in values]} if len(values[0]) else {}
+    keys = np.asarray(texts[0], dtype=str)
+    return {group: [v[keys == group].tolist() for v in values] for group in dict.fromkeys(texts[0])}
 
 
-def _float_columns(rows, cols, key=None) -> dict:
-    """Columns ``cols`` of the streamed ``rows`` as lists of floats, grouped by
-    the text in column ``key`` in order of first appearance (one group,
-    ``None``, when there is no key)."""
-    groups: dict = {}
-    for row in rows:
-        group = groups.setdefault(None if key is None else row[key], [[] for _ in cols])
-        for values, c in zip(group, cols):
-            values.append(float(row[c]))
-    return groups
+def _artifact_columns(out_dir, rel, cols, key=None) -> dict:
+    """:func:`_float_columns` of the fixed-header artifact ``rel``."""
+    return _float_columns(_at(out_dir, rel), layout.HEADERS[rel], cols, key)
 
 
 def _fig_cate_hist(out_dir, bins: int):
-    import numpy as np
-
-    rows = _read(out_dir, layout.CATE_ESTIMATES)
     panels = []
-    for model, (tau,) in _float_columns(rows, [2], key=0).items():
+    for model, (tau,) in _artifact_columns(out_dir, layout.CATE_ESTIMATES, [2], key=0).items():
         tau = np.array(tau)
         lo, hi = float(tau.min()), float(tau.max())
         if hi - lo <= max(abs(lo), abs(hi), 1.0) * 1e-9:
@@ -91,7 +89,7 @@ def _fig_overlap_hist(out_dir, bins: int):
 def _fig_value_scatter(out_dir, bins: int):
     header = layout.HEADERS[layout.STUDY_SCATTER]
     cols = [header.index(name) for name in ("v_true", "v_dr", "v_ipw")]
-    truth, dr, ipw = _float_columns(_read(out_dir, layout.STUDY_SCATTER), cols).get(None, [[], [], []])
+    truth, dr, ipw = _artifact_columns(out_dir, layout.STUDY_SCATTER, cols).get(None, [[], [], []])
     series = [{"label": "DR", "x": truth, "y": dr}, {"label": "IPW", "x": truth, "y": ipw}]
     return figures.svg_scatter(
         series,
@@ -106,9 +104,8 @@ def _fig_value_box(out_dir, bins: int):
     for est in ("DR", "IPW"):
         full = os.path.join(out_dir, layout.distributions(est))
         if os.path.exists(full):
-            rows = read_table(full)
-            names = next(rows)
-            cols = _float_columns(rows, range(len(names))).get(None, [[] for _ in names])
+            names = next(read_table(full))
+            cols = _float_columns(full, names, range(len(names))).get(None, [[] for _ in names])
             # NaN-only columns cannot be drawn
             items = [{"label": k, "values": v} for k, v in zip(names, cols) if any(x == x for x in v)]
             return figures.svg_box(
@@ -121,7 +118,7 @@ def _fig_rank_curve(out_dir, bins: int):
     series = [
         {"label": model, "fractions": fractions, "values": values}
         for model, (fractions, values) in
-        _float_columns(_read(out_dir, layout.RANK_CURVE), [2, 3], key=0).items()
+        _artifact_columns(out_dir, layout.RANK_CURVE, [2, 3], key=0).items()
     ]
     return figures.svg_rank_curve(series, title="Value by fraction treated")
 

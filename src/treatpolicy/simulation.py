@@ -215,16 +215,6 @@ class StudyReport:
     spec: dict
     policies: list = field(default_factory=list)
 
-    @property
-    def n_failed(self) -> int:
-        return len(self.failures)
-
-    def aggregate(self, policy: str) -> dict:
-        for row in self.aggregates:
-            if row["policy"] == policy:
-                return row
-        raise KeyError(policy)
-
     def to_dict(self) -> dict:
         return {
             "rows": self.rows,

@@ -29,7 +29,10 @@ from treatpolicy.cate import (
     uncertainty_interval,
 )
 from treatpolicy.errors import ConfigError, DataError
-from treatpolicy.learners import LearnerSpec, decode_model, encode_model, fit_classifier
+from treatpolicy.learners import (
+    LearnerSpec, decode_model, encode_model, fit_classifier, save_model,
+)
+from treatpolicy.learners.serialize import FORMAT_NAME, FORMAT_VERSION
 from treatpolicy.policy_eval import ensemble_effects
 
 
@@ -181,6 +184,16 @@ class TestMetaLearners:
             back.predict(data.covariates), model.predict(data.covariates)
         )
         np.testing.assert_array_equal(back.residual_pools[1], model.residual_pools[1])
+
+    @pytest.mark.parametrize("kind", ["s", "t", "x"])
+    def test_saved_bytes_match_the_streaming_encoder(self, tmp_path, kind):
+        model = fit_meta_learner(kind, small_dataset(seed=17), RIDGE, g_constant=0.25)
+        save_model(model, tmp_path / "new.json")
+        doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "model": encode_model(model)}
+        with open(tmp_path / "old.json", "w") as fh:
+            json.dump(doc, fh, sort_keys=True)
+            fh.write("\n")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
 class TestEnsembles:

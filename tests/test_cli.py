@@ -138,6 +138,14 @@ class TestExitCodes:
         assert main(["ingest", str(cfg_path), "--set", "data.path=missing.csv"]) == 3
         assert "data error:" in capsys.readouterr().err
 
+    def test_table_that_is_not_utf8_is_3(self, workspace, capsys):
+        _, cfg_path, _ = workspace
+        table = cfg_path.with_name("latin1.csv")
+        table.write_bytes("caf\u00e9,treat,outcome\n1.0,1,2.0\n".encode("latin-1"))
+        assert main(["ingest", str(cfg_path), "--set", f"data.path={table}"]) == 3
+        err = capsys.readouterr().err
+        assert "data error:" in err and "latin1.csv" in err and "utf-8" in err
+
     def test_bad_column_is_3(self, workspace, capsys):
         _, cfg_path, _ = workspace
         assert main(["ingest", str(cfg_path), "--set", "data.outcome=nope"]) == 3

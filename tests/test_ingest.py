@@ -1,17 +1,19 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treatpolicy import layout
-from treatpolicy.errors import DataError, SchemaError
+from treatpolicy import layout, pipeline
+from treatpolicy.errors import DataError, SchemaError, StageError
 from treatpolicy.ingest import (
     Dataset,
     ColumnInfo,
     TableSchema,
+    _parse_cell,
     assign_splits,
     impute_and_flag,
     load_dataset,
@@ -363,3 +365,285 @@ class TestTableCodec:
             layout.write_table(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
         with pytest.raises(ValueError):
             layout.write_table(tmp_path / "t.csv", ["a"], [[1.0], [2.0]])
+
+
+def _csv_writer_table(full_path, header, columns):
+    """The table writer before the column formatter: ``csv.writer`` over each
+    block's rows."""
+    cols = [np.asarray(c) for c in columns]
+    cols = [c.astype(int) if c.dtype == bool else c for c in cols]
+    n = len(cols[0]) if cols else 0
+    with open(full_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for start in range(0, n, layout.BLOCK_ROWS):
+            writer.writerows(zip(*(c[start:start + layout.BLOCK_ROWS].tolist() for c in cols)))
+
+
+class TestColumnWriterMatchesCsvWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(_tables())
+    def test_bytes_and_digest(self, tmp_path_factory, table):
+        header, _, columns = table
+        folder = tmp_path_factory.mktemp("writer")
+        digest = layout.write_table(folder / "new.csv", header, columns)
+        _csv_writer_table(folder / "old.csv", header, columns)
+        written = (folder / "new.csv").read_bytes()
+        assert written == (folder / "old.csv").read_bytes()
+        assert digest == hashlib.sha256(written).hexdigest()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tables())
+    # plain text, last and inside, takes the bulk parse
+    @example(table=(["n", "t", "x", "u"], ["int", "str", "float", "str"],
+                    [np.array([3, -1]), ["a b", ""], np.array([0.5, -0.0]), ["x", "é"]]))
+    def test_read_columns_round_trip(self, tmp_path_factory, table):
+        header, kinds, columns = table
+        path = tmp_path_factory.mktemp("columns") / "t.csv"
+        layout.write_table(path, header, columns)
+        numbers = [j for j, k in enumerate(kinds) if k != "str"]
+        text = [j for j, k in enumerate(kinds) if k == "str"]
+        arrays, texts = layout.read_columns(path, header, numbers, text=text,
+                                            ints=[j for j in numbers if kinds[j] != "float"])
+        for j, got in zip(numbers, arrays):
+            if kinds[j] == "float":
+                assert all(_same_float(a, b) for a, b in zip(got.tolist(), columns[j].tolist()))
+            else:
+                assert got.tolist() == [int(v) for v in columns[j].tolist()]
+        assert texts == [list(columns[j]) for j in text]
+
+    @pytest.mark.parametrize("case", ["mixed", "one-text-column", "objects", "narrow-floats"])
+    def test_bytes_across_blocks(self, tmp_path, case):
+        rng = np.random.default_rng(11)
+        n = 2 * layout.BLOCK_ROWS + 7
+        text = rng.choice(["train", "", "a,b", 'say "x"', "two\nlines", "cr\r", "é"], n)
+        if case == "mixed":
+            floats = rng.normal(size=n) * 10.0 ** rng.integers(-320, 308, n)
+            floats[layout.BLOCK_ROWS - 4 : layout.BLOCK_ROWS + 4] = _SPECIAL_FLOATS
+            columns = [floats, rng.integers(-2**63, 2**63 - 1, n), rng.random(n) < 0.5, text,
+                       rng.integers(0, 2**64 - 1, n, dtype=np.uint64)]
+        elif case == "one-text-column":
+            columns = [text]
+        elif case == "objects":
+            columns = [np.array([None, 1.5, "x,y"] * (n // 3) + [2] * (n % 3), dtype=object),
+                       rng.normal(size=n)]
+        else:
+            columns = [rng.normal(size=n).astype(np.float32), rng.normal(size=n).astype(np.float16)]
+        header = [f"c{j}" for j in range(len(columns))]
+        layout.write_table(tmp_path / "new.csv", header, columns)
+        _csv_writer_table(tmp_path / "old.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# cells the bulk parse may meet: _parse_cell's missing words, Python-only
+# float syntax, padding, special values and quoted cells
+_CELL_TEXTS = ["", "NA", "na", "nan", "-nan", "NaN", "null", "None", " 1.5 ", "1_000", "１",
+               "inf", "-inf", "+Infinity", "1e999", "-0", ".5", "5.", "0x10", "abc", "1.5e-3",
+               "\t2\t", '"2.5"', '"1,5"', '" 7 "']
+_CELLS = (st.sampled_from(_CELL_TEXTS) | st.floats().map(repr)
+          | st.text(alphabet="0123456789.e+-_ nNaAiIfF\t", max_size=8))
+
+
+def _parse_oracle(path, delimiter=","):
+    """Every data cell of ``path`` read by ``csv.reader`` and ``_parse_cell``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh, delimiter=delimiter))[1:]
+    return [[_parse_cell(c) for c in row] for row in rows]
+
+
+class TestBulkParseMatchesParseCell:
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.integers(1, 4), data=st.data(), delimiter=st.sampled_from([",", ";"]),
+           end=st.sampled_from(["\r\n", "\n", "\r"]))
+    def test_cell_for_cell(self, tmp_path_factory, width, data, delimiter, end):
+        rows = data.draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width),
+                                  min_size=1, max_size=40))
+        path = tmp_path_factory.mktemp("cells") / "t.csv"
+        lines = [delimiter.join(f"h{j}" for j in range(width))]
+        lines += [delimiter.join(row) for row in rows]
+        path.write_bytes(end.join(lines).encode() + end.encode())
+        expected = _parse_oracle(path, delimiter)
+
+        def parse():
+            with open(path, newline="", encoding="utf-8") as fh:
+                next(fh)
+                return layout.parse_columns(
+                    fh, path, width, list(range(width)), delimiter=delimiter,
+                    row=lambda record, number: [_parse_cell(c) for c in record])
+
+        if any(len(row) != width for row in expected):
+            # csv reads a blank line as a row of no fields
+            blank = next(i for i, row in enumerate(expected) if len(row) != width)
+            with pytest.raises(SchemaError, match=f"row {blank + 1} has 0 fields"):
+                parse()
+            return
+        arrays, _ = parse()
+        got = np.stack(arrays, axis=1).tolist()
+        assert len(got) == len(expected)
+        assert all(_same_float(a, b) for g, e in zip(got, expected) for a, b in zip(g, e))
+
+        # the bulk parse alone, where it takes the block, agrees cell for cell
+        with open(path, newline="", encoding="utf-8") as fh:
+            block = fh.readlines()[1:]
+        if not any('"' in line for line in block):
+            dtype = np.dtype([(f"c{j}", np.float64) for j in range(width)])
+            bulk = layout._bulk(block, width, list(range(width)), dtype, (), None, delimiter)
+            if bulk is not None:
+                got = [list(r) for r in bulk[0].tolist()]
+                assert all(_same_float(a, b) for g, e in zip(got, expected) for a, b in zip(g, e))
+
+    def test_bulk_takes_plain_numbers(self):
+        lines = ["1.5,-0,nan\r\n", " 2 ,inf,-1e999\r\n", "3,1e-320,.5\n"]
+        dtype = np.dtype([(f"c{j}", np.float64) for j in range(3)])
+        values, _ = layout._bulk(lines, 3, [0, 1, 2], dtype, (), None, ",")
+        expected = [1.5, -0.0, math.nan, 2.0, math.inf, -math.inf, 3.0, 1e-320, 0.5]
+        got = [v for row in values.tolist() for v in row]
+        assert all(_same_float(a, b) for a, b in zip(got, expected)) and len(got) == 9
+
+
+def _cohort_text(n, planted=()):
+    """A valid ``x,t,y`` cohort of ``n`` rows, with ``(data row index, line)`` swaps."""
+    lines = {i: f"{i * 0.25!r},{i % 2},{i * 0.5!r}" for i in range(n)}
+    lines.update(planted)
+    return "x,t,y\n" + "".join(lines[i] + "\n" for i in range(n))
+
+
+class TestErrorsBeyondTheFirstBlock:
+    N = 3 * layout.BLOCK_ROWS + 5
+    WHERE = [layout.BLOCK_ROWS, 3 * layout.BLOCK_ROWS + 4]  # first row of block 2; last row
+
+    @pytest.mark.parametrize("index", WHERE)
+    @pytest.mark.parametrize(("line", "message"), [
+        ("1.0,1", "row {row} has 2 fields, expected 3"),
+        ("1.0,1,2.0,9", "row {row} has 4 fields, expected 3"),
+        ("1.0, 2 ,2.0", "row {row}: treatment column 't' must be 0 or 1, got '2'"),
+        ("1.0,NA,2.0", "row {row}: treatment column 't' must be 0 or 1, got 'NA'"),
+        ("1.0,1,", "row {row}: outcome column 'y' is missing"),
+        ("1.0,0,nan", "row {row}: outcome column 'y' is missing"),
+    ])
+    def test_load_table_names_the_row(self, tmp_path, index, line, message):
+        path = write_csv(tmp_path, _cohort_text(self.N, {index: line}))
+        with pytest.raises(SchemaError) as info:
+            load_table(path, SCHEMA)
+        # the header is row 1
+        assert str(info.value) == f"{path}: " + message.format(row=index + 2)
+
+    def test_first_fault_in_row_order_wins_within_a_block(self, tmp_path):
+        start = layout.BLOCK_ROWS
+        path = write_csv(tmp_path, _cohort_text(self.N, {start + 3: "1.0,1", start + 1: "1.0,7,1.0",
+                                                         start + 2: "1.0,1,"}))
+        with pytest.raises(SchemaError, match=f"row {start + 3}: treatment column 't'"):
+            load_table(path, SCHEMA)
+
+    @pytest.mark.parametrize("start", [layout.BLOCK_ROWS - 1, 3])
+    def test_rows_count_records_after_a_quoted_line_break(self, tmp_path, start):
+        # the note of row `start` spans two lines, across a block's end at BLOCK_ROWS - 1
+        lines = [f"{i * 0.25!r},{i % 2},{i * 0.5!r},n{i}" for i in range(self.N)]
+        lines[start] = f'{start * 0.25!r},{start % 2},{start * 0.5!r},"see, \r\nnext"'
+        lines[self.N - 1] = "1.0,3,1.0,x"
+        path = tmp_path / "notes.csv"
+        path.write_text("x,t,y,note\n" + "\n".join(lines) + "\n", newline="")
+        schema = TableSchema(treatment="t", outcome="y", ignore=("note",))
+        with pytest.raises(SchemaError, match=f"row {self.N + 1}: treatment column 't'"):
+            load_table(path, schema)
+        lines[self.N - 1] = "1.0,1,1.0,x"
+        path.write_text("x,t,y,note\n" + "\n".join(lines) + "\n", newline="")
+        data = load_table(path, schema)
+        assert data.n == self.N and data.column_names == ["x"]
+        np.testing.assert_array_equal(data.covariates[:-1, 0], np.arange(self.N - 1) * 0.25)
+
+    def test_missing_covariates_past_the_first_block_are_nan(self, tmp_path):
+        planted = {i: f"{word},1,1.0" for i, word in zip(self.WHERE, ["NA", " "])}
+        data = load_table(write_csv(tmp_path, _cohort_text(self.N, planted)), SCHEMA)
+        assert np.flatnonzero(np.isnan(data.covariates[:, 0])).tolist() == self.WHERE
+        assert data.covariates[5, 0] == 1.25 and data.n == self.N
+
+    @pytest.mark.parametrize("index", WHERE)
+    @pytest.mark.parametrize("label", ["trian", ""])
+    def test_load_dataset_names_the_split_label_row(self, tmp_path, index, label):
+        n = self.N
+        split = np.array(["train", "validation", "test"] * n)[:n]
+        split[index] = label
+        data = make_dataset(np.arange(2.0 * n).reshape(n, 2), np.arange(n) % 2, np.ones(n),
+                            split=split)
+        desc = save_dataset(data, tmp_path / "d.csv")
+        with pytest.raises(SchemaError) as info:
+            load_dataset(tmp_path / "d.csv", desc)
+        assert str(info.value) == (
+            f"{tmp_path / 'd.csv'}: row {index + 1} has split label {label!r}; "
+            "expected one of ['train', 'validation', 'test'], or no label on any row"
+        )
+
+    @pytest.mark.parametrize("index", WHERE)
+    def test_load_dataset_names_a_ragged_row(self, tmp_path, index):
+        n = self.N
+        data = make_dataset(np.arange(2.0 * n).reshape(n, 2), np.arange(n) % 2, np.ones(n))
+        desc = save_dataset(data, tmp_path / "d.csv")
+        lines = (tmp_path / "d.csv").read_text().splitlines()
+        lines[index + 1] += ",9.0"
+        (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=f"row {index + 1} has 7 fields, expected 6"):
+            load_dataset(tmp_path / "d.csv", desc)
+
+    def test_quoted_cells_reload_past_the_first_block(self, tmp_path):
+        n = self.N
+        names = ["a", "b, c"]
+        data = make_dataset(np.arange(2.0 * n).reshape(n, 2), np.arange(n) % 2, np.ones(n),
+                            columns=[ColumnInfo(k, "numeric") for k in names])
+        desc = save_dataset(data, tmp_path / "d.csv")
+        lines = (tmp_path / "d.csv").read_text().splitlines()
+        row = lines[self.WHERE[0] + 1].split(",")
+        lines[self.WHERE[0] + 1] = ",".join([*row[:4], f'"{row[4]}"', row[5]])
+        (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
+        back = load_dataset(tmp_path / "d.csv", desc)
+        np.testing.assert_array_equal(back.covariates, data.covariates)
+        np.testing.assert_array_equal(back.row_ids, data.row_ids)
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("text", ["t,x0,y\n1,0.5,2.0\n0,1.5,3.0\n",
+                                      "x0,t,y\n0.5,1,2.0\n1.5,0,3.0\n"])
+    def test_a_leading_bom_is_not_part_of_the_first_name(self, tmp_path, text):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        data = load_table(path, TableSchema(treatment="t", outcome="y"))
+        assert data.column_names == ["x0"]
+        np.testing.assert_array_equal(data.treatment, [1, 0])
+        np.testing.assert_array_equal(data.covariates[:, 0], [0.5, 1.5])
+
+
+class TestPerModelValues:
+    """defer and evaluate read each model's rows of a per-model artifact."""
+
+    N = layout.BLOCK_ROWS + 10
+
+    def stored(self, tmp_path, models, row_ids):
+        io = layout.StageIO(tmp_path, "defer")
+        tau = np.arange(len(models), dtype=float) / 8
+        layout.write_table(io.out(layout.CATE_ESTIMATES), layout.HEADERS[layout.CATE_ESTIMATES],
+                           [models, row_ids, tau, tau - 1, tau + 1])
+        return io
+
+    def test_rows_in_test_order_are_read_per_model(self, tmp_path):
+        test = make_dataset(np.zeros((self.N, 1)), np.zeros(self.N, dtype=int), np.zeros(self.N))
+        ids = np.arange(self.N)
+        # the two models' rows interleave, each in test order
+        io = self.stored(tmp_path, np.tile(["a", "b,c"], self.N), np.repeat(ids, 2))
+        out = pipeline._per_model_values(io, layout.CATE_ESTIMATES, test, ["a", "b,c"], 3)
+        tau = np.arange(2 * self.N) / 8
+        for name, lines in (("a", slice(0, None, 2)), ("b,c", slice(1, None, 2))):
+            assert out[name].flags["C_CONTIGUOUS"]
+            np.testing.assert_array_equal(out[name], [tau[lines], tau[lines] - 1, tau[lines] + 1])
+
+    @pytest.mark.parametrize("how", ["swapped", "missing-row", "missing-model"])
+    def test_reordered_or_missing_rows_ask_for_a_rerun(self, tmp_path, how):
+        test = make_dataset(np.zeros((self.N, 1)), np.zeros(self.N, dtype=int), np.zeros(self.N))
+        ids = np.arange(self.N)
+        if how == "swapped":
+            ids[[layout.BLOCK_ROWS - 1, layout.BLOCK_ROWS]] = ids[[layout.BLOCK_ROWS,
+                                                                  layout.BLOCK_ROWS - 1]]
+        elif how == "missing-row":
+            ids = np.delete(ids, layout.BLOCK_ROWS + 3)
+        io = self.stored(tmp_path, np.full(len(ids), "b" if how == "missing-model" else "a"), ids)
+        with pytest.raises(StageError, match="rows for model 'a' are missing or do not line up"):
+            pipeline._per_model_values(io, layout.CATE_ESTIMATES, test, ["a"], 3)

@@ -171,7 +171,7 @@ def small_study(**kw):
 class TestRunStudy:
     def test_report_layout(self):
         report = small_study()
-        assert report.n_runs == 3 and report.n_failed == 0
+        assert report.n_runs == 3 and report.failures == []
         expected = {
             "ridge-t", "ridge-s",
             "ensemble-average", "ensemble-majority", "ensemble-consensus",
@@ -180,7 +180,7 @@ class TestRunStudy:
         }
         assert set(report.policies) == expected
         assert len(report.rows) == 3 * len(expected)
-        agg = report.aggregate("ridge-t")
+        agg = {row["policy"]: row for row in report.aggregates}["ridge-t"]
         assert {"v_ipw_mean", "v_ipw_sem", "v_dr_mean", "v_dr_sem", "v_true_mean", "v_true_sem"} <= set(agg)
         assert set(report.checks) == {"fidelity", "improves_on_current", "approaches_optimal"}
 
@@ -221,7 +221,7 @@ class TestRunStudy:
             X, T, SimulationSpec(lam=0.5, effect_size=1.0), menu,
             runs=3, seed=5, plug_in_spec=RIDGE,
         )
-        assert report.n_failed == 1
+        assert len(report.failures) == 1
         assert report.failures[0]["run"] == 0
         assert "planted failure" in report.failures[0]["error"]
         runs_seen = {row["run"] for row in report.rows}
@@ -245,10 +245,9 @@ class TestRunStudy:
             X, T, SimulationSpec(lam=1.0, effect_size=3.0), {"ridge-t": MENU["ridge-t"]},
             runs=3, seed=8, plug_in_spec=RIDGE,
         )
-        doctors = report.aggregate("doctors")["v_true_mean"]
-        prop = report.aggregate("propensity")["v_true_mean"]
-        all0 = report.aggregate("treat-all-0")["v_true_mean"]
-        all1 = report.aggregate("treat-all-1")["v_true_mean"]
+        aggs = {row["policy"]: row["v_true_mean"] for row in report.aggregates}
+        doctors, prop = aggs["doctors"], aggs["propensity"]
+        all0, all1 = aggs["treat-all-0"], aggs["treat-all-1"]
         assert abs(doctors - prop) < abs(doctors - all0)
         assert abs(doctors - prop) < abs(doctors - all1)
 
