@@ -134,10 +134,16 @@ class Dataset:
         return self.subset(self.split == split_name)
 
 
+# cells that read as missing, as files commonly spell them; the bulk parse
+# reads these as NaN without parsing their block row by row
+_MISSING_CELLS = frozenset(
+    ("", ".", "?", "NA", "N/A", "na", "n/a", "NaN", "nan", "NULL", "Null", "null", "None", "none")
+)
+
+
 def _parse_cell(text: str) -> float:
-    text = text.strip()
-    if text == "" or text.lower() in ("na", "nan", "null", "none"):
-        return math.nan
+    """The number in ``text``, which may be padded with whitespace; NaN for
+    a cell that holds none: empty, NA, null, none or any other text."""
     try:
         return float(text)
     except ValueError:
@@ -186,7 +192,7 @@ def load_table(path, schema: TableSchema, delimiter: str = ",") -> Dataset:
                 raise SchemaError(
                     f"{path}: row {rownum}: outcome column {schema.outcome!r} is missing"
                 )
-            return [t_val, y_val, *(_parse_cell(record[j]) for j in rest)]
+            return [t_val, y_val, *map(_parse_cell, map(record.__getitem__, rest))]
 
         def valid(columns):
             # the checks parse_row makes, on a block parsed in bulk
@@ -194,7 +200,7 @@ def load_table(path, schema: TableSchema, delimiter: str = ",") -> Dataset:
 
         (treatment, outcome, *values), _ = parse_columns(
             fh, path, len(header), [t_col, y_col, *rest], row=parse_row, valid=valid,
-            delimiter=delimiter, first_row=2,
+            missing=_MISSING_CELLS, delimiter=delimiter, first_row=2,
         )
 
     if not len(treatment):

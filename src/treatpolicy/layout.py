@@ -17,12 +17,13 @@ bit-identical), integers and booleans as decimals, text quoted as ``csv``
 quotes it, UTF-8 with ``\r\n`` line ends.  It formats a block of rows a
 column at a time and returns the sha256 of the bytes it wrote.
 :func:`read_columns` reads named columns back as arrays.  It, and the input
-table's reader, parse a block of rows in bulk with ``np.loadtxt``; a block
-that does not parse in bulk, or that fails the caller's check, is parsed
-again one row at a time by the caller's cell rules, so an error names the
-same row and text as a row-by-row parse.  :func:`read_table` yields rows as
-text.  Each holds one block of text at a time, so no table is ever held as
-text.
+table's reader, parse a block of rows in bulk with ``np.loadtxt``, where a
+cell spelled as the caller's missing value reads as NaN; a block that does
+not parse in bulk, or that fails the caller's check, is parsed again one row
+at a time by the caller's cell rules, so an error names the same row and
+text as a row-by-row parse.  :func:`read_header` reads a table's first row
+and :func:`read_table` yields rows as text.  Each holds one block of text at
+a time, so no table is ever held as text.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import io
 import itertools
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -262,6 +264,12 @@ def read_table(full_path, header=None):
             yield row
 
 
+def read_header(full_path) -> list:
+    """The first row of a table written by :func:`write_table`."""
+    with open(full_path, newline="", encoding="utf-8") as fh:
+        return _header(full_path, next(csv.reader(fh), None), None)
+
+
 def read_columns(full_path, header, numbers, *, ints=(), text=()):
     """Columns of a table written by :func:`write_table`, whose first row
     must equal ``header``.
@@ -278,22 +286,23 @@ def read_columns(full_path, header, numbers, *, ints=(), text=()):
 
 
 def parse_columns(fh, where, width, numbers, *, ints=(), text=(), row=None, valid=None,
-                  delimiter=",", first_row=1):
+                  missing=(), delimiter=",", first_row=1):
     """Parse the rest of the open CSV file ``fh``, ``width`` fields a row,
     into the columns ``numbers`` (arrays) and ``text`` (lists of text).
 
     A block of rows is parsed in bulk by ``np.loadtxt``, whose numbers are
-    those Python's ``int`` and ``float`` read from the same text.  A block
-    that it cannot parse, that holds a row of another width or that fails
-    ``valid`` (called with the block's arrays, in ``numbers`` order) is
-    parsed again one row at a time: ``row(record, number)`` gives the
-    numbers of one record, by default through ``int`` and ``float``, and
-    raises what the row is wrong in.  A quote character sends the rest of
-    the file through ``csv.reader`` row by row, because a quoted field may
-    span lines.  ``where`` names the file in errors; rows count from
-    ``first_row``.
+    those Python's ``int`` and ``float`` read from the same text.  A cell
+    spelled exactly as one of ``missing`` reads as NaN there, which ``row``
+    must agree with.  A block that it cannot parse, that holds a row of
+    another width or that fails ``valid`` (called with the block's arrays,
+    in ``numbers`` order) is parsed again one row at a time:
+    ``row(record, number)`` gives the numbers of one record, by default
+    through ``int`` and ``float``, and raises what the row is wrong in.  A
+    quote character sends the rest of the file through ``csv.reader`` row by
+    row, because a quoted field may span lines.  ``where`` names the file in
+    errors; rows count from ``first_row``.
     """
-    ints = set(ints)
+    ints, missing = set(ints), frozenset(missing)
     dtype = np.dtype([(f"c{i}", np.int64 if j in ints else np.float64)
                       for i, j in enumerate(numbers)])
     if row is None:
@@ -318,7 +327,7 @@ def parse_columns(fh, where, width, numbers, *, ints=(), text=(), row=None, vali
                 blocks.append(by_row(records, number))
                 number += len(records)
             break
-        parsed = _bulk(lines, width, numbers, dtype, text, valid, delimiter)
+        parsed = _bulk(lines, width, numbers, dtype, text, valid, delimiter, missing)
         # without quotes, each line is one record
         blocks.append(parsed or by_row(csv.reader(lines, delimiter=delimiter), number))
         number += len(lines)
@@ -332,22 +341,46 @@ def _blocks(items):
     return iter(lambda: list(itertools.islice(items, BLOCK_ROWS)), [])
 
 
-def _bulk(lines, width, numbers, dtype, text, valid, delimiter):
+def _bulk(lines, width, numbers, dtype, text, valid, delimiter, missing=frozenset()):
     """The block of unquoted ``lines`` parsed in bulk, or None when a row has
-    another width, a cell does not parse or ``valid`` refuses the block."""
+    another width, a cell does not parse or ``valid`` refuses the block.  A
+    cell spelled as one of ``missing`` reads as NaN."""
     if set(map(str.count, lines, itertools.repeat(delimiter))) != {width - 1}:
         return None
     if width == 1 and any(not line.strip() for line in lines):
         return None  # loadtxt skips a blank line; csv reads it as a row of no fields
-    try:
-        values = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
-                            usecols=numbers, ndmin=1)
-    except ValueError:
-        return None
-    if valid and not valid([values[n] for n in dtype.names]):
+    values = _loadtxt(lines, dtype, delimiter, numbers)
+    if values is None and missing:
+        respelled = _nan_spelled(lines, width, delimiter, missing)
+        values = respelled and _loadtxt(respelled, dtype, delimiter, numbers)
+    if values is None or valid and not valid([values[n] for n in dtype.names]):
         return None
     return values, [[line.rstrip("\r\n").split(delimiter, j + 1)[j] for line in lines]
                     for j in text]
+
+
+def _loadtxt(lines, dtype, delimiter, numbers):
+    """``np.loadtxt`` of the columns ``numbers`` of ``lines``, or None when a
+    cell does not parse as its column's type."""
+    with warnings.catch_warnings():
+        # some numpy versions read an integer cell such as 1.5 through
+        # float, truncating it, and only warn; int() refuses it
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
+                              usecols=numbers, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None
+
+
+def _nan_spelled(lines, width, delimiter, missing) -> list | None:
+    """``lines`` with each cell spelled as one of ``missing`` spelled nan, or
+    None when no cell is."""
+    cells = delimiter.join(line.rstrip("\r\n") for line in lines).split(delimiter)
+    if missing.isdisjoint(cells):
+        return None
+    cells = ["nan" if cell in missing else cell for cell in cells]
+    return [delimiter.join(cells[i:i + width]) for i in range(0, len(cells), width)]
 
 
 def _header(where, first, header):

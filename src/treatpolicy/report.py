@@ -15,7 +15,7 @@ from collections import OrderedDict
 import numpy as np
 
 from . import figures, layout
-from .layout import read_columns, read_json, read_table
+from .layout import read_columns, read_header, read_json
 
 __all__ = ["emit_report"]
 
@@ -104,7 +104,7 @@ def _fig_value_box(out_dir, bins: int):
     for est in ("DR", "IPW"):
         full = os.path.join(out_dir, layout.distributions(est))
         if os.path.exists(full):
-            names = next(read_table(full))
+            names = read_header(full)
             cols = _float_columns(full, names, range(len(names))).get(None, [[] for _ in names])
             # NaN-only columns cannot be drawn
             items = [{"label": k, "values": v} for k, v in zip(names, cols) if any(x == x for x in v)]

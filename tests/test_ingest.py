@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from treatpolicy import layout, pipeline
 from treatpolicy.errors import DataError, SchemaError, StageError
 from treatpolicy.ingest import (
+    _MISSING_CELLS,
     Dataset,
     ColumnInfo,
     TableSchema,
@@ -360,6 +361,14 @@ class TestTableCodec:
         with pytest.raises(SchemaError, match="row 2 has 1 fields, expected 2"):
             list(layout.read_table(path, ["a", "b"]))
 
+    def test_read_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        layout.write_table(path, ["a", "b,c"], [[1.0], ["x"]])
+        assert layout.read_header(path) == ["a", "b,c"]
+        path.write_text("")
+        with pytest.raises(SchemaError, match="empty file"):
+            layout.read_header(path)
+
     def test_writer_rejects_columns_that_do_not_fit_the_header(self, tmp_path):
         with pytest.raises(ValueError):
             layout.write_table(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
@@ -454,8 +463,9 @@ def _parse_oracle(path, delimiter=","):
 class TestBulkParseMatchesParseCell:
     @settings(max_examples=200, deadline=None)
     @given(width=st.integers(1, 4), data=st.data(), delimiter=st.sampled_from([",", ";"]),
-           end=st.sampled_from(["\r\n", "\n", "\r"]))
-    def test_cell_for_cell(self, tmp_path_factory, width, data, delimiter, end):
+           end=st.sampled_from(["\r\n", "\n", "\r"]),
+           missing=st.sampled_from([frozenset(), _MISSING_CELLS]))
+    def test_cell_for_cell(self, tmp_path_factory, width, data, delimiter, end, missing):
         rows = data.draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width),
                                   min_size=1, max_size=40))
         path = tmp_path_factory.mktemp("cells") / "t.csv"
@@ -468,7 +478,7 @@ class TestBulkParseMatchesParseCell:
             with open(path, newline="", encoding="utf-8") as fh:
                 next(fh)
                 return layout.parse_columns(
-                    fh, path, width, list(range(width)), delimiter=delimiter,
+                    fh, path, width, list(range(width)), delimiter=delimiter, missing=missing,
                     row=lambda record, number: [_parse_cell(c) for c in record])
 
         if any(len(row) != width for row in expected):
@@ -487,7 +497,8 @@ class TestBulkParseMatchesParseCell:
             block = fh.readlines()[1:]
         if not any('"' in line for line in block):
             dtype = np.dtype([(f"c{j}", np.float64) for j in range(width)])
-            bulk = layout._bulk(block, width, list(range(width)), dtype, (), None, delimiter)
+            bulk = layout._bulk(block, width, list(range(width)), dtype, (), None, delimiter,
+                                missing)
             if bulk is not None:
                 got = [list(r) for r in bulk[0].tolist()]
                 assert all(_same_float(a, b) for g, e in zip(got, expected) for a, b in zip(g, e))
@@ -499,6 +510,44 @@ class TestBulkParseMatchesParseCell:
         expected = [1.5, -0.0, math.nan, 2.0, math.inf, -math.inf, 3.0, 1e-320, 0.5]
         got = [v for row in values.tolist() for v in row]
         assert all(_same_float(a, b) for a, b in zip(got, expected)) and len(got) == 9
+
+
+    def test_bulk_reads_missing_spellings_as_nan(self):
+        lines = ["NA,1.5,\r\n", "null,,N/A\r\n", "?,nan,.\n"]
+        dtype = np.dtype([(f"c{j}", np.float64) for j in range(3)])
+        assert layout._bulk(lines, 3, [0, 1, 2], dtype, (), None, ",") is None
+        values, _ = layout._bulk(lines, 3, [0, 1, 2], dtype, (), None, ",", _MISSING_CELLS)
+        got = [v for row in values.tolist() for v in row]
+        assert got[1] == 1.5 and sum(map(math.isnan, got)) == 8
+
+    def test_missing_spellings_are_missing_cells(self):
+        assert all(math.isnan(_parse_cell(c)) for c in _MISSING_CELLS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CELLS | st.text(max_size=6))
+    def test_parse_cell_matches_the_stripping_rule(self, text):
+        # the cell rule before float() was left to strip the padding itself
+        stripped = text.strip()
+        if stripped == "" or stripped.lower() in ("na", "nan", "null", "none"):
+            expected = math.nan
+        else:
+            try:
+                expected = float(stripped)
+            except ValueError:
+                expected = math.nan
+        assert _same_float(_parse_cell(text), expected)
+
+    def test_integer_cells_that_numpy_reads_through_float_are_refused(self, monkeypatch):
+        # numpy versions that still read "1.5" into an int64 column only warn
+        def warn_and_truncate(lines, dtype, **kw):
+            import warnings
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return np.ones(len(lines), dtype=dtype)
+
+        monkeypatch.setattr(layout.np, "loadtxt", warn_and_truncate)
+        dtype = np.dtype([("c0", np.int64)])
+        assert layout._bulk(["1.5\n"], 1, [0], dtype, (), None, ",") is None
 
 
 def _cohort_text(n, planted=()):
@@ -585,6 +634,36 @@ class TestErrorsBeyondTheFirstBlock:
         with pytest.raises(SchemaError, match=f"row {index + 1} has 7 fields, expected 6"):
             load_dataset(tmp_path / "d.csv", desc)
 
+    @pytest.mark.parametrize("index", WHERE)
+    @pytest.mark.parametrize(("column", "cell"), [(0, "1.5"), (0, "nan"), (0, "1e3"), (2, "1.9")])
+    def test_load_dataset_refuses_an_integer_cell_that_is_not_one(self, tmp_path, index, column,
+                                                                   cell):
+        n = self.N
+        data = make_dataset(np.arange(2.0 * n).reshape(n, 2), np.arange(n) % 2, np.ones(n))
+        desc = save_dataset(data, tmp_path / "d.csv")
+        lines = (tmp_path / "d.csv").read_text().splitlines()
+        row = lines[index + 1].split(",")
+        row[column] = cell  # row_id or treatment
+        lines[index + 1] = ",".join(row)
+        (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"invalid literal for int.*'{cell}'"):
+            load_dataset(tmp_path / "d.csv", desc)
+
+    def test_missing_spellings_past_the_first_block_take_the_bulk_parse(self, tmp_path,
+                                                                        monkeypatch):
+        planted = {i: f"{word},1,1.0" for i, word in zip(self.WHERE, ["NA", ""])}
+        path = write_csv(tmp_path, _cohort_text(self.N, planted))
+
+        def no_row_by_row(record, number):
+            raise AssertionError(f"row {number} parsed row by row")
+
+        with open(path, newline="") as fh:
+            next(fh)
+            (x, t, y), _ = layout.parse_columns(fh, path, 3, [0, 1, 2], row=no_row_by_row,
+                                               missing=_MISSING_CELLS, first_row=2)
+        assert np.flatnonzero(np.isnan(x)).tolist() == self.WHERE
+        assert load_table(path, SCHEMA).n == self.N
+
     def test_quoted_cells_reload_past_the_first_block(self, tmp_path):
         n = self.N
         names = ["a", "b, c"]
@@ -634,6 +713,19 @@ class TestPerModelValues:
         for name, lines in (("a", slice(0, None, 2)), ("b,c", slice(1, None, 2))):
             assert out[name].flags["C_CONTIGUOUS"]
             np.testing.assert_array_equal(out[name], [tau[lines], tau[lines] - 1, tau[lines] + 1])
+
+    @pytest.mark.parametrize("cell", ["1.5", "nan"])
+    def test_a_row_id_that_is_not_an_integer_is_refused(self, tmp_path, cell):
+        test = make_dataset(np.zeros((self.N, 1)), np.zeros(self.N, dtype=int), np.zeros(self.N))
+        io = self.stored(tmp_path, np.full(self.N, "a"), np.arange(self.N))
+        full = tmp_path / layout.CATE_ESTIMATES
+        lines = full.read_text().splitlines()
+        row = lines[self.N].split(",")
+        row[1] = cell
+        lines[self.N] = ",".join(row)
+        full.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"invalid literal for int.*'{cell}'"):
+            pipeline._per_model_values(io, layout.CATE_ESTIMATES, test, ["a"], 3)
 
     @pytest.mark.parametrize("how", ["swapped", "missing-row", "missing-model"])
     def test_reordered_or_missing_rows_ask_for_a_rerun(self, tmp_path, how):
