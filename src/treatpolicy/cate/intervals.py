@@ -1,15 +1,15 @@
 """Joint statistical and causal uncertainty intervals for effect estimates.
 
 The statistical part is a percentile interval over bootstrap refits with
-resampling stratified by arm; ols and ridge refits are solved from
-count-weighted moments, gbt refits fit each drawn row once with its count as
-row weight, and no refit builds residual pools.  The causal part
-widens the interval against hidden confounding bounded by a sensitivity
-parameter lam >= 1: each train residual's weight may drift anywhere in
-[1/lam, lam], and the worst-case weighted mean over a sorted pool is attained
-by down-weighting everything below some cut and up-weighting everything above
-it, so scanning all cuts gives a sharp per-arm shift that grows monotonically
-with lam.
+resampling stratified by arm, held as draw counts; ols and ridge refits are
+solved from count-weighted moments, every other refit fits each drawn row
+once with its count as row weight, and no refit builds residual pools.  The
+causal part widens the interval against hidden confounding bounded by a
+sensitivity parameter lam >= 1: each train residual's weight may drift
+anywhere in [1/lam, lam], and the worst-case weighted mean over a sorted pool
+is attained by down-weighting everything below some cut and up-weighting
+everything above it, so scanning all cuts gives a sharp per-arm shift that
+grows monotonically with lam.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def causal_shift(residuals, lam: float) -> float:
 
 class _Refits:
     """Least-squares refits on the rows X of one design, one per count row: weighted
-    means and variances z-score X as ``standardize`` does on the resampled rows, and
+    means and variances z-score X as ``standardize`` does with the counts as weights, and
     the z-scored Gram plus lam I is what ``fit_linear`` solves.  X is centred once."""
 
     def __init__(self, X, lam: float, intercept: bool):
@@ -191,28 +191,23 @@ def _linear_refits(fit_spec: CateFitSpec, model: CateModel, train: Dataset, arms
 def _bootstrap(fit_spec, model, train: Dataset, X_query, B: int, seed, propensity) -> np.ndarray:
     """(B, rows) refit effects on arm-stratified resamples, control arm drawn first.
 
-    gbt refits fit the drawn rows once each, weighted by their counts; lasso refits, and
-    degenerate ols and ridge replicates, refit on the resampled rows."""
+    ols and ridge replicates are solved from count-weighted moments; every other refit
+    fits each drawn row once, weighted by its count."""
     arms = [np.flatnonzero(train.treatment == a) for a in (0, 1)]
-    kind = fit_spec.learner.kind
-    linear = kind in ("ols", "ridge")
+    linear = fit_spec.learner.kind in ("ols", "ridge")
     effects = _linear_refits(fit_spec, model, train, arms, X_query) if linear else None
     boot = np.empty((B, len(X_query)))
-    for start, draws, counts in _resample_counts(seed, [rows.size for rows in arms], B):
+    for start, counts in _resample_counts(seed, [rows.size for rows in arms], B):
         chunk = boot[start:start + len(counts[0])]
         ok, chunk[:] = effects(counts) if effects else (np.zeros(len(chunk), bool), np.nan)
         for j in np.flatnonzero(~ok):
-            if kind == "gbt":
-                c = np.zeros(train.n)
-                for rows, cnt in zip(arms, counts):
-                    c[rows] = cnt[j]
-                keep = np.flatnonzero(c)
-                refit = fit_spec.fit(
-                    train.subset(keep), weights=c[keep], propensity=propensity, pools=False
-                )
-            else:
-                take = np.concatenate([rows[d[j]] for rows, d in zip(arms, draws)])
-                refit = fit_spec.fit(train.subset(take), propensity=propensity, pools=False)
+            c = np.zeros(train.n)
+            for rows, cnt in zip(arms, counts):
+                c[rows] = cnt[j]
+            keep = np.flatnonzero(c)
+            refit = fit_spec.fit(
+                train.subset(keep), weights=c[keep], propensity=propensity, pools=False
+            )
             chunk[j] = refit.predict(X_query)
     return boot
 

@@ -12,9 +12,8 @@ Three fit strategies over a shared learner menu:
 A point fit keeps per-arm pools of sorted training residuals (y - predicted
 outcome under the observed arm), which intervals tilt; bootstrap refits build
 none.  Row weights reach every base fit (the design rows for "s", each arm's
-rows for "t" and both stages of "x"), so a bootstrap refit can fit each drawn
-row once with its count as weight; only gbt takes them.  ols and ridge refits
-are solved from count-weighted moments instead.
+rows for "t" and both stages of "x"), so a bootstrap refit fits each drawn
+row once with its count as weight.
 """
 
 from __future__ import annotations

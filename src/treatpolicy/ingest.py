@@ -466,7 +466,7 @@ def _stored_dataset(
     split label that is not a split name raises SchemaError naming the data
     row of ``source``, counted from 1, and the label.
     """
-    splits = np.asarray(splits, dtype="<U10")
+    splits = np.asarray(splits, dtype=str)  # uncut, so a long label is checked whole
     no_split = bool((splits == "").all())
     if not no_split:
         bad = np.flatnonzero(~np.isin(splits, SPLIT_NAMES))
@@ -482,6 +482,6 @@ def _stored_dataset(
         outcome=np.ascontiguousarray(outcome, dtype=float),
         secondary={k: np.ascontiguousarray(v, dtype=float)
                    for k, v in zip(description["secondary_outcomes"], secondary)},
-        split=None if no_split else splits,
+        split=None if no_split else splits.astype("<U10", copy=False),
         row_ids=np.asarray(row_ids, dtype=int),
     )

@@ -21,9 +21,9 @@ table's reader, parse a block of rows in bulk with ``np.loadtxt``, where a
 cell spelled as the caller's missing value reads as NaN; a block that does
 not parse in bulk, or that fails the caller's check, is parsed again one row
 at a time by the caller's cell rules, so an error names the same row and
-text as a row-by-row parse.  :func:`read_header` reads a table's first row
-and :func:`read_table` yields rows as text.  Each holds one block of text at
-a time, so no table is ever held as text.
+text as a row-by-row parse.  :func:`read_header` reads a table's first row.
+The readers hold one block of text at a time, so no table is ever held as
+text.
 """
 
 from __future__ import annotations
@@ -245,23 +245,6 @@ def _quoted(values: list) -> list:
         return values
     return ['"' + v.replace('"', '""') + '"' if any(ch in v for ch in _QUOTED) else v
             for v in values]
-
-
-def read_table(full_path, header=None):
-    """Yield the rows of a table written by :func:`write_table` as lists of text.
-
-    With ``header`` given, the file's first row must equal it and only the
-    data rows are yielded; without, the file's first row is yielded first.
-    Every row must be as wide as the header; data rows count from 1.
-    """
-    with open(full_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = _header(full_path, next(reader, None), header)
-        if header is None:
-            yield first
-        for number, row in enumerate(reader, start=1):
-            _check_width(full_path, number, row, len(first))
-            yield row
 
 
 def read_header(full_path) -> list:

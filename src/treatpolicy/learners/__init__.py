@@ -3,7 +3,9 @@
 The menu is addressed through :class:`LearnerSpec` (kind + hyperparameters).
 Linear kinds are fit on per-fit z-scored covariates; the fitted wrapper
 stores the centering so predictions are consistent on raw inputs.  Tree
-kinds take raw values.
+kinds take raw values.  Every regressor takes row weights, so a fit on
+integer weights equals a fit on as many copies of each row; classifiers are
+unweighted.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataError
 from .calibration import CalibratedClassifier, calibrate
-from .linear import LinearModel, fit_linear, sigmoid
+from .linear import LinearModel, _check_weights, fit_linear, sigmoid
 from .metrics import (
     auroc,
     brier,
@@ -161,22 +163,26 @@ class FittedModel:
         return self.model.predict_proba(self._transform(X))
 
 
-def standardize(X: np.ndarray):
-    """Z-score the columns of X (a constant column keeps scale 1); returns
-    the scores with the center and scale used."""
+def standardize(X: np.ndarray, w=None):
+    """Z-score the columns of X, each row weighted by ``w`` if given; returns
+    the scores with the center and scale used.  A constant column is centred
+    on its value with scale 1, so its scores are exactly 0."""
     if X.shape[0] == 0:
         raise DataError("cannot fit on an empty dataset")
-    center = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
+    if w is None:
+        center, scale = X.mean(axis=0), X.std(axis=0)
+    else:
+        center = np.average(X, axis=0, weights=w)
+        scale = np.sqrt(np.average((X - center) ** 2, axis=0, weights=w))
+    const = (X == X[0]).all(axis=0)
+    center = np.where(const, X[0], center)
+    scale = np.where(const | ~(scale > 0), 1.0, scale)
     return (X - center) / scale, center, scale
 
 
 def fit_regressor(spec: LearnerSpec, X, y, sample_weight=None) -> FittedModel:
-    """Fit the named regressor; linear kinds are standardized internally.
-
-    Row weights (``sample_weight``) are taken by gbt only.
-    """
+    """Fit the named regressor, each row weighted by ``sample_weight`` if
+    given; linear kinds are standardized internally."""
     spec.validate(task="regression")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -184,11 +190,10 @@ def fit_regressor(spec: LearnerSpec, X, y, sample_weight=None) -> FittedModel:
     if spec.kind == "gbt":
         model = fit_gbt(X, y, loss="squared", sample_weight=sample_weight, **p)
         return FittedModel(family=spec.kind, task="regression", model=model)
-    if sample_weight is not None:
-        raise ValueError(f"learner {spec.kind!r} takes no sample_weight; only gbt does")
-    Z, center, scale = standardize(X)
+    w = None if sample_weight is None else _check_weights(sample_weight, X.shape[0])
+    Z, center, scale = standardize(X, w)
     penalty = {"ols": "none", "ridge": "l2", "lasso": "l1"}[spec.kind]
-    model = fit_linear(Z, y, family="least-squares", penalty=penalty, **p)
+    model = fit_linear(Z, y, family="least-squares", penalty=penalty, sample_weight=w, **p)
     return FittedModel(
         family=spec.kind, task="regression", model=model, center=center, scale=scale
     )

@@ -98,8 +98,12 @@ def fit_linear(
     fit_intercept: bool = True,
     tol: float = 1e-6,
     max_iter: int | None = None,
+    sample_weight=None,
 ) -> LinearModel:
     """Fit a linear model; see the module docstring for objectives and solvers.
+
+    ``sample_weight`` weights each row's squared error (least squares only),
+    so integer weights fit as many copies of each row would.
 
     Raises ConvergenceError (carrying the last iterate and residual gap) if an
     iterative solver exhausts its iteration cap.
@@ -122,11 +126,25 @@ def fit_linear(
         lam = 0.0
 
     if family == "least-squares":
+        w = None if sample_weight is None else _check_weights(sample_weight, X.shape[0])
         beta0 = np.zeros(X.shape[1])
-        return _weighted_fit(X, y, None, beta0, penalty, lam, fit_intercept, tol, max_iter or 1000)
+        return _weighted_fit(X, y, w, beta0, penalty, lam, fit_intercept, tol, max_iter or 1000)
+    if sample_weight is not None:
+        raise ValueError("sample_weight is taken by the least-squares family only")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise DataError("logistic family requires 0/1 targets")
     return _fit_logistic(X, y, penalty, lam, fit_intercept, tol, max_iter or 200)
+
+
+def _check_weights(sample_weight, n: int) -> np.ndarray:
+    w = np.asarray(sample_weight, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"sample_weight has shape {w.shape}, expected ({n},)")
+    if not np.isfinite(w).all():
+        raise ValueError("sample_weight must be finite")
+    if not (w > 0).all():
+        raise ValueError("sample_weight must be > 0")
+    return w
 
 
 def _weighted_fit(X, z, w, beta, penalty, lam, fit_intercept, tol, max_iter) -> LinearModel:

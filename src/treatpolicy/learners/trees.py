@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import DataError
-from .linear import sigmoid
+from .linear import _check_weights, sigmoid
 
 __all__ = ["Tree", "BoostedTreesModel", "fit_gbt"]
 
@@ -300,14 +300,3 @@ def fit_gbt(
         trees=trees,
         n_features=X.shape[1],
     )
-
-
-def _check_weights(sample_weight, n: int) -> np.ndarray:
-    w = np.asarray(sample_weight, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"sample_weight has shape {w.shape}, expected ({n},)")
-    if not np.isfinite(w).all():
-        raise ValueError("sample_weight must be finite")
-    if not (w > 0).all():
-        raise ValueError("sample_weight must be > 0")
-    return w

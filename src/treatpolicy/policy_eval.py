@@ -52,18 +52,18 @@ _CHUNK_BYTES = 1 << 18
 
 
 def _resample_counts(seed, sizes, B: int):
-    """Yield B resamples as (start, draws, counts) chunks of about ``_CHUNK_BYTES`` of count
-    rows; replicate by replicate and stratum by stratum, n rows draw ``rng.integers(0, n, n)``
-    from ``SeedSequence(seed)`` (the stream of ``rng.choice(rows, n)``), held per stratum."""
+    """Yield B resamples as (start, counts) chunks of about ``_CHUNK_BYTES`` of count rows,
+    one (rounds, n) array per stratum of n rows.  Replicate by replicate and stratum by
+    stratum, each draws ``rng.integers(0, n, n)`` from ``SeedSequence(seed)`` (the stream
+    of ``rng.choice(rows, n)``) and counts it into its row."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     chunk = max(1, _CHUNK_BYTES // (8 * sum(sizes)))
     for start in range(0, B, chunk):
-        draws = [[] for _ in sizes]
-        for _ in range(min(chunk, B - start)):
-            for d, n in zip(draws, sizes):
-                d.append(rng.integers(0, n, n))
-        yield start, draws, [np.array([np.bincount(r, minlength=n) for r in d], float)
-                             for d, n in zip(draws, sizes)]
+        counts = [np.empty((min(chunk, B - start), n)) for n in sizes]
+        for row in range(len(counts[0])):
+            for c, n in zip(counts, sizes):
+                c[row] = np.bincount(rng.integers(0, n, n), minlength=n)
+        yield start, counts
 
 
 @dataclass(frozen=True)
@@ -402,7 +402,7 @@ def bootstrap_tournament(
     stacks = [_sum_columns(p, data.treatment, data.outcome, p1, plug) for p in policies]
 
     dists = {est: np.empty((len(policies), B)) for est in estimators}
-    for start, _, (counts,) in _resample_counts(seed, [n], B):
+    for start, (counts,) in _resample_counts(seed, [n], B):
         for i, stack in enumerate(stacks):
             sums = counts @ stack
             for est in estimators:

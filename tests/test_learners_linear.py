@@ -154,6 +154,20 @@ class TestDispatch:
         fitted = fit_regressor(LearnerSpec.make("ridge", lam=1e-6), X, y)
         np.testing.assert_allclose(fitted.predict(X), y, atol=0.3)
 
+    @pytest.mark.parametrize("learner", [
+        {"kind": "ols"}, {"kind": "ridge", "lam": 1.0}, {"kind": "lasso", "lam": 0.1},
+    ])
+    def test_constant_column_scores_zero(self, learner):
+        # X.std of a column constant at 0.3 rounds to about 1e-16, not 0, at n=20
+        rng = np.random.default_rng(1)
+        X = np.column_stack([rng.normal(size=20), np.full(20, 0.3)])
+        y = X[:, 0] + rng.normal(size=20)
+        fitted = fit_regressor(LearnerSpec.make(**learner, fit_intercept=False), X, y)
+        assert (fitted.center[1], fitted.scale[1]) == (0.3, 1.0)
+        Q = np.array([[0.5, 0.3], [0.5, 0.31], [0.5, 1.0]])
+        np.testing.assert_allclose(fitted.predict(Q), fitted.predict(Q[:1]).repeat(3),
+                                   rtol=0.0, atol=1e-12)
+
     def test_classifier_dispatch(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(200, 2))
@@ -391,3 +405,64 @@ class TestWeightedCore:
         xm = X.mean(axis=0)
         assert last.intercept == pytest.approx(y.mean() - xm @ last.coefficients)
         assert last.predict(X).mean() == pytest.approx(y.mean())
+
+
+@st.composite
+def weighted_regressor_cases(draw):
+    kind = draw(st.sampled_from(["ols", "ridge", "lasso"]))
+    params = {"fit_intercept": draw(st.booleans())}
+    if kind != "ols":
+        params["lam"] = draw(st.sampled_from([0.05, 0.5, 2.0]))
+    if kind == "lasso":
+        params.update(tol=1e-9, max_iter=100_000)
+    d = draw(st.integers(1, 3))
+    constant = draw(st.booleans())  # the last column is constant at 0.3
+    # two distinct rows fix one free slope; only ridge is unique past it
+    two_rows = draw(st.booleans()) and (kind == "ridge" or d - constant <= 1)
+    n = 2 if two_rows else draw(st.integers(d + 2, 12))
+    counts = draw(st.lists(st.integers(1 if two_rows else 0, 4), min_size=n, max_size=n))
+    assume(np.count_nonzero(counts) >= (2 if two_rows else d + 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return LearnerSpec.make(kind, **params), d, constant, np.array(counts), seed
+
+
+class TestWeightedRegressors:
+    """A regressor fit on each drawn row once, weighted by its count, equals its fit
+    on the copies."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_regressor_cases())
+    def test_count_weights_equal_copies(self, case):
+        spec, d, constant, counts, seed = case
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(counts.size, d)) + rng.uniform(-3.0, 3.0, size=d)
+        if constant:
+            X[:, -1] = 0.3
+        y = X @ rng.normal(size=d) + rng.normal(size=counts.size) + 3.0
+        keep = np.flatnonzero(counts)
+        take = np.repeat(np.arange(counts.size), counts)
+        weighted = fit_regressor(spec, X[keep], y[keep], counts[keep].astype(float))
+        copies = fit_regressor(spec, X[take], y[take])
+        # within the rows' hull, where ridge on two rows is well conditioned
+        Q = np.vstack([X, rng.dirichlet(np.ones(counts.size), 4) @ X])
+        if spec.kind != "lasso":
+            np.testing.assert_allclose(weighted.predict(Q), copies.predict(Q),
+                                       rtol=0.0, atol=1e-10)
+            return
+        # each coordinate descent stops within tol of the one optimal objective
+        lam, tol = spec.param_dict["lam"], spec.param_dict["tol"]
+        objective = [0.5 * float(((y[take] - m.predict(X[take])) ** 2).sum())
+                     + lam * float(np.abs(m.model.coefficients).sum())
+                     for m in (weighted, copies)]
+        assert abs(objective[0] - objective[1]) <= tol
+        assert ((weighted.model.coefficients != 0) == (copies.model.coefficients != 0)).all()
+
+    def test_weights_are_checked(self):
+        X, y = random_xy(9, n=6, d=2)
+        ridge = LearnerSpec.make("ridge", lam=1.0)
+        for w, match in ((np.ones(5), "shape"), (np.r_[0.0, np.ones(5)], "> 0"),
+                         (np.r_[np.nan, np.ones(5)], "finite")):
+            with pytest.raises(ValueError, match=match):
+                fit_regressor(ridge, X, y, w)
+        with pytest.raises(ValueError, match="least-squares"):
+            fit_linear(X, (y > 0).astype(float), family="logistic", sample_weight=np.ones(6))
