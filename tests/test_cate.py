@@ -432,6 +432,33 @@ def linear_refit_cases(draw):
     return kind, learner, quirk, d, sizes, g_constant, B, per_chunk, seed
 
 
+def linear_refit_problem(kind, learner, quirk, d, sizes, g_constant, seed, on_span):
+    """Train rows with the quirk, query rows, the spec, its fit and the propensity model."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    t = np.repeat([0, 1], sizes)
+    X = rng.normal(size=(n, d)) + rng.uniform(-3.0, 3.0, size=d)
+    if quirk == "binary":
+        # one or two ones per arm: many replicates draw none of them
+        X[:, 0] = 0.0
+        for rows in (np.flatnonzero(t == 0), np.flatnonzero(t == 1)):
+            X[rng.choice(rows, int(rng.integers(1, 3)), replace=False), 0] = 1.0
+    if quirk == "arm-constant":
+        X[t == 1, 0] = 0.3
+    if quirk == "singular":
+        X[:, 1] = X[:, 0]
+    y = X @ rng.normal(size=d) + t * (1.0 + X[:, 0]) + rng.normal(size=n)
+    train = make_dataset(X, t, y)
+    X_query = rng.normal(size=(5, d)) + 1.0
+    if on_span:
+        X_query[:, 1] = X_query[:, 0]
+    prop = None
+    if kind == "x" and g_constant is None:
+        prop = fit_classifier(LearnerSpec.make("logistic", lam=1.0), X, t)
+    spec = CateFitSpec(kind, learner, g_constant=g_constant)
+    return spec, spec.fit(train, propensity=prop), train, X_query, prop
+
+
 class TestLinearRefits:
     """ols and ridge refits solved from count-weighted moments equal refits on the rows."""
 
@@ -439,32 +466,12 @@ class TestLinearRefits:
     @given(linear_refit_cases())
     def test_batched_refits_match_fits_on_the_resampled_rows(self, case):
         kind, learner, quirk, d, sizes, g_constant, B, per_chunk, seed = case
-        rng = np.random.default_rng(seed)
-        n = sum(sizes)
-        t = np.repeat([0, 1], sizes)
-        X = rng.normal(size=(n, d)) + rng.uniform(-3.0, 3.0, size=d)
-        if quirk == "binary":
-            # one or two ones per arm: many replicates draw none of them
-            X[:, 0] = 0.0
-            for rows in (np.flatnonzero(t == 0), np.flatnonzero(t == 1)):
-                X[rng.choice(rows, int(rng.integers(1, 3)), replace=False), 0] = 1.0
-        if quirk == "arm-constant":
-            X[t == 1, 0] = 0.3
-        if quirk == "singular":
-            X[:, 1] = X[:, 0]
-        y = X @ rng.normal(size=d) + t * (1.0 + X[:, 0]) + rng.normal(size=n)
-        train = make_dataset(X, t, y)
-        X_query = rng.normal(size=(5, d)) + 1.0
-        if quirk == "singular":
-            # off the span of the train rows a singular ols fit is not identified, and
-            # refits on counts and on copies round to different solutions there
-            X_query[:, 1] = X_query[:, 0]
-        prop = None
-        if kind == "x" and g_constant is None:
-            prop = fit_classifier(LearnerSpec.make("logistic", lam=1.0), X, t)
-        spec = CateFitSpec(kind, learner, g_constant=g_constant)
-        model = spec.fit(train, propensity=prop)
-
+        # off the train span a singular ols fit is not identified: see the xfail below
+        on_span = quirk == "singular" and learner.kind == "ols"
+        spec, model, train, X_query, prop = linear_refit_problem(
+            kind, learner, quirk, d, sizes, g_constant, seed, on_span
+        )
+        n = train.n
         counted = mock.patch.object(intervals, "fit_meta_learner", wraps=fit_meta_learner)
         chunked = mock.patch.object(policy_eval, "_CHUNK_BYTES", 8 * n * per_chunk)
         with counted as loop_fits, chunked:
@@ -482,6 +489,22 @@ class TestLinearRefits:
             spec, train, X_query, UncertaintySpec(0.8, 1.0, B), seed=seed, propensity=prop
         )
         assert iv.point.tobytes() == model.predict(X_query).tobytes()
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "_weighted_fit solves a singular ols design to an answer that depends on row "
+        "order, so refits on counts and on copies part off the train span (CHANGES.md "
+        "FOUND on _weighted_fit); a minimum-norm solve would close it"
+    ))
+    def test_singular_ols_refits_match_fits_on_the_resampled_rows_off_the_span(self):
+        ols = LearnerSpec.make("ols", fit_intercept=False)
+        for kind, seed in itertools.product("stx", range(4)):
+            spec, model, train, X_query, prop = linear_refit_problem(
+                kind, ols, "singular", 2, [20, 24], None, seed, on_span=False
+            )
+            with mock.patch.object(policy_eval, "_CHUNK_BYTES", 8 * train.n):
+                boot = intervals._bootstrap(spec, model, train, X_query, 3, seed, prop)
+            expected = loop_bootstrap(spec, model, train, X_query, 3, seed, prop)
+            np.testing.assert_allclose(boot, expected, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("learner", [
         {"kind": "gbt", "n_trees": 8, "max_depth": 2, "min_samples_leaf": 3},
