@@ -21,6 +21,7 @@ import numpy as np
 from ..errors import ConfigError, DataError
 from ..ingest import Dataset
 from ..learners import LearnerSpec
+from ..parallel import pmap
 from ..policy_eval import _resample_counts
 from .meta import CateModel, fit_meta_learner
 
@@ -192,23 +193,35 @@ def _bootstrap(fit_spec, model, train: Dataset, X_query, B: int, seed, propensit
     """(B, rows) refit effects on arm-stratified resamples, control arm drawn first.
 
     ols and ridge replicates are solved from count-weighted moments; every other refit
-    fits each drawn row once, weighted by its count."""
+    fits each drawn row once, weighted by its count.  The counts are drawn here, in
+    order; gbt and lasso refits run in worker processes (``pmap``), which take them
+    as they are drawn, across chunks, and the closed-form fallbacks run in this one."""
     arms = [np.flatnonzero(train.treatment == a) for a in (0, 1)]
-    linear = fit_spec.learner.kind in ("ols", "ridge")
-    effects = _linear_refits(fit_spec, model, train, arms, X_query) if linear else None
+    closed_form = fit_spec.learner.closed_form
+    effects = _linear_refits(fit_spec, model, train, arms, X_query) if closed_form else None
     boot = np.empty((B, len(X_query)))
-    for start, counts in _resample_counts(seed, [rows.size for rows in arms], B):
-        chunk = boot[start:start + len(counts[0])]
-        ok, chunk[:] = effects(counts) if effects else (np.zeros(len(chunk), bool), np.nan)
-        for j in np.flatnonzero(~ok):
-            c = np.zeros(train.n)
-            for rows, cnt in zip(arms, counts):
-                c[rows] = cnt[j]
-            keep = np.flatnonzero(c)
-            refit = fit_spec.fit(
-                train.subset(keep), weights=c[keep], propensity=propensity, pools=False
-            )
-            chunk[j] = refit.predict(X_query)
+    looped = []  # the replicates left to refits, in the order their counts are yielded
+
+    def draws():
+        for start, counts in _resample_counts(seed, [rows.size for rows in arms], B):
+            chunk = boot[start:start + len(counts[0])]
+            ok, chunk[:] = effects(counts) if effects else (np.zeros(len(chunk), bool), np.nan)
+            for j in np.flatnonzero(~ok):
+                c = np.zeros(train.n)
+                for rows, cnt in zip(arms, counts):
+                    c[rows] = cnt[j]
+                looped.append(start + j)
+                yield c
+
+    def refit(c):
+        keep = np.flatnonzero(c)
+        fitted = fit_spec.fit(train.subset(keep), weights=c[keep], propensity=propensity,
+                              pools=False)
+        return fitted.predict(X_query)
+
+    refits = [refit(c) for c in draws()] if closed_form else pmap(refit, draws())
+    for b, effect in zip(looped, refits):
+        boot[b] = effect
     return boot
 
 

@@ -85,10 +85,6 @@ class LearnerSpec:
     params: tuple = ()
 
     @classmethod
-    def make(cls, kind: str, **params) -> "LearnerSpec":
-        return cls(kind=kind, params=tuple(sorted(params.items())))
-
-    @classmethod
     def from_dict(cls, d: dict) -> "LearnerSpec":
         d = dict(d)
         kind = d.pop("kind", None)
@@ -104,6 +100,11 @@ class LearnerSpec:
     @property
     def param_dict(self) -> dict:
         return dict(self.params)
+
+    @property
+    def closed_form(self) -> bool:
+        """ols and ridge: one linear solve, too quick a fit to be worth a worker process."""
+        return self.kind in ("ols", "ridge")
 
     def validate(self, task: str | None = None) -> None:
         all_kinds = set(REGRESSOR_KINDS) | set(CLASSIFIER_KINDS)

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import EstimationError
 from .ingest import Dataset
 from .learners import fit_regressor
+from .parallel import pmap
 
 __all__ = [
     "DEFER", "ENSEMBLE_MODES", "DecisionRule", "Policy", "build_policy", "ensemble_effects",
@@ -293,11 +294,16 @@ def build_policy_set(
 
 def fit_plug_in(spec, train: Dataset, X_eval) -> np.ndarray:
     """Per-arm outcome regressions for the DR estimator, fitted on ``train``
-    and scored at ``X_eval``: shape (n, 2), column index = arm."""
+    and scored at ``X_eval``: shape (n, 2), column index = arm.  Unless the
+    learner is closed-form, the two arms are fitted in worker processes (``pmap``)."""
     treated = train.treatment == 1
-    mu0 = fit_regressor(spec, train.covariates[~treated], train.outcome[~treated])
-    mu1 = fit_regressor(spec, train.covariates[treated], train.outcome[treated])
-    return np.column_stack([mu0.predict(X_eval), mu1.predict(X_eval)])
+
+    def fit_arm(rows):
+        return fit_regressor(spec, train.covariates[rows], train.outcome[rows]).predict(X_eval)
+
+    arms = (~treated, treated)
+    return np.column_stack([fit_arm(rows) for rows in arms] if spec.closed_form
+                           else pmap(fit_arm, arms))
 
 
 def summarize_bootstrap(values) -> dict:

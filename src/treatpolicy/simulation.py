@@ -19,6 +19,7 @@ from .ingest import ColumnInfo, Dataset
 from .learners import LearnerSpec, fit_classifier, standardize
 from .learners.linear import fit_linear
 from .learners.metrics import pearson
+from .parallel import pmap
 from .policy_eval import (
     DEFER,
     ENSEMBLE_MODES,
@@ -252,7 +253,9 @@ def run_study(
     held-out rows with evaluate's own ``fit_plug_in``, ``build_policy_set``
     and ``point_values`` (every ensemble mode, no deferral, ``STUDY_RULE``),
     next to their true values.  A run that raises is recorded as a failure
-    and the study continues.
+    and the study continues.  The runs are independent and run in worker
+    processes (``pmap``); each run's seeds are drawn here, so the report does
+    not depend on how many workers ran.
     """
     if runs < 2:
         raise ConfigError(f"need at least 2 runs, got {runs}")
@@ -273,20 +276,21 @@ def run_study(
     failures: list[dict] = []
     policy_order: list[str] = []
 
-    for r in range(runs):
-        sim_seed = int(run_seeds[3 * r])
-        split_seed = int(run_seeds[3 * r + 1])
-        base_seed = int(run_seeds[3 * r + 2])
+    def attempt(r):
         try:
-            run_rows = _one_run(
+            return _one_run(
                 X, T, sim_spec, menu, plug_spec, pstar_spec, columns,
                 train_frac=train_frac,
-                sim_seed=sim_seed,
-                split_seed=split_seed,
-                baseline_seed=base_seed,
-            )
+                sim_seed=int(run_seeds[3 * r]),
+                split_seed=int(run_seeds[3 * r + 1]),
+                baseline_seed=int(run_seeds[3 * r + 2]),
+            ), None
         except Exception as exc:  # noqa: BLE001 - a failed run must not kill the study
-            failures.append({"run": r, "error": f"{type(exc).__name__}: {exc}"})
+            return None, f"{type(exc).__name__}: {exc}"
+
+    for r, (run_rows, error) in enumerate(pmap(attempt, range(runs))):
+        if error is not None:
+            failures.append({"run": r, "error": error})
             continue
         for row in run_rows:
             row["run"] = r

@@ -1,4 +1,7 @@
+import os
+
 import numpy as np
+import pytest
 
 from treatpolicy.ingest import ColumnInfo, Dataset
 from treatpolicy.policy_eval import point_values
@@ -15,6 +18,17 @@ def make_dataset(cov, t, y, columns=None, split=None):
         outcome=np.asarray(y, dtype=float),
         split=None if split is None else np.asarray(split, dtype="<U10"),
     )
+
+
+def see_cpus(monkeypatch, n):
+    """Let ``pmap`` start up to n workers: with 1 it runs every task in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Run every ``pmap`` in the test's own process, for tests that watch what it calls."""
+    see_cpus(monkeypatch, 1)
 
 
 def ipw_value(policy, data, p_star):

@@ -428,7 +428,7 @@ def linear_refit_cases(draw):
     B = draw(st.integers(2, 9))
     per_chunk = draw(st.integers(1, B))
     seed = draw(st.integers(0, 2**32 - 1))
-    learner = LearnerSpec.make(learner, **params)
+    learner = LearnerSpec.from_dict({"kind": learner, **params})
     return kind, learner, quirk, d, sizes, g_constant, B, per_chunk, seed
 
 
@@ -454,7 +454,7 @@ def linear_refit_problem(kind, learner, quirk, d, sizes, g_constant, seed, on_sp
         X_query[:, 1] = X_query[:, 0]
     prop = None
     if kind == "x" and g_constant is None:
-        prop = fit_classifier(LearnerSpec.make("logistic", lam=1.0), X, t)
+        prop = fit_classifier(LearnerSpec.from_dict({"kind": "logistic", "lam": 1.0}), X, t)
     spec = CateFitSpec(kind, learner, g_constant=g_constant)
     return spec, spec.fit(train, propensity=prop), train, X_query, prop
 
@@ -496,7 +496,7 @@ class TestLinearRefits:
         "FOUND on _weighted_fit); a minimum-norm solve would close it"
     ))
     def test_singular_ols_refits_match_fits_on_the_resampled_rows_off_the_span(self):
-        ols = LearnerSpec.make("ols", fit_intercept=False)
+        ols = LearnerSpec.from_dict({"kind": "ols", "fit_intercept": False})
         for kind, seed in itertools.product("stx", range(4)):
             spec, model, train, X_query, prop = linear_refit_problem(
                 kind, ols, "singular", 2, [20, 24], None, seed, on_span=False
@@ -523,6 +523,7 @@ class TestLinearRefits:
         np.testing.assert_allclose(iv.lower, expected.lower, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(iv.upper, expected.upper, rtol=0.0, atol=1e-10)
 
+    @pytest.mark.usefixtures("one_worker")  # the refits are recorded in this process
     def test_loop_refits_build_no_residual_pools(self):
         data = small_dataset(seed=31, n=70)
         spec = CateFitSpec("t", LearnerSpec.from_dict({"kind": "lasso", "lam": 0.05}))
@@ -549,8 +550,10 @@ class TestLinearRefits:
             from conftest import make_dataset
             from treatpolicy.cate import CateFitSpec, UncertaintySpec, uncertainty_interval
             from treatpolicy.learners import LearnerSpec, fit_classifier
-            ridge = LearnerSpec.make('ridge', lam=1.0)
-            gbt = LearnerSpec.make('gbt', n_trees=50, max_depth=3, min_samples_leaf=10)
+            ridge = LearnerSpec.from_dict({'kind': 'ridge', 'lam': 1.0})
+            gbt = LearnerSpec.from_dict(
+                {'kind': 'gbt', 'n_trees': 50, 'max_depth': 3, 'min_samples_leaf': 10}
+            )
             digest = hashlib.sha256()
             for n, m, d, kinds, b_boot, learner in (
                 (7200, 3000, 10, 'tx', 200, ridge),
@@ -562,7 +565,8 @@ class TestLinearRefits:
                 t = (rng.random(n + m) < 1.0 / (1.0 + np.exp(-X[:, 0]))).astype(int)
                 y = X @ rng.normal(size=d) + t * (0.5 + 0.8 * X[:, 2]) + rng.normal(size=n + m)
                 train = make_dataset(X[:n], t[:n], y[:n])
-                prop = fit_classifier(LearnerSpec.make('logistic', lam=1.0), X[:n], t[:n])
+                logistic = LearnerSpec.from_dict({'kind': 'logistic', 'lam': 1.0})
+                prop = fit_classifier(logistic, X[:n], t[:n])
                 for kind in kinds:
                     spec = CateFitSpec(kind, learner)
                     theta = UncertaintySpec(0.9, 1.0, b_boot)
@@ -594,9 +598,11 @@ class TestGbtRefits:
         # features often cut the same partition, their gains tie in exact arithmetic, and
         # rounding, which differs between counts and copies, picks the feature
         data = small_dataset(seed=32, n=200)
-        prop = fit_classifier(LearnerSpec.make("logistic", lam=1.0), data.covariates,
-                              data.treatment) if kind == "x" else None
-        gbt = LearnerSpec.make("gbt", n_trees=15, max_depth=3, min_samples_leaf=10)
+        logistic = LearnerSpec.from_dict({"kind": "logistic", "lam": 1.0})
+        prop = fit_classifier(logistic, data.covariates, data.treatment) if kind == "x" else None
+        gbt = LearnerSpec.from_dict(
+            {"kind": "gbt", "n_trees": 15, "max_depth": 3, "min_samples_leaf": 10}
+        )
         spec = CateFitSpec(kind, gbt)
         model = spec.fit(data, propensity=prop)
         X_query = data.covariates[::3]
@@ -605,11 +611,13 @@ class TestGbtRefits:
         expected = loop_bootstrap(spec, model, data, X_query, 6, 11, prop)
         np.testing.assert_allclose(boot, expected, rtol=0.0, atol=1e-10)
 
+    @pytest.mark.usefixtures("one_worker")  # the refits are recorded in this process
     def test_gbt_refits_see_each_drawn_row_once(self):
         data = small_dataset(seed=33, n=70)
         data.treatment[:25] = 0
         data.treatment[25:] = 1
-        spec = CateFitSpec("t", LearnerSpec.make("gbt", n_trees=3, max_depth=2))
+        gbt = LearnerSpec.from_dict({"kind": "gbt", "n_trees": 3, "max_depth": 2})
+        spec = CateFitSpec("t", gbt)
         model = spec.fit(data)
         calls = []
 
@@ -629,7 +637,7 @@ class TestGbtRefits:
 
     def test_weighted_meta_fits_are_checked_and_equal_fits_on_copies(self):
         data = small_dataset(seed=34, n=40)
-        gbt = LearnerSpec.make("gbt", n_trees=2, max_depth=2)
+        gbt = LearnerSpec.from_dict({"kind": "gbt", "n_trees": 2, "max_depth": 2})
         w = np.full(data.n, 2.0)
         with pytest.raises(ValueError, match="pools=False"):
             fit_meta_learner("t", data, gbt, weights=w)

@@ -151,7 +151,7 @@ class TestDispatch:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(60, 3)) * np.array([1.0, 100.0, 0.01]) + np.array([5, -3, 0])
         y = X @ np.array([1.0, 0.02, 4.0]) + 0.05 * rng.normal(size=60)
-        fitted = fit_regressor(LearnerSpec.make("ridge", lam=1e-6), X, y)
+        fitted = fit_regressor(LearnerSpec.from_dict({"kind": "ridge", "lam": 1e-6}), X, y)
         np.testing.assert_allclose(fitted.predict(X), y, atol=0.3)
 
     @pytest.mark.parametrize("learner", [
@@ -162,7 +162,7 @@ class TestDispatch:
         rng = np.random.default_rng(1)
         X = np.column_stack([rng.normal(size=20), np.full(20, 0.3)])
         y = X[:, 0] + rng.normal(size=20)
-        fitted = fit_regressor(LearnerSpec.make(**learner, fit_intercept=False), X, y)
+        fitted = fit_regressor(LearnerSpec.from_dict({**learner, "fit_intercept": False}), X, y)
         assert (fitted.center[1], fitted.scale[1]) == (0.3, 1.0)
         Q = np.array([[0.5, 0.3], [0.5, 0.31], [0.5, 1.0]])
         np.testing.assert_allclose(fitted.predict(Q), fitted.predict(Q[:1]).repeat(3),
@@ -172,7 +172,8 @@ class TestDispatch:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(200, 2))
         y = (X[:, 0] + 0.5 * rng.normal(size=200) > 0).astype(float)
-        fitted = fit_classifier(LearnerSpec.make("logistic", penalty="l2", lam=1.0), X, y)
+        logistic = LearnerSpec.from_dict({"kind": "logistic", "penalty": "l2", "lam": 1.0})
+        fitted = fit_classifier(logistic, X, y)
         p = fitted.predict_proba(X)
         assert np.all((p > 0) & (p < 1))
         assert ((p > 0.5) == (y == 1)).mean() > 0.7
@@ -181,13 +182,13 @@ class TestDispatch:
         from treatpolicy.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            LearnerSpec.make("svm").validate()
+            LearnerSpec("svm").validate()
 
     def test_unknown_param_rejected(self):
         from treatpolicy.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            LearnerSpec.make("ridge", depth=3).validate()
+            LearnerSpec("ridge", (("depth", 3),)).validate()
 
 
 # The solvers the weighted least-squares core replaced, kept as oracles:
@@ -423,7 +424,7 @@ def weighted_regressor_cases(draw):
     counts = draw(st.lists(st.integers(1 if two_rows else 0, 4), min_size=n, max_size=n))
     assume(np.count_nonzero(counts) >= (2 if two_rows else d + 2))
     seed = draw(st.integers(0, 2**32 - 1))
-    return LearnerSpec.make(kind, **params), d, constant, np.array(counts), seed
+    return LearnerSpec.from_dict({"kind": kind, **params}), d, constant, np.array(counts), seed
 
 
 class TestWeightedRegressors:
@@ -459,7 +460,7 @@ class TestWeightedRegressors:
 
     def test_weights_are_checked(self):
         X, y = random_xy(9, n=6, d=2)
-        ridge = LearnerSpec.make("ridge", lam=1.0)
+        ridge = LearnerSpec.from_dict({"kind": "ridge", "lam": 1.0})
         for w, match in ((np.ones(5), "shape"), (np.r_[0.0, np.ones(5)], "> 0"),
                          (np.r_[np.nan, np.ones(5)], "finite")):
             with pytest.raises(ValueError, match=match):

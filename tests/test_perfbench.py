@@ -35,11 +35,18 @@ def test_traced_run_finds_every_layer(tmp_path):
     files = workloads.write_inputs(workload, 0, str(tmp_path))
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1"}
-    subprocess.run(
-        [sys.executable, os.path.join(PERFBENCH, "child.py"), "run", files["config"],
-         "result.json", "--trace"],
-        cwd=tmp_path, env=env, check=True, capture_output=True, timeout=300,
-    )
+    # one CPU, so that no fit runs in a worker process, where the tracer's wrappers
+    # count into the worker's copy; the child inherits this thread's affinity
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        subprocess.run(
+            [sys.executable, os.path.join(PERFBENCH, "child.py"), "run", files["config"],
+             "result.json", "--trace"],
+            cwd=tmp_path, env=env, check=True, capture_output=True, timeout=300,
+        )
+    finally:
+        os.sched_setaffinity(0, cpus)
     result = json.loads((tmp_path / "result.json").read_text())
     assert [e for e in result["errors"] if not e.startswith(STALE)] == []
     assert result["counters"]["report.svg_bytes"] > 0

@@ -242,7 +242,7 @@ class TestFitPlugIn:
     def test_columns_are_per_arm_predictions(self):
         train = make_dataset([[0.0], [1.0], [2.0], [0.0], [1.0], [2.0]], [0, 0, 0, 1, 1, 1],
                              [1.0, 1.0, 1.0, 3.0, 3.0, 3.0])
-        plug = fit_plug_in(LearnerSpec.make("ols"), train, np.array([[0.5], [5.0]]))
+        plug = fit_plug_in(LearnerSpec.from_dict({"kind": "ols"}), train, np.array([[0.5], [5.0]]))
         np.testing.assert_allclose(plug, [[1.0, 3.0], [1.0, 3.0]], atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["ols", "ridge", "lasso", "gbt"])
@@ -251,7 +251,7 @@ class TestFitPlugIn:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="cannot fit on an empty dataset"):
-                fit_plug_in(LearnerSpec.make(kind), train, np.zeros((2, 1)))
+                fit_plug_in(LearnerSpec.from_dict({"kind": kind}), train, np.zeros((2, 1)))
 
 
 class TestBaselines:

@@ -12,6 +12,8 @@ from treatpolicy.propensity import (
     select_overlap_bounds,
 )
 
+L2_LOGISTIC = LearnerSpec.from_dict({"kind": "logistic", "penalty": "l2", "lam": 1.0})
+
 
 def make_dataset(X, t):
     X = np.asarray(X, dtype=float)
@@ -35,7 +37,7 @@ class TestFitPropensity:
     def test_metric_fields_present(self):
         data = logistic_world(0)
         train, cal = data.subset(np.arange(0, 600)), data.subset(np.arange(600, 800))
-        model = fit_propensity(train, LearnerSpec.make("logistic", penalty="l2", lam=1.0), cal)
+        model = fit_propensity(train, L2_LOGISTIC, cal)
         for block in ("train", "calibration"):
             m = model.metrics[block]
             assert set(m) == {"brier", "auroc", "accuracy", "precision", "recall",
@@ -44,7 +46,8 @@ class TestFitPropensity:
 
     def test_scores_clipped_to_open_interval(self):
         data = logistic_world(1)
-        model = fit_propensity(data, LearnerSpec.make("logistic", penalty="l2", lam=0.01))
+        spec = LearnerSpec.from_dict({"kind": "logistic", "penalty": "l2", "lam": 0.01})
+        model = fit_propensity(data, spec)
         wild = np.full((2, 3), 50.0)
         s = model.predict(wild)
         assert np.all(s >= 1e-6) and np.all(s <= 1 - 1e-6)
@@ -52,12 +55,12 @@ class TestFitPropensity:
     def test_single_arm_is_error(self):
         data = make_dataset(np.random.default_rng(0).normal(size=(10, 2)), np.ones(10))
         with pytest.raises(DataError, match="single treatment arm"):
-            fit_propensity(data, LearnerSpec.make("logistic"))
+            fit_propensity(data, LearnerSpec.from_dict({"kind": "logistic"}))
 
     def test_round_trip_serialization(self, tmp_path):
         data = logistic_world(2, n=300)
         train, cal = data.subset(np.arange(0, 200)), data.subset(np.arange(200, 300))
-        model = fit_propensity(train, LearnerSpec.make("logistic", penalty="l2", lam=1.0), cal)
+        model = fit_propensity(train, L2_LOGISTIC, cal)
         save_model(model, tmp_path / "prop.json")
         clone = load_model(tmp_path / "prop.json")
         np.testing.assert_array_equal(model.predict(data.covariates),
@@ -158,7 +161,8 @@ class TestOverlapReport:
         X = rng.normal(size=(500, 1))
         t = (X[:, 0] > 0).astype(int)
         data = make_dataset(X, t)
-        model = fit_propensity(data, LearnerSpec.make("logistic", penalty="l2", lam=0.1))
+        spec = LearnerSpec.from_dict({"kind": "logistic", "penalty": "l2", "lam": 0.1})
+        model = fit_propensity(data, spec)
         scores = model.predict(X)
         report = overlap_report(scores, t, (0.1, 0.9))
         assert report.auroc >= 0.99

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import see_cpus
 
 from treatpolicy.cate import CateFitSpec
 from treatpolicy.errors import ConfigError, DataError
@@ -203,24 +204,33 @@ class TestRunStudy:
         assert report.checks["improves_on_current"]["pass"]
         assert 0.0 <= report.checks["approaches_optimal"]["closure"] <= 1.5
 
-    def test_failed_run_recorded_and_study_continues(self):
+    def test_failed_run_recorded_and_study_continues(self, monkeypatch):
         class Flaky:
-            def __init__(self, inner):
-                self.inner = inner
-                self.calls = 0
+            """Fails on the train split given, in whichever process fits it."""
+
+            def __init__(self, inner, failing=None):
+                self.inner, self.failing, self.seen = inner, failing, []
 
             def fit(self, train, propensity=None, pools=True):
-                self.calls += 1
-                if self.calls == 1:
+                self.seen.append(train.covariates.tobytes())
+                if self.seen[-1] == self.failing:
                     raise DataError("planted failure")
                 return self.inner.fit(train, propensity=propensity, pools=pools)
 
         X, T = synthetic_covariates(300, 4, seed=21)
-        menu = {"flaky": Flaky(CateFitSpec(kind="t", learner=RIDGE))}
-        report = run_study(
-            X, T, SimulationSpec(lam=0.5, effect_size=1.0), menu,
-            runs=3, seed=5, plug_in_spec=RIDGE,
-        )
+        ridge_t = CateFitSpec(kind="t", learner=RIDGE)
+
+        def study(spec):
+            return run_study(
+                X, T, SimulationSpec(lam=0.5, effect_size=1.0), {"flaky": spec},
+                runs=3, seed=5, plug_in_spec=RIDGE,
+            )
+
+        with monkeypatch.context() as serial:
+            see_cpus(serial, 1)
+            recorder = Flaky(ridge_t)
+            study(recorder)  # in this process: run 0 fits first
+        report = study(Flaky(ridge_t, failing=recorder.seen[0]))
         assert len(report.failures) == 1
         assert report.failures[0]["run"] == 0
         assert "planted failure" in report.failures[0]["error"]
