@@ -20,7 +20,7 @@ from .cate import CateFitSpec, UncertaintySpec
 from .errors import ConfigError
 from .ingest import SPLIT_NAMES, TableSchema
 from .learners import LearnerSpec
-from .policy_eval import DIRECTIONS, ENSEMBLE_MODES, ESTIMATORS
+from .policy_eval import DIRECTIONS, ENSEMBLE_MODES, ESTIMATORS, DecisionRule
 from .simulation import SimulationSpec
 
 __all__ = [
@@ -40,12 +40,6 @@ RESERVED_POLICY_NAMES = frozenset(
 )
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
-
-BOUNDS_METHODS = {
-    "fixed": {"eta_low": _REQUIRED, "eta_high": _REQUIRED},
-    "quantile": {"q_low": 0.01, "q_high": 0.99},
-    "min-count": {"min_count": 10},
-}
 
 
 def _is_number(v) -> bool:
@@ -131,31 +125,35 @@ def _learner(task=None):
     return check
 
 
+_UNIT = _number(0.0, 1.0)
+
+# per bounds method, the keys besides "method"
+_BOUNDS = {
+    "fixed": {"eta_low": ("value", _REQUIRED, _UNIT), "eta_high": ("value", _REQUIRED, _UNIT)},
+    "quantile": {"q_low": ("value", 0.01, _UNIT), "q_high": ("value", 0.99, _UNIT)},
+    "min-count": {"min_count": ("value", 10, _integer(1))},
+}
+
+
 def _bounds(value, path):
     if not isinstance(value, dict):
         raise ConfigError(f"{path} must be an object with a 'method' key")
     method = value.get("method")
-    if method not in BOUNDS_METHODS:
-        raise ConfigError(
-            f"{path}.method must be one of {sorted(BOUNDS_METHODS)}, got {method!r}"
-        )
-    params = BOUNDS_METHODS[method]
-    unknown = set(value) - set(params) - {"method"}
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} under {path} for method {method!r}")
-    out = {"method": method}
-    for key, default in params.items():
-        if key in value:
-            raw = value[key]
-        elif default is _REQUIRED:
-            raise ConfigError(f"{path}.{key} is required for method {method!r}")
-        else:
-            raw = default
-        if key == "min_count":
-            out[key] = _integer(1)(raw, f"{path}.{key}")
-        else:
-            out[key] = _number(0.0, 1.0)(raw, f"{path}.{key}")
+    if method not in _BOUNDS:
+        raise ConfigError(f"{path}.method must be one of {sorted(_BOUNDS)}, got {method!r}")
+    rest = {k: v for k, v in value.items() if k != "method"}
+    out = {"method": method, **_resolve(rest, _BOUNDS[method], path)}
+    for low, high in (("eta_low", "eta_high"), ("q_low", "q_high")):
+        if low in out and out[low] >= out[high]:
+            raise ConfigError(f"{path}: {low} must be below {high}, got {out[low]} >= {out[high]}")
     return out
+
+
+_MENU_ENTRY = {
+    "kind": ("value", _REQUIRED, _choice(("s", "t", "x"))),
+    "learner": ("value", _REQUIRED, _learner("regression")),
+    "g_constant": ("value", None, lambda v, path: None if v is None else _UNIT(v, path)),
+}
 
 
 def _menu(value, path):
@@ -163,77 +161,57 @@ def _menu(value, path):
         raise ConfigError(f"{path} must name at least one model")
     out = {}
     for name, entry in value.items():
-        p = f"{path}.{name}"
         if not isinstance(name, str) or not _NAME_RE.match(name):
             raise ConfigError(f"{path}: model name {name!r} must match {_NAME_RE.pattern}")
         if name in RESERVED_POLICY_NAMES:
             raise ConfigError(f"{path}: model name {name!r} is reserved for a built-in policy")
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{p} must be an object")
-        unknown = set(entry) - {"kind", "learner", "g_constant"}
-        if unknown:
-            raise ConfigError(f"unknown key(s) {sorted(unknown)} under {p}")
-        kind = entry.get("kind")
-        if kind not in ("s", "t", "x"):
-            raise ConfigError(f"{p}.kind must be one of ['s', 't', 'x'], got {kind!r}")
-        if "learner" not in entry:
-            raise ConfigError(f"{p}.learner is required")
-        learner = _learner("regression")(entry["learner"], f"{p}.learner")
-        g = entry.get("g_constant")
-        if g is not None:
-            g = _number(0.0, 1.0)(g, f"{p}.g_constant")
-        out[name] = {"kind": kind, "learner": learner, "g_constant": g}
+        out[name] = _resolve(entry, _MENU_ENTRY, f"{path}.{name}")
     return out
 
 
-def _ensembles(value, path):
-    names = _string_list(value, path)
-    bad = [v for v in names if v not in ENSEMBLE_MODES]
-    if bad:
-        raise ConfigError(f"{path} entries must be from {list(ENSEMBLE_MODES)}, got {bad}")
-    if len(set(names)) != len(names):
-        raise ConfigError(f"{path} lists a mode twice")
-    return names
+def _names(options, noun, least=0):
+    def check(value, path):
+        names = _string_list(value, path)
+        if len(names) < least:
+            raise ConfigError(f"{path} must name at least one {noun}")
+        bad = [v for v in names if v not in options]
+        if bad:
+            raise ConfigError(f"{path} entries must be from {list(options)}, got {bad}")
+        if len(set(names)) != len(names):
+            raise ConfigError(f"{path} lists one {noun} twice")
+        return names
+
+    return check
 
 
-def _estimators(value, path):
-    names = _string_list(value, path)
-    if not names:
-        raise ConfigError(f"{path} must name at least one estimator")
-    bad = [v for v in names if v not in ESTIMATORS]
-    if bad:
-        raise ConfigError(f"{path} entries must be from {list(ESTIMATORS)}, got {bad}")
-    if len(set(names)) != len(names):
-        raise ConfigError(f"{path} lists an estimator twice")
-    return names
+_UNCERTAINTY = {
+    "alpha_stat": ("value", 0.9, _number(0.0, 1.0, hi_open=True)),
+    "lam": ("value", 1.0, _number(1.0)),
+    "b_boot": ("value", 200, _integer(0)),
+    "seed": ("value", 0, _integer(0)),
+}
 
 
 def _uncertainty(value, path):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path} must be an object")
-    unknown = set(value) - {"alpha_stat", "lam", "alpha_causal", "b_boot", "seed"}
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} under {path}")
-    if "lam" in value and "alpha_causal" in value:
-        raise ConfigError(f"{path}: give either lam or alpha_causal, not both")
-    alpha_stat = _number(0.0, 1.0, hi_open=True)(value.get("alpha_stat", 0.9), f"{path}.alpha_stat")
-    if "alpha_causal" in value:
-        a = _number(0.0)(value["alpha_causal"], f"{path}.alpha_causal")
-        lam = math.exp(a)
-    else:
-        lam = _number(1.0)(value.get("lam", 1.0), f"{path}.lam")
-    b_boot = _integer(0)(value.get("b_boot", 200), f"{path}.b_boot")
+    if isinstance(value, dict) and "alpha_causal" in value:
+        if "lam" in value:
+            raise ConfigError(f"{path}: give either lam or alpha_causal, not both")
+        value = dict(value)
+        a = _number(0.0)(value.pop("alpha_causal"), f"{path}.alpha_causal")
+        try:
+            value["lam"] = math.exp(a)
+        except OverflowError:
+            raise ConfigError(f"{path}.alpha_causal is too large, got {a}") from None
+    out = _resolve(value, _UNCERTAINTY, path)
     try:
-        UncertaintySpec(alpha_stat=alpha_stat, lam=lam, b_boot=b_boot)
+        UncertaintySpec(alpha_stat=out["alpha_stat"], lam=out["lam"], b_boot=out["b_boot"])
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    seed = _integer(0)(value.get("seed", 0), f"{path}.seed")
-    return {"alpha_stat": alpha_stat, "lam": lam, "b_boot": b_boot, "seed": seed}
+    return out
 
 
-# Schema nodes: ("value", default, check) for scalars/lists,
-# ("section", {...}) for fixed sub-objects, ("custom", default, check) for
-# sub-trees whose checker owns unknown-key rejection and defaulting.
+# Schema nodes: ("value", default, check), where ``check`` returns the
+# resolved value, and ("section", {...}) for fixed sub-objects.
 _SCHEMA = {
     "data": (
         "section",
@@ -256,9 +234,9 @@ _SCHEMA = {
     "propensity": (
         "section",
         {
-            "learner": ("custom", {"kind": "logistic", "lam": 1.0}, _learner("classification")),
+            "learner": ("value", {"kind": "logistic", "lam": 1.0}, _learner("classification")),
             "calibrate": ("value", True, _boolean),
-            "bounds": ("custom", {"method": "quantile"}, _bounds),
+            "bounds": ("value", {"method": "quantile"}, _bounds),
             # propensity.seed and cate.seed are recorded in the manifest seeds
             # but change nothing: every learner fit is deterministic
             "seed": ("value", 0, _integer(0)),
@@ -268,15 +246,15 @@ _SCHEMA = {
         "section",
         {
             "menu": (
-                "custom",
+                "value",
                 {"t-ridge": {"kind": "t", "learner": {"kind": "ridge", "lam": 1.0}}},
                 _menu,
             ),
-            "ensembles": ("value", [], _ensembles),
+            "ensembles": ("value", [], _names(ENSEMBLE_MODES, "mode")),
             "seed": ("value", 0, _integer(0)),  # no effect, as propensity.seed
         },
     ),
-    "uncertainty": ("custom", {}, _uncertainty),
+    "uncertainty": ("value", {}, _uncertainty),
     "deferral": (
         "section",
         {
@@ -294,11 +272,11 @@ _SCHEMA = {
     "evaluation": (
         "section",
         {
-            "estimators": ("value", ["IPW", "DR"], _estimators),
+            "estimators": ("value", ["IPW", "DR"], _names(ESTIMATORS, "estimator", least=1)),
             "bootstrap_b": ("value", 1000, _integer(1)),
-            "rank_step": ("value", 0.1, _number(0.0, 1.0, lo_open=True)),
+            "rank_step": ("value", 0.1, _number(0.0, 1.0, lo_open=True, hi_open=True)),
             "plug_in": (
-                "custom",
+                "value",
                 {"kind": "gbt", "n_trees": 100, "max_depth": 3, "min_samples_leaf": 10},
                 _learner("regression"),
             ),
@@ -343,15 +321,14 @@ def _resolve(raw, schema, prefix=""):
     out = {}
     for key, node in schema.items():
         path = f"{prefix}.{key}" if prefix else key
-        kind = node[0]
-        if kind == "section":
+        if node[0] == "section":
             out[key] = _resolve(raw.get(key, {}), node[1], path)
         else:
             _, default, check = node
             if key in raw:
                 value = raw[key]
             elif default is _REQUIRED:
-                raise ConfigError(f"missing required config key {path}")
+                raise ConfigError(f"{path} is required")
             else:
                 value = copy.deepcopy(default)
             out[key] = check(value, path)
@@ -388,11 +365,6 @@ class PipelineConfig:
     def propensity_spec(self) -> LearnerSpec:
         return LearnerSpec.from_dict(self.echo["propensity"]["learner"])
 
-    def bounds_kwargs(self) -> dict:
-        b = dict(self.echo["propensity"]["bounds"])
-        method = b.pop("method")
-        return {"method": method, **b}
-
     def cate_menu(self) -> dict:
         menu = {}
         for name, entry in self.echo["cate"]["menu"].items():
@@ -411,9 +383,7 @@ class PipelineConfig:
         u = self.echo["uncertainty"]
         return UncertaintySpec(alpha_stat=u["alpha_stat"], lam=u["lam"], b_boot=u["b_boot"])
 
-    def decision_rule(self):
-        from .policy_eval import DecisionRule
-
+    def decision_rule(self) -> DecisionRule:
         p = self.echo["policy"]
         return DecisionRule(threshold=p["threshold"], direction=p["direction"])
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataError
 from .calibration import CalibratedClassifier, calibrate
-from .linear import LinearModel, _check_weights, fit_linear, sigmoid
+from .linear import PENALTIES, LinearModel, _check_weights, fit_linear, sigmoid
 from .metrics import (
     auroc,
     brier,
@@ -77,6 +77,32 @@ _LOGISTIC_KEYS = _LINEAR_KEYS | {"penalty"}
 _GBT_KEYS = {"n_trees", "max_depth", "learning_rate", "min_samples_leaf"}
 
 
+def _integer(lo):
+    return lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= lo
+
+
+def _finite(lo, strict=True):
+    return lambda v: (
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        and (v > lo if strict else v >= lo)
+    )
+
+
+# what each hyperparameter must be, so that values a fit cannot use are
+# refused before any stage runs; true/false are not numbers
+_PARAM_VALUES = {
+    "n_trees": ("an integer >= 0", _integer(0)),
+    "max_depth": ("an integer >= 1", _integer(1)),
+    "min_samples_leaf": ("an integer >= 1", _integer(1)),
+    "max_iter": ("an integer >= 1", _integer(1)),
+    "learning_rate": ("a finite number > 0", _finite(0)),
+    "tol": ("a finite number > 0", _finite(0)),
+    "lam": ("a finite number >= 0", _finite(0, strict=False)),
+    "fit_intercept": ("true or false", lambda v: isinstance(v, bool)),
+    "penalty": (f"one of {list(PENALTIES)}", lambda v: v in PENALTIES),
+}
+
+
 @dataclass(frozen=True)
 class LearnerSpec:
     """Names one learner from the menu with its hyperparameters."""
@@ -126,19 +152,10 @@ class LearnerSpec:
             raise ConfigError(
                 f"learner {self.kind!r} got unknown parameter(s) {sorted(extra)}"
             )
-        if self.kind == "gbt":
-            _check_gbt_values(self.param_dict)
-
-
-def _check_gbt_values(params: dict) -> None:
-    """Reject gbt values fit_gbt cannot use, before any stage runs; bools are not numbers."""
-    for key, lo in (("n_trees", 0), ("max_depth", 1), ("min_samples_leaf", 1)):
-        v = params.get(key, lo)
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < lo:
-            raise ConfigError(f"gbt {key} must be an integer >= {lo}, got {v!r}")
-    v = params.get("learning_rate", 1.0)
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (math.isfinite(v) and v > 0):
-        raise ConfigError(f"gbt learning_rate must be a finite number > 0, got {v!r}")
+        for key, v in self.params:
+            what, ok = _PARAM_VALUES[key]
+            if not ok(v):
+                raise ConfigError(f"{self.kind} {key} must be {what}, got {v!r}")
 
 
 @dataclass

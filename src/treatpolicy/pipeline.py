@@ -213,17 +213,15 @@ def stage_fit_propensity(cfg: PipelineConfig, manifest: RunManifest, io) -> None
     cal = data.rows_in("validation") if cfg.echo["propensity"]["calibrate"] else None
     model = fit_propensity(train, cfg.propensity_spec(), calibration=cal)
     scores = model.predict(data.covariates)
-    bounds = select_overlap_bounds(scores, treatment=data.treatment, **cfg.bounds_kwargs())
+    bounds_spec = cfg.echo["propensity"]["bounds"]
+    bounds = select_overlap_bounds(scores, treatment=data.treatment, **bounds_spec)
     model = replace(model, bounds=bounds)
     save_model(model, io.out(layout.PROPENSITY_MODEL))
 
     _write_table(io, layout.PROPENSITY_SCORES, [data.row_ids, data.split, data.treatment, scores])
 
     rep = overlap_report(scores, data.treatment, bounds, bins=cfg.echo["report"]["bins"])
-    write_json(
-        io.out(layout.OVERLAP),
-        {"method": cfg.echo["propensity"]["bounds"], "report": rep.to_dict()},
-    )
+    write_json(io.out(layout.OVERLAP), {"method": bounds_spec, "report": rep.to_dict()})
     if rep.auroc_flag:
         io.warn(
             "overlap",
@@ -493,7 +491,7 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
 
 
 def stage_report(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
-    io.written, io.warnings = emit_report(io.out_dir, manifest.to_dict())
+    emit_report(io.out_dir, manifest.to_dict(), cfg.echo["report"]["bins"], io)
 
 
 # the stages locked until the identification checklist is acknowledged

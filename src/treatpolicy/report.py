@@ -1,7 +1,7 @@
 """Report bundle: figures rendered from stage artifacts plus an index page.
 
 The emitter never recomputes results; it only reads what earlier stages
-wrote under the output directory, and writes through one
+wrote under the output directory, and writes through the report stage's
 :class:`layout.StageIO`.  A missing upstream artifact downgrades the
 corresponding figure to a placeholder entry in the index and a warning, and
 the rest of the bundle is still produced.
@@ -139,10 +139,11 @@ _FIGURES = (
     ("outcome tree", layout.FIG_OUTCOME_TREE, _fig_outcome_tree),
 )
 
-def emit_report(out_dir: str, manifest: dict) -> tuple[list[str], list[dict]]:
-    """Render figures and the index; returns (artifact paths, warnings)."""
-    bins = int(manifest.get("config", {}).get("report", {}).get("bins", 20))
-    io = layout.StageIO(out_dir, "report")
+def emit_report(
+    out_dir: str, manifest: dict, bins: int, io: layout.StageIO
+) -> tuple[list[str], list[dict]]:
+    """Render figures from the artifacts under ``out_dir`` and the index,
+    writing through ``io``; returns its (artifact paths, warnings)."""
     produced: list[tuple[str, str]] = []
     missing: list[tuple[str, str]] = []
 

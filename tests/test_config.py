@@ -1,8 +1,11 @@
+import copy
 import json
 import math
+import re
 
 import pytest
 
+from treatpolicy.cli import main
 from treatpolicy.config import (
     RESERVED_POLICY_NAMES,
     apply_overrides,
@@ -104,8 +107,9 @@ class TestScalarChecks:
     def test_rank_step_open_at_zero(self):
         with pytest.raises(ConfigError, match="rank_step"):
             validate_config(minimal(evaluation={"rank_step": 0}))
-        echo = validate_config(minimal(evaluation={"rank_step": 1.0})).echo
-        assert echo["evaluation"]["rank_step"] == 1.0
+        # rank_curve refuses a step of 1, so the config does too
+        with pytest.raises(ConfigError, match="rank_step must be < 1.0"):
+            validate_config(minimal(evaluation={"rank_step": 1.0}))
 
     def test_simulation_ranges(self):
         with pytest.raises(ConfigError, match="simulation.runs"):
@@ -219,6 +223,8 @@ class TestUncertainty:
         assert zero["uncertainty"]["lam"] == 1.0
         with pytest.raises(ConfigError, match="alpha_causal"):
             validate_config(minimal(uncertainty={"alpha_causal": -0.2}))
+        with pytest.raises(ConfigError, match="alpha_causal must be a number"):
+            validate_config(minimal(uncertainty={"alpha_causal": None}))
 
     def test_lam_below_one_rejected(self):
         with pytest.raises(ConfigError, match="lam"):
@@ -278,7 +284,9 @@ class TestAccessors:
 
     def test_bounds_kwargs_and_menu_objects(self):
         cfg = validate_config(minimal())
-        assert cfg.bounds_kwargs() == {"method": "quantile", "q_low": 0.01, "q_high": 0.99}
+        assert cfg.echo["propensity"]["bounds"] == {
+            "method": "quantile", "q_low": 0.01, "q_high": 0.99
+        }
         menu = cfg.cate_menu()
         assert list(menu) == ["t-ridge"]
         assert menu["t-ridge"].kind == "t"
@@ -333,3 +341,167 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
+
+
+def bounds(**keys):
+    return {"propensity": {"bounds": keys}}
+
+
+def menu_learner(**learner):
+    return {"cate": {"menu": {"m": {"kind": "t", "learner": learner}}}}
+
+
+# values a stage would refuse, or silently misread, after the earlier stages
+# had run; each is refused when the config is loaded
+LOAD_TIME_REFUSALS = [
+    pytest.param(bounds(method="quantile", q_low=0.9, q_high=0.1),
+                 "q_low must be below q_high", id="quantile-inverted"),
+    pytest.param(bounds(method="quantile", q_low=0.5, q_high=0.5),
+                 "q_low must be below q_high", id="quantile-equal"),
+    pytest.param(bounds(method="quantile", q_low=0.995),
+                 "q_low must be below q_high", id="quantile-above-default-high"),
+    pytest.param(bounds(method="fixed", eta_low=0.9, eta_high=0.1),
+                 "eta_low must be below eta_high", id="fixed-inverted"),
+    pytest.param(bounds(method="fixed", eta_low=0.3, eta_high=0.3),
+                 "eta_low must be below eta_high", id="fixed-equal"),
+    pytest.param({"evaluation": {"rank_step": 1.0}},
+                 r"evaluation\.rank_step must be < 1\.0", id="rank-step-one"),
+    pytest.param(menu_learner(kind="ridge", lam=-1),
+                 r"cate\.menu\.m\.learner: ridge lam must be a finite number >= 0",
+                 id="ridge-negative-lam"),
+    pytest.param(menu_learner(kind="ridge", lam=True),
+                 "ridge lam must be a finite number >= 0", id="ridge-boolean-lam"),
+    pytest.param(menu_learner(kind="lasso", max_iter=0),
+                 "lasso max_iter must be an integer >= 1", id="lasso-zero-max-iter"),
+    pytest.param(menu_learner(kind="lasso", tol=0),
+                 "lasso tol must be a finite number > 0", id="lasso-zero-tol"),
+    pytest.param({"evaluation": {"plug_in": {"kind": "ols", "fit_intercept": "no"}}},
+                 r"evaluation\.plug_in: ols fit_intercept must be true or false",
+                 id="ols-string-fit-intercept"),
+    pytest.param({"propensity": {"learner": {"kind": "logistic", "penalty": "elasticnet"}}},
+                 r"propensity\.learner: logistic penalty must be one of \['none', 'l1', 'l2'\]",
+                 id="logistic-unknown-penalty"),
+    pytest.param({"propensity": {"learner": {"kind": "logistic", "lam": math.inf}}},
+                 "logistic lam must be a finite number >= 0", id="logistic-infinite-lam"),
+    # math.exp overflows here, which no config check caught
+    pytest.param({"uncertainty": {"alpha_causal": 1000}},
+                 r"uncertainty\.alpha_causal is too large", id="alpha-causal-overflow"),
+]
+
+
+class TestLoadTimeRefusals:
+    @pytest.mark.parametrize("extra, message", LOAD_TIME_REFUSALS)
+    def test_validate_config_refuses(self, extra, message):
+        with pytest.raises(ConfigError, match=message):
+            validate_config(minimal(**extra))
+
+    @pytest.mark.parametrize("extra, message", LOAD_TIME_REFUSALS)
+    def test_validate_config_command_exits_2(self, extra, message, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(minimal(**extra)))
+        assert main(["validate-config", str(path)]) == 2
+        assert re.search(f"config error: .*{message}", capsys.readouterr().err)
+
+    def test_linear_boundaries_accepted(self):
+        learner = {"kind": "lasso", "lam": 0, "tol": 1e-12, "max_iter": 1, "fit_intercept": False}
+        propensity = {"learner": {"kind": "logistic", "penalty": "none", "lam": 0.0},
+                      "bounds": {"method": "fixed", "eta_low": 0.0, "eta_high": 1e-9}}
+        echo = validate_config(minimal(cate={"menu": {"m": {"kind": "t", "learner": learner}}},
+                                       propensity=propensity,
+                                       evaluation={"rank_step": 0.999})).echo
+        assert echo["cate"]["menu"]["m"]["learner"] == learner
+        assert echo["propensity"]["learner"] == propensity["learner"]
+        assert echo["propensity"]["bounds"] == propensity["bounds"]
+
+
+# sets every key of every section; bounds are set per case
+FULL_RAW = {
+    "data": {"path": "cohort.csv", "treatment": "treat", "outcome": "y",
+             "secondary_outcomes": ["y2"], "ignore": ["id"], "delimiter": ";"},
+    "splits": {"fractions": [0.5, 0.25, 0.25], "seed": 3},
+    "propensity": {
+        "learner": {"kind": "logistic", "penalty": "l1", "lam": 0.5, "tol": 1e-7,
+                    "max_iter": 50, "fit_intercept": True},
+        "calibrate": False,
+        "seed": 4,
+    },
+    "cate": {
+        "menu": {
+            "s-ols": {"kind": "s", "learner": {"kind": "ols", "fit_intercept": False}},
+            "x-gbt": {"kind": "x", "g_constant": 1,
+                      "learner": {"kind": "gbt", "n_trees": 20, "max_depth": 2,
+                                  "learning_rate": 0.2, "min_samples_leaf": 5}},
+            "t-lasso": {"kind": "t", "learner": {"kind": "lasso", "lam": 0.1, "max_iter": 500},
+                        "g_constant": None},
+        },
+        "ensembles": ["majority", "average"],
+        "seed": 5,
+    },
+    "uncertainty": {"alpha_stat": 0.8, "alpha_causal": 0, "b_boot": 10, "seed": 6},
+    "deferral": {"mode": "inclusive", "profile_lam": 1},
+    "policy": {"direction": "lower-better", "threshold": 2},
+    "evaluation": {"estimators": ["DR"], "bootstrap_b": 50, "rank_step": 0.25,
+                   "plug_in": {"kind": "ridge", "lam": 2}, "seed": 7},
+    "simulation": {"enabled": True, "only": False, "lam": 0.25, "effect_size": 1,
+                   "noise_factor": 2, "runs": 3, "train_frac": 0.5, "seed": 8},
+    "identification": {"acknowledged": True},
+    "report": {"include_timings": True, "bins": 12},
+    "output_dir": "results",
+}
+
+FULL_ECHO = {
+    "data": {"path": "cohort.csv", "treatment": "treat", "outcome": "y",
+             "secondary_outcomes": ["y2"], "ignore": ["id"], "delimiter": ";"},
+    "splits": {"fractions": [0.5, 0.25, 0.25], "seed": 3},
+    "propensity": {
+        "learner": {"kind": "logistic", "fit_intercept": True, "lam": 0.5, "max_iter": 50,
+                    "penalty": "l1", "tol": 1e-7},
+        "calibrate": False,
+        "seed": 4,
+    },
+    "cate": {
+        "menu": {
+            "s-ols": {"kind": "s", "learner": {"kind": "ols", "fit_intercept": False},
+                      "g_constant": None},
+            "x-gbt": {"kind": "x", "g_constant": 1.0,
+                      "learner": {"kind": "gbt", "learning_rate": 0.2, "max_depth": 2,
+                                  "min_samples_leaf": 5, "n_trees": 20}},
+            "t-lasso": {"kind": "t", "learner": {"kind": "lasso", "lam": 0.1, "max_iter": 500},
+                        "g_constant": None},
+        },
+        "ensembles": ["majority", "average"],
+        "seed": 5,
+    },
+    "uncertainty": {"alpha_stat": 0.8, "lam": 1.0, "b_boot": 10, "seed": 6},
+    "deferral": {"mode": "inclusive", "profile_lam": 1.0},
+    "policy": {"direction": "lower-better", "threshold": 2.0},
+    "evaluation": {"estimators": ["DR"], "bootstrap_b": 50, "rank_step": 0.25,
+                   "plug_in": {"kind": "ridge", "lam": 2}, "seed": 7},
+    "simulation": {"enabled": True, "only": False, "lam": 0.25, "effect_size": 1.0,
+                   "noise_factor": 2.0, "runs": 3, "train_frac": 0.5, "seed": 8},
+    "identification": {"acknowledged": True},
+    "report": {"include_timings": True, "bins": 12},
+    "output_dir": "results",
+}
+
+
+@pytest.mark.parametrize("bounds, resolved, digest", [
+    ({"method": "fixed", "eta_low": 0.05, "eta_high": 0.95},
+     {"method": "fixed", "eta_low": 0.05, "eta_high": 0.95},
+     "e3f122cf4cb04ca3632ecf6de190358cde80369cb429fffe554e4706eed20692"),
+    ({"method": "quantile", "q_low": 0},
+     {"method": "quantile", "q_low": 0.0, "q_high": 0.99},
+     "d34c37de1bb61141c1ceb7e574da4ffd659a0c035928619d1ead355b562baf89"),
+    ({"method": "min-count"}, {"method": "min-count", "min_count": 10},
+     "6873997d057b61d21fa130c15b383768514d63cf89b78d2cfb35ab6a487d0ffe"),
+])
+def test_full_echo_is_pinned(bounds, resolved, digest):
+    raw = copy.deepcopy(FULL_RAW)
+    raw["propensity"]["bounds"] = bounds
+    cfg = validate_config(raw)
+    expected = copy.deepcopy(FULL_ECHO)
+    expected["propensity"]["bounds"] = resolved
+    assert cfg.echo == expected
+    # == takes 1 for 1.0; the JSON text, which the hash is taken over, does not
+    assert json.dumps(cfg.echo, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert cfg.hash == digest

@@ -1,4 +1,5 @@
-"""The benchmark's tracer still finds every layer it times and counts.
+"""The benchmark's tracer still finds every layer it times and counts, and
+the program still accepts every benchmark config.
 
 ``perfbench/layertrace.py`` wraps program functions by name, so renaming one
 would quietly zero its per-layer metrics.  This runs one traced pipeline in a
@@ -11,6 +12,8 @@ import json
 import os
 import subprocess
 import sys
+
+from treatpolicy.config import load_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -51,3 +54,14 @@ def test_traced_run_finds_every_layer(tmp_path):
     assert [e for e in result["errors"] if not e.startswith(STALE)] == []
     assert result["counters"]["report.svg_bytes"] > 0
     assert result["counters"]["cate.refits"] > 0
+
+
+def test_every_workload_config_validates(tmp_path):
+    """A schema change that refused a benchmark config would fail every benchmark run."""
+    workloads = _workloads()
+    for name, workload in workloads.WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        files = workloads.write_inputs(workload, 0, str(work))
+        cfg = load_config(work / files["config"])
+        assert cfg.echo["cate"]["menu"].keys() == workload.menu.keys()

@@ -4,6 +4,7 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
+from treatpolicy import layout
 from treatpolicy.config import validate_config
 from treatpolicy.figures import (
     box_stats,
@@ -139,7 +140,9 @@ class TestEmitReport:
              "output_dir": str(tmp_path)}
         )
         manifest = RunManifest.fresh(cfg)
-        artifacts, warnings = emit_report(str(tmp_path), manifest.to_dict())
+        io = layout.StageIO(str(tmp_path), "report")
+        bins = cfg.echo["report"]["bins"]
+        artifacts, warnings = emit_report(str(tmp_path), manifest.to_dict(), bins, io)
         assert artifacts == ["report/index.md"]
         assert len(warnings) == 6
         assert all(w["kind"] == "missing-artifact" for w in warnings)
