@@ -219,7 +219,7 @@ def _bootstrap(fit_spec, model, train: Dataset, X_query, B: int, seed, propensit
                               pools=False)
         return fitted.predict(X_query)
 
-    refits = [refit(c) for c in draws()] if closed_form else pmap(refit, draws())
+    refits = [refit(c) for c in draws()] if closed_form else list(pmap(refit, draws()))
     for b, effect in zip(looped, refits):
         boot[b] = effect
     return boot

@@ -59,10 +59,17 @@ def _boolean(value, path):
 
 
 def _number(lo=None, hi=None, *, lo_open=False, hi_open=False):
+    """A check of a number in a range; NaN is refused, and so are ±inf where
+    the range has a bound (each comparison with NaN is false)."""
     def check(value, path):
         if not _is_number(value):
             raise ConfigError(f"{path} must be a number")
-        v = float(value)
+        try:
+            v = float(value)
+        except OverflowError:  # an integer beyond the floats
+            v = math.inf if value > 0 else -math.inf
+        if math.isnan(v) or math.isinf(v) and (lo is not None or hi is not None):
+            raise ConfigError(f"{path} must be a finite number, got {v}")
         if lo is not None and (v <= lo if lo_open else v < lo):
             raise ConfigError(f"{path} must be {'>' if lo_open else '>='} {lo}, got {value}")
         if hi is not None and (v >= hi if hi_open else v > hi):
@@ -103,12 +110,11 @@ def _fractions(value, path):
         raise ConfigError(
             f"{path} must list {len(SPLIT_NAMES)} fractions ({'/'.join(SPLIT_NAMES)})"
         )
-    if any(not _is_number(v) or v < 0 for v in value):
-        raise ConfigError(f"{path} entries must be non-negative numbers")
-    total = sum(float(v) for v in value)
+    fractions = [_number(0.0)(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    total = sum(fractions)
     if abs(total - 1.0) > 1e-9:
         raise ConfigError(f"{path} must sum to 1, got {total}")
-    return [float(v) for v in value]
+    return fractions
 
 
 def _learner(task=None):

@@ -8,7 +8,6 @@ and the files diff cleanly under version control.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -32,6 +31,12 @@ PALETTE = (
     "#da8bc3",
     "#8c8c8c",
 )
+
+
+def escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` escaped, as ``xml.sax.saxutils.escape``
+    escapes them; that module imports ``urllib.request`` and ``ssl``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x: float) -> str:

@@ -142,10 +142,11 @@ _MISSING_CELLS = frozenset(
 
 
 def _parse_cell(text: str) -> float:
-    """The number in ``text``, which may be padded with whitespace; NaN for
-    a cell that holds none: empty, NA, null, none or any other text."""
+    """The number in ``text``, which may be padded with whitespace (what
+    ``str.strip`` takes off, as the bulk parse does); NaN for a cell that
+    holds none: empty, NA, null, none or any other text."""
     try:
-        return float(text)
+        return float(text.strip())
     except ValueError:
         return math.nan
 

@@ -24,6 +24,15 @@ at a time by the caller's cell rules, so an error names the same row and
 text as a row-by-row parse.  :func:`read_header` reads a table's first row.
 The readers hold one block of text at a time, so no table is ever held as
 text.
+
+A table of at least ``FORK_CELLS`` cells (rows times columns; for a file
+being read, estimated from its size and its first block) has its blocks
+formatted or parsed in worker processes by ``parallel.pmap``, at most two
+per worker in flight.  In a pipeline run these are the input table and
+``data/dataset.csv`` from about 10,000 rows of a dozen columns, and the
+other per-row tables on larger cohorts.  The blocks come back in order, so
+the bytes, the sha256, the arrays and the row an error names are those of
+the loop; the rest of a file from its first quote is read here.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ import warnings
 import numpy as np
 
 from .errors import SchemaError, StageError
+from .parallel import pmap
 
 # Every stage in run order, with the description the CLI help and the report
 # index show.
@@ -174,6 +184,13 @@ def read_json(full_path):
 # rows formatted or parsed per step: bounds the text held at once
 BLOCK_ROWS = 1024
 
+# cells from which a table's blocks are formatted or parsed in worker
+# processes (parallel.pmap).  Starting them takes 10-30 ms.  A table of this
+# size takes about 0.18 s to write and 0.06 s to parse on one CPU (2-CPU
+# Xeon VM), so the half a second CPU takes over repays the start several
+# times over in the writer and about once in the reader.
+FORK_CELLS = 1 << 17
+
 # a field holding one of these is quoted by csv's QUOTE_MINIMAL rule
 _QUOTED = (",", '"', "\r", "\n")
 
@@ -184,30 +201,30 @@ def write_table(full_path, header, columns) -> str:
 
     Columns are positional, so a header may repeat a name.  Floats are
     written as ``repr``, integers and booleans as decimals, text as-is,
-    quoted as ``csv.writer`` quotes it.
+    quoted as ``csv.writer`` quotes it.  A table of at least ``FORK_CELLS``
+    cells has its blocks formatted in worker processes, and each is written
+    here as it comes back, in order.
     """
     cols = [np.asarray(c) for c in columns]
     cols = [c.astype(int) if c.dtype == bool else c for c in cols]
     n = len(cols[0]) if cols else 0
     if len(cols) != len(header) or any(c.shape != (n,) for c in cols):
         raise ValueError(f"{full_path}: need {len(header)} columns of one length")
-    digest = hashlib.sha256()
-    with open(full_path, "wb") as fh:
-        for text in _table_text(header, cols, n):
-            data = text.encode("utf-8")
-            digest.update(data)
-            fh.write(data)
-    return digest.hexdigest()
 
-
-def _table_text(header, cols, n):
-    """The text of the table, one block of rows at a time."""
-    yield _csv_text([header])
-    for start in range(0, n, BLOCK_ROWS):
+    def block_bytes(start):
         block = [c[start:start + BLOCK_ROWS] for c in cols]
         text = _block_text(block)
         # tolist gives Python floats, ints and strs; csv writes a float as its repr
-        yield _csv_text(zip(*(c.tolist() for c in block))) if text is None else text
+        return (_csv_text(zip(*(c.tolist() for c in block))) if text is None else text).encode()
+
+    spread = pmap if n * len(cols) >= FORK_CELLS else map
+    digest = hashlib.sha256()
+    with open(full_path, "wb") as fh:
+        for data in itertools.chain([_csv_text([header]).encode()],
+                                    spread(block_bytes, range(0, n, BLOCK_ROWS))):
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 def _csv_text(rows) -> str:
@@ -259,9 +276,9 @@ def read_columns(full_path, header, numbers, *, ints=(), text=()):
 
     Returns ``(arrays, texts)``: one array per index in ``numbers`` (int64
     for one also in ``ints``, else float64) and one list of text per index
-    in ``text``.  Cells convert as ``int`` and ``float`` convert them; a
-    cell that does not raises their ValueError, and a row of the wrong width
-    raises SchemaError naming it, counted from 1.
+    in ``text``.  Cells convert as ``int`` and ``float`` convert them after
+    ``str.strip``; a cell that does not raises their ValueError, and a row of
+    the wrong width raises SchemaError naming it, counted from 1.
     """
     with open(full_path, newline="", encoding="utf-8") as fh:
         _header(full_path, next(csv.reader(fh), None), header)
@@ -274,23 +291,28 @@ def parse_columns(fh, where, width, numbers, *, ints=(), text=(), row=None, vali
     into the columns ``numbers`` (arrays) and ``text`` (lists of text).
 
     A block of rows is parsed in bulk by ``np.loadtxt``, whose numbers are
-    those Python's ``int`` and ``float`` read from the same text.  A cell
+    those Python's ``int`` and ``float`` read from the same text once
+    ``str.strip`` has taken its padding off.  A cell
     spelled exactly as one of ``missing`` reads as NaN there, which ``row``
     must agree with.  A block that it cannot parse, that holds a row of
     another width or that fails ``valid`` (called with the block's arrays,
     in ``numbers`` order) is parsed again one row at a time:
     ``row(record, number)`` gives the numbers of one record, by default
-    through ``int`` and ``float``, and raises what the row is wrong in.  A
-    quote character sends the rest of the file through ``csv.reader`` row by
-    row, because a quoted field may span lines.  ``where`` names the file in
-    errors; rows count from ``first_row``.
+    through ``int`` and ``float`` after ``str.strip``, and raises what the
+    row is wrong in.  A quote character sends the rest of the file through
+    ``csv.reader`` row by row, in this process, because a quoted field may
+    span lines.  ``where`` names the file in errors; rows count from
+    ``first_row``.  A file of at least ``FORK_CELLS`` cells has its blocks
+    before the first quote parsed in worker processes, so ``row`` and
+    ``valid`` run there; the first error in row order is raised.
     """
     ints, missing = set(ints), frozenset(missing)
     dtype = np.dtype([(f"c{i}", np.int64 if j in ints else np.float64)
                       for i, j in enumerate(numbers)])
     if row is None:
         def row(record, number):
-            return [int(record[j]) if j in ints else float(record[j]) for j in numbers]
+            return [int(record[j].strip()) if j in ints else float(record[j].strip())
+                    for j in numbers]
 
     def by_row(records, number):
         values, texts = [], [[] for _ in text]
@@ -301,22 +323,42 @@ def parse_columns(fh, where, width, numbers, *, ints=(), text=(), row=None, vali
                 cells.append(record[j])
         return np.array(values, dtype=dtype), texts
 
-    bulk = delimiter not in '"\r\n'
-    blocks = [(np.empty(0, dtype), [[] for _ in text])]
-    number = first_row
-    for lines in _blocks(fh):
-        if not bulk or '"' in "".join(lines):
-            for records in _blocks(csv.reader(itertools.chain(lines, fh), delimiter=delimiter)):
-                blocks.append(by_row(records, number))
-                number += len(records)
-            break
-        parsed = _bulk(lines, width, numbers, dtype, text, valid, delimiter, missing)
+    def parse(block):
+        lines, number = block
         # without quotes, each line is one record
-        blocks.append(parsed or by_row(csv.reader(lines, delimiter=delimiter), number))
-        number += len(lines)
+        return (_bulk(lines, width, numbers, dtype, text, valid, delimiter, missing)
+                or by_row(csv.reader(lines, delimiter=delimiter), number))
+
+    bulk = delimiter not in '"\r\n'
+    quoted = []  # the block from which the rest is read as quoted fields, and its first row
+
+    def unquoted(line_blocks):
+        number = first_row
+        for lines in line_blocks:
+            if not bulk or '"' in "".join(lines):
+                quoted.append((lines, number))
+                return
+            yield lines, number
+            number += len(lines)
+
+    line_blocks = _blocks(fh)
+    head = list(itertools.islice(line_blocks, 1))  # the first block sizes up the file
+    spread = pmap if head and _file_cells(fh, head[0], width) >= FORK_CELLS else map
+    blocks = [(np.empty(0, dtype), [[] for _ in text])]
+    blocks += spread(parse, unquoted(itertools.chain(head, line_blocks)))
+    for lines, number in quoted:
+        for records in _blocks(csv.reader(itertools.chain(lines, fh), delimiter=delimiter)):
+            blocks.append(by_row(records, number))
+            number += len(records)
     arrays = [np.concatenate([b[name] for b, _ in blocks]) for name in dtype.names]
     texts = [[cell for _, t in blocks for cell in t[k]] for k in range(len(text))]
     return arrays, texts
+
+
+def _file_cells(fh, lines, width) -> float:
+    """The cells of the open file ``fh``, estimated from its size in bytes and
+    the characters per row of its block ``lines``."""
+    return os.fstat(fh.fileno()).st_size * len(lines) / len("".join(lines)) * width
 
 
 def _blocks(items):

@@ -1,10 +1,11 @@
-"""An ordered map over forked worker processes, for fits that do not depend on each other.
+"""An ordered map over forked worker processes, for work items that do not depend on each other.
 
-``pmap(fn, items)`` returns ``[fn(item) for item in items]``.  The bootstrap
-refits of a gbt or lasso meta-learner, the simulation study's runs and the two
-arm fits of a tree plug-in go through it.  A task runs the same code on the
-same inputs as the loop would, and its result is placed in item order, so what
-the program writes does not depend on how many workers ran.
+``pmap(fn, items)`` yields ``fn(item)`` for each item, in item order.  The
+bootstrap refits of a gbt or lasso meta-learner, the simulation study's runs,
+the two arm fits of a tree plug-in, and the row blocks of a large table that
+``layout`` writes or parses go through it.  A task runs the same code on the
+same inputs as the loop would, and its result comes back in item order, so
+what the program writes does not depend on how many workers ran.
 
 Workers are started with ``fork``: a task reads its model spec, training rows
 and query rows from the memory the worker was forked with, and only each item
@@ -46,14 +47,17 @@ def _call(item):
     return _task(item)
 
 
-def pmap(fn, items) -> list:
-    """``[fn(item) for item in items]``, computed in forked worker processes.
+def pmap(fn, items):
+    """``map(fn, items)``, computed in forked worker processes.
 
-    Items are drawn from ``items`` in order, in this process, at most two per
-    worker ahead of the results read, so ``items`` may be a generator that
-    draws as it goes.  ``fn`` reaches the workers by fork, so it may be a
-    closure; each item and result is pickled.  An exception raised by ``fn``
-    is raised here with its type and message, after the workers have stopped.
+    A generator of the results in item order.  Items are drawn from
+    ``items`` in order, in this process, at most two per worker ahead of the
+    results read, so ``items`` may be a generator that draws as it goes, and
+    the caller may use each result before the later ones are done.  ``fn``
+    reaches the workers by fork, so it may be a closure; each item and result
+    is pickled.  An exception raised by ``fn`` is raised here with its type
+    and message, after the workers have stopped.  The workers also stop when
+    the generator is closed, as when the loop that reads it is left early.
 
     The plain loop runs here instead when there are fewer than two items, when
     this process may run on one CPU only, inside a worker, off Linux, and on
@@ -63,7 +67,8 @@ def pmap(fn, items) -> list:
     head = list(islice(items, 2))
     workers = _workers() if len(head) == 2 else 1
     if workers < 2:
-        return [fn(item) for item in chain(head, items)]
+        yield from map(fn, chain(head, items))
+        return
     head += islice(items, workers - 2)  # no more workers than items
 
     import multiprocessing
@@ -74,12 +79,12 @@ def pmap(fn, items) -> list:
         initializer=_install, initargs=(fn,),
     )
     try:
-        pending, results = deque(), []
+        pending = deque()
         for item in chain(head, items):
             if len(pending) == 2 * len(head):
-                results.append(pending.popleft().result())
+                yield pending.popleft().result()
             pending.append(pool.submit(_call, item))
-        results.extend(future.result() for future in pending)
+        while pending:
+            yield pending.popleft().result()
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-    return results

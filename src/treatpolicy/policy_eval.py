@@ -303,7 +303,7 @@ def fit_plug_in(spec, train: Dataset, X_eval) -> np.ndarray:
 
     arms = (~treated, treated)
     return np.column_stack([fit_arm(rows) for rows in arms] if spec.closed_form
-                           else pmap(fit_arm, arms))
+                           else list(pmap(fit_arm, arms)))
 
 
 def summarize_bootstrap(values) -> dict:

@@ -288,7 +288,7 @@ def run_study(
         except Exception as exc:  # noqa: BLE001 - a failed run must not kill the study
             return None, f"{type(exc).__name__}: {exc}"
 
-    for r, (run_rows, error) in enumerate(pmap(attempt, range(runs))):
+    for r, (run_rows, error) in enumerate(list(pmap(attempt, range(runs)))):
         if error is not None:
             failures.append({"run": r, "error": error})
             continue

@@ -95,6 +95,13 @@ class TestValidateConfig:
         err = capsys.readouterr().err
         assert "config error:" in err and "learning_rate" in err
 
+    @pytest.mark.parametrize("assignment", ["evaluation.rank_step=NaN", "uncertainty.lam=Infinity"])
+    def test_non_finite_override_is_a_config_error(self, workspace, capsys, assignment):
+        _, cfg_path, _ = workspace
+        assert main(["validate-config", str(cfg_path), "--set", assignment]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"{assignment.partition('=')[0]} must be a finite" in err
+
     def test_simulation_form_is_no_longer_a_key(self, workspace, capsys):
         tmp_path, _, raw = workspace
         raw["simulation"] = {"enabled": True, "form": "linear"}
@@ -204,6 +211,18 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("config hash: ")
+
+    def test_loading_a_config_imports_no_network_module(self, workspace):
+        _, cfg_path, _ = workspace
+        code = ("import sys\n"
+                "import treatpolicy.cli\n"
+                "from treatpolicy.config import load_config\n"
+                f"load_config({str(cfg_path)!r})\n"
+                "print([m for m in ('urllib.request', 'ssl') if m in sys.modules])\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_console_script_installed(self, workspace):
         tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11

@@ -386,6 +386,23 @@ LOAD_TIME_REFUSALS = [
     # math.exp overflows here, which no config check caught
     pytest.param({"uncertainty": {"alpha_causal": 1000}},
                  r"uncertainty\.alpha_causal is too large", id="alpha-causal-overflow"),
+    # each comparison with NaN is false, so NaN passed every range check
+    pytest.param({"evaluation": {"rank_step": math.nan}},
+                 r"evaluation\.rank_step must be a finite number, got nan", id="rank-step-nan"),
+    pytest.param({"simulation": {"train_frac": math.nan}},
+                 r"simulation\.train_frac must be a finite number", id="train-frac-nan"),
+    pytest.param({"policy": {"threshold": math.nan}},
+                 r"policy\.threshold must be a finite number", id="threshold-nan"),
+    pytest.param({"splits": {"fractions": [math.nan, 0.5, 0.5]}},
+                 r"splits\.fractions\[0\] must be a finite number", id="fraction-nan"),
+    pytest.param({"deferral": {"profile_lam": math.inf}},
+                 r"deferral\.profile_lam must be a finite number, got inf", id="profile-lam-inf"),
+    pytest.param({"uncertainty": {"lam": math.inf}},
+                 r"uncertainty\.lam must be a finite number", id="lam-inf"),
+    pytest.param({"uncertainty": {"alpha_causal": math.inf}},
+                 r"uncertainty\.alpha_causal must be a finite number", id="alpha-causal-inf"),
+    pytest.param({"evaluation": {"rank_step": 10 ** 400}},
+                 r"evaluation\.rank_step must be a finite number, got inf", id="huge-integer"),
 ]
 
 
@@ -401,6 +418,12 @@ class TestLoadTimeRefusals:
         path.write_text(json.dumps(minimal(**extra)))
         assert main(["validate-config", str(path)]) == 2
         assert re.search(f"config error: .*{message}", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, 10 ** 400])
+    def test_infinite_threshold_accepted(self, value):
+        # the threshold has no range, so only NaN is refused there
+        assert validate_config(minimal(policy={"threshold": value})).echo["policy"]["threshold"] \
+            == float("inf") * (1 if value > 0 else -1)
 
     def test_linear_boundaries_accepted(self):
         learner = {"kind": "lasso", "lam": 0, "tol": 1e-12, "max_iter": 1, "fit_intercept": False}

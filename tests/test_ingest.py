@@ -461,6 +461,8 @@ class TestColumnWriterMatchesCsvWriter:
 _CELL_TEXTS = ["", "NA", "na", "nan", "-nan", "NaN", "null", "None", " 1.5 ", "1_000", "１",
                "inf", "-inf", "+Infinity", "1e999", "-0", ".5", "5.", "0x10", "abc", "1.5e-3",
                "\t2\t", '"2.5"', '"1,5"', '" 7 "']
+# every code point str.strip takes off but the line ends, which end a row
+_PADDING = "".join(c for c in map(chr, range(0x110000)) if c.isspace() and c not in "\r\n")
 _CELLS = (st.sampled_from(_CELL_TEXTS) | st.floats().map(repr)
           | st.text(alphabet="0123456789.e+-_ nNaAiIfF\t", max_size=8))
 
@@ -548,6 +550,41 @@ class TestBulkParseMatchesParseCell:
             except ValueError:
                 expected = math.nan
         assert _same_float(_parse_cell(text), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rule=st.sampled_from(["parse_cell", "int-float"]), data=st.data())
+    def test_padding_reads_alike_with_and_without_a_row_path_fallback(self, tmp_path_factory,
+                                                                      rule, data):
+        ints = (0,) if rule == "int-float" else ()
+        numbers = st.integers(-10**18, 10**18).map(str)
+        if not ints:
+            numbers |= st.floats(allow_nan=False).map(repr)
+        pad = st.text(_PADDING, max_size=3)
+        cells = data.draw(st.lists(st.tuples(pad, numbers, pad), min_size=1, max_size=12))
+        path = tmp_path_factory.mktemp("padded") / "t.csv"
+
+        def column(fallback):
+            # "1_000" is a number to float() but not to np.loadtxt: its block goes row by row
+            lines = [f"{left}{number}{right},{'1_000' if fallback and i == 0 else 1}\n"
+                     for i, (left, number, right) in enumerate(cells)]
+            path.write_text("a,b\n" + "".join(lines), encoding="utf-8")
+
+            def row(record, number):
+                assert fallback, f"row {number} parsed row by row"
+                if rule == "parse_cell":
+                    return [_parse_cell(c) for c in record]
+                return [int(record[0].strip()), float(record[1].strip())]
+
+            with open(path, newline="", encoding="utf-8") as fh:
+                next(fh)
+                (values, other), _ = layout.parse_columns(fh, path, 2, [0, 1], ints=ints, row=row)
+            assert other[0] == (1000.0 if fallback else 1.0)
+            return values
+
+        bulk, by_row = column(False), column(True)
+        assert bulk.dtype == by_row.dtype
+        assert bulk.tolist() == by_row.tolist() == [
+            (int if ints else float)(number) for _, number, _ in cells]
 
     def test_integer_cells_that_numpy_reads_through_float_are_refused(self, monkeypatch):
         # numpy versions that still read "1.5" into an int64 column only warn

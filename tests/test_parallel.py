@@ -1,15 +1,18 @@
 """pmap: an ordered map over forked workers, and artifacts that do not depend on it."""
 
+import hashlib
 import multiprocessing
 import os
 import shutil
 import sys
 
+import numpy as np
 import pytest
 from conftest import pipeline_raw, see_cpus, write_observational_csv
 
+from treatpolicy import layout
 from treatpolicy.config import validate_config
-from treatpolicy.errors import DataError
+from treatpolicy.errors import DataError, SchemaError
 from treatpolicy.parallel import pmap
 from treatpolicy.pipeline import run_pipeline
 
@@ -40,7 +43,7 @@ def tagged(x):
 @pytest.mark.usefixtures("two_cpus")
 class TestPool:
     def test_results_come_back_in_item_order_from_workers(self):
-        out = pmap(lambda x: (x * x, os.getpid()), (x for x in range(25)))
+        out = list(pmap(lambda x: (x * x, os.getpid()), (x for x in range(25))))
         assert [v for v, _ in out] == [x * x for x in range(25)]
         assert os.getpid() not in {pid for _, pid in out}
         assert multiprocessing.active_children() == []
@@ -52,7 +55,7 @@ class TestPool:
             return x
 
         with pytest.raises(DataError, match="planted failure on item 7") as raised:
-            pmap(fit, range(20))
+            list(pmap(fit, range(20)))
         assert type(raised.value) is DataError  # the CLI exits 3 on it
         assert multiprocessing.active_children() == []
 
@@ -60,20 +63,20 @@ class TestPool:
         def outer(x):
             return os.getpid(), [pid for _, pid in pmap(tagged, range(4))]
 
-        for pid, inner in pmap(outer, range(3)):
+        for pid, inner in list(pmap(outer, range(3))):
             assert pid != os.getpid()
             assert inner == [pid] * 4
 
 
 @pytest.mark.usefixtures("two_cpus", "no_pool")
 def test_zero_or_one_item_starts_no_pool():
-    assert pmap(tagged, []) == []
-    assert pmap(tagged, iter([5])) == [(5, os.getpid())]
+    assert list(pmap(tagged, [])) == []
+    assert list(pmap(tagged, iter([5]))) == [(5, os.getpid())]
 
 
 @pytest.mark.usefixtures("one_worker", "no_pool")
 def test_one_cpu_runs_the_loop_in_this_process():
-    assert pmap(tagged, range(6)) == [(x, os.getpid()) for x in range(6)]
+    assert list(pmap(tagged, range(6))) == [(x, os.getpid()) for x in range(6)]
 
 
 @forks
@@ -108,3 +111,120 @@ def test_artifacts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     assert pools == ["fork"] * 3
     assert sorted(outputs[0]) == sorted(outputs[1])
     assert [rel for rel in sorted(outputs[0]) if outputs[0][rel] != outputs[1][rel]] == []
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The start method of every pool that pmap starts."""
+    started, get_context = [], multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: started.append(method) or get_context(method))
+    return started
+
+
+def loop_and_forked(monkeypatch, run):
+    """``run()`` at one CPU, and at two with every table over the fork cutoff."""
+    with monkeypatch.context() as m:
+        see_cpus(m, 1)
+        loop = run()
+    with monkeypatch.context() as m:
+        see_cpus(m, 2)
+        m.setattr(layout, "FORK_CELLS", 1)
+        return loop, run()
+
+
+ROWS = 5 * layout.BLOCK_ROWS + 17
+HEADER = ["row_id", "label", "flag", "value", "count"]
+
+
+def codec_columns(quote_at=None):
+    """Text, bool, float and int columns; a label holding a comma and a
+    quote at row ``quote_at``, so the file is quoted from there on."""
+    rng = np.random.default_rng(11)
+    labels = rng.choice(["train", "test", "validation", "é x"], ROWS).astype("<U12")
+    if quote_at is not None:
+        labels[quote_at] = 'a,"b"'
+    values = rng.normal(size=ROWS) * 10.0 ** rng.integers(-300, 300, ROWS)
+    values[::97] = np.nan
+    values[5::101] = -np.inf
+    return [np.arange(ROWS), labels, rng.random(ROWS) < 0.5, values,
+            rng.integers(-2**62, 2**62, ROWS)]
+
+
+def read_back(path):
+    return layout.read_columns(path, HEADER, [0, 2, 3, 4], ints=(0, 2, 4), text=(1,))
+
+
+def assert_same_columns(a, b):
+    (arrays_a, texts_a), (arrays_b, texts_b) = a, b
+    assert [x.dtype for x in arrays_a] == [x.dtype for x in arrays_b]
+    assert [x.tobytes() for x in arrays_a] == [x.tobytes() for x in arrays_b]
+    assert texts_a == texts_b
+
+
+@forks
+class TestForkedCodec:
+    """write_table and parse_columns give what the one-CPU loop gives when
+    their blocks run in workers."""
+
+    @pytest.mark.parametrize("quote_at", [None, 3 * layout.BLOCK_ROWS + 5])
+    def test_write_table_bytes_and_sha256(self, tmp_path, monkeypatch, pools, quote_at):
+        columns = codec_columns(quote_at)
+        paths = iter([tmp_path / "loop.csv", tmp_path / "forked.csv"])
+
+        def run():
+            path = next(paths)
+            return layout.write_table(path, HEADER, columns), path.read_bytes()
+
+        loop, forked = loop_and_forked(monkeypatch, run)
+        assert pools == ["fork"]
+        assert forked == loop
+        assert loop[0] == hashlib.sha256(loop[1]).hexdigest()
+        assert (b'"a,""b"""' in loop[1]) == (quote_at is not None)
+
+    @pytest.mark.parametrize("case", ["bulk", "row-path", "quote-mid-file"])
+    def test_parse_columns_arrays_and_texts(self, tmp_path, monkeypatch, pools, case):
+        path = tmp_path / "t.csv"
+        layout.write_table(path, HEADER, codec_columns(
+            3 * layout.BLOCK_ROWS + 5 if case == "quote-mid-file" else None))
+        if case == "row-path":
+            # 1_000 is a number to float() but not to np.loadtxt: block 3 goes row by row
+            lines = path.read_bytes().decode().split("\r\n")
+            row = lines[2 * layout.BLOCK_ROWS + 3].split(",")
+            row[3] = "1_000"
+            lines[2 * layout.BLOCK_ROWS + 3] = ",".join(row)
+            path.write_bytes("\r\n".join(lines).encode())
+
+        loop, forked = loop_and_forked(monkeypatch, lambda: read_back(path))
+        assert pools == ["fork"]
+        assert_same_columns(loop, forked)
+        assert len(loop[1][0]) == ROWS
+        assert (loop[0][2][2 * layout.BLOCK_ROWS + 2] == 1000.0) == (case == "row-path")
+
+    def test_the_first_bad_row_is_raised_and_no_worker_is_left(self, tmp_path, monkeypatch,
+                                                                pools):
+        path = tmp_path / "t.csv"
+        layout.write_table(path, HEADER, codec_columns())
+        lines = path.read_bytes().decode().split("\r\n")
+        for i in (layout.BLOCK_ROWS + 10, 3 * layout.BLOCK_ROWS + 7):
+            lines[i] += ",9"  # data row i, counted from 1, has six fields
+        path.write_bytes("\r\n".join(lines).encode())
+
+        def run():
+            with pytest.raises(SchemaError) as raised:
+                read_back(path)
+            return str(raised.value)
+
+        loop, forked = loop_and_forked(monkeypatch, run)
+        assert pools == ["fork"]
+        assert forked == loop
+        assert f"row {layout.BLOCK_ROWS + 10} has 6 fields, expected 5" in loop
+        assert multiprocessing.active_children() == []
+
+    def test_small_tables_start_no_pool(self, tmp_path, monkeypatch, pools):
+        see_cpus(monkeypatch, 2)
+        columns = codec_columns()
+        assert ROWS * len(columns) < layout.FORK_CELLS
+        layout.write_table(tmp_path / "t.csv", HEADER, columns)
+        read_back(tmp_path / "t.csv")
+        assert pools == []
