@@ -25,18 +25,17 @@ text as a row-by-row parse.  :func:`read_header` reads a table's first row.
 The readers hold one block of text at a time, so no table is ever held as
 text.
 
-A table of at least ``FORK_CELLS`` cells (rows times columns; for a file
-being read, estimated from its size and its first block) has its blocks
-formatted or parsed in worker processes by ``parallel.pmap``, at most two
-per worker in flight.  In a pipeline run these are the input table and
-``data/dataset.csv`` from about 10,000 rows of a dozen columns, and the
-other per-row tables on larger cohorts.  The blocks come back in order, so
-the bytes, the sha256, the arrays and the row an error names are those of
-the loop; the rest of a file from its first quote is read here.
+A table of at least ``FORK_CELLS`` cells (rows times columns) has its
+blocks formatted in worker processes by ``parallel.pmap``, at most two per
+worker in flight.  In a pipeline run that is ``data/dataset.csv`` from
+about 10,000 rows of a dozen columns, and the other per-row tables on
+larger cohorts.  The blocks come back in order, so the bytes and the sha256
+are those of the loop.  Tables are always read in this process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -184,11 +183,10 @@ def read_json(full_path):
 # rows formatted or parsed per step: bounds the text held at once
 BLOCK_ROWS = 1024
 
-# cells from which a table's blocks are formatted or parsed in worker
-# processes (parallel.pmap).  Starting them takes 10-30 ms.  A table of this
-# size takes about 0.18 s to write and 0.06 s to parse on one CPU (2-CPU
-# Xeon VM), so the half a second CPU takes over repays the start several
-# times over in the writer and about once in the reader.
+# cells from which write_table formats a table's blocks in worker processes
+# (parallel.pmap).  Starting them takes 10-30 ms; a table of this size takes
+# about 0.18 s to write on one CPU (2-CPU Xeon VM), so the share a second
+# CPU takes over repays the start several times over.
 FORK_CELLS = 1 << 17
 
 # a field holding one of these is quoted by csv's QUOTE_MINIMAL rule
@@ -203,7 +201,7 @@ def write_table(full_path, header, columns) -> str:
     written as ``repr``, integers and booleans as decimals, text as-is,
     quoted as ``csv.writer`` quotes it.  A table of at least ``FORK_CELLS``
     cells has its blocks formatted in worker processes, and each is written
-    here as it comes back, in order.
+    here as it comes back, in order; the workers stop when a write fails.
     """
     cols = [np.asarray(c) for c in columns]
     cols = [c.astype(int) if c.dtype == bool else c for c in cols]
@@ -217,11 +215,15 @@ def write_table(full_path, header, columns) -> str:
         # tolist gives Python floats, ints and strs; csv writes a float as its repr
         return (_csv_text(zip(*(c.tolist() for c in block))) if text is None else text).encode()
 
-    spread = pmap if n * len(cols) >= FORK_CELLS else map
+    def table_bytes():
+        yield _csv_text([header]).encode()
+        # closing this generator closes pmap's, which stops its workers
+        yield from (pmap if n * len(cols) >= FORK_CELLS else map)(
+            block_bytes, range(0, n, BLOCK_ROWS))
+
     digest = hashlib.sha256()
-    with open(full_path, "wb") as fh:
-        for data in itertools.chain([_csv_text([header]).encode()],
-                                    spread(block_bytes, range(0, n, BLOCK_ROWS))):
+    with open(full_path, "wb") as fh, contextlib.closing(table_bytes()) as chunks:
+        for data in chunks:
             digest.update(data)
             fh.write(data)
     return digest.hexdigest()
@@ -300,11 +302,8 @@ def parse_columns(fh, where, width, numbers, *, ints=(), text=(), row=None, vali
     ``row(record, number)`` gives the numbers of one record, by default
     through ``int`` and ``float`` after ``str.strip``, and raises what the
     row is wrong in.  A quote character sends the rest of the file through
-    ``csv.reader`` row by row, in this process, because a quoted field may
-    span lines.  ``where`` names the file in errors; rows count from
-    ``first_row``.  A file of at least ``FORK_CELLS`` cells has its blocks
-    before the first quote parsed in worker processes, so ``row`` and
-    ``valid`` run there; the first error in row order is raised.
+    ``csv.reader`` row by row, because a quoted field may span lines.
+    ``where`` names the file in errors; rows count from ``first_row``.
     """
     ints, missing = set(ints), frozenset(missing)
     dtype = np.dtype([(f"c{i}", np.int64 if j in ints else np.float64)
@@ -323,42 +322,22 @@ def parse_columns(fh, where, width, numbers, *, ints=(), text=(), row=None, vali
                 cells.append(record[j])
         return np.array(values, dtype=dtype), texts
 
-    def parse(block):
-        lines, number = block
-        # without quotes, each line is one record
-        return (_bulk(lines, width, numbers, dtype, text, valid, delimiter, missing)
-                or by_row(csv.reader(lines, delimiter=delimiter), number))
-
     bulk = delimiter not in '"\r\n'
-    quoted = []  # the block from which the rest is read as quoted fields, and its first row
-
-    def unquoted(line_blocks):
-        number = first_row
-        for lines in line_blocks:
-            if not bulk or '"' in "".join(lines):
-                quoted.append((lines, number))
-                return
-            yield lines, number
-            number += len(lines)
-
-    line_blocks = _blocks(fh)
-    head = list(itertools.islice(line_blocks, 1))  # the first block sizes up the file
-    spread = pmap if head and _file_cells(fh, head[0], width) >= FORK_CELLS else map
     blocks = [(np.empty(0, dtype), [[] for _ in text])]
-    blocks += spread(parse, unquoted(itertools.chain(head, line_blocks)))
-    for lines, number in quoted:
-        for records in _blocks(csv.reader(itertools.chain(lines, fh), delimiter=delimiter)):
-            blocks.append(by_row(records, number))
-            number += len(records)
+    number = first_row
+    for lines in _blocks(fh):
+        if not bulk or '"' in "".join(lines):
+            for records in _blocks(csv.reader(itertools.chain(lines, fh), delimiter=delimiter)):
+                blocks.append(by_row(records, number))
+                number += len(records)
+            break
+        parsed = _bulk(lines, width, numbers, dtype, text, valid, delimiter, missing)
+        # without quotes, each line is one record
+        blocks.append(parsed or by_row(csv.reader(lines, delimiter=delimiter), number))
+        number += len(lines)
     arrays = [np.concatenate([b[name] for b, _ in blocks]) for name in dtype.names]
     texts = [[cell for _, t in blocks for cell in t[k]] for k in range(len(text))]
     return arrays, texts
-
-
-def _file_cells(fh, lines, width) -> float:
-    """The cells of the open file ``fh``, estimated from its size in bytes and
-    the characters per row of its block ``lines``."""
-    return os.fstat(fh.fileno()).st_size * len(lines) / len("".join(lines)) * width
 
 
 def _blocks(items):

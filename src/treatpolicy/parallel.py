@@ -3,7 +3,7 @@
 ``pmap(fn, items)`` yields ``fn(item)`` for each item, in item order.  The
 bootstrap refits of a gbt or lasso meta-learner, the simulation study's runs,
 the two arm fits of a tree plug-in, and the row blocks of a large table that
-``layout`` writes or parses go through it.  A task runs the same code on the
+``layout`` writes go through it.  A task runs the same code on the
 same inputs as the loop would, and its result comes back in item order, so
 what the program writes does not depend on how many workers ran.
 

@@ -5,9 +5,7 @@ artifacts back there, so subcommands can rerun any stage in isolation.
 Stages run in one process share one read-only parse of ``data/dataset.csv``,
 keyed by the file's sha256 and its ``data/dataset.json`` description: ingest
 holds the dataset it has just saved, an edited file is parsed again, and a
-stage run alone parses it once.  The file is hashed again only when its
-``os.stat`` identity has changed, or while it is too new to tell a rewrite
-by its identity.
+stage run alone parses it once.
 Each stage run gets one :class:`layout.StageIO`, through which it finds its
 inputs, writes its artifacts and raises its warnings.  The manifest records
 the resolved config, its hash, seeds, the files each stage wrote and their
@@ -146,25 +144,11 @@ class RunManifest:
 
 
 # The one parsed data/dataset.csv this process holds, keyed by its content:
-# (the file's stat identity when hashed, sha256 of the file, its description
-# in data/dataset.json, the Dataset).  Process-wide, not per run, so that
-# run_stages called one stage at a time shares it too; the content key keeps
-# reuse right whatever edited the file, and the single slot bounds what stays
-# held to one Dataset.
+# (sha256 of the file, its description in data/dataset.json, the Dataset).
+# Process-wide, not per run, so that run_stages called one stage at a time
+# shares it too; the content key keeps reuse right whatever edited the file,
+# and the single slot bounds what stays held to one Dataset.
 _shared = None
-
-# a file changed this recently may be changed again with the same size and
-# mtime, on a file system whose clock ticks this coarsely (10 ms at HZ=100)
-_RECENT_NS = 10_000_000
-
-
-def _identity(path):
-    """What tells one version of the file ``path`` from another without
-    reading it: its inode, size and mtime; None while it is too recent."""
-    st = os.stat(path)
-    if time.time_ns() - st.st_mtime_ns < _RECENT_NS:
-        return None
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _sha256(path) -> str:
@@ -176,29 +160,25 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _share(identity, key: tuple, data) -> None:
-    """Hold ``data``, its arrays read-only, as the parse of the content ``key``
-    names, which a file of stat ``identity`` holds."""
+def _share(key: tuple, data) -> None:
+    """Hold ``data``, its arrays read-only, as the parse of the content ``key`` names."""
     global _shared
     for a in (data.covariates, data.treatment, data.outcome, data.split, data.row_ids,
               *data.secondary.values()):
         if a is not None:
             a.setflags(write=False)
-    _shared = (identity, *key, data)
+    _shared = (*key, data)
 
 
 def _load_data(io):
     """The stage's dataset: the shared one while data/dataset.csv and its
-    description are what it was built from, else a fresh parse, then shared.
-    The file is hashed unless its identity is the one last hashed."""
+    description are what it was built from, else a fresh parse, then shared."""
     path = io.need(layout.DATASET_CSV)
     description = read_json(io.need(layout.DATASET_META))
-    identity = _identity(path)
-    known = _shared is not None and identity is not None and _shared[0] == identity
-    key = (_shared[1] if known else _sha256(path), description)
-    data = _shared[3] if _shared is not None and _shared[1:3] == key else None
-    _share(identity, key, load_dataset(path, description) if data is None else data)
-    return _shared[3]
+    key = (_sha256(path), description)
+    if _shared is None or _shared[:2] != key:
+        _share(key, load_dataset(path, description))
+    return _shared[2]
 
 
 # ---------------------------------------------------------------- stages
@@ -220,10 +200,8 @@ def stage_ingest(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
     write_json(io.out(layout.DATASET_META), description)
     table = summarize(data, group_by=data.treatment == 1, group_names=("control", "treated"))
     write_table(io.out(layout.SUMMARY), table.header, table.columns())
-    # the later stages of this process read what was just saved without parsing
-    # or hashing it
-    _share(_identity(csv_path), (description.sha256, description),
-           saved_dataset(data, description))
+    # the later stages of this process read what was just saved without parsing it
+    _share((description.sha256, description), saved_dataset(data, description))
     if flagged:
         cols = ", ".join(sorted(flagged))
         io.warn("imputation", f"missing values imputed (indicators added) in: {cols}")

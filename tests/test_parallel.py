@@ -1,5 +1,6 @@
 """pmap: an ordered map over forked workers, and artifacts that do not depend on it."""
 
+import errno
 import hashlib
 import multiprocessing
 import os
@@ -12,7 +13,7 @@ from conftest import pipeline_raw, see_cpus, write_observational_csv
 
 from treatpolicy import layout
 from treatpolicy.config import validate_config
-from treatpolicy.errors import DataError, SchemaError
+from treatpolicy.errors import DataError
 from treatpolicy.parallel import pmap
 from treatpolicy.pipeline import run_pipeline
 
@@ -155,17 +156,10 @@ def read_back(path):
     return layout.read_columns(path, HEADER, [0, 2, 3, 4], ints=(0, 2, 4), text=(1,))
 
 
-def assert_same_columns(a, b):
-    (arrays_a, texts_a), (arrays_b, texts_b) = a, b
-    assert [x.dtype for x in arrays_a] == [x.dtype for x in arrays_b]
-    assert [x.tobytes() for x in arrays_a] == [x.tobytes() for x in arrays_b]
-    assert texts_a == texts_b
-
-
 @forks
 class TestForkedCodec:
-    """write_table and parse_columns give what the one-CPU loop gives when
-    their blocks run in workers."""
+    """write_table writes what the one-CPU loop writes when its blocks are
+    formatted in workers."""
 
     @pytest.mark.parametrize("quote_at", [None, 3 * layout.BLOCK_ROWS + 5])
     def test_write_table_bytes_and_sha256(self, tmp_path, monkeypatch, pools, quote_at):
@@ -182,49 +176,46 @@ class TestForkedCodec:
         assert loop[0] == hashlib.sha256(loop[1]).hexdigest()
         assert (b'"a,""b"""' in loop[1]) == (quote_at is not None)
 
-    @pytest.mark.parametrize("case", ["bulk", "row-path", "quote-mid-file"])
-    def test_parse_columns_arrays_and_texts(self, tmp_path, monkeypatch, pools, case):
-        path = tmp_path / "t.csv"
-        layout.write_table(path, HEADER, codec_columns(
-            3 * layout.BLOCK_ROWS + 5 if case == "quote-mid-file" else None))
-        if case == "row-path":
-            # 1_000 is a number to float() but not to np.loadtxt: block 3 goes row by row
-            lines = path.read_bytes().decode().split("\r\n")
-            row = lines[2 * layout.BLOCK_ROWS + 3].split(",")
-            row[3] = "1_000"
-            lines[2 * layout.BLOCK_ROWS + 3] = ",".join(row)
-            path.write_bytes("\r\n".join(lines).encode())
+    def test_a_failed_write_stops_the_workers(self, tmp_path, monkeypatch, pools):
+        see_cpus(monkeypatch, 2)
+        monkeypatch.setattr(layout, "FORK_CELLS", 1)
 
-        loop, forked = loop_and_forked(monkeypatch, lambda: read_back(path))
+        class FillingDisk:
+            """A file that takes the header and one block, then is full."""
+
+            def __init__(self, path, mode):
+                self.fh, self.writes = open(path, mode), 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(data)
+
+        monkeypatch.setattr(layout, "open", FillingDisk, raising=False)
+        with pytest.raises(OSError) as raised:
+            layout.write_table(tmp_path / "t.csv", HEADER, codec_columns())
+        assert raised.value.errno == errno.ENOSPC
         assert pools == ["fork"]
-        assert_same_columns(loop, forked)
-        assert len(loop[1][0]) == ROWS
-        assert (loop[0][2][2 * layout.BLOCK_ROWS + 2] == 1000.0) == (case == "row-path")
-
-    def test_the_first_bad_row_is_raised_and_no_worker_is_left(self, tmp_path, monkeypatch,
-                                                                pools):
-        path = tmp_path / "t.csv"
-        layout.write_table(path, HEADER, codec_columns())
-        lines = path.read_bytes().decode().split("\r\n")
-        for i in (layout.BLOCK_ROWS + 10, 3 * layout.BLOCK_ROWS + 7):
-            lines[i] += ",9"  # data row i, counted from 1, has six fields
-        path.write_bytes("\r\n".join(lines).encode())
-
-        def run():
-            with pytest.raises(SchemaError) as raised:
-                read_back(path)
-            return str(raised.value)
-
-        loop, forked = loop_and_forked(monkeypatch, run)
-        assert pools == ["fork"]
-        assert forked == loop
-        assert f"row {layout.BLOCK_ROWS + 10} has 6 fields, expected 5" in loop
+        # the error, and the frames its traceback holds, are still alive here
         assert multiprocessing.active_children() == []
+
+    def test_tables_are_read_in_this_process(self, tmp_path, monkeypatch, pools):
+        see_cpus(monkeypatch, 2)
+        layout.write_table(tmp_path / "t.csv", HEADER, codec_columns())
+        monkeypatch.setattr(layout, "FORK_CELLS", 1)
+        assert len(read_back(tmp_path / "t.csv")[1][0]) == ROWS
+        assert pools == []
 
     def test_small_tables_start_no_pool(self, tmp_path, monkeypatch, pools):
         see_cpus(monkeypatch, 2)
         columns = codec_columns()
         assert ROWS * len(columns) < layout.FORK_CELLS
         layout.write_table(tmp_path / "t.csv", HEADER, columns)
-        read_back(tmp_path / "t.csv")
         assert pools == []

@@ -770,14 +770,6 @@ class TestSharedDataset:
         run_stages(cfg, ["fit-propensity"])  # the new parse is the shared one now
         assert len(parses) == 1
 
-    def test_no_stage_after_ingest_hashes_the_dataset(self, tmp_path, parses, monkeypatch):
-        hashed, sha256 = [], pipeline._sha256
-        monkeypatch.setattr(pipeline, "_sha256", lambda path: hashed.append(path) or sha256(path))
-        monkeypatch.setattr(pipeline, "_RECENT_NS", 0)  # a clock fine enough to trust at once
-        cfg = validate_config(_small_raw(tmp_path, simulation={"enabled": True, "runs": 2}))
-        assert run_pipeline(cfg).stages == SIM_STAGES
-        assert hashed == [] and parses == []
-
     def test_same_size_rewrite_is_seen_by_the_next_stage(self, tmp_path, parses):
         cfg = validate_config(_small_raw(tmp_path))
         run_stages(cfg, ["ingest", "fit-propensity"])
@@ -791,15 +783,6 @@ class TestSharedDataset:
         assert (os.stat(path).st_ino, os.stat(path).st_size) == (inode, size)
         run_stages(cfg, ["fit-propensity"])
         assert len(parses) == 1 and parses[0].covariates[0, -1] == float(rows[1][-1])
-
-    def test_identity_waits_out_a_coarse_clock_tick(self, tmp_path):
-        path = tmp_path / "f.csv"
-        path.write_text("a\r\n")
-        assert pipeline._identity(path) is None  # just written: a rewrite may keep its mtime
-        st = os.stat(path)
-        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns - 10 * pipeline._RECENT_NS))
-        assert pipeline._identity(path) == (st.st_dev, st.st_ino, st.st_size,
-                                            st.st_mtime_ns - 10 * pipeline._RECENT_NS)
 
     def test_edited_column_kind_is_seen_by_the_next_stage(self, tmp_path, parses):
         cfg = validate_config(_small_raw(tmp_path))
