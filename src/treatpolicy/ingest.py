@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError, SchemaError
-from .layout import parse_columns, read_columns, write_table
+from .errors import DataError, SchemaError, StageError
+from .layout import parse_columns
 
 __all__ = [
     "ColumnInfo",
@@ -32,10 +32,8 @@ __all__ = [
     "impute_and_flag",
     "assign_splits",
     "summarize",
-    "DatasetDescription",
     "save_dataset",
     "load_dataset",
-    "saved_dataset",
 ]
 
 SPLIT_NAMES = ("train", "validation", "test")
@@ -208,7 +206,7 @@ def load_table(path, schema: TableSchema, delimiter: str = ",") -> Dataset:
         raise SchemaError(f"{path}: no data rows")
 
     n_sec = len(schema.secondary_outcomes)
-    covariates = _matrix(values[n_sec:], len(treatment))
+    covariates = np.stack(values[n_sec:], axis=1) if cov_names else np.empty((len(treatment), 0))
     columns = [ColumnInfo(name, _detect_kind(covariates[:, j])) for j, name in enumerate(cov_names)]
     return Dataset(
         covariates=covariates,
@@ -217,11 +215,6 @@ def load_table(path, schema: TableSchema, delimiter: str = ",") -> Dataset:
         outcome=outcome,
         secondary=dict(zip(schema.secondary_outcomes, values[:n_sec])),
     )
-
-
-def _matrix(columns, n: int) -> np.ndarray:
-    """The ``n``-row float columns side by side, as a C-ordered matrix."""
-    return np.stack(columns, axis=1) if columns else np.empty((n, 0))
 
 
 def _detect_kind(values: np.ndarray) -> str:
@@ -399,90 +392,97 @@ def summarize(
     return SummaryTable(group_names=names, rows=rows)
 
 
-class DatasetDescription(dict):
-    """The description of a saved dataset, as ``data/dataset.json`` holds it.
-
-    ``sha256`` is the digest of the CSV file :func:`save_dataset` wrote; it
-    is an attribute, not a key, so the description serialises without it.
-    """
-
-    sha256: str
+# the split code a dataset row stores for no split; a label stores its index in SPLIT_NAMES
+NO_SPLIT = -1
 
 
-def save_dataset(data: Dataset, csv_path) -> DatasetDescription:
-    """Write the dataset to CSV and return a metadata dict describing it.
+def save_dataset(data: Dataset, csv_path) -> dict:
+    """Write the dataset to ``csv_path`` as one ``.npy`` matrix; returns the
+    description that ``data/dataset.json`` holds next to it.
 
-    Floats are written with full round-trip precision so a reload is
-    bit-identical.
+    The matrix is C-order float64 with one row per data row.  Its columns are
+    ``row_id``, the split code (``NO_SPLIT``, or the label's index in
+    ``SPLIT_NAMES``), ``treatment``, ``outcome``, the secondary outcomes in
+    sorted order, then the covariates.  float64 holds every value exactly
+    (a ``row_id`` up to 2**53), so a reload is bit-identical, and the ``.npy``
+    header holds only dtype, order and shape, so two writes of one dataset
+    give the same bytes.  A split label that is not a split name raises
+    DataError naming its row, counted from 1.
+
+    The path parameter keeps the name ``csv_path`` that it had when the file
+    was a CSV table: the benchmark's tracer reads the written file's size
+    through that name.
     """
     sec_names = sorted(data.secondary)
-    header = ["row_id", "split", "treatment", "outcome", *sec_names, *data.column_names]
-    split = [""] * data.n if data.split is None else data.split
-    description = DatasetDescription(
-        columns=[{"name": c.name, "kind": c.kind} for c in data.columns],
-        secondary_outcomes=sec_names,
-        n_rows=data.n,
-    )
-    description.sha256 = write_table(
-        csv_path, header, [data.row_ids, split, data.treatment.astype(int), data.outcome,
-                           *(data.secondary[k] for k in sec_names), *data.covariates.T])
-    return description
+    if data.split is None:
+        codes = np.full(data.n, NO_SPLIT)
+    else:
+        codes = np.full(data.n, len(SPLIT_NAMES))
+        for code, name in enumerate(SPLIT_NAMES):
+            codes[data.split == name] = code
+        bad = np.flatnonzero(codes == len(SPLIT_NAMES))
+        if bad.size:
+            raise DataError(f"row {bad[0] + 1} has split label {str(data.split[bad[0]])!r}; "
+                            f"expected one of {list(SPLIT_NAMES)}")
+    matrix = np.column_stack([data.row_ids, codes, data.treatment, data.outcome,
+                              *(data.secondary[k] for k in sec_names), data.covariates])
+    with open(csv_path, "wb") as fh:
+        np.save(fh, matrix)
+    return {
+        "columns": [{"name": c.name, "kind": c.kind} for c in data.columns],
+        "secondary_outcomes": sec_names,
+        "n_rows": data.n,
+    }
 
 
 def load_dataset(csv_path, description: dict) -> Dataset:
-    """Reload a dataset written by :func:`save_dataset`.
+    """Reload the dataset that :func:`save_dataset` wrote to ``csv_path``
+    with ``description``.
 
-    A split label that is not a split name, or an empty one among labels,
-    raises SchemaError naming its data row.
+    A file that is not such a matrix raises StageError naming it and asking
+    for ingest to be rerun: one that does not load as a float64 array, whose
+    shape is not the description's, whose ``row_id`` is not an integer or
+    whose treatment is not 0 or 1 on some row, or whose split codes are not
+    all ``NO_SPLIT`` or all split indices.
     """
     sec_names = list(description["secondary_outcomes"])
-    header = ["row_id", "split", "treatment", "outcome", *sec_names,
-              *(c["name"] for c in description["columns"])]
-    (row_ids, treatment, outcome, *values), (splits,) = read_columns(
-        csv_path, header, [0, 2, *range(3, len(header))], ints=(0, 2), text=(1,)
-    )
-    return _stored_dataset(
-        description, row_ids, splits, treatment, outcome, values[:len(sec_names)],
-        _matrix(values[len(sec_names):], len(row_ids)), source=csv_path,
-    )
+    width = 4 + len(sec_names) + len(description["columns"])
 
+    def refuse(what):
+        return StageError(f"{csv_path}: {what}; rerun the 'ingest' stage")
 
-def saved_dataset(data: Dataset, description: dict) -> Dataset:
-    """``data`` as :func:`load_dataset` reloads it from the file that
-    :func:`save_dataset` wrote with ``description``, built without the parse."""
-    return _stored_dataset(
-        description, data.row_ids, [""] * data.n if data.split is None else data.split,
-        data.treatment, data.outcome,
-        [data.secondary[k] for k in description["secondary_outcomes"]], data.covariates,
-    )
-
-
-def _stored_dataset(
-    description: dict, row_ids, splits, treatment, outcome, secondary, covariates, source="dataset"
-) -> Dataset:
-    """The Dataset that a saved dataset's columns and ``description`` stand for.
-
-    Fixes the dtypes, makes every float array contiguous (copying only a
-    strided one) and reads an all-empty split column as no split.  Any other
-    split label that is not a split name raises SchemaError naming the data
-    row of ``source``, counted from 1, and the label.
-    """
-    splits = np.asarray(splits, dtype=str)  # uncut, so a long label is checked whole
-    no_split = bool((splits == "").all())
-    if not no_split:
-        bad = np.flatnonzero(~np.isin(splits, SPLIT_NAMES))
-        if bad.size:
-            raise SchemaError(
-                f"{source}: row {bad[0] + 1} has split label {str(splits[bad[0]])!r}; "
-                f"expected one of {list(SPLIT_NAMES)}, or no label on any row"
-            )
+    try:
+        with open(csv_path, "rb") as fh:
+            matrix = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise refuse(f"not a readable .npy matrix ({exc})") from exc
+    if not isinstance(matrix, np.ndarray) or matrix.dtype != np.float64:
+        raise refuse("not a float64 matrix")
+    if matrix.shape != (description["n_rows"], width):
+        raise refuse(f"a matrix of shape {matrix.shape}, but its description has "
+                     f"{description['n_rows']} rows of {width} columns")
+    row_ids, codes, treatment = matrix[:, 0], matrix[:, 1], matrix[:, 2]
+    for name, column, bad in (
+        ("row_id", row_ids, ~((np.abs(row_ids) <= 2.0**53) & (row_ids == np.trunc(row_ids)))),
+        ("treatment", treatment, ~np.isin(treatment, (0.0, 1.0))),
+    ):
+        if bad.any():
+            row = np.flatnonzero(bad)[0]
+            raise refuse(f"row {row + 1} has {name} {float(column[row])!r}")
+    split = None
+    if not (codes == NO_SPLIT).all():
+        labelled = np.isin(codes, np.arange(len(SPLIT_NAMES)))
+        if not labelled.all():
+            row = np.flatnonzero(~labelled)[0]
+            raise refuse(f"row {row + 1} has split code {float(codes[row])!r}; expected "
+                         f"{NO_SPLIT} on every row or 0-{len(SPLIT_NAMES) - 1} on every row")
+        split = np.array(SPLIT_NAMES, dtype="<U10")[codes.astype(np.intp)]
     return Dataset(
-        covariates=np.ascontiguousarray(covariates, dtype=float),
+        covariates=np.ascontiguousarray(matrix[:, 4 + len(sec_names):]),
         columns=[ColumnInfo(c["name"], c["kind"]) for c in description["columns"]],
-        treatment=np.asarray(treatment, dtype=np.int8),
-        outcome=np.ascontiguousarray(outcome, dtype=float),
-        secondary={k: np.ascontiguousarray(v, dtype=float)
-                   for k, v in zip(description["secondary_outcomes"], secondary)},
-        split=None if no_split else splits.astype("<U10", copy=False),
-        row_ids=np.asarray(row_ids, dtype=int),
+        treatment=treatment.astype(np.int8),
+        outcome=np.ascontiguousarray(matrix[:, 3]),
+        secondary={k: np.ascontiguousarray(matrix[:, 4 + i]) for i, k in enumerate(sec_names)},
+        split=split,
+        row_ids=row_ids.astype(int),
     )

@@ -23,19 +23,14 @@ not parse in bulk, or that fails the caller's check, is parsed again one row
 at a time by the caller's cell rules, so an error names the same row and
 text as a row-by-row parse.  :func:`read_header` reads a table's first row.
 The readers hold one block of text at a time, so no table is ever held as
-text.
+text.  Every table is written and read in this process.
 
-A table of at least ``FORK_CELLS`` cells (rows times columns) has its
-blocks formatted in worker processes by ``parallel.pmap``, at most two per
-worker in flight.  In a pipeline run that is ``data/dataset.csv`` from
-about 10,000 rows of a dozen columns, and the other per-row tables on
-larger cohorts.  The blocks come back in order, so the bytes and the sha256
-are those of the loop.  Tables are always read in this process.
+The analysis table itself is not a CSV artifact: ingest writes it as one
+``.npy`` matrix (``DATASET``) that ``ingest.load_dataset`` reads back.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import io
@@ -47,7 +42,6 @@ import warnings
 import numpy as np
 
 from .errors import SchemaError, StageError
-from .parallel import pmap
 
 # Every stage in run order, with the description the CLI help and the report
 # index show.
@@ -65,7 +59,7 @@ STAGE_ORDER = tuple(name for name, _ in STAGES)
 MANIFEST = "manifest.json"
 IDENTIFICATION = "identification.md"
 
-DATASET_CSV = "data/dataset.csv"
+DATASET = "data/dataset.npy"
 DATASET_META = "data/dataset.json"
 SUMMARY = "data/summary.csv"
 
@@ -101,7 +95,7 @@ REPORT_INDEX = "report/index.md"
 PRODUCER = {
     rel: stage
     for stage, rels in (
-        ("ingest", (IDENTIFICATION, DATASET_CSV, DATASET_META, SUMMARY)),
+        ("ingest", (IDENTIFICATION, DATASET, DATASET_META, SUMMARY)),
         ("fit-propensity", (PROPENSITY_MODEL, PROPENSITY_SCORES, OVERLAP)),
         ("simulate", (STUDY, STUDY_AGGREGATES, STUDY_SCATTER)),
         ("fit-cate", (CATE_ESTIMATES, CATE_GATE, CATE_DIAGNOSTICS)),
@@ -183,12 +177,6 @@ def read_json(full_path):
 # rows formatted or parsed per step: bounds the text held at once
 BLOCK_ROWS = 1024
 
-# cells from which write_table formats a table's blocks in worker processes
-# (parallel.pmap).  Starting them takes 10-30 ms; a table of this size takes
-# about 0.18 s to write on one CPU (2-CPU Xeon VM), so the share a second
-# CPU takes over repays the start several times over.
-FORK_CELLS = 1 << 17
-
 # a field holding one of these is quoted by csv's QUOTE_MINIMAL rule
 _QUOTED = (",", '"', "\r", "\n")
 
@@ -199,9 +187,7 @@ def write_table(full_path, header, columns) -> str:
 
     Columns are positional, so a header may repeat a name.  Floats are
     written as ``repr``, integers and booleans as decimals, text as-is,
-    quoted as ``csv.writer`` quotes it.  A table of at least ``FORK_CELLS``
-    cells has its blocks formatted in worker processes, and each is written
-    here as it comes back, in order; the workers stop when a write fails.
+    quoted as ``csv.writer`` quotes it.
     """
     cols = [np.asarray(c) for c in columns]
     cols = [c.astype(int) if c.dtype == bool else c for c in cols]
@@ -215,15 +201,10 @@ def write_table(full_path, header, columns) -> str:
         # tolist gives Python floats, ints and strs; csv writes a float as its repr
         return (_csv_text(zip(*(c.tolist() for c in block))) if text is None else text).encode()
 
-    def table_bytes():
-        yield _csv_text([header]).encode()
-        # closing this generator closes pmap's, which stops its workers
-        yield from (pmap if n * len(cols) >= FORK_CELLS else map)(
-            block_bytes, range(0, n, BLOCK_ROWS))
-
     digest = hashlib.sha256()
-    with open(full_path, "wb") as fh, contextlib.closing(table_bytes()) as chunks:
-        for data in chunks:
+    with open(full_path, "wb") as fh:
+        for data in itertools.chain([_csv_text([header]).encode()],
+                                    map(block_bytes, range(0, n, BLOCK_ROWS))):
             digest.update(data)
             fh.write(data)
     return digest.hexdigest()

@@ -1,11 +1,10 @@
 """An ordered map over forked worker processes, for work items that do not depend on each other.
 
 ``pmap(fn, items)`` yields ``fn(item)`` for each item, in item order.  The
-bootstrap refits of a gbt or lasso meta-learner, the simulation study's runs,
-the two arm fits of a tree plug-in, and the row blocks of a large table that
-``layout`` writes go through it.  A task runs the same code on the
-same inputs as the loop would, and its result comes back in item order, so
-what the program writes does not depend on how many workers ran.
+bootstrap refits of a gbt or lasso meta-learner, the simulation study's runs
+and the two arm fits of a tree plug-in go through it.  A task runs the same
+code on the same inputs as the loop would, and its result comes back in item
+order, so what the program writes does not depend on how many workers ran.
 
 Workers are started with ``fork``: a task reads its model spec, training rows
 and query rows from the memory the worker was forked with, and only each item

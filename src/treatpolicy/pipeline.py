@@ -2,10 +2,8 @@
 
 Every stage reads its inputs from the output directory and writes its
 artifacts back there, so subcommands can rerun any stage in isolation.
-Stages run in one process share one read-only parse of ``data/dataset.csv``,
-keyed by the file's sha256 and its ``data/dataset.json`` description: ingest
-holds the dataset it has just saved, an edited file is parsed again, and a
-stage run alone parses it once.
+Each stage that needs the analysis table loads it from ``data/dataset.npy``
+(a few milliseconds at 20,000 rows), so it always sees the file as it is.
 Each stage run gets one :class:`layout.StageIO`, through which it finds its
 inputs, writes its artifacts and raises its warnings.  The manifest records
 the resolved config, its hash, seeds, the files each stage wrote and their
@@ -16,7 +14,6 @@ keeping rerun artifacts byte-identical by default.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from collections import Counter
@@ -41,7 +38,6 @@ from .ingest import (
     load_dataset,
     load_table,
     save_dataset,
-    saved_dataset,
     summarize,
 )
 from .layout import STAGE_ORDER, read_json, write_json, write_table
@@ -143,42 +139,9 @@ class RunManifest:
         return prior if prior.config_hash == cfg.hash else cls.fresh(cfg)
 
 
-# The one parsed data/dataset.csv this process holds, keyed by its content:
-# (sha256 of the file, its description in data/dataset.json, the Dataset).
-# Process-wide, not per run, so that run_stages called one stage at a time
-# shares it too; the content key keeps reuse right whatever edited the file,
-# and the single slot bounds what stays held to one Dataset.
-_shared = None
-
-
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        # streamed: reading the file whole would raise the peak by its size
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def _share(key: tuple, data) -> None:
-    """Hold ``data``, its arrays read-only, as the parse of the content ``key`` names."""
-    global _shared
-    for a in (data.covariates, data.treatment, data.outcome, data.split, data.row_ids,
-              *data.secondary.values()):
-        if a is not None:
-            a.setflags(write=False)
-    _shared = (*key, data)
-
-
 def _load_data(io):
-    """The stage's dataset: the shared one while data/dataset.csv and its
-    description are what it was built from, else a fresh parse, then shared."""
-    path = io.need(layout.DATASET_CSV)
-    description = read_json(io.need(layout.DATASET_META))
-    key = (_sha256(path), description)
-    if _shared is None or _shared[:2] != key:
-        _share(key, load_dataset(path, description))
-    return _shared[2]
+    """The stage's dataset, loaded from data/dataset.npy as data/dataset.json describes it."""
+    return load_dataset(io.need(layout.DATASET), read_json(io.need(layout.DATASET_META)))
 
 
 # ---------------------------------------------------------------- stages
@@ -195,13 +158,9 @@ def stage_ingest(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
 
     with open(io.out(layout.IDENTIFICATION), "w") as fh:
         fh.write(_CHECKLIST)
-    csv_path = io.out(layout.DATASET_CSV)
-    description = save_dataset(data, csv_path)
-    write_json(io.out(layout.DATASET_META), description)
+    write_json(io.out(layout.DATASET_META), save_dataset(data, io.out(layout.DATASET)))
     table = summarize(data, group_by=data.treatment == 1, group_names=("control", "treated"))
     write_table(io.out(layout.SUMMARY), table.header, table.columns())
-    # the later stages of this process read what was just saved without parsing it
-    _share((description.sha256, description), saved_dataset(data, description))
     if flagged:
         cols = ", ".join(sorted(flagged))
         io.warn("imputation", f"missing values imputed (indicators added) in: {cols}")

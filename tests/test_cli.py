@@ -163,6 +163,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "stage failure:" in err and "ingest" in err
 
+    def test_a_refused_dataset_file_is_4(self, workspace, capsys):
+        tmp_path, cfg_path, _ = workspace
+        assert main(["ingest", str(cfg_path)]) == 0
+        path = tmp_path / "out" / "data" / "dataset.npy"
+        path.write_bytes(path.read_bytes()[:-8])
+        capsys.readouterr()
+        assert main(["fit-propensity", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert f"{path}: not a readable .npy matrix" in err
+        assert "rerun the 'ingest' stage" in err
+
 
 class TestWarningsSurface:
     def test_component_gate_warning_reaches_stderr(self, workspace, capsys):

@@ -11,6 +11,7 @@ from treatpolicy import layout, pipeline
 from treatpolicy.errors import DataError, SchemaError, StageError
 from treatpolicy.ingest import (
     _MISSING_CELLS,
+    SPLIT_NAMES,
     Dataset,
     ColumnInfo,
     TableSchema,
@@ -207,8 +208,8 @@ class TestRoundTrip:
         data = make_dataset(cov, rng.integers(0, 2, 7), rng.normal(size=7),
                             split=["train"] * 4 + ["validation"] * 1 + ["test"] * 2)
         data.secondary["aux"] = rng.normal(size=7)
-        desc = save_dataset(data, tmp_path / "d.csv")
-        back = load_dataset(tmp_path / "d.csv", desc)
+        desc = save_dataset(data, tmp_path / "d.npy")
+        back = load_dataset(tmp_path / "d.npy", desc)
         np.testing.assert_array_equal(back.covariates, data.covariates)
         np.testing.assert_array_equal(back.outcome, data.outcome)
         np.testing.assert_array_equal(back.treatment, data.treatment)
@@ -219,55 +220,50 @@ class TestRoundTrip:
     @pytest.mark.parametrize("edit", ["extra", "missing"])
     def test_row_with_wrong_cell_count_rejected(self, tmp_path, edit):
         data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], [1.0, 2.0, 3.0])
-        desc = save_dataset(data, tmp_path / "d.csv")
+        header = _dataset_table(data, tmp_path / "d.csv")
         lines = (tmp_path / "d.csv").read_text().splitlines()
         lines[2] = lines[2] + ",9.0" if edit == "extra" else lines[2].rsplit(",", 1)[0]
         (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="row 2"):
-            load_dataset(tmp_path / "d.csv", desc)
+            _read_dataset_table(tmp_path / "d.csv", header)
 
     def test_mismatched_header_rejected(self, tmp_path):
         data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], [1.0, 2.0, 3.0])
-        desc = save_dataset(data, tmp_path / "d.csv")
-        desc["columns"][1]["name"] = "renamed"
+        header = _dataset_table(data, tmp_path / "d.csv")
+        header[-1] = "renamed"
         with pytest.raises(SchemaError, match="header does not match"):
-            load_dataset(tmp_path / "d.csv", desc)
+            _read_dataset_table(tmp_path / "d.csv", header)
 
     def test_unsplit_dataset_reloads_without_split(self, tmp_path):
         data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], [1.0, 2.0, 3.0])
-        back = load_dataset(tmp_path / "d.csv", save_dataset(data, tmp_path / "d.csv"))
+        back = load_dataset(tmp_path / "d.npy", save_dataset(data, tmp_path / "d.npy"))
         assert back.split is None
         np.testing.assert_array_equal(back.covariates, data.covariates)
 
     def test_unknown_split_label_names_its_row(self, tmp_path):
         data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], [1.0, 2.0, 3.0],
                             split=["train", "trian", "test"])
-        desc = save_dataset(data, tmp_path / "d.csv")
-        with pytest.raises(SchemaError, match="row 2 has split label 'trian'"):
-            load_dataset(tmp_path / "d.csv", desc)
+        with pytest.raises(DataError, match="row 2 has split label 'trian'"):
+            save_dataset(data, tmp_path / "d.npy")
 
     def test_long_split_label_is_checked_uncut(self, tmp_path):
-        data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], [1.0, 2.0, 3.0],
-                            split=["train", "validation", "test"])
-        path = tmp_path / "d.csv"
-        desc = save_dataset(data, path)
-        path.write_bytes(path.read_bytes().replace(b"validation", b"validation-old"))
-        with pytest.raises(SchemaError, match="row 2 has split label 'validation-old'"):
-            load_dataset(path, desc)
+        data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], [1.0, 2.0, 3.0])
+        data.split = np.array(["train", "validation-old", "test"])
+        with pytest.raises(DataError, match="row 2 has split label 'validation-old'"):
+            save_dataset(data, tmp_path / "d.npy")
 
     def test_empty_split_label_among_labels_names_its_row(self, tmp_path):
         data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], [1.0, 2.0, 3.0],
                             split=["train", "test", ""])
-        desc = save_dataset(data, tmp_path / "d.csv")
-        with pytest.raises(SchemaError, match="row 3 has split label ''"):
-            load_dataset(tmp_path / "d.csv", desc)
+        with pytest.raises(DataError, match="row 3 has split label ''"):
+            save_dataset(data, tmp_path / "d.npy")
 
     def test_covariates_named_like_fixed_columns_round_trip(self, tmp_path):
         names = ["row_id", "split", "age, years", 'say "x"']
         cov = np.arange(12.0).reshape(3, 4) - 5.5
         data = make_dataset(cov, [0, 1, 0], [1.0, 2.0, 3.0], split=["train", "test", "test"],
                             columns=[ColumnInfo(n, "numeric") for n in names])
-        back = load_dataset(tmp_path / "d.csv", save_dataset(data, tmp_path / "d.csv"))
+        back = load_dataset(tmp_path / "d.npy", save_dataset(data, tmp_path / "d.npy"))
         assert back.column_names == names
         np.testing.assert_array_equal(back.covariates, cov)
         np.testing.assert_array_equal(back.row_ids, [0, 1, 2])
@@ -276,12 +272,42 @@ class TestRoundTrip:
     def test_reloaded_covariates_are_c_contiguous(self, tmp_path):
         data = make_dataset(np.arange(12.0).reshape(4, 3), [0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0])
         data.secondary["aux"] = np.ones(4)
-        back = load_dataset(tmp_path / "d.csv", save_dataset(data, tmp_path / "d.csv"))
-        assert back.covariates.flags["C_CONTIGUOUS"]
+        back = load_dataset(tmp_path / "d.npy", save_dataset(data, tmp_path / "d.npy"))
+        for a in (back.covariates, back.outcome, back.secondary["aux"]):
+            assert a.flags["C_CONTIGUOUS"]
+
+
+def _dataset_table(data, path):
+    """Write ``data`` to ``path`` as the CSV table the dataset was stored as
+    before data/dataset.npy: int row_id, text split and int treatment, then
+    float outcome, secondary outcomes and covariates.  Returns its header."""
+    sec_names = sorted(data.secondary)
+    header = ["row_id", "split", "treatment", "outcome", *sec_names, *data.column_names]
+    split = np.full(data.n, "") if data.split is None else data.split
+    layout.write_table(path, header, [data.row_ids, split, data.treatment.astype(int),
+                                      data.outcome, *(data.secondary[k] for k in sec_names),
+                                      *data.covariates.T])
+    return header
+
+
+def _read_dataset_table(path, header):
+    """The columns of a table that :func:`_dataset_table` wrote, through read_columns."""
+    return layout.read_columns(path, header, [0, 2, *range(3, len(header))], ints=(0, 2),
+                               text=(1,))
+
+
+def _edge_dataset():
+    """Every float the .npy file must keep bit for bit, the largest exact row_id and
+    all three splits."""
+    cov = np.array([[-0.0, 5e-324], [math.inf, -math.inf], [-2.2250738585072e-308, 1e308]])
+    data = make_dataset(cov, [0, 1, 1], [0.5, -0.0, 1e-310], split=list(SPLIT_NAMES))
+    data.row_ids = np.array([2**53, 0, 7])
+    data.secondary["aux"] = np.array([math.nan, -math.nan, 1.0])
+    return data
 
 
 def _per_row_save_dataset(data, csv_path):
-    """The dataset writer before the table codec: one formatted row at a time."""
+    """The CSV dataset writer before the table codec: one formatted row at a time."""
     sec_names = sorted(data.secondary)
     header = ["row_id", "split", "treatment", "outcome", *sec_names, *data.column_names]
     with open(csv_path, "w", newline="") as fh:
@@ -322,6 +348,93 @@ def _tables(draw):
     return header, kinds, columns
 
 
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(0, 3))
+    cov = np.array(draw(st.lists(_FLOATS, min_size=n * d, max_size=n * d)),
+                   dtype=float).reshape(n, d)
+    data = make_dataset(cov, draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                        draw(st.lists(_FLOATS, min_size=n, max_size=n)),
+                        split=draw(st.none() | st.lists(st.sampled_from(SPLIT_NAMES),
+                                                        min_size=n, max_size=n)))
+    data.row_ids = np.array(draw(st.lists(st.integers(0, 2**53), min_size=n, max_size=n)),
+                            dtype=int)
+    for name in draw(st.sets(st.sampled_from(["z", "aux", "b"]))):
+        data.secondary[name] = np.array(
+            draw(st.lists(_FLOATS, min_size=n, max_size=n)), dtype=float)
+    return data
+
+
+class TestDatasetArtifact:
+    """data/dataset.npy: a bit-identical reload, and a StageError for any other file."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_datasets())
+    @example(_edge_dataset())
+    def test_reload_is_bit_identical_and_rewrites_are_byte_identical(self, tmp_path_factory,
+                                                                     data):
+        folder = tmp_path_factory.mktemp("npy")
+        desc = save_dataset(data, folder / "a.npy")
+        assert save_dataset(data, folder / "b.npy") == desc
+        assert (folder / "a.npy").read_bytes() == (folder / "b.npy").read_bytes()
+        back = load_dataset(folder / "a.npy", desc)
+        assert desc["secondary_outcomes"] == sorted(data.secondary)
+        assert back.columns == data.columns and list(back.secondary) == sorted(data.secondary)
+        pairs = [(back.covariates, data.covariates), (back.outcome, data.outcome),
+                 (back.treatment, data.treatment.astype(np.int8)), (back.row_ids, data.row_ids),
+                 *((back.secondary[k], data.secondary[k]) for k in data.secondary)]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        if data.split is None:
+            assert back.split is None
+        else:
+            assert back.split.dtype == np.dtype("<U10")
+            assert back.split.tolist() == data.split.tolist()
+
+    REFUSALS = {
+        "empty": "not a readable .npy matrix",
+        "truncated": "not a readable .npy matrix",
+        "object": "not a readable .npy matrix",
+        "float32": "not a float64 matrix",
+        "npz": "not a float64 matrix",
+        "dropped-column": r"a matrix of shape \(6, 6\), but its description has 6 rows of 5 ",
+        "split-code-5": "row 2 has split code 5.0",
+        "no-split-among-labels": "row 3 has split code -1.0",
+        "row-id-1.5": "row 4 has row_id 1.5",
+        "treatment-2": "row 5 has treatment 2.0",
+    }
+
+    @pytest.mark.parametrize("edit", REFUSALS)
+    def test_a_file_that_is_not_the_saved_matrix_is_refused(self, tmp_path, edit):
+        data = make_dataset(np.arange(12.0).reshape(6, 2), np.arange(6) % 2, np.ones(6),
+                            split=list(SPLIT_NAMES) * 2)
+        path = tmp_path / "dataset.npy"
+        desc = save_dataset(data, path)
+        matrix = np.load(path)
+        planted = {"split-code-5": (1, 1, 5.0), "no-split-among-labels": (2, 1, -1.0),
+                   "row-id-1.5": (3, 0, 1.5), "treatment-2": (4, 2, 2.0)}
+        if edit in ("empty", "truncated"):
+            path.write_bytes(path.read_bytes()[:0 if edit == "empty" else -8])
+        elif edit == "object":
+            np.save(path, matrix.astype(object))
+        elif edit == "float32":
+            np.save(path, matrix.astype(np.float32))
+        elif edit == "npz":
+            with open(path, "wb") as fh:
+                np.savez(fh, matrix)
+        elif edit == "dropped-column":
+            del desc["columns"][0]
+        else:
+            row, column, value = planted[edit]
+            matrix[row, column] = value
+            np.save(path, matrix)
+        with pytest.raises(StageError, match=self.REFUSALS[edit]) as info:
+            load_dataset(path, desc)
+        assert str(info.value).startswith(f"{path}: ")
+        assert str(info.value).endswith("; rerun the 'ingest' stage")
+
 def _same_float(a: float, b: float) -> bool:
     if math.isnan(a) or math.isnan(b):
         return math.isnan(a) and math.isnan(b)
@@ -351,7 +464,7 @@ class TestTableCodec:
                 assert read[j].tolist() == [int(v) for v in column.tolist()]
 
     @pytest.mark.parametrize("split", [True, False])
-    def test_dataset_bytes_match_the_per_row_writer_across_blocks(self, tmp_path, split):
+    def test_dataset_table_bytes_match_the_per_row_writer_across_blocks(self, tmp_path, split):
         rng = np.random.default_rng(3)
         n = 2 * layout.BLOCK_ROWS + 3
         cov = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
@@ -362,7 +475,7 @@ class TestTableCodec:
                             split=rng.choice(["train", "validation", "test"], n) if split else None)
         data.secondary["aux"] = rng.normal(size=n)
         _per_row_save_dataset(data, tmp_path / "old.csv")
-        save_dataset(data, tmp_path / "new.csv")
+        _dataset_table(data, tmp_path / "new.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_reader_checks_header_and_row_width(self, tmp_path):
@@ -657,46 +770,49 @@ class TestErrorsBeyondTheFirstBlock:
         assert data.covariates[5, 0] == 1.25 and data.n == self.N
 
     @pytest.mark.parametrize("index", WHERE)
-    @pytest.mark.parametrize("label", ["trian", ""])
-    def test_load_dataset_names_the_split_label_row(self, tmp_path, index, label):
+    @pytest.mark.parametrize("code", [5.0, -1.0, 0.5])
+    def test_load_dataset_names_the_split_code_row(self, tmp_path, index, code):
         n = self.N
         split = np.array(["train", "validation", "test"] * n)[:n]
-        split[index] = label
         data = make_dataset(np.arange(2.0 * n).reshape(n, 2), np.arange(n) % 2, np.ones(n),
                             split=split)
-        desc = save_dataset(data, tmp_path / "d.csv")
-        with pytest.raises(SchemaError) as info:
-            load_dataset(tmp_path / "d.csv", desc)
+        path = tmp_path / "d.npy"
+        desc = save_dataset(data, path)
+        matrix = np.load(path)
+        matrix[index, 1] = code
+        np.save(path, matrix)
+        with pytest.raises(StageError) as info:
+            load_dataset(path, desc)
         assert str(info.value) == (
-            f"{tmp_path / 'd.csv'}: row {index + 1} has split label {label!r}; "
-            "expected one of ['train', 'validation', 'test'], or no label on any row"
+            f"{path}: row {index + 1} has split code {code!r}; expected -1 on every row "
+            "or 0-2 on every row; rerun the 'ingest' stage"
         )
 
     @pytest.mark.parametrize("index", WHERE)
-    def test_load_dataset_names_a_ragged_row(self, tmp_path, index):
+    def test_read_columns_names_a_ragged_row(self, tmp_path, index):
         n = self.N
         data = make_dataset(np.arange(2.0 * n).reshape(n, 2), np.arange(n) % 2, np.ones(n))
-        desc = save_dataset(data, tmp_path / "d.csv")
+        header = _dataset_table(data, tmp_path / "d.csv")
         lines = (tmp_path / "d.csv").read_text().splitlines()
         lines[index + 1] += ",9.0"
         (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match=f"row {index + 1} has 7 fields, expected 6"):
-            load_dataset(tmp_path / "d.csv", desc)
+            _read_dataset_table(tmp_path / "d.csv", header)
 
     @pytest.mark.parametrize("index", WHERE)
     @pytest.mark.parametrize(("column", "cell"), [(0, "1.5"), (0, "nan"), (0, "1e3"), (2, "1.9")])
-    def test_load_dataset_refuses_an_integer_cell_that_is_not_one(self, tmp_path, index, column,
+    def test_read_columns_refuses_an_integer_cell_that_is_not_one(self, tmp_path, index, column,
                                                                    cell):
         n = self.N
         data = make_dataset(np.arange(2.0 * n).reshape(n, 2), np.arange(n) % 2, np.ones(n))
-        desc = save_dataset(data, tmp_path / "d.csv")
+        header = _dataset_table(data, tmp_path / "d.csv")
         lines = (tmp_path / "d.csv").read_text().splitlines()
         row = lines[index + 1].split(",")
         row[column] = cell  # row_id or treatment
         lines[index + 1] = ",".join(row)
         (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"invalid literal for int.*'{cell}'"):
-            load_dataset(tmp_path / "d.csv", desc)
+            _read_dataset_table(tmp_path / "d.csv", header)
 
     def test_missing_spellings_past_the_first_block_take_the_bulk_parse(self, tmp_path,
                                                                         monkeypatch):
@@ -718,14 +834,17 @@ class TestErrorsBeyondTheFirstBlock:
         names = ["a", "b, c"]
         data = make_dataset(np.arange(2.0 * n).reshape(n, 2), np.arange(n) % 2, np.ones(n),
                             columns=[ColumnInfo(k, "numeric") for k in names])
-        desc = save_dataset(data, tmp_path / "d.csv")
+        header = _dataset_table(data, tmp_path / "d.csv")
         lines = (tmp_path / "d.csv").read_text().splitlines()
         row = lines[self.WHERE[0] + 1].split(",")
         lines[self.WHERE[0] + 1] = ",".join([*row[:4], f'"{row[4]}"', row[5]])
         (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
-        back = load_dataset(tmp_path / "d.csv", desc)
-        np.testing.assert_array_equal(back.covariates, data.covariates)
-        np.testing.assert_array_equal(back.row_ids, data.row_ids)
+        (row_ids, treatment, outcome, *covariates), (split,) = _read_dataset_table(
+            tmp_path / "d.csv", header)
+        np.testing.assert_array_equal(np.stack(covariates, axis=1), data.covariates)
+        np.testing.assert_array_equal(row_ids, data.row_ids)
+        np.testing.assert_array_equal(treatment, data.treatment)
+        assert split == [""] * n
 
 
 class TestByteOrderMark:

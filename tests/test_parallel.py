@@ -1,17 +1,13 @@
 """pmap: an ordered map over forked workers, and artifacts that do not depend on it."""
 
-import errno
-import hashlib
 import multiprocessing
 import os
 import shutil
 import sys
 
-import numpy as np
 import pytest
 from conftest import pipeline_raw, see_cpus, write_observational_csv
 
-from treatpolicy import layout
 from treatpolicy.config import validate_config
 from treatpolicy.errors import DataError
 from treatpolicy.parallel import pmap
@@ -80,8 +76,17 @@ def test_one_cpu_runs_the_loop_in_this_process():
     assert list(pmap(tagged, range(6))) == [(x, os.getpid()) for x in range(6)]
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The start method of every pool that pmap starts."""
+    started, get_context = [], multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: started.append(method) or get_context(method))
+    return started
+
+
 @forks
-def test_artifacts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+def test_artifacts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, pools):
     csv_path = tmp_path / "table.csv"
     write_observational_csv(csv_path, n=300)
     gbt = {"kind": "gbt", "n_trees": 10, "max_depth": 2, "min_samples_leaf": 5}
@@ -95,9 +100,6 @@ def test_artifacts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     )
     cfg = validate_config(raw)
     out = tmp_path / "out"
-    pools, get_context = [], multiprocessing.get_context
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: pools.append(method) or get_context(method))
     outputs = []
     for cpus in (1, 2):
         shutil.rmtree(out, ignore_errors=True)
@@ -112,110 +114,3 @@ def test_artifacts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     assert pools == ["fork"] * 3
     assert sorted(outputs[0]) == sorted(outputs[1])
     assert [rel for rel in sorted(outputs[0]) if outputs[0][rel] != outputs[1][rel]] == []
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """The start method of every pool that pmap starts."""
-    started, get_context = [], multiprocessing.get_context
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: started.append(method) or get_context(method))
-    return started
-
-
-def loop_and_forked(monkeypatch, run):
-    """``run()`` at one CPU, and at two with every table over the fork cutoff."""
-    with monkeypatch.context() as m:
-        see_cpus(m, 1)
-        loop = run()
-    with monkeypatch.context() as m:
-        see_cpus(m, 2)
-        m.setattr(layout, "FORK_CELLS", 1)
-        return loop, run()
-
-
-ROWS = 5 * layout.BLOCK_ROWS + 17
-HEADER = ["row_id", "label", "flag", "value", "count"]
-
-
-def codec_columns(quote_at=None):
-    """Text, bool, float and int columns; a label holding a comma and a
-    quote at row ``quote_at``, so the file is quoted from there on."""
-    rng = np.random.default_rng(11)
-    labels = rng.choice(["train", "test", "validation", "é x"], ROWS).astype("<U12")
-    if quote_at is not None:
-        labels[quote_at] = 'a,"b"'
-    values = rng.normal(size=ROWS) * 10.0 ** rng.integers(-300, 300, ROWS)
-    values[::97] = np.nan
-    values[5::101] = -np.inf
-    return [np.arange(ROWS), labels, rng.random(ROWS) < 0.5, values,
-            rng.integers(-2**62, 2**62, ROWS)]
-
-
-def read_back(path):
-    return layout.read_columns(path, HEADER, [0, 2, 3, 4], ints=(0, 2, 4), text=(1,))
-
-
-@forks
-class TestForkedCodec:
-    """write_table writes what the one-CPU loop writes when its blocks are
-    formatted in workers."""
-
-    @pytest.mark.parametrize("quote_at", [None, 3 * layout.BLOCK_ROWS + 5])
-    def test_write_table_bytes_and_sha256(self, tmp_path, monkeypatch, pools, quote_at):
-        columns = codec_columns(quote_at)
-        paths = iter([tmp_path / "loop.csv", tmp_path / "forked.csv"])
-
-        def run():
-            path = next(paths)
-            return layout.write_table(path, HEADER, columns), path.read_bytes()
-
-        loop, forked = loop_and_forked(monkeypatch, run)
-        assert pools == ["fork"]
-        assert forked == loop
-        assert loop[0] == hashlib.sha256(loop[1]).hexdigest()
-        assert (b'"a,""b"""' in loop[1]) == (quote_at is not None)
-
-    def test_a_failed_write_stops_the_workers(self, tmp_path, monkeypatch, pools):
-        see_cpus(monkeypatch, 2)
-        monkeypatch.setattr(layout, "FORK_CELLS", 1)
-
-        class FillingDisk:
-            """A file that takes the header and one block, then is full."""
-
-            def __init__(self, path, mode):
-                self.fh, self.writes = open(path, mode), 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes > 2:
-                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-                return self.fh.write(data)
-
-        monkeypatch.setattr(layout, "open", FillingDisk, raising=False)
-        with pytest.raises(OSError) as raised:
-            layout.write_table(tmp_path / "t.csv", HEADER, codec_columns())
-        assert raised.value.errno == errno.ENOSPC
-        assert pools == ["fork"]
-        # the error, and the frames its traceback holds, are still alive here
-        assert multiprocessing.active_children() == []
-
-    def test_tables_are_read_in_this_process(self, tmp_path, monkeypatch, pools):
-        see_cpus(monkeypatch, 2)
-        layout.write_table(tmp_path / "t.csv", HEADER, codec_columns())
-        monkeypatch.setattr(layout, "FORK_CELLS", 1)
-        assert len(read_back(tmp_path / "t.csv")[1][0]) == ROWS
-        assert pools == []
-
-    def test_small_tables_start_no_pool(self, tmp_path, monkeypatch, pools):
-        see_cpus(monkeypatch, 2)
-        columns = codec_columns()
-        assert ROWS * len(columns) < layout.FORK_CELLS
-        layout.write_table(tmp_path / "t.csv", HEADER, columns)
-        assert pools == []

@@ -53,6 +53,9 @@ def test_traced_run_finds_every_layer(tmp_path):
     result = json.loads((tmp_path / "result.json").read_text())
     assert [e for e in result["errors"] if not e.startswith(STALE)] == []
     assert result["counters"]["report.svg_bytes"] > 0
+    # the counter binds save_dataset's path parameter by name; a rename would zero it
+    assert result["counters"]["ingest.dataset_bytes"] == os.path.getsize(
+        tmp_path / "out" / "data" / "dataset.npy")
     assert result["counters"]["cate.refits"] > 0
 
 

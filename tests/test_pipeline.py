@@ -58,7 +58,7 @@ def disk_files(out_dir):
 
 
 def load_test_split(out_dir):
-    data = load_dataset(out_dir / "data" / "dataset.csv", read_json(out_dir / "data" / "dataset.json"))
+    data = load_dataset(out_dir / "data" / "dataset.npy", read_json(out_dir / "data" / "dataset.json"))
     return data.rows_in("test")
 
 
@@ -714,16 +714,16 @@ class TestFailedStage:
 
 
 @pytest.fixture
-def parses(monkeypatch):
-    """Every Dataset the stages parse from data/dataset.csv, in call order."""
-    parsed = []
+def loads(monkeypatch):
+    """Every Dataset the stages load from data/dataset.npy, in call order."""
+    loaded = []
 
-    def counting(csv_path, description):
-        parsed.append(load_dataset(csv_path, description))
-        return parsed[-1]
+    def counting(path, description):
+        loaded.append(load_dataset(path, description))
+        return loaded[-1]
 
     monkeypatch.setattr(pipeline, "load_dataset", counting)
-    return parsed
+    return loaded
 
 
 def _small_raw(tmp_path, **extra):
@@ -734,57 +734,43 @@ def _small_raw(tmp_path, **extra):
                         **extra)
 
 
-def _shared(out):
-    """The dataset a stage run on ``out`` would get now."""
-    return pipeline._load_data(layout.StageIO(str(out), "fit-propensity"))
+class TestStagesLoadTheDatasetFile:
+    """Every stage after ingest loads data/dataset.npy as it is on disk."""
 
-
-class TestSharedDataset:
-    """Stages in one process share one read-only parse of data/dataset.csv, keyed by its
-    content; load_dataset stays the parser and the oracle."""
-
-    def test_run_pipeline_parses_nothing_after_ingest(self, tmp_path, parses):
+    def test_each_stage_after_ingest_loads_the_file_once(self, tmp_path, loads):
         cfg = validate_config(_small_raw(tmp_path, simulation={"enabled": True, "runs": 2}))
         assert run_pipeline(cfg).stages == SIM_STAGES
-        assert parses == []
+        # the report stage reads artifacts only
+        assert len(loads) == len(SIM_STAGES) - 2
 
-    def test_stages_run_one_at_a_time_parse_nothing_after_ingest(self, tmp_path, parses):
-        cfg = validate_config(_small_raw(tmp_path, simulation={"enabled": True, "runs": 2}))
-        for stage in planned_stages(cfg):
-            run_stages(cfg, [stage])
-        assert RunManifest.from_dict(read_json(tmp_path / "out" / "manifest.json")).stages \
-            == SIM_STAGES
-        assert parses == []
-
-    def test_edited_cell_is_seen_by_the_next_stage(self, tmp_path, parses):
+    def test_edited_cell_is_seen_by_the_next_stage(self, tmp_path, loads):
         cfg = validate_config(_small_raw(tmp_path))
         run_stages(cfg, ["ingest", "fit-propensity"])
         before = read_csv(tmp_path / "out" / "propensity" / "scores.csv")
-        rows = read_csv(tmp_path / "out" / "data" / "dataset.csv")
-        rows[1][-1] = "123.5"  # the last covariate of the first data row
-        write_csv(tmp_path / "out" / "data" / "dataset.csv", rows)
+        path = tmp_path / "out" / "data" / "dataset.npy"
+        matrix = np.load(path)
+        matrix[0, -1] = 123.5  # the last covariate of the first data row
+        np.save(path, matrix)
         run_stages(cfg, ["fit-propensity"])
-        assert len(parses) == 1 and parses[0].covariates[0, -1] == 123.5
+        assert len(loads) == 2 and loads[1].covariates[0, -1] == 123.5
         after = read_csv(tmp_path / "out" / "propensity" / "scores.csv")
         assert after[1][3] != before[1][3]
-        run_stages(cfg, ["fit-propensity"])  # the new parse is the shared one now
-        assert len(parses) == 1
 
-    def test_same_size_rewrite_is_seen_by_the_next_stage(self, tmp_path, parses):
+    def test_same_size_rewrite_is_seen_by_the_next_stage(self, tmp_path, loads):
         cfg = validate_config(_small_raw(tmp_path))
         run_stages(cfg, ["ingest", "fit-propensity"])
-        path = tmp_path / "out" / "data" / "dataset.csv"
-        rows = read_csv(path)
-        before, inode, size = float(rows[1][-1]), os.stat(path).st_ino, os.stat(path).st_size
-        rows[1][-1] = rows[1][-1].replace("1", "7", 1)  # the last covariate of the first data row
-        assert float(rows[1][-1]) != before
-        with open(path, "r+", newline="") as fh:  # in place: the same inode and size
-            csv.writer(fh).writerows(rows)
+        path = tmp_path / "out" / "data" / "dataset.npy"
+        matrix = np.load(path)
+        inode, size = os.stat(path).st_ino, os.stat(path).st_size
+        value = matrix[0, -1] + 7.0  # the last covariate of the first data row
+        with open(path, "r+b") as fh:  # in place: the same inode and size
+            fh.seek(size - matrix.nbytes + (matrix.shape[1] - 1) * 8)
+            fh.write(np.float64(value).tobytes())
         assert (os.stat(path).st_ino, os.stat(path).st_size) == (inode, size)
         run_stages(cfg, ["fit-propensity"])
-        assert len(parses) == 1 and parses[0].covariates[0, -1] == float(rows[1][-1])
+        assert len(loads) == 2 and loads[1].covariates[0, -1] == value
 
-    def test_edited_column_kind_is_seen_by_the_next_stage(self, tmp_path, parses):
+    def test_edited_column_kind_is_seen_by_the_next_stage(self, tmp_path, loads):
         cfg = validate_config(_small_raw(tmp_path))
         run_stages(cfg, ["ingest"])
         meta_path = tmp_path / "out" / "data" / "dataset.json"
@@ -793,71 +779,36 @@ class TestSharedDataset:
         meta["columns"][0]["kind"] = "binary"
         layout.write_json(meta_path, meta)
         run_stages(cfg, ["fit-propensity"])
-        assert len(parses) == 1 and parses[0].columns[0].kind == "binary"
-        assert _shared(tmp_path / "out") is parses[0]
+        assert len(loads) == 1 and loads[0].columns[0].kind == "binary"
 
-    def test_header_mismatch_still_raises(self, tmp_path, parses):
+    def test_a_column_dropped_from_the_description_is_refused(self, tmp_path):
         cfg = validate_config(_small_raw(tmp_path))
         run_stages(cfg, ["ingest"])
         meta_path = tmp_path / "out" / "data" / "dataset.json"
         meta = read_json(meta_path)
-        meta["columns"][1]["name"] = "renamed"
+        del meta["columns"][1]
         layout.write_json(meta_path, meta)
-        with pytest.raises(SchemaError, match="header does not match"):
+        with pytest.raises(StageError, match=r"dataset\.npy: a matrix of shape .*rerun the "
+                                             "'ingest' stage"):
             run_stages(cfg, ["fit-propensity"])
 
     def test_missing_dataset_still_names_ingest(self, tmp_path):
         cfg = validate_config(_small_raw(tmp_path))
         run_stages(cfg, ["ingest"])
-        (tmp_path / "out" / "data" / "dataset.csv").unlink()
+        (tmp_path / "out" / "data" / "dataset.npy").unlink()
         with pytest.raises(StageError, match="run the 'ingest' stage first"):
             run_stages(cfg, ["fit-propensity"])
 
-    @pytest.mark.parametrize("source", ["seeded", "parsed"])
-    def test_shared_arrays_refuse_writes(self, tmp_path, parses, monkeypatch, source):
+    def test_a_directory_from_before_the_npy_file_names_it_and_ingest(self, tmp_path):
         cfg = validate_config(_small_raw(tmp_path))
         run_stages(cfg, ["ingest"])
-        if source == "parsed":
-            monkeypatch.setattr(pipeline, "_shared", None)
-        data = _shared(tmp_path / "out")
-        assert len(parses) == (source == "parsed")
-        arrays = [data.covariates, data.treatment, data.outcome, data.split, data.row_ids]
-        for a in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = a[-1]
-        # a stage's row subsets are its own copies
-        data.rows_in("train").covariates[0, 0] = 0.0
-
-    def test_seeded_dataset_equals_a_reload(self, tmp_path, parses):
-        csv_path = tmp_path / "table.csv"
-        write_observational_csv(csv_path, n=150)
-        rows = read_csv(csv_path)
-        rows[0].append("aux")
-        for i, row in enumerate(rows[1:]):
-            row.append("" if i % 7 == 0 else repr(i / 3.0))  # secondary outcome with NaN
-            if i % 11 == 0:
-                row[1] = ""  # x1 missing: imputed, with an indicator column
-        write_csv(csv_path, rows)
-        raw = pipeline_raw(csv_path, tmp_path / "out")
-        raw["data"]["secondary_outcomes"] = ["aux"]
-        run_stages(validate_config(raw), ["ingest"])
-        out = tmp_path / "out"
-        seeded = _shared(out)
-        assert parses == []
-        back = load_dataset(out / "data" / "dataset.csv", read_json(out / "data" / "dataset.json"))
-        assert seeded.columns == back.columns
-        assert seeded.columns[-1].name == "x1__missing"
-        assert list(seeded.secondary) == list(back.secondary) == ["aux"]
-        assert np.isnan(back.secondary["aux"]).sum() == 22
-        pairs = [(seeded.covariates, back.covariates), (seeded.treatment, back.treatment),
-                 (seeded.outcome, back.outcome), (seeded.split, back.split),
-                 (seeded.row_ids, back.row_ids), (seeded.secondary["aux"], back.secondary["aux"])]
-        for a, b in pairs:
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.flags["C_CONTIGUOUS"] and b.flags["C_CONTIGUOUS"]
-            np.testing.assert_array_equal(a, b)
-            if a.dtype == float:
-                assert a.tobytes() == b.tobytes()
+        data = tmp_path / "out" / "data"
+        # what ingest wrote before the dataset was a .npy matrix: a CSV table
+        (data / "dataset.csv").write_text("row_id,split,treatment,outcome\r\n")
+        (data / "dataset.npy").unlink()
+        with pytest.raises(StageError, match=r"missing artifact data/dataset\.npy; run the "
+                                             "'ingest' stage first"):
+            run_stages(cfg, ["fit-cate"])
 
     def test_all_in_process_matches_each_stage_in_a_fresh_process(self, tmp_path, monkeypatch):
         # the same relative paths in two directories, so the config echoes are equal

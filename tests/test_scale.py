@@ -66,6 +66,8 @@ def test_all_at_100k_rows_runs_within_2gb(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["stages"] == ["ingest", "fit-propensity", "fit-cate", "defer", "evaluate",
                                   "report"]
+    assert np.load(out / "data" / "dataset.npy").shape == (ROWS, 4 + COVARIATES)
+    assert not (out / "data" / "dataset.csv").exists()
     with open(out / "cate" / "estimates.csv") as fh:
         # one row per retained model and test row; the default test fraction is 0.25
         assert sum(1 for _ in fh) == 1 + 3 * ROWS // 4
