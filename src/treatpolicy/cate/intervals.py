@@ -3,10 +3,11 @@
 The statistical part is a percentile interval over bootstrap refits with
 resampling stratified by arm, held as draw counts; ols and ridge refits are
 solved from count-weighted moments, every other refit fits each drawn row
-once with its count as row weight, and no refit builds residual pools.  The
-causal part widens the interval against hidden confounding bounded by a
-sensitivity parameter lam >= 1: each train residual's weight may drift
-anywhere in [1/lam, lam], and the worst-case weighted mean over a sorted pool
+once with its count as row weight.  The causal part widens the interval
+against hidden confounding bounded by a sensitivity parameter lam >= 1: each
+train residual of the point fit (y - predicted outcome under the observed
+arm), taken when the interval is computed, may have its weight drift anywhere
+in [1/lam, lam], and the worst-case weighted mean over an arm's sorted pool
 is attained by down-weighting everything below some cut and up-weighting
 everything above it, so scanning all cuts gives a sharp per-arm shift that
 grows monotonically with lam.
@@ -61,12 +62,10 @@ class CateFitSpec:
     learner: LearnerSpec
     g_constant: float | None = None
 
-    def fit(
-        self, train: Dataset, *, weights=None, propensity=None, pools: bool = True
-    ) -> CateModel:
+    def fit(self, train: Dataset, *, weights=None, propensity=None) -> CateModel:
         return fit_meta_learner(
             self.kind, train, self.learner,
-            propensity=propensity, g_constant=self.g_constant, pools=pools, weights=weights,
+            propensity=propensity, g_constant=self.g_constant, weights=weights,
         )
 
 
@@ -215,8 +214,7 @@ def _bootstrap(fit_spec, model, train: Dataset, X_query, B: int, seed, propensit
 
     def refit(c):
         keep = np.flatnonzero(c)
-        fitted = fit_spec.fit(train.subset(keep), weights=c[keep], propensity=propensity,
-                              pools=False)
+        fitted = fit_spec.fit(train.subset(keep), weights=c[keep], propensity=propensity)
         return fitted.predict(X_query)
 
     refits = [refit(c) for c in draws()] if closed_form else list(pmap(refit, draws()))
@@ -238,9 +236,10 @@ def uncertainty_interval(
     """Bounds per query row: percentile bootstrap unioned with causal widening.
 
     When alpha_stat = 0 the statistical part is the point estimate itself.
-    The causal part shifts the point by the summed per-arm residual tilts at
-    lam, symmetric on both sides; the reported interval is the union of the
-    two extents, so it always brackets the point estimate.
+    The causal part shifts the point by the summed per-arm tilts at lam of
+    the point fit's sorted train residuals, symmetric on both sides; the
+    reported interval is the union of the two extents, so it always brackets
+    the point estimate.
     """
     X_query = np.asarray(X_query, dtype=float)
     if model is None:
@@ -256,12 +255,9 @@ def uncertainty_interval(
         stat_lo = point.copy()
         stat_hi = point.copy()
 
-    shift = 0.0
-    for arm in (0, 1):
-        pool = model.residual_pools.get(arm)
-        if pool is None or len(pool) == 0:
-            raise DataError(f"empty residual pool for arm {arm}")
-        shift += causal_shift(pool, theta.lam)
+    residuals = train.outcome - model.predict_outcome(train.covariates, train.treatment)
+    shift = sum(causal_shift(np.sort(residuals[train.treatment == arm]), theta.lam)
+                for arm in (0, 1))
 
     lower = np.minimum(stat_lo, point - shift)
     upper = np.maximum(stat_hi, point + shift)

@@ -9,11 +9,9 @@ Three fit strategies over a shared learner menu:
   (y - mu_0(x) on treated rows, mu_1(x) - y on controls), blended by the
   propensity score g(x): tau(x) = g(x) tau_c(x) + (1 - g(x)) tau_t(x).
 
-A point fit keeps per-arm pools of sorted training residuals (y - predicted
-outcome under the observed arm), which intervals tilt; bootstrap refits build
-none.  Row weights reach every base fit (the design rows for "s", each arm's
-rows for "t" and both stages of "x"), so a bootstrap refit fits each drawn
-row once with its count as weight.
+Row weights reach every base fit (the design rows for "s", each arm's rows
+for "t" and both stages of "x"), so a bootstrap refit fits each drawn row
+once with its count as weight.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ class CateModel:
     kind: str
     family: str
     components: dict
-    residual_pools: dict
     g_constant: float | None = None
     propensity: object | None = None
 
@@ -84,15 +81,12 @@ def fit_meta_learner(
     *,
     propensity=None,
     g_constant: float | None = None,
-    pools: bool = True,
     weights=None,
 ) -> CateModel:
     """Fit one meta-learner on the train rows, each weighted by ``weights`` if given.
 
     The "x" kind needs either a propensity scorer or a constant blend weight.
-    Each arm must hold at least two rows, counted by weight.  With ``pools``
-    false the model gets no residual pools, which only a point fit's intervals
-    read; a weighted fit must pass ``pools=False``.
+    Each arm must hold at least two rows, counted by weight.
     """
     kind = kind.lower()
     if kind not in KINDS:
@@ -108,8 +102,6 @@ def fit_meta_learner(
         w = np.asarray(weights, dtype=float)
         if w.shape != t.shape:
             raise ValueError(f"weights have shape {w.shape}, expected ({len(t)},)")
-        if pools:
-            raise ValueError("residual pools come from unweighted rows; pass pools=False")
         w0, w1 = w[~treated], w[treated]
         sizes = float(w0.sum()), float(w1.sum())
     if min(sizes) < 2:
@@ -134,22 +126,13 @@ def fit_meta_learner(
             components["tau_treated"] = fit_regressor(spec, X[treated], d_treated, w1)
             components["tau_control"] = fit_regressor(spec, X[~treated], d_control, w0)
 
-    model = CateModel(
+    return CateModel(
         kind=kind,
         family=spec.kind,
         components=components,
-        residual_pools={},
         g_constant=g_constant,
         propensity=propensity if kind == "x" else None,
     )
-    if pools:
-        fitted = components["f"].predict(design) if kind == "s" else model.predict_outcome(X, t)
-        residuals = y - fitted
-        model.residual_pools = {
-            0: np.sort(residuals[~treated]),
-            1: np.sort(residuals[treated]),
-        }
-    return model
 
 
 def _encode_cate(m: CateModel) -> dict:
@@ -157,7 +140,6 @@ def _encode_cate(m: CateModel) -> dict:
         "kind": m.kind,
         "family": m.family,
         "components": {k: encode_model(v) for k, v in m.components.items()},
-        "residual_pools": {str(k): [float(x) for x in v] for k, v in m.residual_pools.items()},
         "g_constant": m.g_constant,
         "propensity": None if m.propensity is None else encode_model(m.propensity),
     }
@@ -168,7 +150,6 @@ def _decode_cate(d: dict) -> CateModel:
         kind=d["kind"],
         family=d["family"],
         components={k: decode_model(v) for k, v in d["components"].items()},
-        residual_pools={int(k): np.asarray(v, dtype=float) for k, v in d["residual_pools"].items()},
         g_constant=d["g_constant"],
         propensity=None if d["propensity"] is None else decode_model(d["propensity"]),
     )

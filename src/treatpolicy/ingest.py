@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, SchemaError, StageError
-from .layout import parse_columns
+from .layout import parse_columns, read_json
 
 __all__ = [
     "ColumnInfo",
@@ -33,6 +33,7 @@ __all__ = [
     "assign_splits",
     "summarize",
     "save_dataset",
+    "load_description",
     "load_dataset",
 ]
 
@@ -433,6 +434,40 @@ def save_dataset(data: Dataset, csv_path) -> dict:
         "secondary_outcomes": sec_names,
         "n_rows": data.n,
     }
+
+
+def load_description(path) -> dict:
+    """Read the description that :func:`save_dataset` returned from the JSON
+    file at ``path``.  One that is not valid JSON, that lacks ``columns``,
+    ``secondary_outcomes`` or ``n_rows``, or that holds one of them with the
+    wrong type (a column entry without a text ``name`` and ``kind``) raises
+    StageError naming the file and asking for ingest to be rerun.
+    """
+
+    def refuse(what):
+        return StageError(f"{path}: {what}; rerun the 'ingest' stage")
+
+    def texts(v):
+        return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+    try:
+        description = read_json(path)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise refuse(f"not valid JSON ({exc})") from exc
+    if not isinstance(description, dict):
+        raise refuse("not a JSON object")
+    for key, what, ok in (
+        ("columns", "a list of entries with a text 'name' and 'kind'",
+         lambda v: isinstance(v, list) and all(
+             isinstance(c, dict) and texts([c.get("name"), c.get("kind")]) for c in v)),
+        ("secondary_outcomes", "a list of names", texts),
+        ("n_rows", "a row count", lambda v: type(v) is int and v >= 0),
+    ):
+        if key not in description:
+            raise refuse(f"no {key!r}")
+        if not ok(description[key]):
+            raise refuse(f"{key!r} is not {what}")
+    return description
 
 
 def load_dataset(csv_path, description: dict) -> Dataset:

@@ -36,6 +36,7 @@ from .ingest import (
     assign_splits,
     impute_and_flag,
     load_dataset,
+    load_description,
     load_table,
     save_dataset,
     summarize,
@@ -141,7 +142,7 @@ class RunManifest:
 
 def _load_data(io):
     """The stage's dataset, loaded from data/dataset.npy as data/dataset.json describes it."""
-    return load_dataset(io.need(layout.DATASET), read_json(io.need(layout.DATASET_META)))
+    return load_dataset(io.need(layout.DATASET), load_description(io.need(layout.DATASET_META)))
 
 
 # ---------------------------------------------------------------- stages

@@ -9,14 +9,15 @@ defer proportion of the rows valued.
 Policies are built from per-row effect vectors only: ``build_policy_set``
 turns each model's estimates into a policy and each ``ensemble-<mode>``
 into a vote over those same vectors (``ensemble_effects``), so a policy
-never scores a fitted model.  ``point_values`` values policies on all
-rows: the evaluate stage's tournament points and rank curve and the
-simulation study's IPW and DR values all come from it, with a DR plug-in
-from ``fit_plug_in``.  ``bootstrap_tournament`` values every policy
-on B shared row resamples held as draw counts: each estimate is a ratio of
-count-weighted sums of per-row terms, one matmul per chunk of rounds and
-policy.  ``summarize_bootstrap`` reduces one policy's replicates to the
-summary statistics of the value table.
+never scores a fitted model.  Every value is a ratio of sums of one set
+of per-row terms per policy (``_sum_columns``), reduced by
+``_round_values``.  ``point_values`` sums each term once over all rows:
+the rank curve and the simulation study's IPW and DR values come from it,
+with a DR plug-in from ``fit_plug_in``.  ``bootstrap_tournament`` takes
+its points from the same terms, then values every policy on B shared row
+resamples held as draw counts, one matmul per chunk of rounds and policy.
+``summarize_bootstrap`` reduces one policy's replicates to the summary
+statistics of the value table.
 """
 
 from __future__ import annotations
@@ -168,37 +169,13 @@ def _scores(p_star, clip) -> np.ndarray:
     return np.clip(np.asarray(p_star, dtype=float), clip[0], clip[1])
 
 
-def _value(rec, t, y, p1, plug_in, estimator: str, factual: bool) -> float:
-    """One value estimate on all rows given."""
-    if factual:
-        return float(y.mean())
-    nd = rec != DEFER
-    p_def = float((~nd).mean())
-    v_def = float(y[~nd].mean()) if p_def > 0 else 0.0
-    if not nd.any():
-        return v_def
-    rec_nd = rec[nd]
-    t_nd = t[nd]
-    y_nd = y[nd]
-    p_rec = np.where(rec_nd == 1, p1[nd], 1.0 - p1[nd])
-    w = (t_nd == rec_nd) / p_rec
-    total_w = w.sum()
-    if total_w == 0.0:
-        raise EstimationError("no rows match the recommended arm; zero total weight")
-    if estimator == "IPW":
-        v_nd = float(np.sum(w * y_nd) / total_w)
-    else:  # DR; point_values has checked the estimator name and the plug-in
-        y_hat = plug_in[nd][np.arange(rec_nd.size), rec_nd]
-        v_nd = float(np.sum(w * (y_nd - y_hat)) / total_w + y_hat.mean())
-    return v_nd * (1.0 - p_def) + v_def * p_def
-
-
 def _sum_columns(policy: Policy, t, y, p1, plug_in) -> np.ndarray:
-    """Per-row terms whose count-weighted sums give ``_value`` on a resample:
+    """Per-row terms whose count-weighted sums value the policy on a round:
     the deferred indicator d, d*y, the matched weight w (1[t = rec]/p_rec, 0
     where deferred), w*y, w*y_hat and y_hat, with y_hat the plug-in at the
     recommended arm (0 where deferred or without a plug-in).  A factual
-    policy is valued as one that defers every row: the plain outcome mean."""
+    policy is valued as one that defers every row: the plain outcome mean.
+    A point value sums each term once over all rows."""
     d = (policy.rec == DEFER) | policy.factual
     arm = np.where(d, 0, policy.rec)
     w = np.where(~d & (t == arm), 1.0 / np.where(arm == 1, p1, 1.0 - p1), 0.0)
@@ -207,9 +184,12 @@ def _sum_columns(policy: Policy, t, y, p1, plug_in) -> np.ndarray:
 
 
 def _round_values(sums: np.ndarray, n: int, estimator: str) -> np.ndarray:
-    """Values on a chunk of rounds from their ``_sum_columns`` sums.  A round
-    with zero matched weight has zero w*y and w*y_hat sums, so 0/0 makes it
-    NaN; one that drew only deferred rows is their mean, as in ``_value``."""
+    """Values on a chunk of rounds (or of policies) from their ``_sum_columns``
+    sums.  IPW is the matched rows' weighted outcome mean; DR adds the weighted
+    plug-in residuals to the plug-in mean; either mixes with the deferred rows'
+    outcome mean by their share.  A round with zero matched weight has zero
+    w*y and w*y_hat sums, so 0/0 makes it NaN; one that drew only deferred
+    rows is their mean."""
     n_def, s_dy, s_w, s_wy, s_wyhat, s_yhat = sums.T
     n_nd = n - n_def
     p_def = n_def / n
@@ -224,13 +204,6 @@ def _check_policy(policy: Policy, data: Dataset) -> None:
         raise ValueError(
             f"policy covers {policy.rec.size} rows, dataset has {data.n}"
         )
-
-
-def _plug_in_matrix(plug_in, data: Dataset) -> np.ndarray:
-    arr = np.asarray(plug_in, dtype=float)
-    if arr.shape != (data.n, 2):
-        raise ValueError(f"plug-in predictions must be shaped ({data.n}, 2)")
-    return arr
 
 
 def baselines(data: Dataset, propensity, seed: int | None = None, clip=P_STAR_CLIP) -> list[Policy]:
@@ -342,6 +315,34 @@ class TournamentResult:
     B: int
 
 
+def _stacks(policies: list, data: Dataset, p_star, estimators, plug_in, clip) -> list:
+    """Check the valuation inputs; then each policy's ``_sum_columns`` stack."""
+    for est in estimators:
+        if est not in ESTIMATORS:
+            raise ValueError(f"estimator must be one of {ESTIMATORS}, got {est!r}")
+    for policy in policies:
+        _check_policy(policy, data)
+    if "DR" in estimators and plug_in is None:
+        raise ValueError("DR estimation needs plug-in outcome predictions")
+    if plug_in is not None and np.shape(plug_in) != (data.n, 2):
+        raise ValueError(f"plug-in predictions must be shaped ({data.n}, 2)")
+    p1 = _scores(p_star, clip)
+    plug = None if plug_in is None else np.asarray(plug_in, dtype=float)
+    return [_sum_columns(p, data.treatment, data.outcome, p1, plug) for p in policies]
+
+
+def _points(policies: list, stacks: list, n: int, estimators) -> dict:
+    """Values on all rows: the round that draws every row once.  Each term is
+    summed pairwise along its own contiguous row, as ``y.mean()`` sums y, so a
+    factual policy is exactly the outcome mean."""
+    sums = np.array([np.ascontiguousarray(s.T).sum(axis=1) for s in stacks]).reshape(-1, 6)
+    unmatched = np.flatnonzero((sums[:, 2] == 0.0) & (sums[:, 0] < n))
+    if unmatched.size:
+        raise EstimationError(f"policy {policies[unmatched[0]].name!r}: no rows match the "
+                              "recommended arm; zero total weight")
+    return {est: _round_values(sums, n, est) for est in estimators}
+
+
 def point_values(
     policies: list,
     data: Dataset,
@@ -356,25 +357,11 @@ def point_values(
     IPW is the self-normalized inverse-probability value; DR adds the
     weighted plug-in residuals to the plug-in mean, with ``plug_in`` holding
     outcome predictions per row for both arms, shape (n, 2), column index =
-    arm.  A factual policy is the plain outcome mean under both.
+    arm.  A factual policy is the plain outcome mean under both.  A policy
+    whose non-deferred rows carry no matched weight raises EstimationError.
     """
-    for est in estimators:
-        if est not in ESTIMATORS:
-            raise ValueError(f"estimator must be one of {ESTIMATORS}, got {est!r}")
-    for policy in policies:
-        _check_policy(policy, data)
-    if "DR" in estimators and plug_in is None:
-        raise ValueError("DR estimation needs plug-in outcome predictions")
-    p1 = _scores(p_star, clip)
-    plug = _plug_in_matrix(plug_in, data) if plug_in is not None else None
-    return {
-        est: np.array([
-            _value(p.rec, data.treatment, data.outcome, p1, plug if est == "DR" else None,
-                   est, p.factual)
-            for p in policies
-        ])
-        for est in estimators
-    }
+    stacks = _stacks(policies, data, p_star, estimators, plug_in, clip)
+    return _points(policies, stacks, data.n, estimators)
 
 
 def bootstrap_tournament(
@@ -388,24 +375,21 @@ def bootstrap_tournament(
     plug_in=None,
     clip=P_STAR_CLIP,
 ) -> TournamentResult:
-    """Value every policy on all rows with ``point_values``, then on B
-    shared row resamples.
+    """Value every policy on all rows, as ``point_values`` does, then on B
+    shared row resamples, all from one ``_sum_columns`` stack per policy.
 
     Round b draws rows ``rng.integers(0, n, n)`` from ``SeedSequence(seed)``
     and is held as a row of draw counts.  One matmul of a chunk of count
-    rows with a policy's ``_sum_columns`` stack gives every sum its
-    estimators need on those rounds; the values are ratios of the sums and
-    match a per-round ``_value`` up to summation order (about 1e-15).  A
-    round with zero matched weight is NaN, wins no pair in either direction
-    and counts in ``skipped``; a failure on all rows raises.
+    rows with a policy's stack gives every sum its estimators need on those
+    rounds, and ``_round_values`` turns the sums into values, as it does the
+    points' sums.  A round with zero matched weight is NaN, wins no pair in
+    either direction and counts in ``skipped``; a failure on all rows raises.
     """
     if B < 1:
         raise ValueError(f"need at least one round, got B={B}")
-    points = point_values(policies, data, p_star, estimators=estimators, plug_in=plug_in, clip=clip)
     n = data.n
-    p1 = _scores(p_star, clip)
-    plug = _plug_in_matrix(plug_in, data) if plug_in is not None else None
-    stacks = [_sum_columns(p, data.treatment, data.outcome, p1, plug) for p in policies]
+    stacks = _stacks(policies, data, p_star, estimators, plug_in, clip)
+    points = _points(policies, stacks, n, estimators)
 
     dists = {est: np.empty((len(policies), B)) for est in estimators}
     for start, (counts,) in _resample_counts(seed, [n], B):

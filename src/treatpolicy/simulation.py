@@ -348,7 +348,7 @@ def _one_run(
 
     plug_test = fit_plug_in(plug_spec, train, test.covariates)
     taus = {
-        name: fit_spec.fit(train, propensity=p_star_model, pools=False).predict(test.covariates)
+        name: fit_spec.fit(train, propensity=p_star_model).predict(test.covariates)
         for name, fit_spec in menu.items()
     }
     policies = build_policy_set(

@@ -76,7 +76,7 @@ class TestMetaLearners:
         np.testing.assert_array_equal(model.predict(X), expected)
 
     def test_s_kind_base_model_ignoring_arm_gives_zero(self):
-        model = CateModel(kind="s", family="stub", components={"f": DropLast()}, residual_pools={})
+        model = CateModel(kind="s", family="stub", components={"f": DropLast()})
         X = np.random.default_rng(1).normal(size=(20, 2))
         np.testing.assert_array_equal(model.predict(X), np.zeros(20))
 
@@ -95,7 +95,6 @@ class TestMetaLearners:
             kind="t",
             family="stub",
             components={"mu0": Const(1.0), "mu1": Const(3.0)},
-            residual_pools={},
         )
         assert model.predict(np.zeros((5, 2))).tolist() == [2.0] * 5
 
@@ -124,7 +123,6 @@ class TestMetaLearners:
             kind="x",
             family="stub",
             components={"tau_control": Const(4.0), "tau_treated": Const(0.0)},
-            residual_pools={},
             g_constant=0.5,
         )
         assert model.predict(np.zeros((3, 2))).tolist() == [2.0] * 3
@@ -165,9 +163,12 @@ class TestMetaLearners:
         mu1 = model.components["mu1"].predict(data.covariates)
         fitted = np.where(t == 1, mu1, mu0)
         res = data.outcome - fitted
-        np.testing.assert_array_equal(model.residual_pools[0], np.sort(res[t == 0]))
-        np.testing.assert_array_equal(model.residual_pools[1], np.sort(res[t == 1]))
-        assert model.residual_pools[0].size == int((t == 0).sum())
+        theta = UncertaintySpec(alpha_stat=0.0, lam=1.7, b_boot=0)
+        iv = uncertainty_interval(CateFitSpec("t", RIDGE), data, data.covariates[:4], theta,
+                                  model=model)
+        assert iv.shift == causal_shift(np.sort(res[t == 0]), 1.7) + causal_shift(
+            np.sort(res[t == 1]), 1.7
+        )
 
     @pytest.mark.parametrize("kind", ["s", "t", "x"])
     def test_zero_effect_data_yields_small_estimates(self, kind):
@@ -179,11 +180,18 @@ class TestMetaLearners:
     def test_serialization_round_trip(self):
         data = small_dataset(seed=17)
         model = fit_meta_learner("x", data, RIDGE, g_constant=0.25)
-        back = decode_model(encode_model(model))
+        encoded = encode_model(model)
+        assert "residual_pools" not in encoded
+        back = decode_model(encoded)
         np.testing.assert_array_equal(
             back.predict(data.covariates), model.predict(data.covariates)
         )
-        np.testing.assert_array_equal(back.residual_pools[1], model.residual_pools[1])
+        # a model file written with its residual pools still decodes
+        encoded["residual_pools"] = {"0": [0.5], "1": [-0.5]}
+        older = decode_model(encoded)
+        np.testing.assert_array_equal(
+            older.predict(data.covariates), model.predict(data.covariates)
+        )
 
     @pytest.mark.parametrize("kind", ["s", "t", "x"])
     def test_saved_bytes_match_the_streaming_encoder(self, tmp_path, kind):
@@ -332,9 +340,9 @@ class TestUncertaintyInterval:
         theta = UncertaintySpec(alpha_stat=0.0, lam=2.0, b_boot=0)
         model = FIT.fit(data)
         iv = uncertainty_interval(FIT, data, data.covariates[:6], theta, seed=0, model=model)
-        shift = causal_shift(model.residual_pools[0], 2.0) + causal_shift(
-            model.residual_pools[1], 2.0
-        )
+        res = data.outcome - model.predict_outcome(data.covariates, data.treatment)
+        t = data.treatment
+        shift = causal_shift(np.sort(res[t == 0]), 2.0) + causal_shift(np.sort(res[t == 1]), 2.0)
         assert shift > 0
         np.testing.assert_allclose(iv.lower, iv.point - shift, atol=1e-12)
         np.testing.assert_allclose(iv.upper, iv.point + shift, atol=1e-12)
@@ -523,23 +531,6 @@ class TestLinearRefits:
         np.testing.assert_allclose(iv.lower, expected.lower, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(iv.upper, expected.upper, rtol=0.0, atol=1e-10)
 
-    @pytest.mark.usefixtures("one_worker")  # the refits are recorded in this process
-    def test_loop_refits_build_no_residual_pools(self):
-        data = small_dataset(seed=31, n=70)
-        spec = CateFitSpec("t", LearnerSpec.from_dict({"kind": "lasso", "lam": 0.05}))
-        fitted = []
-
-        def recording(*args, **kwargs):
-            fitted.append(fit_meta_learner(*args, **kwargs))
-            return fitted[-1]
-
-        with mock.patch.object(intervals, "fit_meta_learner", recording):
-            uncertainty_interval(spec, data, data.covariates[:10], UncertaintySpec(0.8, 1.3, 5),
-                                 seed=4)
-        point, *refits = fitted
-        assert [p.size for p in point.residual_pools.values()] == [35, 35]
-        assert len(refits) == 5 and all(m.residual_pools == {} for m in refits)
-
     def test_bounds_do_not_depend_on_blas_threads(self):
         # in fresh processes: eval-bootstrap's train split, query rows and b_boot, and
         # large-cohort's shapes, t kind only (its 20-covariate propensity fit already
@@ -630,7 +621,6 @@ class TestGbtRefits:
         assert len(calls) == 4
         for train, kwargs in calls:
             assert np.unique(train.row_ids).size == train.n < data.n
-            assert kwargs["pools"] is False
             w = kwargs["weights"]
             assert w.shape == (train.n,) and np.all(w >= 1)
             assert [w[train.treatment == a].sum() for a in (0, 1)] == [25.0, 45.0]
@@ -639,22 +629,20 @@ class TestGbtRefits:
         data = small_dataset(seed=34, n=40)
         gbt = LearnerSpec.from_dict({"kind": "gbt", "n_trees": 2, "max_depth": 2})
         w = np.full(data.n, 2.0)
-        with pytest.raises(ValueError, match="pools=False"):
-            fit_meta_learner("t", data, gbt, weights=w)
         with pytest.raises(ValueError, match="shape"):
-            fit_meta_learner("t", data, gbt, weights=w[:-1], pools=False)
+            fit_meta_learner("t", data, gbt, weights=w[:-1])
         with pytest.raises(ValueError, match="sample_weight must be > 0"):
-            fit_meta_learner("t", data, RIDGE, weights=np.r_[0.0, w[1:]], pools=False)
+            fit_meta_learner("t", data, RIDGE, weights=np.r_[0.0, w[1:]])
         counts = np.random.default_rng(34).integers(1, 4, data.n)
-        weighted = fit_meta_learner("x", data, RIDGE, weights=counts, pools=False,
-                                    g_constant=0.4)
+        weighted = fit_meta_learner("x", data, RIDGE, weights=counts, g_constant=0.4)
         copies = data.subset(np.repeat(np.arange(data.n), counts))
-        on_copies = fit_meta_learner("x", copies, RIDGE, pools=False, g_constant=0.4)
+        on_copies = fit_meta_learner("x", copies, RIDGE, g_constant=0.4)
         np.testing.assert_allclose(weighted.predict(data.covariates),
                                    on_copies.predict(data.covariates), rtol=0.0, atol=1e-10)
+        # one row per arm holds two rows by weight
         one_each = data.subset([0, data.n - 1])
-        fitted = fit_meta_learner("s", one_each, gbt, weights=[2.0, 3.0], pools=False)
-        assert fitted.residual_pools == {}
+        fitted = fit_meta_learner("s", one_each, gbt, weights=[2.0, 3.0])
+        assert fitted.predict(one_each.covariates).shape == (2,)
 
 
 class TestCalibrationCurve:

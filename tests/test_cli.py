@@ -174,6 +174,19 @@ class TestExitCodes:
         assert f"{path}: not a readable .npy matrix" in err
         assert "rerun the 'ingest' stage" in err
 
+    def test_a_refused_dataset_description_is_4(self, workspace, capsys):
+        tmp_path, cfg_path, _ = workspace
+        assert main(["ingest", str(cfg_path)]) == 0
+        path = tmp_path / "out" / "data" / "dataset.json"
+        desc = json.loads(path.read_text())
+        del desc["secondary_outcomes"]
+        path.write_text(json.dumps(desc))
+        capsys.readouterr()
+        assert main(["fit-propensity", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert f"{path}: no 'secondary_outcomes'" in err
+        assert "rerun the 'ingest' stage" in err
+
 
 class TestWarningsSurface:
     def test_component_gate_warning_reaches_stderr(self, workspace, capsys):
@@ -224,12 +237,16 @@ class TestEntryPoints:
         assert proc.stdout.startswith("config hash: ")
 
     def test_loading_a_config_imports_no_network_module(self, workspace):
+        # nor a worker-pool module: pools are imported when a pool starts, and
+        # figures.escape stands in for xml.sax, so a run that starts no pool
+        # pays for neither
         _, cfg_path, _ = workspace
+        heavy = ("multiprocessing", "concurrent.futures", "ssl", "urllib.request", "xml.sax")
         code = ("import sys\n"
                 "import treatpolicy.cli\n"
                 "from treatpolicy.config import load_config\n"
                 f"load_config({str(cfg_path)!r})\n"
-                "print([m for m in ('urllib.request', 'ssl') if m in sys.modules])\n")
+                f"print([m for m in {heavy!r} if m in sys.modules])\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=_child_env())
         assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from treatpolicy.ingest import (
     assign_splits,
     impute_and_flag,
     load_dataset,
+    load_description,
     load_table,
     save_dataset,
     summarize,
@@ -434,6 +436,56 @@ class TestDatasetArtifact:
             load_dataset(path, desc)
         assert str(info.value).startswith(f"{path}: ")
         assert str(info.value).endswith("; rerun the 'ingest' stage")
+
+
+class TestDatasetDescription:
+    """data/dataset.json: the saved description, and a StageError for anything else."""
+
+    def described(self, tmp_path, edit=None):
+        data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], np.ones(3))
+        desc = save_dataset(data, tmp_path / "dataset.npy")
+        if edit is not None:
+            edit(desc)
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(desc))
+        return path, desc
+
+    def refused(self, path, match):
+        with pytest.raises(StageError, match=match) as info:
+            load_description(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert str(info.value).endswith("; rerun the 'ingest' stage")
+
+    def test_the_saved_description_reads_back(self, tmp_path):
+        path, desc = self.described(tmp_path)
+        assert load_description(path) == desc
+
+    @pytest.mark.parametrize("text", ['{"columns": [', "", "n_rows: 3"])
+    def test_text_that_is_not_json_is_refused(self, tmp_path, text):
+        path = tmp_path / "dataset.json"
+        path.write_text(text)
+        self.refused(path, "not valid JSON")
+
+    @pytest.mark.parametrize("key", ["columns", "secondary_outcomes", "n_rows"])
+    def test_a_missing_key_is_refused(self, tmp_path, key):
+        path, _ = self.described(tmp_path, lambda d: d.pop(key))
+        self.refused(path, f"no '{key}'")
+
+    @pytest.mark.parametrize("key, value", [
+        ("columns", {"x0": "numeric"}), ("secondary_outcomes", "y2"),
+        ("secondary_outcomes", [3]), ("n_rows", "3"), ("n_rows", 3.0), ("n_rows", True),
+        ("n_rows", -1),
+    ])
+    def test_a_key_of_the_wrong_type_is_refused(self, tmp_path, key, value):
+        path, _ = self.described(tmp_path, lambda d: d.update({key: value}))
+        self.refused(path, f"'{key}' is not")
+
+    @pytest.mark.parametrize("entry", [{"name": "x0"}, {"kind": "numeric"}, ["x0", "numeric"],
+                                       {"name": 0, "kind": "numeric"}])
+    def test_a_column_entry_without_name_or_kind_is_refused(self, tmp_path, entry):
+        path, _ = self.described(tmp_path, lambda d: d["columns"].__setitem__(1, entry))
+        self.refused(path, "'columns' is not a list of entries with a text 'name' and 'kind'")
+
 
 def _same_float(a: float, b: float) -> bool:
     if math.isnan(a) or math.isnan(b):

@@ -16,7 +16,6 @@ from treatpolicy.policy_eval import (
     ENSEMBLE_MODES,
     DecisionRule,
     Policy,
-    _value,
     baselines,
     bootstrap_tournament,
     build_policy,
@@ -294,6 +293,31 @@ class TestBaselines:
         assert (pols[3].rec == 0).all() and (pols[4].rec == 1).all()
 
 
+def _value(rec, t, y, p1, plug_in, estimator: str, factual: bool) -> float:
+    """One value estimate on all rows given."""
+    if factual:
+        return float(y.mean())
+    nd = rec != DEFER
+    p_def = float((~nd).mean())
+    v_def = float(y[~nd].mean()) if p_def > 0 else 0.0
+    if not nd.any():
+        return v_def
+    rec_nd = rec[nd]
+    t_nd = t[nd]
+    y_nd = y[nd]
+    p_rec = np.where(rec_nd == 1, p1[nd], 1.0 - p1[nd])
+    w = (t_nd == rec_nd) / p_rec
+    total_w = w.sum()
+    if total_w == 0.0:
+        raise EstimationError("no rows match the recommended arm; zero total weight")
+    if estimator == "IPW":
+        v_nd = float(np.sum(w * y_nd) / total_w)
+    else:  # DR; point_values has checked the estimator name and the plug-in
+        y_hat = plug_in[nd][np.arange(rec_nd.size), rec_nd]
+        v_nd = float(np.sum(w * (y_nd - y_hat)) / total_w + y_hat.mean())
+    return v_nd * (1.0 - p_def) + v_def * p_def
+
+
 def per_round_value(pol, est, data, p1, plug, idx=slice(None)):
     """``_value`` on rows ``idx``: the per-round oracle of the tournament."""
     return _value(
@@ -459,8 +483,9 @@ class TestTournament:
         st.integers(0, 2**32 - 1),
     )
     def test_rows_equal_a_per_round_loop(self, cohort, seed):
-        # a matmul sums in another order than _value, so replicate values
-        # agree to rounding; points, failed rounds and skipped are exact
+        # count sums and stack sums add in another order than _value, so
+        # points and replicate values agree to rounding; failed rounds and
+        # skipped are exact
         t, y, p, recs, with_doctors = cohort
         n = len(t)
         data = make_dataset(np.zeros((n, 1)), t, y)
@@ -481,8 +506,11 @@ class TestTournament:
             return
         res = bootstrap_tournament(pols, data, p1, **args)
         expected = per_round_loop(pols, data, p1, plug, B, seed)
+        direct = point_values(pols, data, p1, plug_in=plug)
         for est in ("IPW", "DR"):
-            np.testing.assert_array_equal(res.points[est], points[est])
+            np.testing.assert_array_equal(res.points[est], direct[est])
+            want = np.array(points[est])
+            assert np.all(np.abs(res.points[est] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
             got, want = res.distributions[est], expected[est]
             np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
             ok = ~np.isnan(want)
@@ -509,8 +537,8 @@ class TestTournament:
     )
     def test_exact_on_dyadic_data(self, cohort, seed):
         # integer y and plug-in with matched weights 1/p in {2, 5, 1.25}
-        # make every sum exact in float64, whatever its order, so the
-        # count-matrix rounds must equal the per-round loop bit for bit;
+        # make every sum exact in float64, whatever its order, so the points
+        # and count-matrix rounds must equal the per-round loop bit for bit;
         # three rounds per chunk also covers a short last chunk
         t, y, p, plug, recs, with_doctors = cohort
         n = len(t)
@@ -522,13 +550,17 @@ class TestTournament:
             pols.append(Policy(name="doctors", rec=t, factual=True))
         B = 7
         try:
-            point_values(pols, data, p1, plug_in=plug)
+            points = {est: [per_round_value(pol, est, data, p1, plug) for pol in pols]
+                      for est in ("IPW", "DR")}
         except EstimationError:
+            with pytest.raises(EstimationError):
+                point_values(pols, data, p1, plug_in=plug)
             return
         with mock.patch.object(policy_eval, "_CHUNK_BYTES", 3 * 8 * n):
             res = bootstrap_tournament(pols, data, p1, B=B, seed=seed, plug_in=plug)
         expected = per_round_loop(pols, data, p1, plug, B, seed)
         for est in ("IPW", "DR"):
+            np.testing.assert_array_equal(res.points[est], points[est])
             np.testing.assert_array_equal(res.distributions[est], expected[est])
             assert res.skipped[est] == int(np.isnan(expected[est]).sum())
 

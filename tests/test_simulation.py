@@ -211,11 +211,11 @@ class TestRunStudy:
             def __init__(self, inner, failing=None):
                 self.inner, self.failing, self.seen = inner, failing, []
 
-            def fit(self, train, propensity=None, pools=True):
+            def fit(self, train, propensity=None):
                 self.seen.append(train.covariates.tobytes())
                 if self.seen[-1] == self.failing:
                     raise DataError("planted failure")
-                return self.inner.fit(train, propensity=propensity, pools=pools)
+                return self.inner.fit(train, propensity=propensity)
 
         X, T = synthetic_covariates(300, 4, seed=21)
         ridge_t = CateFitSpec(kind="t", learner=RIDGE)
@@ -239,7 +239,7 @@ class TestRunStudy:
 
     def test_all_runs_failing_raises(self):
         class Broken:
-            def fit(self, train, propensity=None, pools=True):
+            def fit(self, train, propensity=None):
                 raise DataError("nope")
 
         X, T = synthetic_covariates(200, 3, seed=22)
