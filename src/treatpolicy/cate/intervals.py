@@ -2,8 +2,13 @@
 
 The statistical part is a percentile interval over bootstrap refits with
 resampling stratified by arm, held as draw counts; ols and ridge refits are
-solved from count-weighted moments, every other refit fits each drawn row
-once with its count as row weight.  The causal part widens the interval
+solved from count-weighted moments and kept as their coefficients, every
+other refit fits each drawn row once with its count as row weight.  The
+percentiles are taken a slice of query rows at a time, ``_CHUNK_BYTES`` of
+effects per slice, so memory does not grow as b_boot x query rows; the
+exception is the refits that are not solved in closed form (gbt, lasso, and
+an ols or ridge replicate that fails the conditioning check), which keep
+their effects on every query row.  The causal part widens the interval
 against hidden confounding bounded by a sensitivity parameter lam >= 1: each
 train residual of the point fit (y - predicted outcome under the observed
 arm), taken when the interval is computed, may have its weight drift anywhere
@@ -19,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import policy_eval
 from ..errors import ConfigError, DataError
 from ..ingest import Dataset
 from ..learners import LearnerSpec
 from ..parallel import pmap
-from ..policy_eval import _resample_counts
 from .meta import CateModel, fit_meta_learner
 
 __all__ = [
@@ -155,8 +160,10 @@ class _Refits:
 
 
 def _linear_refits(fit_spec: CateFitSpec, model: CateModel, train: Dataset, arms, X_query):
-    """``effects(counts) -> (ok, effects)`` of an ols or ridge meta-learner's refits
-    on a chunk of count rows per arm; a replicate that is not ok is left to the loop."""
+    """``(solve, effects)`` of an ols or ridge meta-learner's refits: ``solve(counts)`` gives
+    ``(ok, fits)`` for a chunk of count rows per arm, a replicate that is not ok being left
+    to the loop, and ``effects(fits, rows)`` the (replicates, rows) effects of fits stacked
+    over the chunks on a slice ``rows`` of the query rows, one product per arm."""
     p = fit_spec.learner.param_dict
     lam = float(p.get("lam", 0.0)) if fit_spec.learner.kind == "ridge" else 0.0
     X, y, intercept = train.covariates, train.outcome, p.get("fit_intercept", True)
@@ -164,47 +171,65 @@ def _linear_refits(fit_spec: CateFitSpec, model: CateModel, train: Dataset, arms
         rows = np.concatenate(arms)
         design = _Refits(np.hstack([X, train.treatment[:, None]])[rows], lam, intercept)
 
-        def effects(counts):
+        def solve(counts):
             design.chunk(np.hstack(counts))
             coef = design.solve(y[rows])[0]  # f(x, 1) - f(x, 0) is the slope of the arm column
-            return design.ok, np.repeat(coef[:, -1:], len(X_query), axis=1)
+            return design.ok, (coef[:, -1],)
 
-        return effects
+        def effects(fits, rows):
+            return np.repeat(fits[0][:, None], len(X_query[rows]), axis=1)
+
+        return solve, effects
     f0, f1 = (_Refits(X[rows], lam, intercept) for rows in arms)
     y0, y1 = (y[rows] for rows in arms)
     g = model._g(X_query) if model.kind == "x" else None
 
-    def effects(counts):
+    def solve(counts):
         f0.chunk(counts[0])
         f1.chunk(counts[1])
         mu0, mu1 = f0.solve(y0), f1.solve(y1)
         if model.kind == "t":
-            return f0.ok & f1.ok, f1.predict(X_query, mu1) - f0.predict(X_query, mu0)
+            return f0.ok & f1.ok, (*mu0, *mu1)
         # imputed effects: y - mu_0(x) on treated rows, mu_1(x) - y on controls
-        tau_t = f1.predict(X_query, f1.solve(y1 - f0.predict(f1.X, mu0)))
-        tau_c = f0.predict(X_query, f0.solve(f1.predict(f0.X, mu1) - y0))
-        return f0.ok & f1.ok, g * tau_c + (1.0 - g) * tau_t
+        tau_t = f1.solve(y1 - f0.predict(f1.X, mu0))
+        tau_c = f0.solve(f1.predict(f0.X, mu1) - y0)
+        return f0.ok & f1.ok, (*tau_c, *tau_t)
 
-    return effects
+    def effects(fits, rows):
+        e0, e1 = f0.predict(X_query[rows], fits[:2]), f1.predict(X_query[rows], fits[2:])
+        if model.kind == "t":
+            return e1 - e0
+        return g[rows] * e0 + (1.0 - g[rows]) * e1
+
+    return solve, effects
 
 
-def _bootstrap(fit_spec, model, train: Dataset, X_query, B: int, seed, propensity) -> np.ndarray:
-    """(B, rows) refit effects on arm-stratified resamples, control arm drawn first.
+def _bootstrap(fit_spec, model, train: Dataset, X_query, B: int, seed, propensity):
+    """``effects(rows)``: the (B, rows) refit effects on arm-stratified resamples, control
+    arm drawn first, on a slice ``rows`` of the query rows.
 
-    ols and ridge replicates are solved from count-weighted moments; every other refit
-    fits each drawn row once, weighted by its count.  The counts are drawn here, in
-    order; gbt and lasso refits run in worker processes (``pmap``), which take them
-    as they are drawn, across chunks, and the closed-form fallbacks run in this one."""
+    ols and ridge replicates are solved from count-weighted moments and kept as their
+    coefficients, (B, d) and an offset per arm; every other refit fits each drawn row once,
+    weighted by its count, and keeps its effects on every query row.  Those, from gbt and
+    lasso refits and from closed-form replicates that fail the conditioning check, are the
+    one term that grows as B x query rows.  The counts are drawn here, in order; gbt and
+    lasso refits run in worker processes (``pmap``), which take them as they are drawn,
+    across chunks, and the closed-form fallbacks run in this one."""
     arms = [np.flatnonzero(train.treatment == a) for a in (0, 1)]
     closed_form = fit_spec.learner.closed_form
-    effects = _linear_refits(fit_spec, model, train, arms, X_query) if closed_form else None
-    boot = np.empty((B, len(X_query)))
+    solve = linear = None
+    if closed_form:
+        solve, linear = _linear_refits(fit_spec, model, train, arms, X_query)
+    chunks = []  # the closed-form fits of each chunk of count rows
     looped = []  # the replicates left to refits, in the order their counts are yielded
 
     def draws():
-        for start, counts in _resample_counts(seed, [rows.size for rows in arms], B):
-            chunk = boot[start:start + len(counts[0])]
-            ok, chunk[:] = effects(counts) if effects else (np.zeros(len(chunk), bool), np.nan)
+        sizes = [rows.size for rows in arms]
+        for start, counts in policy_eval._resample_counts(seed, sizes, B):
+            ok = np.zeros(len(counts[0]), bool)
+            if solve:
+                ok, fits = solve(counts)
+                chunks.append(fits)
             for j in np.flatnonzero(~ok):
                 c = np.zeros(train.n)
                 for rows, cnt in zip(arms, counts):
@@ -218,9 +243,15 @@ def _bootstrap(fit_spec, model, train: Dataset, X_query, B: int, seed, propensit
         return fitted.predict(X_query)
 
     refits = [refit(c) for c in draws()] if closed_form else list(pmap(refit, draws()))
-    for b, effect in zip(looped, refits):
-        boot[b] = effect
-    return boot
+    stacked = [np.concatenate(parts) for parts in zip(*chunks)]
+
+    def effects(rows):
+        boot = linear(stacked, rows) if linear else np.empty((B, len(X_query[rows])))
+        for b, effect in zip(looped, refits):
+            boot[b] = effect[rows]
+        return boot
+
+    return effects
 
 
 def uncertainty_interval(
@@ -235,11 +266,13 @@ def uncertainty_interval(
 ) -> CateInterval:
     """Bounds per query row: percentile bootstrap unioned with causal widening.
 
-    When alpha_stat = 0 the statistical part is the point estimate itself.
-    The causal part shifts the point by the summed per-arm tilts at lam of
-    the point fit's sorted train residuals, symmetric on both sides; the
-    reported interval is the union of the two extents, so it always brackets
-    the point estimate.
+    When alpha_stat = 0 the statistical part is the point estimate itself;
+    otherwise its percentiles are taken over slices of ``_CHUNK_BYTES // (8 *
+    b_boot)`` query rows, the budget of a chunk of count rows, so the effects
+    held at once stay one chunk's size.  The causal part shifts the point by
+    the summed per-arm tilts at lam of the point fit's sorted train
+    residuals, symmetric on both sides; the reported interval is the union of
+    the two extents, so it always brackets the point estimate.
     """
     X_query = np.asarray(X_query, dtype=float)
     if model is None:
@@ -247,10 +280,16 @@ def uncertainty_interval(
     point = model.predict(X_query)
 
     if theta.alpha_stat > 0.0:
-        boot = _bootstrap(fit_spec, model, train, X_query, theta.b_boot, seed, propensity)
+        effects = _bootstrap(fit_spec, model, train, X_query, theta.b_boot, seed, propensity)
         tail = (1.0 - theta.alpha_stat) / 2.0
-        # boot is not read again, so the quantiles may partition it in place
-        stat_lo, stat_hi = np.quantile(boot, [tail, 1.0 - tail], axis=0, overwrite_input=True)
+        stat_lo, stat_hi = np.empty_like(point), np.empty_like(point)
+        step = max(1, policy_eval._CHUNK_BYTES // (8 * theta.b_boot))
+        for start in range(0, len(point), step):
+            rows = slice(start, start + step)
+            # a slice's effects are not read again, so the quantiles may partition them
+            stat_lo[rows], stat_hi[rows] = np.quantile(
+                effects(rows), [tail, 1.0 - tail], axis=0, overwrite_input=True
+            )
     else:
         stat_lo = point.copy()
         stat_hi = point.copy()

@@ -12,12 +12,13 @@ closed form (X'X + lam I)^(-1) X'y.
 Solvers: one weighted least-squares core minimises
 0.5 * sum_i w_i (z_i - b - x_i beta)^2 + penalty.  Weighted centring removes
 the intercept and sqrt(w)-scaled rows leave an unweighted problem: one linear
-solve for none/L2, cyclic coordinate descent to a coefficient-change plus
-duality-gap tolerance for L1.  Least squares calls the core once with unit
-weights.  Logistic runs damped Newton as iteratively reweighted least squares:
-each step calls the core on the working response eta + (y - p) / w with
-weights w = p (1 - p), then halves the step until the penalized loss does not
-increase.  All fits are deterministic.
+solve for none/L2 (the minimum-norm solution where the Gram's smallest
+singular value is at most 1e-10 of its largest), cyclic coordinate descent to
+a coefficient-change plus duality-gap tolerance for L1.  Least squares calls
+the core once with unit weights.  Logistic runs damped Newton as iteratively
+reweighted least squares: each step calls the core on the working response
+eta + (y - p) / w with weights w = p (1 - p), then halves the step until the
+penalized loss does not increase.  All fits are deterministic.
 """
 
 from __future__ import annotations
@@ -171,10 +172,13 @@ def _weighted_fit(X, z, w, beta, penalty, lam, fit_intercept, tol, max_iter) -> 
     else:
         gram = X.T @ X + lam * np.eye(X.shape[1])
         rhs = X.T @ z
-        try:
+        # a singular value at or below 1e-10 of the largest counts as zero; a solve of a
+        # Gram singular to rounding need not raise, and its answer turns on row order
+        sv = np.linalg.svd(gram, compute_uv=False)
+        if sv.size and sv[-1] > 1e-10 * sv[0]:
             beta = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            beta = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+        else:  # the minimum-norm answer
+            beta = np.linalg.lstsq(gram, rhs, rcond=1e-10)[0]
         converged, n_iter = True, 0
     intercept = zm - float(xm @ beta) if fit_intercept else 0.0
     model = LinearModel(beta, intercept, "least-squares", penalty, lam, n_iter)

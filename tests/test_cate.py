@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -413,6 +414,74 @@ def loop_bootstrap(fit_spec, model, train, X_query, B, seed, propensity):
     return boot
 
 
+def chunk_effects(fit_spec, model, train, arms, X_query):
+    """``effects(counts) -> (ok, effects)`` on every query row of an ols or ridge
+    meta-learner's refits on one chunk of count rows per arm."""
+    p = fit_spec.learner.param_dict
+    lam = float(p.get("lam", 0.0)) if fit_spec.learner.kind == "ridge" else 0.0
+    X, y, intercept = train.covariates, train.outcome, p.get("fit_intercept", True)
+    if model.kind == "s":
+        rows = np.concatenate(arms)
+        design = intervals._Refits(np.hstack([X, train.treatment[:, None]])[rows], lam, intercept)
+
+        def effects(counts):
+            design.chunk(np.hstack(counts))
+            coef = design.solve(y[rows])[0]
+            return design.ok, np.repeat(coef[:, -1:], len(X_query), axis=1)
+
+        return effects
+    f0, f1 = (intervals._Refits(X[rows], lam, intercept) for rows in arms)
+    y0, y1 = (y[rows] for rows in arms)
+    g = model._g(X_query) if model.kind == "x" else None
+
+    def effects(counts):
+        f0.chunk(counts[0])
+        f1.chunk(counts[1])
+        mu0, mu1 = f0.solve(y0), f1.solve(y1)
+        if model.kind == "t":
+            return f0.ok & f1.ok, f1.predict(X_query, mu1) - f0.predict(X_query, mu0)
+        tau_t = f1.predict(X_query, f1.solve(y1 - f0.predict(f1.X, mu0)))
+        tau_c = f0.predict(X_query, f0.solve(f1.predict(f0.X, mu1) - y0))
+        return f0.ok & f1.ok, g * tau_c + (1.0 - g) * tau_t
+
+    return effects
+
+
+def full_matrix_bootstrap(fit_spec, model, train, X_query, B, seed, propensity):
+    """The (B, rows) refit effects written whole, a chunk of count rows at a time, and the
+    replicates left to refits: the bootstrap as it was before the bounds were taken per
+    slice of query rows, kept as an oracle (refits run in this process)."""
+    arms = [np.flatnonzero(train.treatment == a) for a in (0, 1)]
+    closed_form = fit_spec.learner.closed_form
+    effects = chunk_effects(fit_spec, model, train, arms, X_query) if closed_form else None
+    boot = np.empty((B, len(X_query)))
+    looped = []
+    for start, counts in policy_eval._resample_counts(seed, [rows.size for rows in arms], B):
+        chunk = boot[start:start + len(counts[0])]
+        ok, chunk[:] = effects(counts) if effects else (np.zeros(len(chunk), bool), np.nan)
+        for j in np.flatnonzero(~ok):
+            c = np.zeros(train.n)
+            for rows, cnt in zip(arms, counts):
+                c[rows] = cnt[j]
+            keep = np.flatnonzero(c)
+            fitted = fit_spec.fit(train.subset(keep), weights=c[keep], propensity=propensity)
+            boot[start + j] = fitted.predict(X_query)
+            looped.append(start + j)
+    return boot, looped
+
+
+def all_query_rows(fit_spec, model, train, X_query, B, seed, propensity):
+    """The (B, rows) effects ``intervals._bootstrap`` yields for every query row."""
+    effects = intervals._bootstrap(fit_spec, model, train, X_query, B, seed, propensity)
+    return effects(slice(None))
+
+
+def loop_effects(fit_spec, model, train, X_query, B, seed, propensity):
+    """``loop_bootstrap`` in the shape of ``intervals._bootstrap``: effects per slice."""
+    boot = loop_bootstrap(fit_spec, model, train, X_query, B, seed, propensity)
+    return lambda rows: boot[:, rows].copy()
+
+
 QUIRKS = ("none", "two-row arm", "binary", "arm-constant", "singular")
 
 
@@ -440,7 +509,7 @@ def linear_refit_cases(draw):
     return kind, learner, quirk, d, sizes, g_constant, B, per_chunk, seed
 
 
-def linear_refit_problem(kind, learner, quirk, d, sizes, g_constant, seed, on_span):
+def linear_refit_problem(kind, learner, quirk, d, sizes, g_constant, seed, m=5):
     """Train rows with the quirk, query rows, the spec, its fit and the propensity model."""
     rng = np.random.default_rng(seed)
     n = sum(sizes)
@@ -457,9 +526,7 @@ def linear_refit_problem(kind, learner, quirk, d, sizes, g_constant, seed, on_sp
         X[:, 1] = X[:, 0]
     y = X @ rng.normal(size=d) + t * (1.0 + X[:, 0]) + rng.normal(size=n)
     train = make_dataset(X, t, y)
-    X_query = rng.normal(size=(5, d)) + 1.0
-    if on_span:
-        X_query[:, 1] = X_query[:, 0]
+    X_query = rng.normal(size=(m, d)) + 1.0
     prop = None
     if kind == "x" and g_constant is None:
         prop = fit_classifier(LearnerSpec.from_dict({"kind": "logistic", "lam": 1.0}), X, t)
@@ -474,16 +541,14 @@ class TestLinearRefits:
     @given(linear_refit_cases())
     def test_batched_refits_match_fits_on_the_resampled_rows(self, case):
         kind, learner, quirk, d, sizes, g_constant, B, per_chunk, seed = case
-        # off the train span a singular ols fit is not identified: see the xfail below
-        on_span = quirk == "singular" and learner.kind == "ols"
         spec, model, train, X_query, prop = linear_refit_problem(
-            kind, learner, quirk, d, sizes, g_constant, seed, on_span
+            kind, learner, quirk, d, sizes, g_constant, seed
         )
         n = train.n
         counted = mock.patch.object(intervals, "fit_meta_learner", wraps=fit_meta_learner)
         chunked = mock.patch.object(policy_eval, "_CHUNK_BYTES", 8 * n * per_chunk)
         with counted as loop_fits, chunked:
-            boot = intervals._bootstrap(spec, model, train, X_query, B, seed, prop)
+            boot = all_query_rows(spec, model, train, X_query, B, seed, prop)
         expected = loop_bootstrap(spec, model, train, X_query, B, seed, prop)
         np.testing.assert_allclose(boot, expected, rtol=0.0, atol=1e-10)
         if quirk == "none":
@@ -498,21 +563,69 @@ class TestLinearRefits:
         )
         assert iv.point.tobytes() == model.predict(X_query).tobytes()
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "_weighted_fit solves a singular ols design to an answer that depends on row "
-        "order, so refits on counts and on copies part off the train span (CHANGES.md "
-        "FOUND on _weighted_fit); a minimum-norm solve would close it"
-    ))
     def test_singular_ols_refits_match_fits_on_the_resampled_rows_off_the_span(self):
         ols = LearnerSpec.from_dict({"kind": "ols", "fit_intercept": False})
         for kind, seed in itertools.product("stx", range(4)):
             spec, model, train, X_query, prop = linear_refit_problem(
-                kind, ols, "singular", 2, [20, 24], None, seed, on_span=False
+                kind, ols, "singular", 2, [20, 24], None, seed
             )
             with mock.patch.object(policy_eval, "_CHUNK_BYTES", 8 * train.n):
-                boot = intervals._bootstrap(spec, model, train, X_query, 3, seed, prop)
+                boot = all_query_rows(spec, model, train, X_query, 3, seed, prop)
             expected = loop_bootstrap(spec, model, train, X_query, 3, seed, prop)
             np.testing.assert_allclose(boot, expected, rtol=0.0, atol=1e-10)
+
+    @settings(max_examples=80, deadline=None)
+    @given(linear_refit_cases(), st.integers(1, 12), st.data())
+    def test_bounds_per_slice_match_the_full_matrix_oracle(self, case, m, data):
+        kind, learner, quirk, d, sizes, g_constant, B, _, seed = case
+        # small budgets give one-replicate chunks and one-row slices; a slice of s rows
+        # leaves an uneven last slice unless s divides m
+        n = sum(sizes)
+        budget = 8 * data.draw(st.one_of(st.integers(1, 3 * B), st.integers(1, B * (m + n))))
+        alpha = data.draw(st.sampled_from([0.5, 0.8, 0.95]))
+        spec, model, train, X_query, prop = linear_refit_problem(
+            kind, learner, quirk, d, sizes, g_constant, seed, m=m
+        )
+        theta = UncertaintySpec(alpha, 1.0, B)
+        with mock.patch.object(policy_eval, "_CHUNK_BYTES", budget):
+            boot = all_query_rows(spec, model, train, X_query, B, seed, prop)
+            iv = uncertainty_interval(
+                spec, train, X_query, theta, seed=seed, propensity=prop, model=model
+            )
+            expected, looped = full_matrix_bootstrap(spec, model, train, X_query, B, seed, prop)
+        tail = (1.0 - alpha) / 2.0
+        lo, hi = np.quantile(expected, [tail, 1.0 - tail], axis=0)
+        lo, hi = np.minimum(lo, iv.point), np.maximum(hi, iv.point)
+        np.testing.assert_array_equal(boot[looped], expected[looped])
+        if kind == "s" or len(looped) == B:
+            np.testing.assert_array_equal(boot, expected)
+            np.testing.assert_array_equal(iv.lower, lo)
+            np.testing.assert_array_equal(iv.upper, hi)
+        else:
+            # one product over all replicates rounds apart from one per chunk; an effect
+            # near 0 is a difference of larger terms, so its rounding scales with them
+            tol = dict(rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+            np.testing.assert_allclose(boot, expected, **tol)
+            np.testing.assert_allclose(iv.lower, lo, **tol)
+            np.testing.assert_allclose(iv.upper, hi, **tol)
+
+    def test_bounds_take_memory_per_slice_of_query_rows(self):
+        # the whole (b_boot, query rows) effect matrix would be 200 x 25,000 x 8 B = 40 MB
+        rng = np.random.default_rng(7)
+        n, m, d = 2000, 25_000, 10
+        X = rng.normal(size=(n + m, d))
+        t = (rng.random(n) < 0.5).astype(int)
+        y = X[:n] @ rng.normal(size=d) + t * (1.0 + X[:n, 0]) + rng.normal(size=n)
+        train, X_query = make_dataset(X[:n], t, y), X[n:]
+        spec = CateFitSpec("t", LearnerSpec.from_dict({"kind": "ridge", "lam": 1.0}))
+        tracemalloc.start()
+        try:
+            iv = uncertainty_interval(spec, train, X_query, UncertaintySpec(0.9, 1.0, 200), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert iv.lower.shape == (m,)
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     @pytest.mark.parametrize("learner", [
         {"kind": "gbt", "n_trees": 8, "max_depth": 2, "min_samples_leaf": 3},
@@ -525,7 +638,7 @@ class TestLinearRefits:
         X_query = data.covariates[:20]
         with mock.patch.object(policy_eval, "_CHUNK_BYTES", 8 * data.n * 3):
             iv = uncertainty_interval(spec, data, X_query, theta, seed=4)
-        with mock.patch.object(intervals, "_bootstrap", loop_bootstrap):
+        with mock.patch.object(intervals, "_bootstrap", loop_effects):
             expected = uncertainty_interval(spec, data, X_query, theta, seed=4)
         # refits on counts round apart from fits on the copies
         np.testing.assert_allclose(iv.lower, expected.lower, rtol=0.0, atol=1e-10)
@@ -598,7 +711,7 @@ class TestGbtRefits:
         model = spec.fit(data, propensity=prop)
         X_query = data.covariates[::3]
         with mock.patch.object(policy_eval, "_CHUNK_BYTES", 8 * data.n * 2):
-            boot = intervals._bootstrap(spec, model, data, X_query, 6, 11, prop)
+            boot = all_query_rows(spec, model, data, X_query, 6, 11, prop)
         expected = loop_bootstrap(spec, model, data, X_query, 6, 11, prop)
         np.testing.assert_allclose(boot, expected, rtol=0.0, atol=1e-10)
 

@@ -207,10 +207,16 @@ def oracle_fit_ridge(X, y, lam, fit_intercept, penalty):
     d = X.shape[1]
     gram = Xc.T @ Xc + lam * np.eye(d)
     rhs = Xc.T @ yc
-    try:
-        beta = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        beta = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if sv.size and sv[-1] <= 1e-10 * sv[0]:
+        # a singular Gram takes the minimum-norm answer of fit_linear's rank rule; the
+        # replaced solver's answer there turned on rounding
+        beta = np.linalg.lstsq(gram, rhs, rcond=1e-10)[0]
+    else:
+        try:
+            beta = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            beta = np.linalg.lstsq(gram, rhs, rcond=None)[0]
     intercept = ym - float(xm @ beta) if fit_intercept else 0.0
     return LinearModel(beta, intercept, "least-squares", penalty, lam)
 
