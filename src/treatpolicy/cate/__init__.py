@@ -7,6 +7,7 @@ from .diagnostics import (
     cate_diagnostics,
 )
 from .intervals import (
+    BootstrapMoments,
     CateFitSpec,
     CateInterval,
     UncertaintySpec,
@@ -22,6 +23,7 @@ __all__ = [
     "UncertaintySpec",
     "CateFitSpec",
     "CateInterval",
+    "BootstrapMoments",
     "tilted_mean",
     "causal_shift",
     "uncertainty_interval",

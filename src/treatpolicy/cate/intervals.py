@@ -1,9 +1,14 @@
 """Joint statistical and causal uncertainty intervals for effect estimates.
 
 The statistical part is a percentile interval over bootstrap refits with
-resampling stratified by arm, held as draw counts; ols and ridge refits are
-solved from count-weighted moments and kept as their coefficients, every
-other refit fits each drawn row once with its count as row weight.  The
+resampling stratified by arm, held as draw counts.  ols and ridge refits are
+solved from one set of count-weighted moments per arm and replicate, taken in
+one pass over the draws and shared by every ols and ridge model of a menu
+(``BootstrapMoments``), whatever its kind, lam or intercept: the s kind sums
+the two arms' moments with the arm column added, and the x kind's imputed
+targets are linear in its first-stage fits, so its second stage is solved
+from the same moments.  They are kept as their coefficients; every other
+refit fits each drawn row once with its count as row weight.  The
 percentiles are taken a slice of query rows at a time, ``_CHUNK_BYTES`` of
 effects per slice, so memory does not grow as b_boot x query rows; the
 exception is the refits that are not solved in closed form (gbt, lasso, and
@@ -35,6 +40,7 @@ __all__ = [
     "UncertaintySpec",
     "CateFitSpec",
     "CateInterval",
+    "BootstrapMoments",
     "tilted_mean",
     "causal_shift",
     "uncertainty_interval",
@@ -123,118 +129,163 @@ def causal_shift(residuals, lam: float) -> float:
     return max(0.0, tilted_mean(r, lam) - float(r.mean()))
 
 
-class _Refits:
-    """Least-squares refits on the rows X of one design, one per count row: weighted
-    means and variances z-score X as ``standardize`` does with the counts as weights, and
-    the z-scored Gram plus lam I is what ``fit_linear`` solves.  X is centred once."""
+class BootstrapMoments:
+    """Count-weighted moments of one train split's bootstrap, shared by every ols and
+    ridge model refitted on it.
 
-    def __init__(self, X, lam: float, intercept: bool):
-        self.center = X.mean(axis=0)
-        self.X, self.Xc, self.lam, self.intercept = X, X - self.center, lam, intercept
-        self.floor = 1e-12 * (X * X).mean(axis=0)  # below it, a column is constant
+    Per arm and replicate they are ``A' diag(c) A`` for ``A = [x - m, 1, y - ybar]``, with
+    c the replicate's draw counts and m, ybar the train means: one (b_boot, d + 2, d + 2)
+    array per arm, control arm first.  They are built in one pass over the count draws
+    the first time a closed-form model asks for them, so a menu without one pays
+    nothing.  Use with other train rows, another b_boot or another seed is refused."""
 
-    def chunk(self, C) -> None:
-        n, d = self.Xc.shape
-        self.C, self.mu = C, C @ self.Xc / n
-        # count rows times the design only: the per-replicate X'WX changes with BLAS threads
-        S = np.stack([(C * x) @ self.Xc for x in self.Xc.T], axis=1)
-        S -= n * self.mu[:, :, None] * self.mu[:, None, :]
-        var = np.diagonal(S, axis1=1, axis2=2) / n
-        self.ok = (var > self.floor).all(axis=1)
+    def __init__(self, train: Dataset, b_boot: int, seed: int | None = None):
+        self.train, self.b_boot, self.seed = train, b_boot, seed
+        # the draws are taken again for replicates left to refits, so fix the stream
+        self.entropy = np.random.SeedSequence(seed).entropy
+        self.arms = [np.flatnonzero(train.treatment == a) for a in (0, 1)]
+        self.center = train.covariates.mean(axis=0)
+        self.ybar = train.outcome.mean()
+        self._blocks = None
+
+    def check(self, train: Dataset, b_boot: int, seed) -> None:
+        same_rows = train is self.train or all(
+            np.array_equal(getattr(train, k), getattr(self.train, k))
+            for k in ("covariates", "treatment", "outcome")
+        )
+        if not same_rows or b_boot != self.b_boot or seed != self.seed:
+            raise ValueError("bootstrap moments were built for other train rows, "
+                             f"b_boot or seed (b_boot={self.b_boot}, seed={self.seed})")
+
+    def draws(self):
+        """The replicates' ``(start, counts)`` chunks, as ``policy_eval._resample_counts``."""
+        sizes = [rows.size for rows in self.arms]
+        return policy_eval._resample_counts(self.entropy, sizes, self.b_boot)
+
+    @property
+    def blocks(self) -> list:
+        if self._blocks is None:
+            X, y = self.train.covariates, self.train.outcome
+            designs = [
+                np.column_stack([X[rows] - self.center, np.ones(rows.size), y[rows] - self.ybar])
+                for rows in self.arms
+            ]
+            p = designs[0].shape[1]
+            self._blocks = [np.empty((self.b_boot, p, p)) for _ in designs]
+            for start, counts in self.draws():
+                for M, A, C in zip(self._blocks, designs, counts):
+                    # count rows times the design only: the per-replicate A'CA changes
+                    # with BLAS threads
+                    M[start:start + len(C)] = np.stack([(C * a) @ A for a in A.T], axis=1)
+        return self._blocks
+
+
+class _Fits:
+    """Least-squares refits of one design, one per replicate, from its moments M of
+    ``[design, 1, y - ybar]`` over n rows by count: weighted means and variances z-score
+    the design as ``standardize`` does with the counts as weights, and the z-scored
+    scatter plus lam I is what ``fit_linear`` solves."""
+
+    def __init__(self, M, n: int, floor, lam: float, intercept: bool, ybar: float):
+        p = M.shape[-1] - 2
+        self.mu = M[:, :p, p] / n
+        self.S = M[:, :p, :p] - n * self.mu[:, :, None] * self.mu[:, None, :]
+        y_mu = M[:, p, p + 1] / n
+        self.y_mu = ybar + y_mu  # the weighted outcome mean
+        self.Sy = M[:, :p, p + 1] - n * self.mu * y_mu[:, None]
+        var = np.diagonal(self.S, axis1=1, axis2=2) / n
+        self.ok = (var > floor).all(axis=1)  # below the floor, a column is constant
         self.s = np.sqrt(np.where(self.ok[:, None], var, 1.0))
-        self.gram = S / (self.s[:, :, None] * self.s[:, None, :]) + self.lam * np.eye(d)
+        self.gram = self.S / (self.s[:, :, None] * self.s[:, None, :]) + lam * np.eye(p)
         self.ok &= np.linalg.cond(self.gram) < 1e6  # a singular solve need not raise
-        self.gram[~self.ok] = np.eye(d)
+        self.gram[~self.ok] = np.eye(p)
+        self.intercept = intercept
 
-    def solve(self, T):
-        """(coef, offset) of the refits to targets T, (n,) or one row per replicate."""
-        t0 = T.mean(axis=-1)
-        CT = self.C * (T - t0[..., None])
-        tbar = CT.sum(axis=1) / len(self.Xc)
-        rhs = (CT @ self.Xc - len(self.Xc) * self.mu * tbar[:, None]) / self.s
-        coef = np.linalg.solve(self.gram, rhs[:, :, None])[:, :, 0] / self.s
-        return coef, (t0 + tbar if self.intercept else 0.0) - (self.mu * coef).sum(axis=1)
+    def solve(self, St, t_mu):
+        """(coef, offset) of the refits to a target with centred cross-products St with
+        the design and weighted mean t_mu; a fit predicts ``(x - m) @ coef + offset``."""
+        coef = np.linalg.solve(self.gram, (St / self.s)[:, :, None])[:, :, 0] / self.s
+        return coef, (t_mu if self.intercept else 0.0) - (self.mu * coef).sum(axis=1)
 
-    def predict(self, Q, fit) -> np.ndarray:
-        return ((Q - self.center) @ fit[0].T + fit[1]).T
+    def imputed(self, fit, sign: float):
+        """The refits to ``sign * (y - f(x))`` for per-replicate linear fits f: the
+        target is linear in f, so its moments are the design's."""
+        coef, offset = fit
+        return self.solve(sign * (self.Sy - np.einsum("bij,bj->bi", self.S, coef)),
+                          sign * (self.y_mu - (self.mu * coef).sum(axis=1) - offset))
 
 
-def _linear_refits(fit_spec: CateFitSpec, model: CateModel, train: Dataset, arms, X_query):
-    """``(solve, effects)`` of an ols or ridge meta-learner's refits: ``solve(counts)`` gives
-    ``(ok, fits)`` for a chunk of count rows per arm, a replicate that is not ok being left
-    to the loop, and ``effects(fits, rows)`` the (replicates, rows) effects of fits stacked
-    over the chunks on a slice ``rows`` of the query rows, one product per arm."""
+def _predict(Q, fit) -> np.ndarray:
+    return (Q @ fit[0].T + fit[1]).T
+
+
+def _linear_refits(fit_spec: CateFitSpec, model: CateModel, moments: BootstrapMoments,
+                   X_query):
+    """``(ok, effects)`` of an ols or ridge meta-learner's refits, all solved from the
+    shared moments: a replicate that is not ok is left to the loop, and ``effects(rows)``
+    gives the (replicates, rows) effects on a slice ``rows`` of the query rows, one
+    product per fit."""
     p = fit_spec.learner.param_dict
     lam = float(p.get("lam", 0.0)) if fit_spec.learner.kind == "ridge" else 0.0
-    X, y, intercept = train.covariates, train.outcome, p.get("fit_intercept", True)
+    intercept = p.get("fit_intercept", True)
+    X, t = moments.train.covariates, moments.train.treatment
     if model.kind == "s":
-        rows = np.concatenate(arms)
-        design = _Refits(np.hstack([X, train.treatment[:, None]])[rows], lam, intercept)
-
-        def solve(counts):
-            design.chunk(np.hstack(counts))
-            coef = design.solve(y[rows])[0]  # f(x, 1) - f(x, 0) is the slope of the arm column
-            return design.ok, (coef[:, -1],)
-
-        def effects(fits, rows):
-            return np.repeat(fits[0][:, None], len(X_query[rows]), axis=1)
-
-        return solve, effects
-    f0, f1 = (_Refits(X[rows], lam, intercept) for rows in arms)
-    y0, y1 = (y[rows] for rows in arms)
+        # the design [x - m, t]: the arm column is arm 1's ones column and 0 on controls
+        d = X.shape[1]
+        idx = np.r_[:d + 1, d, d + 1]
+        controls, treated = (M[:, idx[:, None], idx] for M in moments.blocks)
+        controls[:, d] = controls[:, :, d] = 0.0
+        floor = 1e-12 * np.append(np.square(X).mean(axis=0), np.mean(t * t))
+        fits = _Fits(controls + treated, len(t), floor, lam, intercept, moments.ybar)
+        # f(x, 1) - f(x, 0) is the slope of the arm column
+        slope = fits.solve(fits.Sy, fits.y_mu)[0][:, -1]
+        return fits.ok, lambda rows: np.repeat(slope[:, None], len(X_query[rows]), axis=1)
+    f0, f1 = (
+        _Fits(M, rows.size, 1e-12 * np.square(X[rows]).mean(axis=0), lam, intercept,
+              moments.ybar)
+        for M, rows in zip(moments.blocks, moments.arms)
+    )
+    mu0, mu1 = f0.solve(f0.Sy, f0.y_mu), f1.solve(f1.Sy, f1.y_mu)
     g = model._g(X_query) if model.kind == "x" else None
+    # imputed effects: y - mu_0(x) on treated rows, mu_1(x) - y on controls
+    fits = (mu0, mu1) if model.kind == "t" else (f0.imputed(mu1, -1.0), f1.imputed(mu0, 1.0))
 
-    def solve(counts):
-        f0.chunk(counts[0])
-        f1.chunk(counts[1])
-        mu0, mu1 = f0.solve(y0), f1.solve(y1)
-        if model.kind == "t":
-            return f0.ok & f1.ok, (*mu0, *mu1)
-        # imputed effects: y - mu_0(x) on treated rows, mu_1(x) - y on controls
-        tau_t = f1.solve(y1 - f0.predict(f1.X, mu0))
-        tau_c = f0.solve(f1.predict(f0.X, mu1) - y0)
-        return f0.ok & f1.ok, (*tau_c, *tau_t)
-
-    def effects(fits, rows):
-        e0, e1 = f0.predict(X_query[rows], fits[:2]), f1.predict(X_query[rows], fits[2:])
+    def effects(rows):
+        Q = X_query[rows] - moments.center
+        e0, e1 = _predict(Q, fits[0]), _predict(Q, fits[1])
         if model.kind == "t":
             return e1 - e0
         return g[rows] * e0 + (1.0 - g[rows]) * e1
 
-    return solve, effects
+    return f0.ok & f1.ok, effects
 
 
-def _bootstrap(fit_spec, model, train: Dataset, X_query, B: int, seed, propensity):
+def _bootstrap(fit_spec, model, train: Dataset, X_query, B: int, seed, propensity,
+               moments: BootstrapMoments | None = None):
     """``effects(rows)``: the (B, rows) refit effects on arm-stratified resamples, control
     arm drawn first, on a slice ``rows`` of the query rows.
 
-    ols and ridge replicates are solved from count-weighted moments and kept as their
-    coefficients, (B, d) and an offset per arm; every other refit fits each drawn row once,
-    weighted by its count, and keeps its effects on every query row.  Those, from gbt and
-    lasso refits and from closed-form replicates that fail the conditioning check, are the
-    one term that grows as B x query rows.  The counts are drawn here, in order; gbt and
-    lasso refits run in worker processes (``pmap``), which take them as they are drawn,
-    across chunks, and the closed-form fallbacks run in this one."""
-    arms = [np.flatnonzero(train.treatment == a) for a in (0, 1)]
+    ols and ridge replicates are solved from the moments, shared across models when
+    given, and kept as their coefficients, (B, d) and an offset per fit; every other
+    refit fits each drawn row once, weighted by its count, and keeps its effects on
+    every query row.  Those, from gbt and lasso refits and from closed-form replicates
+    that fail the conditioning check, are the one term that grows as B x query rows.
+    Their counts are drawn here, in order, again from the moments' stream for the
+    closed-form ones; gbt and lasso refits run in worker processes (``pmap``), which
+    take them as they are drawn, and the closed-form fallbacks run in this one."""
+    moments = moments or BootstrapMoments(train, B, seed)
     closed_form = fit_spec.learner.closed_form
-    solve = linear = None
+    ok, linear = np.zeros(B, bool), None
     if closed_form:
-        solve, linear = _linear_refits(fit_spec, model, train, arms, X_query)
-    chunks = []  # the closed-form fits of each chunk of count rows
-    looped = []  # the replicates left to refits, in the order their counts are yielded
+        ok, linear = _linear_refits(fit_spec, model, moments, X_query)
+    looped = np.flatnonzero(~ok)
 
     def draws():
-        sizes = [rows.size for rows in arms]
-        for start, counts in policy_eval._resample_counts(seed, sizes, B):
-            ok = np.zeros(len(counts[0]), bool)
-            if solve:
-                ok, fits = solve(counts)
-                chunks.append(fits)
-            for j in np.flatnonzero(~ok):
+        for start, counts in moments.draws() if looped.size else ():
+            for b in looped[(start <= looped) & (looped < start + len(counts[0]))]:
                 c = np.zeros(train.n)
-                for rows, cnt in zip(arms, counts):
-                    c[rows] = cnt[j]
-                looped.append(start + j)
+                for rows, cnt in zip(moments.arms, counts):
+                    c[rows] = cnt[b - start]
                 yield c
 
     def refit(c):
@@ -243,10 +294,9 @@ def _bootstrap(fit_spec, model, train: Dataset, X_query, B: int, seed, propensit
         return fitted.predict(X_query)
 
     refits = [refit(c) for c in draws()] if closed_form else list(pmap(refit, draws()))
-    stacked = [np.concatenate(parts) for parts in zip(*chunks)]
 
     def effects(rows):
-        boot = linear(stacked, rows) if linear else np.empty((B, len(X_query[rows])))
+        boot = linear(rows) if linear else np.empty((B, len(X_query[rows])))
         for b, effect in zip(looped, refits):
             boot[b] = effect[rows]
         return boot
@@ -263,24 +313,30 @@ def uncertainty_interval(
     *,
     propensity=None,
     model: CateModel | None = None,
+    moments: BootstrapMoments | None = None,
 ) -> CateInterval:
     """Bounds per query row: percentile bootstrap unioned with causal widening.
 
     When alpha_stat = 0 the statistical part is the point estimate itself;
     otherwise its percentiles are taken over slices of ``_CHUNK_BYTES // (8 *
     b_boot)`` query rows, the budget of a chunk of count rows, so the effects
-    held at once stay one chunk's size.  The causal part shifts the point by
+    held at once stay one chunk's size.  ``moments``, built for ``train``,
+    ``theta.b_boot`` and ``seed``, lets the models of one menu share their ols
+    and ridge refits' moments; without it the call builds its own.  The causal part shifts the point by
     the summed per-arm tilts at lam of the point fit's sorted train
     residuals, symmetric on both sides; the reported interval is the union of
     the two extents, so it always brackets the point estimate.
     """
     X_query = np.asarray(X_query, dtype=float)
+    if moments is not None:
+        moments.check(train, theta.b_boot, seed)
     if model is None:
         model = fit_spec.fit(train, propensity=propensity)
     point = model.predict(X_query)
 
     if theta.alpha_stat > 0.0:
-        effects = _bootstrap(fit_spec, model, train, X_query, theta.b_boot, seed, propensity)
+        effects = _bootstrap(fit_spec, model, train, X_query, theta.b_boot, seed, propensity,
+                             moments=moments)
         tail = (1.0 - theta.alpha_stat) / 2.0
         stat_lo, stat_hi = np.empty_like(point), np.empty_like(point)
         step = max(1, policy_eval._CHUNK_BYTES // (8 * theta.b_boot))

@@ -15,7 +15,8 @@ of per-row terms per policy (``_sum_columns``), reduced by
 the rank curve and the simulation study's IPW and DR values come from it,
 with a DR plug-in from ``fit_plug_in``.  ``bootstrap_tournament`` takes
 its points from the same terms, then values every policy on B shared row
-resamples held as draw counts, one matmul per chunk of rounds and policy.
+resamples held as draw counts, one matmul per chunk of rounds and policy,
+valued in one ``_round_values`` call per chunk and estimator.
 ``summarize_bootstrap`` reduces one policy's replicates to the summary
 statistics of the value table.
 """
@@ -393,10 +394,11 @@ def bootstrap_tournament(
 
     dists = {est: np.empty((len(policies), B)) for est in estimators}
     for start, (counts,) in _resample_counts(seed, [n], B):
-        for i, stack in enumerate(stacks):
-            sums = counts @ stack
-            for est in estimators:
-                dists[est][i, start:start + len(counts)] = _round_values(sums, n, est)
+        # every policy's sums on the chunk, policy by policy, valued in one call
+        sums = np.concatenate([counts @ stack for stack in stacks])
+        for est in estimators:
+            values = _round_values(sums, n, est).reshape(len(policies), len(counts))
+            dists[est][:, start:start + len(counts)] = values
     skipped = {est: int(np.isnan(v).sum()) for est, v in dists.items()}
     wins = {
         est: (v[:, None, :] > v[None, :, :]).sum(axis=-1).astype(int)

@@ -35,7 +35,6 @@ __all__ = [
     "SimulatedOutcomes",
     "simulate_outcomes",
     "true_policy_value",
-    "synthetic_covariates",
     "StudyReport",
     "run_study",
 ]
@@ -183,25 +182,6 @@ def true_policy_value(policy: Policy, outcomes: SimulatedOutcomes, treatment, ex
         raise ValueError("policy, treatment, and outcomes must cover the same rows")
     arm = np.where(policy.rec == DEFER, t, policy.rec)
     return float(np.where(arm == 1, y1, y0).mean())
-
-
-def synthetic_covariates(n: int, d: int, seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Standard Gaussian covariates with treatment assigned by a random
-    logistic rule; redraws the assignment if one arm comes up empty."""
-    root = np.random.SeedSequence(seed)
-    rng = np.random.default_rng(root)
-    X = rng.normal(size=(n, d))
-    gamma = rng.normal(0.0, 1.0 / np.sqrt(d), d)
-    logits = X @ gamma
-    p = 1.0 / (1.0 + np.exp(-logits))
-    T = (rng.random(n) < p).astype(int)
-    attempts = 0
-    while not ((T == 0).any() and (T == 1).any()):
-        attempts += 1
-        if attempts > 10:
-            raise DataError("could not draw both treatment arms")
-        T = (rng.random(n) < p).astype(int)
-    return X, T
 
 
 @dataclass

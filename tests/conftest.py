@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from treatpolicy.errors import DataError
 from treatpolicy.ingest import ColumnInfo, Dataset
 from treatpolicy.policy_eval import point_values
 
@@ -18,6 +19,25 @@ def make_dataset(cov, t, y, columns=None, split=None):
         outcome=np.asarray(y, dtype=float),
         split=None if split is None else np.asarray(split, dtype="<U10"),
     )
+
+
+def synthetic_covariates(n: int, d: int, seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Standard Gaussian covariates with treatment assigned by a random
+    logistic rule; redraws the assignment if one arm comes up empty."""
+    root = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(root)
+    X = rng.normal(size=(n, d))
+    gamma = rng.normal(0.0, 1.0 / np.sqrt(d), d)
+    logits = X @ gamma
+    p = 1.0 / (1.0 + np.exp(-logits))
+    T = (rng.random(n) < p).astype(int)
+    attempts = 0
+    while not ((T == 0).any() and (T == 1).any()):
+        attempts += 1
+        if attempts > 10:
+            raise DataError("could not draw both treatment arms")
+        T = (rng.random(n) < p).astype(int)
+    return X, T
 
 
 def see_cpus(monkeypatch, n):

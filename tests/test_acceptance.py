@@ -10,7 +10,14 @@ import shutil
 import time
 
 import numpy as np
-from conftest import dr_value, ipw_value, make_dataset, pipeline_raw, write_observational_csv
+from conftest import (
+    dr_value,
+    ipw_value,
+    make_dataset,
+    pipeline_raw,
+    synthetic_covariates,
+    write_observational_csv,
+)
 
 from treatpolicy.cate import CateFitSpec, UncertaintySpec, uncertainty_interval
 from treatpolicy.config import validate_config
@@ -29,7 +36,6 @@ from treatpolicy.simulation import (
     SimulationSpec,
     run_study,
     simulate_outcomes,
-    synthetic_covariates,
 )
 
 RIDGE_T = CateFitSpec(kind="t", learner=LearnerSpec.from_dict({"kind": "ridge", "lam": 1.0}))

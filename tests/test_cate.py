@@ -10,13 +10,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import linear_dataset, make_dataset
+from conftest import linear_dataset, make_dataset, pipeline_raw, write_observational_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treatpolicy
 from treatpolicy import policy_eval
 from treatpolicy.cate import (
+    BootstrapMoments,
     CateFitSpec,
     CateInterval,
     CateModel,
@@ -29,11 +30,13 @@ from treatpolicy.cate import (
     tilted_mean,
     uncertainty_interval,
 )
+from treatpolicy.config import validate_config
 from treatpolicy.errors import ConfigError, DataError
 from treatpolicy.learners import (
     LearnerSpec, decode_model, encode_model, fit_classifier, save_model,
 )
 from treatpolicy.learners.serialize import FORMAT_NAME, FORMAT_VERSION
+from treatpolicy.pipeline import run_stages
 from treatpolicy.policy_eval import ensemble_effects
 
 
@@ -414,6 +417,43 @@ def loop_bootstrap(fit_spec, model, train, X_query, B, seed, propensity):
     return boot
 
 
+class _Refits:
+    """Least-squares refits on the rows X of one design, one per count row, with the
+    arithmetic of the per-model products that the shared bootstrap moments replaced:
+    weighted means and variances z-score X as ``standardize`` does with the counts as
+    weights, and the z-scored Gram plus lam I is what ``fit_linear`` solves.  X is
+    centred once, on its own mean.  Kept as an oracle."""
+
+    def __init__(self, X, lam: float, intercept: bool):
+        self.center = X.mean(axis=0)
+        self.X, self.Xc, self.lam, self.intercept = X, X - self.center, lam, intercept
+        self.floor = 1e-12 * (X * X).mean(axis=0)  # below it, a column is constant
+
+    def chunk(self, C) -> None:
+        n, d = self.Xc.shape
+        self.C, self.mu = C, C @ self.Xc / n
+        S = np.stack([(C * x) @ self.Xc for x in self.Xc.T], axis=1)
+        S -= n * self.mu[:, :, None] * self.mu[:, None, :]
+        var = np.diagonal(S, axis1=1, axis2=2) / n
+        self.ok = (var > self.floor).all(axis=1)
+        self.s = np.sqrt(np.where(self.ok[:, None], var, 1.0))
+        self.gram = S / (self.s[:, :, None] * self.s[:, None, :]) + self.lam * np.eye(d)
+        self.ok &= np.linalg.cond(self.gram) < 1e6
+        self.gram[~self.ok] = np.eye(d)
+
+    def solve(self, T):
+        """(coef, offset) of the refits to targets T, (n,) or one row per replicate."""
+        t0 = T.mean(axis=-1)
+        CT = self.C * (T - t0[..., None])
+        tbar = CT.sum(axis=1) / len(self.Xc)
+        rhs = (CT @ self.Xc - len(self.Xc) * self.mu * tbar[:, None]) / self.s
+        coef = np.linalg.solve(self.gram, rhs[:, :, None])[:, :, 0] / self.s
+        return coef, (t0 + tbar if self.intercept else 0.0) - (self.mu * coef).sum(axis=1)
+
+    def predict(self, Q, fit) -> np.ndarray:
+        return ((Q - self.center) @ fit[0].T + fit[1]).T
+
+
 def chunk_effects(fit_spec, model, train, arms, X_query):
     """``effects(counts) -> (ok, effects)`` on every query row of an ols or ridge
     meta-learner's refits on one chunk of count rows per arm."""
@@ -422,7 +462,7 @@ def chunk_effects(fit_spec, model, train, arms, X_query):
     X, y, intercept = train.covariates, train.outcome, p.get("fit_intercept", True)
     if model.kind == "s":
         rows = np.concatenate(arms)
-        design = intervals._Refits(np.hstack([X, train.treatment[:, None]])[rows], lam, intercept)
+        design = _Refits(np.hstack([X, train.treatment[:, None]])[rows], lam, intercept)
 
         def effects(counts):
             design.chunk(np.hstack(counts))
@@ -430,7 +470,7 @@ def chunk_effects(fit_spec, model, train, arms, X_query):
             return design.ok, np.repeat(coef[:, -1:], len(X_query), axis=1)
 
         return effects
-    f0, f1 = (intervals._Refits(X[rows], lam, intercept) for rows in arms)
+    f0, f1 = (_Refits(X[rows], lam, intercept) for rows in arms)
     y0, y1 = (y[rows] for rows in arms)
     g = model._g(X_query) if model.kind == "x" else None
 
@@ -476,7 +516,7 @@ def all_query_rows(fit_spec, model, train, X_query, B, seed, propensity):
     return effects(slice(None))
 
 
-def loop_effects(fit_spec, model, train, X_query, B, seed, propensity):
+def loop_effects(fit_spec, model, train, X_query, B, seed, propensity, moments=None):
     """``loop_bootstrap`` in the shape of ``intervals._bootstrap``: effects per slice."""
     boot = loop_bootstrap(fit_spec, model, train, X_query, B, seed, propensity)
     return lambda rows: boot[:, rows].copy()
@@ -597,17 +637,86 @@ class TestLinearRefits:
         lo, hi = np.quantile(expected, [tail, 1.0 - tail], axis=0)
         lo, hi = np.minimum(lo, iv.point), np.maximum(hi, iv.point)
         np.testing.assert_array_equal(boot[looped], expected[looped])
-        if kind == "s" or len(looped) == B:
+        if len(looped) == B:
             np.testing.assert_array_equal(boot, expected)
             np.testing.assert_array_equal(iv.lower, lo)
             np.testing.assert_array_equal(iv.upper, hi)
         else:
-            # one product over all replicates rounds apart from one per chunk; an effect
-            # near 0 is a difference of larger terms, so its rounding scales with them
+            # the shared moments centre on the train means, the oracle on each design's
+            # own, and a slice's product rounds apart from one per chunk; an effect near
+            # 0 is a difference of larger terms, so its rounding scales with them
             tol = dict(rtol=1e-12, atol=1e-12 * np.abs(expected).max())
             np.testing.assert_allclose(boot, expected, **tol)
             np.testing.assert_allclose(iv.lower, lo, **tol)
             np.testing.assert_allclose(iv.upper, hi, **tol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(linear_refit_cases(), st.sampled_from([0.5, 1.0, 3.0]))
+    def test_shared_moments_give_the_bytes_of_standalone_calls(self, case, lam):
+        _, _, quirk, d, sizes, g_constant, B, per_chunk, seed = case
+        intercept = case[1].param_dict["fit_intercept"]
+        learners = [LearnerSpec.from_dict({"kind": "ols", "fit_intercept": intercept}),
+                    LearnerSpec.from_dict({"kind": "ridge", "lam": lam,
+                                           "fit_intercept": intercept})]
+        _, _, train, X_query, prop = linear_refit_problem(
+            "x", learners[0], quirk, d, sizes, g_constant, seed
+        )
+        theta = UncertaintySpec(0.8, 1.0, B)
+        moments = BootstrapMoments(train, B, seed)
+        with mock.patch.object(policy_eval, "_CHUNK_BYTES", 8 * train.n * per_chunk):
+            for kind, learner in itertools.product("stx", learners):
+                spec = CateFitSpec(kind, learner, g_constant=g_constant)
+                shared = uncertainty_interval(spec, train, X_query, theta, seed=seed,
+                                              propensity=prop, moments=moments)
+                alone = uncertainty_interval(spec, train, X_query, theta, seed=seed,
+                                             propensity=prop)
+                assert shared.lower.tobytes() == alone.lower.tobytes()
+                assert shared.upper.tobytes() == alone.upper.tobytes()
+
+    def test_moments_of_other_rows_b_boot_or_seed_are_refused(self):
+        data = small_dataset(seed=35, n=50)
+        spec = CateFitSpec("t", RIDGE)
+        moments = BootstrapMoments(data, 5, seed=1)
+        theta = UncertaintySpec(0.8, 1.0, 5)
+        copy = make_dataset(data.covariates.copy(), data.treatment.copy(), data.outcome.copy())
+        uncertainty_interval(spec, copy, data.covariates, theta, seed=1, moments=moments)
+        for train, b_boot, seed in ((data.subset(np.arange(40)), 5, 1), (data, 6, 1),
+                                    (data, 5, 2), (data, 5, None)):
+            with pytest.raises(ValueError, match="bootstrap moments were built for other"):
+                theta = UncertaintySpec(0.8, 1.0, b_boot)
+                uncertainty_interval(spec, train, data.covariates, theta, seed=seed,
+                                     moments=moments)
+
+    def test_unseeded_refits_of_failed_replicates_take_the_moments_draws(self):
+        ols = LearnerSpec.from_dict({"kind": "ols"})
+        spec, model, train, X_query, _ = linear_refit_problem(
+            "t", ols, "binary", 2, [30, 30], None, 5
+        )
+        moments = BootstrapMoments(train, 9)
+        counted = mock.patch.object(intervals, "fit_meta_learner", wraps=fit_meta_learner)
+        with counted as loop_fits:
+            boot = intervals._bootstrap(spec, model, train, X_query, 9, None, None,
+                                        moments=moments)(slice(None))
+        assert 0 < loop_fits.call_count < 9
+        expected = loop_bootstrap(spec, model, train, X_query, 9, moments.entropy, None)
+        np.testing.assert_allclose(boot, expected, rtol=0.0, atol=1e-10)
+
+    def test_fit_cate_draws_the_counts_once_for_the_menu(self, tmp_path):
+        csv_path = tmp_path / "cohort.csv"
+        write_observational_csv(csv_path)
+        ridge = {"kind": "ridge", "lam": 1.0}
+        menu = {"t-ridge": {"kind": "t", "learner": ridge},
+                "x-ridge": {"kind": "x", "learner": ridge},
+                "s-ols": {"kind": "s", "learner": {"kind": "ols"}}}
+        cfg = validate_config(pipeline_raw(csv_path, tmp_path / "out", cate={"menu": menu}))
+        run_stages(cfg, ["ingest", "fit-propensity"])
+        draws = mock.patch.object(policy_eval, "_resample_counts",
+                                  wraps=policy_eval._resample_counts)
+        with draws as drawn:
+            run_stages(cfg, ["fit-cate"])
+        gate = json.loads((tmp_path / "out" / "cate" / "gate.json").read_text())
+        assert not any(entry["excluded"] for entry in gate.values())
+        assert drawn.call_count == 1
 
     def test_bounds_take_memory_per_slice_of_query_rows(self):
         # the whole (b_boot, query rows) effect matrix would be 200 x 25,000 x 8 B = 40 MB

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import see_cpus
+from conftest import see_cpus, synthetic_covariates
 
 from treatpolicy.cate import CateFitSpec
 from treatpolicy.errors import ConfigError, DataError
@@ -11,7 +11,6 @@ from treatpolicy.simulation import (
     StudyReport,
     run_study,
     simulate_outcomes,
-    synthetic_covariates,
     true_policy_value,
 )
 
