@@ -7,7 +7,6 @@ from .diagnostics import (
     cate_diagnostics,
 )
 from .intervals import (
-    BootstrapMoments,
     CateFitSpec,
     CateInterval,
     UncertaintySpec,
@@ -23,7 +22,6 @@ __all__ = [
     "UncertaintySpec",
     "CateFitSpec",
     "CateInterval",
-    "BootstrapMoments",
     "tilted_mean",
     "causal_shift",
     "uncertainty_interval",

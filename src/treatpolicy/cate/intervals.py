@@ -4,10 +4,12 @@ The statistical part is a percentile interval over bootstrap refits with
 resampling stratified by arm, held as draw counts.  ols and ridge refits are
 solved from one set of count-weighted moments per arm and replicate, taken in
 one pass over the draws and shared by every ols and ridge model of a menu
-(``BootstrapMoments``), whatever its kind, lam or intercept: the s kind sums
-the two arms' moments with the arm column added, and the x kind's imputed
-targets are linear in its first-stage fits, so its second stage is solved
-from the same moments.  They are kept as their coefficients; every other
+(``_BootstrapMoments``), whatever its kind, lam or intercept.  Each arm's
+moments are centred on its own train mean: the s kind moves the two arms'
+moments to the train mean and sums them with the arm column added, and the x
+kind's imputed targets are linear in its first-stage fits, so its second
+stage is solved from the same moments, with the other arm's first-stage fit
+moved to this arm's centring.  They are kept as their coefficients; every other
 refit fits each drawn row once with its count as row weight.  The
 percentiles are taken a slice of query rows at a time, ``_CHUNK_BYTES`` of
 effects per slice, so memory does not grow as b_boot x query rows; the
@@ -40,7 +42,6 @@ __all__ = [
     "UncertaintySpec",
     "CateFitSpec",
     "CateInterval",
-    "BootstrapMoments",
     "tilted_mean",
     "causal_shift",
     "uncertainty_interval",
@@ -129,31 +130,30 @@ def causal_shift(residuals, lam: float) -> float:
     return max(0.0, tilted_mean(r, lam) - float(r.mean()))
 
 
-class BootstrapMoments:
+class _BootstrapMoments:
     """Count-weighted moments of one train split's bootstrap, shared by every ols and
     ridge model refitted on it.
 
     Per arm and replicate they are ``A' diag(c) A`` for ``A = [x - m, 1, y - ybar]``, with
-    c the replicate's draw counts and m, ybar the train means: one (b_boot, d + 2, d + 2)
-    array per arm, control arm first.  They are built in one pass over the count draws
-    the first time a closed-form model asks for them, so a menu without one pays
-    nothing.  Use with other train rows, another b_boot or another seed is refused."""
+    c the replicate's draw counts, m the arm's train mean and ybar the train outcome mean:
+    one (b_boot, d + 2, d + 2) array per arm, control arm first.  Centred on its own arm's
+    mean, a column that is constant in the arm is about 0 and fails the variance floor,
+    as on the rows.  They are built in one pass over the count draws the first time a
+    closed-form model asks for them, so a menu without one pays nothing.  Use with
+    another train Dataset, even an equal copy, another b_boot or another seed is
+    refused."""
 
     def __init__(self, train: Dataset, b_boot: int, seed: int | None = None):
         self.train, self.b_boot, self.seed = train, b_boot, seed
         # the draws are taken again for replicates left to refits, so fix the stream
         self.entropy = np.random.SeedSequence(seed).entropy
         self.arms = [np.flatnonzero(train.treatment == a) for a in (0, 1)]
-        self.center = train.covariates.mean(axis=0)
+        self.centers = [train.covariates[rows].mean(axis=0) for rows in self.arms]
         self.ybar = train.outcome.mean()
         self._blocks = None
 
     def check(self, train: Dataset, b_boot: int, seed) -> None:
-        same_rows = train is self.train or all(
-            np.array_equal(getattr(train, k), getattr(self.train, k))
-            for k in ("covariates", "treatment", "outcome")
-        )
-        if not same_rows or b_boot != self.b_boot or seed != self.seed:
+        if train is not self.train or b_boot != self.b_boot or seed != self.seed:
             raise ValueError("bootstrap moments were built for other train rows, "
                              f"b_boot or seed (b_boot={self.b_boot}, seed={self.seed})")
 
@@ -167,8 +167,8 @@ class BootstrapMoments:
         if self._blocks is None:
             X, y = self.train.covariates, self.train.outcome
             designs = [
-                np.column_stack([X[rows] - self.center, np.ones(rows.size), y[rows] - self.ybar])
-                for rows in self.arms
+                np.column_stack([X[rows] - m, np.ones(rows.size), y[rows] - self.ybar])
+                for rows, m in zip(self.arms, self.centers)
             ]
             p = designs[0].shape[1]
             self._blocks = [np.empty((self.b_boot, p, p)) for _ in designs]
@@ -178,6 +178,14 @@ class BootstrapMoments:
                     # with BLAS threads
                     M[start:start + len(C)] = np.stack([(C * a) @ A for a in A.T], axis=1)
         return self._blocks
+
+
+def _recentre(M, shift) -> None:
+    """Move moments M of ``[x - m, ..., 1, y - ybar]`` in place to ``x - m + shift``: each
+    x column gains shift times the ones column, on both sides."""
+    d = len(shift)
+    M[:, :d] += shift[:, None] * M[:, -2, None]
+    M[:, :, :d] += M[:, :, -2, None] * shift
 
 
 class _Fits:
@@ -219,7 +227,13 @@ def _predict(Q, fit) -> np.ndarray:
     return (Q @ fit[0].T + fit[1]).T
 
 
-def _linear_refits(fit_spec: CateFitSpec, model: CateModel, moments: BootstrapMoments,
+def _moved(fit, shift):
+    """A fit of ``(x - m) @ coef + offset`` written on ``x - m - shift``."""
+    coef, offset = fit
+    return coef, offset + coef @ shift
+
+
+def _linear_refits(fit_spec: CateFitSpec, model: CateModel, moments: _BootstrapMoments,
                    X_query):
     """``(ok, effects)`` of an ols or ridge meta-learner's refits, all solved from the
     shared moments: a replicate that is not ok is left to the loop, and ``effects(rows)``
@@ -230,10 +244,14 @@ def _linear_refits(fit_spec: CateFitSpec, model: CateModel, moments: BootstrapMo
     intercept = p.get("fit_intercept", True)
     X, t = moments.train.covariates, moments.train.treatment
     if model.kind == "s":
-        # the design [x - m, t]: the arm column is arm 1's ones column and 0 on controls
+        # the design [x - m, t] on the train mean m: the arm column is arm 1's ones
+        # column and 0 on controls
         d = X.shape[1]
+        m = X.mean(axis=0)
         idx = np.r_[:d + 1, d, d + 1]
         controls, treated = (M[:, idx[:, None], idx] for M in moments.blocks)
+        for M, c in zip((controls, treated), moments.centers):
+            _recentre(M, c - m)
         controls[:, d] = controls[:, :, d] = 0.0
         floor = 1e-12 * np.append(np.square(X).mean(axis=0), np.mean(t * t))
         fits = _Fits(controls + treated, len(t), floor, lam, intercept, moments.ybar)
@@ -247,12 +265,16 @@ def _linear_refits(fit_spec: CateFitSpec, model: CateModel, moments: BootstrapMo
     )
     mu0, mu1 = f0.solve(f0.Sy, f0.y_mu), f1.solve(f1.Sy, f1.y_mu)
     g = model._g(X_query) if model.kind == "x" else None
-    # imputed effects: y - mu_0(x) on treated rows, mu_1(x) - y on controls
-    fits = (mu0, mu1) if model.kind == "t" else (f0.imputed(mu1, -1.0), f1.imputed(mu0, 1.0))
+    # each arm's fits are on its own centring; imputed effects: y - mu_0(x) on treated
+    # rows, mu_1(x) - y on controls
+    m0, m1 = moments.centers
+    if model.kind == "t":
+        fits = (mu0, mu1)
+    else:
+        fits = (f0.imputed(_moved(mu1, m0 - m1), -1.0), f1.imputed(_moved(mu0, m1 - m0), 1.0))
 
     def effects(rows):
-        Q = X_query[rows] - moments.center
-        e0, e1 = _predict(Q, fits[0]), _predict(Q, fits[1])
+        e0, e1 = (_predict(X_query[rows] - c, fit) for c, fit in zip(moments.centers, fits))
         if model.kind == "t":
             return e1 - e0
         return g[rows] * e0 + (1.0 - g[rows]) * e1
@@ -261,7 +283,7 @@ def _linear_refits(fit_spec: CateFitSpec, model: CateModel, moments: BootstrapMo
 
 
 def _bootstrap(fit_spec, model, train: Dataset, X_query, B: int, seed, propensity,
-               moments: BootstrapMoments | None = None):
+               moments: _BootstrapMoments | None = None):
     """``effects(rows)``: the (B, rows) refit effects on arm-stratified resamples, control
     arm drawn first, on a slice ``rows`` of the query rows.
 
@@ -273,7 +295,7 @@ def _bootstrap(fit_spec, model, train: Dataset, X_query, B: int, seed, propensit
     Their counts are drawn here, in order, again from the moments' stream for the
     closed-form ones; gbt and lasso refits run in worker processes (``pmap``), which
     take them as they are drawn, and the closed-form fallbacks run in this one."""
-    moments = moments or BootstrapMoments(train, B, seed)
+    moments = moments or _BootstrapMoments(train, B, seed)
     closed_form = fit_spec.learner.closed_form
     ok, linear = np.zeros(B, bool), None
     if closed_form:
@@ -313,7 +335,7 @@ def uncertainty_interval(
     *,
     propensity=None,
     model: CateModel | None = None,
-    moments: BootstrapMoments | None = None,
+    moments: _BootstrapMoments | None = None,
 ) -> CateInterval:
     """Bounds per query row: percentile bootstrap unioned with causal widening.
 

@@ -22,7 +22,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import layout
-from .cate import BootstrapMoments, CateInterval, cate_diagnostics, uncertainty_interval
+from .cate import CateInterval, cate_diagnostics, uncertainty_interval
+from .cate.intervals import _BootstrapMoments
 from .config import PipelineConfig
 from .deferral import (
     REASON_OVERLAP,
@@ -256,7 +257,7 @@ def stage_fit_cate(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
     theta = cfg.theta()
     u_seed = cfg.echo["uncertainty"]["seed"]
     # one set of bootstrap moments for every ols and ridge model of the menu
-    moments = BootstrapMoments(train, theta.b_boot, u_seed)
+    moments = _BootstrapMoments(train, theta.b_boot, u_seed)
     intervals = [
         uncertainty_interval(
             menu[name], train, test.covariates, theta, seed=u_seed,

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import treatpolicy
 from treatpolicy import policy_eval
 from treatpolicy.cate import (
-    BootstrapMoments,
     CateFitSpec,
     CateInterval,
     CateModel,
@@ -522,14 +521,16 @@ def loop_effects(fit_spec, model, train, X_query, B, seed, propensity, moments=N
     return lambda rows: boot[:, rows].copy()
 
 
-QUIRKS = ("none", "two-row arm", "binary", "arm-constant", "singular")
+QUIRKS = ("none", "two-row arm", "binary", "arm-constant", "arm-zero", "singular")
 
 
 @st.composite
 def linear_refit_cases(draw):
     kind = draw(st.sampled_from(["s", "t", "x"]))
     learner = draw(st.sampled_from(["ols", "ridge"]))
-    quirk = draw(st.sampled_from(QUIRKS))
+    # arm-zero leaves the s design whole but makes its effect a difference of terms some
+    # 10 times its size, past the 1e-12 of the full-matrix oracle: it has its own test
+    quirk = draw(st.sampled_from([q for q in QUIRKS if kind != "s" or q != "arm-zero"]))
     d = draw(st.integers(1, 3))
     sizes = [draw(st.integers(20, 45)), draw(st.integers(20, 45))]
     if quirk == "two-row arm":
@@ -562,6 +563,10 @@ def linear_refit_problem(kind, learner, quirk, d, sizes, g_constant, seed, m=5):
             X[rng.choice(rows, int(rng.integers(1, 3)), replace=False), 0] = 1.0
     if quirk == "arm-constant":
         X[t == 1, 0] = 0.3
+    if quirk == "arm-zero":
+        # 0 on controls, far from 0 on treated rows: the train mean is far from both
+        X[t == 0, 0] = 0.0
+        X[t == 1, 0] += 10.0
     if quirk == "singular":
         X[:, 1] = X[:, 0]
     y = X @ rng.normal(size=d) + t * (1.0 + X[:, 0]) + rng.normal(size=n)
@@ -594,7 +599,7 @@ class TestLinearRefits:
         if quirk == "none":
             assert loop_fits.call_count == 0
         if (quirk == "singular" and learner.kind == "ols") or (
-            quirk == "arm-constant" and kind != "s"
+            quirk in ("arm-constant", "arm-zero") and kind != "s"
         ):
             assert loop_fits.call_count == B
 
@@ -602,6 +607,22 @@ class TestLinearRefits:
             spec, train, X_query, UncertaintySpec(0.8, 1.0, B), seed=seed, propensity=prop
         )
         assert iv.point.tobytes() == model.predict(X_query).tobytes()
+
+    @pytest.mark.parametrize("kind", ["s", "t", "x"])
+    def test_a_column_constant_in_one_arm_far_from_the_train_mean(self, kind):
+        # the column is 0 on controls and near 10 on treated rows: centred on the train
+        # mean it would not be constant in the controls' moments
+        ols = LearnerSpec.from_dict({"kind": "ols"})
+        for learner, seed in itertools.product((ols, RIDGE), range(3)):
+            spec, model, train, X_query, prop = linear_refit_problem(
+                kind, learner, "arm-zero", 2, [30, 35], None, seed
+            )
+            counted = mock.patch.object(intervals, "fit_meta_learner", wraps=fit_meta_learner)
+            with counted as loop_fits:
+                boot = all_query_rows(spec, model, train, X_query, 9, seed, prop)
+            expected = loop_bootstrap(spec, model, train, X_query, 9, seed, prop)
+            np.testing.assert_allclose(boot, expected, rtol=0.0, atol=1e-10)
+            assert loop_fits.call_count == (0 if kind == "s" else 9)
 
     def test_singular_ols_refits_match_fits_on_the_resampled_rows_off_the_span(self):
         ols = LearnerSpec.from_dict({"kind": "ols", "fit_intercept": False})
@@ -642,9 +663,9 @@ class TestLinearRefits:
             np.testing.assert_array_equal(iv.lower, lo)
             np.testing.assert_array_equal(iv.upper, hi)
         else:
-            # the shared moments centre on the train means, the oracle on each design's
-            # own, and a slice's product rounds apart from one per chunk; an effect near
-            # 0 is a difference of larger terms, so its rounding scales with them
+            # the shared moments hold y beside x and are moved between centrings, and a
+            # slice's product rounds apart from one per chunk; an effect near 0 is a
+            # difference of larger terms, so its rounding scales with them
             tol = dict(rtol=1e-12, atol=1e-12 * np.abs(expected).max())
             np.testing.assert_allclose(boot, expected, **tol)
             np.testing.assert_allclose(iv.lower, lo, **tol)
@@ -662,7 +683,7 @@ class TestLinearRefits:
             "x", learners[0], quirk, d, sizes, g_constant, seed
         )
         theta = UncertaintySpec(0.8, 1.0, B)
-        moments = BootstrapMoments(train, B, seed)
+        moments = intervals._BootstrapMoments(train, B, seed)
         with mock.patch.object(policy_eval, "_CHUNK_BYTES", 8 * train.n * per_chunk):
             for kind, learner in itertools.product("stx", learners):
                 spec = CateFitSpec(kind, learner, g_constant=g_constant)
@@ -676,12 +697,13 @@ class TestLinearRefits:
     def test_moments_of_other_rows_b_boot_or_seed_are_refused(self):
         data = small_dataset(seed=35, n=50)
         spec = CateFitSpec("t", RIDGE)
-        moments = BootstrapMoments(data, 5, seed=1)
+        moments = intervals._BootstrapMoments(data, 5, seed=1)
         theta = UncertaintySpec(0.8, 1.0, 5)
+        uncertainty_interval(spec, data, data.covariates, theta, seed=1, moments=moments)
+        # the moments are checked by identity: an equal copy of the rows is refused too
         copy = make_dataset(data.covariates.copy(), data.treatment.copy(), data.outcome.copy())
-        uncertainty_interval(spec, copy, data.covariates, theta, seed=1, moments=moments)
-        for train, b_boot, seed in ((data.subset(np.arange(40)), 5, 1), (data, 6, 1),
-                                    (data, 5, 2), (data, 5, None)):
+        for train, b_boot, seed in ((copy, 5, 1), (data.subset(np.arange(40)), 5, 1),
+                                    (data, 6, 1), (data, 5, 2), (data, 5, None)):
             with pytest.raises(ValueError, match="bootstrap moments were built for other"):
                 theta = UncertaintySpec(0.8, 1.0, b_boot)
                 uncertainty_interval(spec, train, data.covariates, theta, seed=seed,
@@ -692,7 +714,7 @@ class TestLinearRefits:
         spec, model, train, X_query, _ = linear_refit_problem(
             "t", ols, "binary", 2, [30, 30], None, 5
         )
-        moments = BootstrapMoments(train, 9)
+        moments = intervals._BootstrapMoments(train, 9)
         counted = mock.patch.object(intervals, "fit_meta_learner", wraps=fit_meta_learner)
         with counted as loop_fits:
             boot = intervals._bootstrap(spec, model, train, X_query, 9, None, None,
