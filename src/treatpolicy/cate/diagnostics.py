@@ -24,14 +24,6 @@ class CalibrationSegment:
     mean_cate: float
     aipw_ate: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "segment": self.segment,
-            "count": self.count,
-            "mean_cate": self.mean_cate,
-            "aipw_ate": self.aipw_ate,
-        }
-
 
 def cate_calibration_curve(
     tau,

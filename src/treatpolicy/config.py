@@ -17,10 +17,12 @@ import re
 from dataclasses import dataclass
 
 from .cate import CateFitSpec, UncertaintySpec
+from .deferral import MODES as DEFERRAL_MODES
 from .errors import ConfigError
 from .ingest import SPLIT_NAMES, TableSchema
 from .learners import LearnerSpec
-from .policy_eval import DIRECTIONS, ENSEMBLE_MODES, ESTIMATORS, DecisionRule
+from .policy_eval import DIRECTIONS, ENSEMBLE_MODES, ESTIMATORS, PLUG_IN_LEARNER, DecisionRule
+from .propensity import PROPENSITY_LEARNER
 from .simulation import SimulationSpec
 
 __all__ = [
@@ -240,7 +242,7 @@ _SCHEMA = {
     "propensity": (
         "section",
         {
-            "learner": ("value", {"kind": "logistic", "lam": 1.0}, _learner("classification")),
+            "learner": ("value", PROPENSITY_LEARNER, _learner("classification")),
             "calibrate": ("value", True, _boolean),
             "bounds": ("value", {"method": "quantile"}, _bounds),
             # propensity.seed and cate.seed are recorded in the manifest seeds
@@ -264,7 +266,7 @@ _SCHEMA = {
     "deferral": (
         "section",
         {
-            "mode": ("value", "conservative", _choice(("inclusive", "conservative"))),
+            "mode": ("value", "conservative", _choice(DEFERRAL_MODES)),
             "profile_lam": ("value", 0.1, _number(0.0, lo_open=True)),
         },
     ),
@@ -281,11 +283,7 @@ _SCHEMA = {
             "estimators": ("value", ["IPW", "DR"], _names(ESTIMATORS, "estimator", least=1)),
             "bootstrap_b": ("value", 1000, _integer(1)),
             "rank_step": ("value", 0.1, _number(0.0, 1.0, lo_open=True, hi_open=True)),
-            "plug_in": (
-                "value",
-                {"kind": "gbt", "n_trees": 100, "max_depth": 3, "min_samples_leaf": 10},
-                _learner("regression"),
-            ),
+            "plug_in": ("value", PLUG_IN_LEARNER, _learner("regression")),
             "seed": ("value", 0, _integer(0)),
         },
     ),

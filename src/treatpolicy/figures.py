@@ -50,14 +50,15 @@ def _num(x: float) -> str:
     return f"{float(x):.4g}"
 
 
-def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Round tick positions covering [lo, hi] at a 1/2/2.5/5 x 10^k step."""
+def nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round tick positions covering [lo, hi] at a 1/2/2.5/5 x 10^k step, about
+    five of them."""
     lo, hi = float(lo), float(hi)
     if not math.isfinite(lo) or not math.isfinite(hi):
         return [0.0]
     if hi <= lo:
         lo, hi = lo - 0.5, hi + 0.5
-    raw = (hi - lo) / max(target - 1, 1)
+    raw = (hi - lo) / 4
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 2.5, 5.0):
@@ -96,15 +97,13 @@ class _Frame:
         lo, hi = self.ylim
         return self.y0 + self.h - (float(y) - lo) / (hi - lo) * self.h
 
-    def axes(self, x_label="", y_label="", x_ticks=None, y_ticks=None) -> list[str]:
+    def axes(self, x_label="", y_label="", x_ticks=None) -> list[str]:
         out = [
             f'<rect x="{_fmt(self.x0)}" y="{_fmt(self.y0)}" width="{_fmt(self.w)}" '
             f'height="{_fmt(self.h)}" fill="none" stroke="#333333" stroke-width="1"/>'
         ]
         if x_ticks is None:
             x_ticks = nice_ticks(*self.xlim)
-        if y_ticks is None:
-            y_ticks = nice_ticks(*self.ylim)
         base = self.y0 + self.h
         for t in x_ticks:
             if not self.xlim[0] <= t <= self.xlim[1]:
@@ -118,7 +117,7 @@ class _Frame:
                 f'<text x="{_fmt(x)}" y="{_fmt(base + 16)}" font-size="10" '
                 f'text-anchor="middle" fill="#333333">{_num(t)}</text>'
             )
-        for t in y_ticks:
+        for t in nice_ticks(*self.ylim):
             if not self.ylim[0] <= t <= self.ylim[1]:
                 continue
             y = self.py(t)
@@ -215,27 +214,22 @@ def svg_histogram(panels: list[dict], *, title: str = "", x_label: str = "") -> 
 
 
 def svg_scatter(series: list[dict], *, title: str = "", x_label: str = "",
-                y_label: str = "", identity: bool = False) -> str:
-    """Point clouds; series: [{"label", "x": [...], "y": [...]}]."""
+                y_label: str = "") -> str:
+    """Point clouds on one shared range for both axes, under a dashed y = x line;
+    series: [{"label", "x": [...], "y": [...]}]."""
     xs = [float(v) for s in series for v in s["x"]]
     ys = [float(v) for s in series for v in s["y"]]
     if not xs:
         raise ValueError("scatter needs at least one point")
     width, height = 640, 420
-    lo = min(min(xs), min(ys)) if identity else None
-    hi = max(max(xs), max(ys)) if identity else None
-    xlim = _pad(lo, hi) if identity else _pad(min(xs), max(xs))
-    ylim = _pad(lo, hi) if identity else _pad(min(ys), max(ys))
-    frame = _Frame(66, 36, width - 96, height - 96, xlim, ylim)
-    body = []
-    if identity:
-        a = max(xlim[0], ylim[0])
-        b = min(xlim[1], ylim[1])
-        body.append(
-            f'<line x1="{_fmt(frame.px(a))}" y1="{_fmt(frame.py(a))}" '
-            f'x2="{_fmt(frame.px(b))}" y2="{_fmt(frame.py(b))}" '
-            f'stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
-        )
+    lim = _pad(min(min(xs), min(ys)), max(max(xs), max(ys)))
+    frame = _Frame(66, 36, width - 96, height - 96, lim, lim)
+    a, b = lim
+    body = [
+        f'<line x1="{_fmt(frame.px(a))}" y1="{_fmt(frame.py(a))}" '
+        f'x2="{_fmt(frame.px(b))}" y2="{_fmt(frame.py(b))}" '
+        f'stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
+    ]
     for s_i, s in enumerate(series):
         color = PALETTE[s_i % len(PALETTE)]
         for x, y in zip(s["x"], s["y"]):
@@ -327,7 +321,7 @@ def svg_box(items: list[dict], *, title: str = "", y_label: str = "") -> str:
     return _doc(width, height, body, title)
 
 
-def svg_rank_curve(series: list[dict], *, title: str = "", y_label: str = "value") -> str:
+def svg_rank_curve(series: list[dict], *, title: str = "") -> str:
     """Policy value against the fraction of units treated.
 
     series: [{"label", "fractions": [...], "values": [...]}], fractions in
@@ -352,7 +346,7 @@ def svg_rank_curve(series: list[dict], *, title: str = "", y_label: str = "value
                 f'<circle cx="{_fmt(frame.px(x))}" cy="{_fmt(frame.py(y))}" r="2.5" '
                 f'fill="{color}"/>'
             )
-    body.extend(frame.axes(x_label="fraction treated", y_label=y_label))
+    body.extend(frame.axes(x_label="fraction treated", y_label="value"))
     base = frame.y0 + frame.h
     body.append(
         f'<text x="{_fmt(frame.px(0.0))}" y="{_fmt(base + 30)}" font-size="10" '

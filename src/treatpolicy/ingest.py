@@ -117,14 +117,15 @@ class Dataset:
 
     def subset(self, mask_or_index) -> "Dataset":
         idx = np.asarray(mask_or_index)
+        # fancy indexing copies, so the subset shares no array with this dataset
         return Dataset(
-            covariates=self.covariates[idx].copy(),
+            covariates=self.covariates[idx],
             columns=list(self.columns),
-            treatment=self.treatment[idx].copy(),
-            outcome=self.outcome[idx].copy(),
-            secondary={k: v[idx].copy() for k, v in self.secondary.items()},
-            split=None if self.split is None else self.split[idx].copy(),
-            row_ids=self.row_ids[idx].copy(),
+            treatment=self.treatment[idx],
+            outcome=self.outcome[idx],
+            secondary={k: v[idx] for k, v in self.secondary.items()},
+            split=None if self.split is None else self.split[idx],
+            row_ids=self.row_ids[idx],
         )
 
     def rows_in(self, split_name: str) -> "Dataset":
@@ -352,25 +353,17 @@ def _format_stat(values: np.ndarray, kind: str) -> str:
     return f"{n_pos} ({100.0 * n_pos / present.size:.1f}%)"
 
 
-def summarize(
-    data: Dataset,
-    group_by: np.ndarray | None = None,
-    group_names: tuple[str, str] = ("group0", "group1"),
-) -> SummaryTable:
-    """Descriptive table over covariates, treatment and outcome with optional
-    two-group breakdown.
+def summarize(data: Dataset, group_by: np.ndarray, group_names: tuple[str, str]) -> SummaryTable:
+    """Descriptive table over covariates, treatment and outcome, overall and
+    in two groups.
 
     ``group_by`` is a boolean row mask; False rows go under ``group_names[0]``.
     """
-    if group_by is not None:
-        group_by = np.asarray(group_by, dtype=bool)
-        if group_by.shape != (data.n,):
-            raise DataError("group_by length does not match dataset")
-        masks = [~group_by, group_by]
-        names = tuple(group_names)
-    else:
-        masks = []
-        names = ()
+    group_by = np.asarray(group_by, dtype=bool)
+    if group_by.shape != (data.n,):
+        raise DataError("group_by length does not match dataset")
+    masks = [~group_by, group_by]
+    names = tuple(group_names)
 
     entries: list[tuple[str, str, np.ndarray]] = [
         (c.name, KIND_BINARY if c.kind == KIND_INDICATOR else c.kind, data.covariates[:, j])

@@ -84,9 +84,10 @@ def auroc(scores, labels) -> float | None:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def calibration_curve(pred, truth, bins: int = 10) -> list[dict]:
-    """Equal-width reliability bins over [0, 1]; empty bins are omitted."""
+def calibration_curve(pred, truth) -> list[dict]:
+    """Ten equal-width reliability bins over [0, 1]; empty bins are omitted."""
     pred, truth = _check(pred, truth)
+    bins = 10
     idx = np.minimum((pred * bins).astype(int), bins - 1)
     out = []
     for b in range(bins):
@@ -106,8 +107,8 @@ def calibration_curve(pred, truth, bins: int = 10) -> list[dict]:
     return out
 
 
-def _classification_counts(scores, labels, threshold=0.5):
-    pred = scores >= threshold
+def _classification_counts(scores, labels):
+    pred = scores >= 0.5
     pos = labels == 1.0
     tp = int(np.sum(pred & pos))
     fp = int(np.sum(pred & ~pos))

@@ -186,26 +186,25 @@ class BoostedTreesModel:
     trees: list[Tree]
     n_features: int
 
-    def raw_predict(self, X, n_trees: int | None = None) -> np.ndarray:
+    def raw_predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got shape {X.shape}")
-        use = self.trees if n_trees is None else self.trees[:n_trees]
         out = np.full(X.shape[0], self.base_score)
-        for tree in use:
+        for tree in self.trees:
             out += self.learning_rate * tree.predict(X)
         return out
 
-    def predict(self, X, n_trees: int | None = None) -> np.ndarray:
-        raw = self.raw_predict(X, n_trees)
+    def predict(self, X) -> np.ndarray:
+        raw = self.raw_predict(X)
         if self.loss == "logistic":
             return sigmoid(raw)
         return raw
 
-    def predict_proba(self, X, n_trees: int | None = None) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         if self.loss != "logistic":
             raise ValueError("predict_proba requires logistic loss")
-        return sigmoid(self.raw_predict(X, n_trees))
+        return sigmoid(self.raw_predict(X))
 
     def to_dict(self) -> dict:
         return {

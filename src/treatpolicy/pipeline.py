@@ -466,11 +466,7 @@ def planned_stages(cfg: PipelineConfig) -> list[str]:
     sim = cfg.echo["simulation"]
     if sim["only"]:
         return ["ingest", "simulate"]
-    stages = ["ingest", "fit-propensity"]
-    if sim["enabled"]:
-        stages.append("simulate")
-    stages.extend(["fit-cate", "defer", "evaluate", "report"])
-    return stages
+    return [s for s in STAGE_ORDER if s != "simulate" or sim["enabled"]]
 
 
 def _execute(cfg: PipelineConfig, stage: str, manifest: RunManifest) -> None:

@@ -43,6 +43,9 @@ DEFER = -1
 
 P_STAR_CLIP = (0.01, 0.99)
 
+# the default DR plug-in learner, as a config learner dict
+PLUG_IN_LEARNER = {"kind": "gbt", "n_trees": 100, "max_depth": 3, "min_samples_leaf": 10}
+
 ESTIMATORS = ("IPW", "DR")
 
 DIRECTIONS = ("higher-better", "lower-better")
@@ -166,8 +169,8 @@ def ensemble_effects(taus, mode: str) -> tuple[np.ndarray, np.ndarray]:
     return pseudo, defer
 
 
-def _scores(p_star, clip) -> np.ndarray:
-    return np.clip(np.asarray(p_star, dtype=float), clip[0], clip[1])
+def _scores(p_star) -> np.ndarray:
+    return np.clip(np.asarray(p_star, dtype=float), *P_STAR_CLIP)
 
 
 def _sum_columns(policy: Policy, t, y, p1, plug_in) -> np.ndarray:
@@ -207,11 +210,11 @@ def _check_policy(policy: Policy, data: Dataset) -> None:
         )
 
 
-def baselines(data: Dataset, propensity, seed: int | None = None, clip=P_STAR_CLIP) -> list[Policy]:
+def baselines(data: Dataset, propensity, seed: int | None = None) -> list[Policy]:
     """Reference policies: observed practice, proportion-matched random
     assignment, propensity-threshold assignment, and the two constants."""
     t = np.asarray(data.treatment, dtype=np.int8)
-    e = _scores(propensity, clip)
+    e = _scores(propensity)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     frac = float((t == 1).mean())
     random_rec = (rng.random(data.n) < frac).astype(np.int8)
@@ -316,7 +319,7 @@ class TournamentResult:
     B: int
 
 
-def _stacks(policies: list, data: Dataset, p_star, estimators, plug_in, clip) -> list:
+def _stacks(policies: list, data: Dataset, p_star, estimators, plug_in) -> list:
     """Check the valuation inputs; then each policy's ``_sum_columns`` stack."""
     for est in estimators:
         if est not in ESTIMATORS:
@@ -327,7 +330,7 @@ def _stacks(policies: list, data: Dataset, p_star, estimators, plug_in, clip) ->
         raise ValueError("DR estimation needs plug-in outcome predictions")
     if plug_in is not None and np.shape(plug_in) != (data.n, 2):
         raise ValueError(f"plug-in predictions must be shaped ({data.n}, 2)")
-    p1 = _scores(p_star, clip)
+    p1 = _scores(p_star)
     plug = None if plug_in is None else np.asarray(plug_in, dtype=float)
     return [_sum_columns(p, data.treatment, data.outcome, p1, plug) for p in policies]
 
@@ -351,7 +354,6 @@ def point_values(
     *,
     estimators=ESTIMATORS,
     plug_in=None,
-    clip=P_STAR_CLIP,
 ) -> dict:
     """Value every policy on all rows: ``{est: values}`` in policy order.
 
@@ -361,7 +363,7 @@ def point_values(
     arm.  A factual policy is the plain outcome mean under both.  A policy
     whose non-deferred rows carry no matched weight raises EstimationError.
     """
-    stacks = _stacks(policies, data, p_star, estimators, plug_in, clip)
+    stacks = _stacks(policies, data, p_star, estimators, plug_in)
     return _points(policies, stacks, data.n, estimators)
 
 
@@ -374,7 +376,6 @@ def bootstrap_tournament(
     B: int = 1000,
     seed: int | None = None,
     plug_in=None,
-    clip=P_STAR_CLIP,
 ) -> TournamentResult:
     """Value every policy on all rows, as ``point_values`` does, then on B
     shared row resamples, all from one ``_sum_columns`` stack per policy.
@@ -389,7 +390,7 @@ def bootstrap_tournament(
     if B < 1:
         raise ValueError(f"need at least one round, got B={B}")
     n = data.n
-    stacks = _stacks(policies, data, p_star, estimators, plug_in, clip)
+    stacks = _stacks(policies, data, p_star, estimators, plug_in)
     points = _points(policies, stacks, n, estimators)
 
     dists = {est: np.empty((len(policies), B)) for est in estimators}
@@ -418,7 +419,6 @@ def rank_curve(
     estimator: str = "IPW",
     step: float = 0.1,
     plug_in=None,
-    clip=P_STAR_CLIP,
 ) -> list[dict]:
     """Value of treating everyone above each effect quantile.
 
@@ -434,7 +434,7 @@ def rank_curve(
     grid = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
     policies = [Policy(name=f"q{q}", rec=tau > np.quantile(tau, q)) for q in grid]
     values = point_values(
-        policies, data, p_star, estimators=(estimator,), plug_in=plug_in, clip=clip
+        policies, data, p_star, estimators=(estimator,), plug_in=plug_in
     )[estimator]
     return [
         {"q": float(q), "treated_fraction": float(p.rec.mean()), "value": float(v)}

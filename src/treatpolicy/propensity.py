@@ -8,7 +8,7 @@ arm too well) raises a warning flag in the overlap report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,6 +36,9 @@ __all__ = [
 
 SCORE_CLIP = (1e-6, 1.0 - 1e-6)
 AUROC_FLAG_THRESHOLD = 0.95
+
+# the default treatment scorer, as a config learner dict
+PROPENSITY_LEARNER = {"kind": "logistic", "lam": 1.0}
 
 
 @dataclass
@@ -179,17 +182,7 @@ class OverlapReport:
     auroc_flag_threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "bounds": {"eta_low": self.bounds[0], "eta_high": self.bounds[1]},
-            "bin_edges": list(self.bin_edges),
-            "histograms": self.histograms,
-            "n_total": self.n_total,
-            "n_retained": self.n_retained,
-            "n_excluded_by_arm": self.n_excluded_by_arm,
-            "auroc": self.auroc,
-            "auroc_flag": self.auroc_flag,
-            "auroc_flag_threshold": self.auroc_flag_threshold,
-        }
+        return {**asdict(self), "bounds": {"eta_low": self.bounds[0], "eta_high": self.bounds[1]}}
 
 
 def overlap_report(
@@ -197,12 +190,11 @@ def overlap_report(
     treatment,
     bounds: tuple[float, float],
     bins: int = 20,
-    auroc_flag_threshold: float = AUROC_FLAG_THRESHOLD,
 ) -> OverlapReport:
     """Summarize arm-wise score distributions and the effect of trimming.
 
     The flag fires when the scores separate the observed arms with AUROC at
-    or above the threshold, a sign the overlap assumption is strained.
+    or above ``AUROC_FLAG_THRESHOLD``, a sign the overlap assumption is strained.
     """
     scores = np.asarray(scores, dtype=float)
     treatment = np.asarray(treatment)
@@ -230,8 +222,8 @@ def overlap_report(
         n_retained=int(retained.sum()),
         n_excluded_by_arm=excluded,
         auroc=score_auroc,
-        auroc_flag=score_auroc is not None and score_auroc >= auroc_flag_threshold,
-        auroc_flag_threshold=float(auroc_flag_threshold),
+        auroc_flag=score_auroc is not None and score_auroc >= AUROC_FLAG_THRESHOLD,
+        auroc_flag_threshold=AUROC_FLAG_THRESHOLD,
     )
 
 

@@ -2,9 +2,11 @@
 
 The emitter never recomputes results; it only reads what earlier stages
 wrote under the output directory, and writes through the report stage's
-:class:`layout.StageIO`.  A missing upstream artifact downgrades the
-corresponding figure to a placeholder entry in the index and a warning, and
-the rest of the bundle is still produced.
+:class:`layout.StageIO`.  It reads only the artifacts the run's manifest
+lists, so a file a stage of an earlier run left in a reused directory is not
+drawn.  A missing upstream artifact downgrades the corresponding figure to a
+placeholder entry in the index and a warning, and the rest of the bundle is
+still produced.
 """
 
 from __future__ import annotations
@@ -20,14 +22,6 @@ from .layout import read_columns, read_header, read_json
 __all__ = ["emit_report"]
 
 
-def _at(out_dir, rel):
-    """Where to read ``rel``; a missing one raises FileNotFoundError naming ``rel``."""
-    full = os.path.join(out_dir, rel)
-    if not os.path.exists(full):
-        raise FileNotFoundError(rel)
-    return full
-
-
 def _float_columns(full_path, header, cols, key=None) -> dict:
     """Columns ``cols`` of the table at ``full_path`` as lists of floats,
     grouped by the text in column ``key`` in order of first appearance (one
@@ -39,14 +33,14 @@ def _float_columns(full_path, header, cols, key=None) -> dict:
     return {group: [v[keys == group].tolist() for v in values] for group in dict.fromkeys(texts[0])}
 
 
-def _artifact_columns(out_dir, rel, cols, key=None) -> dict:
+def _artifact_columns(at, rel, cols, key=None) -> dict:
     """:func:`_float_columns` of the fixed-header artifact ``rel``."""
-    return _float_columns(_at(out_dir, rel), layout.HEADERS[rel], cols, key)
+    return _float_columns(at(rel), layout.HEADERS[rel], cols, key)
 
 
-def _fig_cate_hist(out_dir, bins: int):
+def _fig_cate_hist(at, bins: int):
     panels = []
-    for model, (tau,) in _artifact_columns(out_dir, layout.CATE_ESTIMATES, [2], key=0).items():
+    for model, (tau,) in _artifact_columns(at, layout.CATE_ESTIMATES, [2], key=0).items():
         tau = np.array(tau)
         lo, hi = float(tau.min()), float(tau.max())
         if hi - lo <= max(abs(lo), abs(hi), 1.0) * 1e-9:
@@ -66,8 +60,8 @@ def _fig_cate_hist(out_dir, bins: int):
     )
 
 
-def _fig_overlap_hist(out_dir, bins: int):
-    info = read_json(_at(out_dir, layout.OVERLAP))["report"]
+def _fig_overlap_hist(at, bins: int):
+    info = read_json(at(layout.OVERLAP))["report"]
     panels = []
     for arm in ("0", "1"):
         hist = info["histograms"][arm]
@@ -86,45 +80,46 @@ def _fig_overlap_hist(out_dir, bins: int):
     )
 
 
-def _fig_value_scatter(out_dir, bins: int):
+def _fig_value_scatter(at, bins: int):
     header = layout.HEADERS[layout.STUDY_SCATTER]
     cols = [header.index(name) for name in ("v_true", "v_dr", "v_ipw")]
-    truth, dr, ipw = _artifact_columns(out_dir, layout.STUDY_SCATTER, cols).get(None, [[], [], []])
+    truth, dr, ipw = _artifact_columns(at, layout.STUDY_SCATTER, cols).get(None, [[], [], []])
     series = [{"label": "DR", "x": truth, "y": dr}, {"label": "IPW", "x": truth, "y": ipw}]
     return figures.svg_scatter(
         series,
         title="Estimated against true policy value",
         x_label="true value",
         y_label="estimated value",
-        identity=True,
     )
 
 
-def _fig_value_box(out_dir, bins: int):
+def _fig_value_box(at, bins: int):
     for est in ("DR", "IPW"):
-        full = os.path.join(out_dir, layout.distributions(est))
-        if os.path.exists(full):
-            names = read_header(full)
-            cols = _float_columns(full, names, range(len(names))).get(None, [[] for _ in names])
-            # NaN-only columns cannot be drawn
-            items = [{"label": k, "values": v} for k, v in zip(names, cols) if any(x == x for x in v)]
-            return figures.svg_box(
-                items, title=f"Bootstrap policy values ({est})", y_label="policy value"
-            )
+        try:
+            full = at(layout.distributions(est))
+        except FileNotFoundError:
+            continue
+        names = read_header(full)
+        cols = _float_columns(full, names, range(len(names))).get(None, [[] for _ in names])
+        # NaN-only columns cannot be drawn
+        items = [{"label": k, "values": v} for k, v in zip(names, cols) if any(x == x for x in v)]
+        return figures.svg_box(
+            items, title=f"Bootstrap policy values ({est})", y_label="policy value"
+        )
     raise FileNotFoundError(layout.distributions("DR"))
 
 
-def _fig_rank_curve(out_dir, bins: int):
+def _fig_rank_curve(at, bins: int):
     series = [
         {"label": model, "fractions": fractions, "values": values}
         for model, (fractions, values) in
-        _artifact_columns(out_dir, layout.RANK_CURVE, [2, 3], key=0).items()
+        _artifact_columns(at, layout.RANK_CURVE, [2, 3], key=0).items()
     ]
     return figures.svg_rank_curve(series, title="Value by fraction treated")
 
 
-def _fig_outcome_tree(out_dir, bins: int):
-    trees = read_json(_at(out_dir, layout.OUTCOME_TREES))
+def _fig_outcome_tree(at, bins: int):
+    trees = read_json(at(layout.OUTCOME_TREES))
     name, tree = next(iter(trees.items()))
     return figures.svg_tree(tree, title=f"Observed outcomes under policy {name}")
 
@@ -142,14 +137,24 @@ _FIGURES = (
 def emit_report(
     out_dir: str, manifest: dict, bins: int, io: layout.StageIO
 ) -> tuple[list[str], list[dict]]:
-    """Render figures from the artifacts under ``out_dir`` and the index,
-    writing through ``io``; returns its (artifact paths, warnings)."""
+    """Render figures from the artifacts under ``out_dir`` that ``manifest``
+    lists, and the index, writing through ``io``; returns its (artifact paths,
+    warnings)."""
     produced: list[tuple[str, str]] = []
     missing: list[tuple[str, str]] = []
+    listed = {a["path"] for a in manifest.get("artifacts", [])}
+
+    def at(rel):
+        """Where to read ``rel``; one the manifest does not list, or that is not on
+        disk, raises FileNotFoundError naming ``rel``."""
+        full = os.path.join(out_dir, rel)
+        if rel not in listed or not os.path.exists(full):
+            raise FileNotFoundError(rel)
+        return full
 
     for label, rel, render in _FIGURES:
         try:
-            svg = render(out_dir, bins)
+            svg = render(at, bins)
         except FileNotFoundError as exc:
             missing.append((label, str(exc)))
             io.warn("missing-artifact", f"{label} skipped: missing {exc}")

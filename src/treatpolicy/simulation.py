@@ -10,7 +10,7 @@ the optimal policy treats exactly where the effect is negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -23,12 +23,14 @@ from .parallel import pmap
 from .policy_eval import (
     DEFER,
     ENSEMBLE_MODES,
+    PLUG_IN_LEARNER,
     DecisionRule,
     Policy,
     build_policy_set,
     fit_plug_in,
     point_values,
 )
+from .propensity import PROPENSITY_LEARNER
 
 __all__ = [
     "SimulationSpec",
@@ -59,14 +61,6 @@ class SimulationSpec:
         if self.noise_factor <= 0.0:
             raise ConfigError(f"noise_factor must be positive, got {self.noise_factor}")
 
-    def to_dict(self) -> dict:
-        return {
-            "lam": self.lam,
-            "effect_size": self.effect_size,
-            "noise_factor": self.noise_factor,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class SimulatedOutcomes:
@@ -95,20 +89,8 @@ class SimulatedOutcomes:
 
     def subset(self, idx) -> "SimulatedOutcomes":
         idx = np.asarray(idx)
-        return SimulatedOutcomes(
-            y0=self.y0[idx],
-            y1=self.y1[idx],
-            mu0=self.mu0[idx],
-            mu1=self.mu1[idx],
-            delta=self.delta,
-            w0=self.w0,
-            w1=self.w1,
-            sigma0=self.sigma0,
-            sigma1=self.sigma1,
-            beta_prop=self.beta_prop,
-            beta_rand=self.beta_rand,
-            optimal_policy=self.optimal_policy[idx],
-        )
+        return replace(self, y0=self.y0[idx], y1=self.y1[idx], mu0=self.mu0[idx],
+                       mu1=self.mu1[idx], optimal_policy=self.optimal_policy[idx])
 
 
 def _unit(v: np.ndarray, label: str) -> np.ndarray:
@@ -172,16 +154,14 @@ def simulate_outcomes(X, T, spec: SimulationSpec) -> SimulatedOutcomes:
     )
 
 
-def true_policy_value(policy: Policy, outcomes: SimulatedOutcomes, treatment, expected: bool = False) -> float:
+def true_policy_value(policy: Policy, outcomes: SimulatedOutcomes, treatment) -> float:
     """Mean outcome if recommendations were followed; deferred rows keep the
-    factual arm.  With ``expected`` the noiseless outcome means are used."""
+    factual arm."""
     t = np.asarray(treatment)
-    y0 = outcomes.mu0 if expected else outcomes.y0
-    y1 = outcomes.mu1 if expected else outcomes.y1
-    if policy.rec.size != t.size or t.size != y0.size:
+    if policy.rec.size != t.size or t.size != outcomes.y0.size:
         raise ValueError("policy, treatment, and outcomes must cover the same rows")
     arm = np.where(policy.rec == DEFER, t, policy.rec)
-    return float(np.where(arm == 1, y1, y0).mean())
+    return float(np.where(arm == 1, outcomes.y1, outcomes.y0).mean())
 
 
 @dataclass
@@ -197,15 +177,7 @@ class StudyReport:
     policies: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "aggregates": self.aggregates,
-            "checks": self.checks,
-            "failures": self.failures,
-            "n_runs": self.n_runs,
-            "spec": self.spec,
-            "policies": self.policies,
-        }
+        return asdict(self)
 
 
 def _sem(values: np.ndarray) -> float:
@@ -232,10 +204,11 @@ def run_study(
     menu meta-learner on a fresh train split, and values the policies on the
     held-out rows with evaluate's own ``fit_plug_in``, ``build_policy_set``
     and ``point_values`` (every ensemble mode, no deferral, ``STUDY_RULE``),
-    next to their true values.  A run that raises is recorded as a failure
-    and the study continues.  The runs are independent and run in worker
-    processes (``pmap``); each run's seeds are drawn here, so the report does
-    not depend on how many workers ran.
+    next to their true values.  The evaluation propensity, a classifier on
+    every row, is fitted here once and shared by the runs.  A run that raises
+    is recorded as a failure and the study continues.  The runs are
+    independent and run in worker processes (``pmap``); each run's seeds are
+    drawn here, so the report does not depend on how many workers ran.
     """
     if runs < 2:
         raise ConfigError(f"need at least 2 runs, got {runs}")
@@ -245,10 +218,10 @@ def run_study(
         raise ConfigError("empty model menu")
     X = standardize(np.asarray(X, dtype=float))[0]
     T = np.asarray(T)
-    plug_spec = plug_in_spec or LearnerSpec.from_dict(
-        {"kind": "gbt", "n_trees": 100, "max_depth": 3, "min_samples_leaf": 10}
-    )
-    pstar_spec = p_star_spec or LearnerSpec.from_dict({"kind": "logistic", "lam": 1.0})
+    if not ((T == 0).any() and (T == 1).any()):
+        raise DataError("both treatment arms must be present")
+    plug_spec = plug_in_spec or LearnerSpec.from_dict(PLUG_IN_LEARNER)
+    p_star_model = fit_classifier(p_star_spec or LearnerSpec.from_dict(PROPENSITY_LEARNER), X, T)
     columns = [ColumnInfo(f"x{j}", "numeric") for j in range(X.shape[1])]
 
     run_seeds = np.random.SeedSequence(seed).generate_state(3 * runs, dtype=np.uint32)
@@ -259,7 +232,7 @@ def run_study(
     def attempt(r):
         try:
             return _one_run(
-                X, T, sim_spec, menu, plug_spec, pstar_spec, columns,
+                X, T, sim_spec, menu, plug_spec, p_star_model, columns,
                 train_frac=train_frac,
                 sim_seed=int(run_seeds[3 * r]),
                 split_seed=int(run_seeds[3 * r + 1]),
@@ -298,13 +271,13 @@ def run_study(
         checks=checks,
         failures=failures,
         n_runs=runs,
-        spec=sim_spec.to_dict(),
+        spec=asdict(sim_spec),
         policies=policy_order,
     )
 
 
 def _one_run(
-    X, T, sim_spec, menu, plug_spec, pstar_spec, columns,
+    X, T, sim_spec, menu, plug_spec, p_star_model, columns,
     *,
     train_frac, sim_seed, split_seed, baseline_seed,
 ) -> list[dict]:
@@ -322,8 +295,6 @@ def _one_run(
     test = Dataset(covariates=X[test_idx], columns=columns, treatment=T[test_idx], outcome=y_obs[test_idx])
     out_test = outcomes.subset(test_idx)
 
-    # evaluation propensity: plain L2 logistic on every row
-    p_star_model = fit_classifier(pstar_spec, X, T)
     p_star_test = p_star_model.predict_proba(test.covariates)
 
     plug_test = fit_plug_in(plug_spec, train, test.covariates)

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import linear_dataset, make_dataset, pipeline_raw, write_observational_csv
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treatpolicy
@@ -584,6 +584,9 @@ class TestLinearRefits:
 
     @settings(max_examples=80, deadline=None)
     @given(linear_refit_cases())
+    # effects reach 201.9 here, and the two refits differ by 3.05e-10 (1.5e-12 relative)
+    @example(("t", LearnerSpec.from_dict({"kind": "ols", "fit_intercept": False}), "two-row arm",
+              1, [28, 2], None, 2, 1, 1))
     def test_batched_refits_match_fits_on_the_resampled_rows(self, case):
         kind, learner, quirk, d, sizes, g_constant, B, per_chunk, seed = case
         spec, model, train, X_query, prop = linear_refit_problem(
@@ -595,7 +598,9 @@ class TestLinearRefits:
         with counted as loop_fits, chunked:
             boot = all_query_rows(spec, model, train, X_query, B, seed, prop)
         expected = loop_bootstrap(spec, model, train, X_query, B, seed, prop)
-        np.testing.assert_allclose(boot, expected, rtol=0.0, atol=1e-10)
+        # count-weighted moments and repeated rows round apart in proportion to the effects
+        atol = 1e-10 + 1e-11 * np.abs(expected).max()
+        np.testing.assert_allclose(boot, expected, rtol=0.0, atol=atol)
         if quirk == "none":
             assert loop_fits.call_count == 0
         if (quirk == "singular" and learner.kind == "ols") or (

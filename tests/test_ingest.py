@@ -197,7 +197,7 @@ class TestSummarize:
 
     def test_missing_counted(self):
         data = make_dataset([[np.nan], [2.0]], [0, 1], [0.0, 1.0])
-        table = summarize(data)
+        table = summarize(data, group_by=np.array([False, True]), group_names=("a", "b"))
         row = next(r for r in table.rows if r["column"] == "x0")
         assert row["missing"] == 1
         assert row["overall"] == "2.00 (0.00)"

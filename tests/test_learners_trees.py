@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,7 +213,7 @@ class TestBoosting:
         X, y = self.sine_fixture()
         model = fit_gbt(X, y, n_trees=100, max_depth=3, learning_rate=0.1)
         errors = [
-            float(np.sqrt(np.mean((model.predict(X, n_trees=k) - y) ** 2)))
+            float(np.sqrt(np.mean((replace(model, trees=model.trees[:k]).predict(X) - y) ** 2)))
             for k in range(1, 101)
         ]
         assert all(b < a for a, b in zip(errors, errors[1:]))
@@ -223,7 +225,8 @@ class TestBoosting:
         incremental = np.full(X.shape[0], model.base_score)
         for k, tree in enumerate(model.trees, start=1):
             incremental = incremental + model.learning_rate * tree.predict(X)
-            np.testing.assert_array_equal(model.predict(X, n_trees=k), incremental)
+            staged = replace(model, trees=model.trees[:k])
+            np.testing.assert_array_equal(staged.predict(X), incremental)
 
     def test_deterministic(self):
         X, y = self.sine_fixture()

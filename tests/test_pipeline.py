@@ -562,6 +562,23 @@ class TestSimulateStage:
                               "v_ipw", "v_dr", "v_true"]
         assert len(scatter) == 1 + 2 * len(policies)
 
+    def test_study_json_holds_every_report_field(self, sim_run):
+        _, _, out = sim_run
+        study = read_json(out / "study" / "study.json")
+        assert sorted(study) == ["aggregates", "checks", "failures", "n_runs", "policies",
+                                 "rows", "spec"]
+        assert study["spec"] == {"lam": 0.5, "effect_size": 0.5, "noise_factor": 1.2,
+                                 "seed": None}
+        assert study["n_runs"] == 2 and study["failures"] == []
+        assert study["policies"] == ["t-ridge", "doctors", "random", "propensity",
+                                     "treat-all-0", "treat-all-1", "optimal"]
+        assert [row["policy"] for row in study["aggregates"]] == study["policies"]
+        assert len(study["rows"]) == 2 * len(study["policies"])
+        assert {tuple(sorted(row)) for row in study["rows"]} == {
+            ("n_deferred", "policy", "run", "source", "treated_fraction", "v_dr", "v_ipw",
+             "v_true")
+        }
+
 
 class TestManifestMerge:
     def test_rerunning_a_stage_replaces_its_entries(self, tmp_path):
@@ -694,6 +711,30 @@ class TestManifestRecord:
         # without a study there is no value scatter to draw
         no_study = "report" in manifest.stages and "simulate" not in manifest.stages
         assert unlisted == ({layout.FIG_VALUE_SCATTER} if no_study else set())
+
+
+class TestReusedOutputDirectory:
+    """A report drawn in a reused directory reads only what its run's manifest lists."""
+
+    def test_files_left_by_an_earlier_run_are_not_drawn(self, tmp_path):
+        raw = _small_raw(tmp_path, simulation={"enabled": True, "runs": 2})
+        run_pipeline(validate_config(raw))
+        out = tmp_path / "out"
+        assert (out / "study" / "scatter.csv").exists()
+        assert (out / "eval" / "distributions_DR.csv").exists()
+
+        rerun = {**raw, "simulation": {"enabled": False},
+                 "evaluation": {**raw["evaluation"], "estimators": ["IPW"]}}
+        manifest = run_pipeline(validate_config(rerun))
+        assert "simulate" not in manifest.stages
+        assert not [p for p in manifest.paths() if p.startswith("study/")]
+        index = (out / "report" / "index.md").read_text()
+        assert "fig_value_scatter.svg" not in index
+        missing = f"missing upstream artifact `{layout.STUDY_SCATTER}`"
+        assert f"value scatter: *not produced - {missing}*" in index
+        assert layout.FIG_VALUE_SCATTER not in manifest.paths()
+        box = (out / layout.FIG_VALUE_BOX).read_text()
+        assert "Bootstrap policy values (IPW)" in box
 
 
 class TestFailedStage:

@@ -147,6 +147,24 @@ class TestOverlapReport:
         assert sum(report.histograms["0"]["retained"]) + report.n_excluded_by_arm["0"] == 5
         assert not report.auroc_flag
 
+    def test_dict_holds_every_field(self):
+        # the "report" object of propensity/overlap.json
+        scores = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 0.2, 0.4, 0.6, 0.8, 0.95])
+        treatment = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
+        report = overlap_report(scores, treatment, (0.25, 0.85), bins=4)
+        assert report.to_dict() == {
+            "bounds": {"eta_low": 0.25, "eta_high": 0.85},
+            "bin_edges": [0.0, 0.25, 0.5, 0.75, 1.0],
+            "histograms": {"0": {"all": [1, 1, 2, 1], "retained": [0, 1, 2, 0]},
+                           "1": {"all": [1, 1, 1, 2], "retained": [0, 1, 1, 1]}},
+            "n_total": 10,
+            "n_retained": 6,
+            "n_excluded_by_arm": {"0": 2, "1": 2},
+            "auroc": 0.6,
+            "auroc_flag": False,
+            "auroc_flag_threshold": 0.95,
+        }
+
     def test_disjoint_supports_flag_and_empty_retention(self):
         scores = np.concatenate([np.linspace(0.01, 0.3, 30),
                                  np.linspace(0.7, 0.99, 30)])

@@ -88,11 +88,9 @@ class TestSvgRenderers:
 
     def test_scatter_identity_line(self):
         series = [{"label": "dr", "x": [0.0, 1.0, 2.0], "y": [0.1, 0.9, 2.2]}]
-        with_line = svg_scatter(series, identity=True)
-        without = svg_scatter(series)
+        with_line = svg_scatter(series)
         well_formed(with_line)
         assert "stroke-dasharray" in with_line
-        assert "stroke-dasharray" not in without
 
     def test_box_draws_outlier_points(self):
         svg = svg_box([{"label": "p", "values": [0, 1, 2, 3, 4, 50, -10]}], title="boxes")

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import see_cpus, synthetic_covariates
 
+from treatpolicy import simulation
 from treatpolicy.cate import CateFitSpec
 from treatpolicy.errors import ConfigError, DataError
-from treatpolicy.learners import LearnerSpec
+from treatpolicy.learners import LearnerSpec, fit_classifier
 from treatpolicy.policy_eval import DEFER, Policy
 from treatpolicy.simulation import (
     SimulationSpec,
@@ -116,8 +119,10 @@ class TestTruePolicyValue:
 
     def test_optimal_minimizes_expected_value(self):
         rng = np.random.default_rng(15)
+        # the noiseless outcome means in place of the drawn outcomes
+        expected = replace(self.out, y0=self.out.mu0, y1=self.out.mu1)
         opt = Policy(name="opt", rec=self.out.optimal_policy)
-        v_opt = true_policy_value(opt, self.out, self.T, expected=True)
+        v_opt = true_policy_value(opt, expected, self.T)
         rivals = [
             Policy(name="0", rec=np.zeros(200, dtype=np.int8)),
             Policy(name="1", rec=np.ones(200, dtype=np.int8)),
@@ -126,7 +131,7 @@ class TestTruePolicyValue:
             Policy(name="anti", rec=(1 - self.out.optimal_policy).astype(np.int8)),
         ]
         for rival in rivals:
-            assert v_opt <= true_policy_value(rival, self.out, self.T, expected=True) + 1e-12
+            assert v_opt <= true_policy_value(rival, expected, self.T) + 1e-12
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
@@ -202,6 +207,17 @@ class TestRunStudy:
         assert report.checks["fidelity"]["pass"]
         assert report.checks["improves_on_current"]["pass"]
         assert 0.0 <= report.checks["approaches_optimal"]["closure"] <= 1.5
+
+    def test_evaluation_propensity_fitted_once_per_study(self, monkeypatch, one_worker):
+        fits = []
+
+        def counting(spec, X, T):
+            fits.append(spec)
+            return fit_classifier(spec, X, T)
+
+        monkeypatch.setattr(simulation, "fit_classifier", counting)
+        assert small_study(runs=3).failures == []
+        assert len(fits) == 1
 
     def test_failed_run_recorded_and_study_continues(self, monkeypatch):
         class Flaky:
