@@ -22,13 +22,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..ingest import Dataset
-from ..learners import (
-    LearnerSpec,
-    decode_model,
-    encode_model,
-    fit_regressor,
-    register_codec,
-)
+from ..learners import LearnerSpec, fit_regressor, register_codec
 
 __all__ = ["CateModel", "fit_meta_learner"]
 
@@ -135,24 +129,4 @@ def fit_meta_learner(
     )
 
 
-def _encode_cate(m: CateModel) -> dict:
-    return {
-        "kind": m.kind,
-        "family": m.family,
-        "components": {k: encode_model(v) for k, v in m.components.items()},
-        "g_constant": m.g_constant,
-        "propensity": None if m.propensity is None else encode_model(m.propensity),
-    }
-
-
-def _decode_cate(d: dict) -> CateModel:
-    return CateModel(
-        kind=d["kind"],
-        family=d["family"],
-        components={k: decode_model(v) for k, v in d["components"].items()},
-        g_constant=d["g_constant"],
-        propensity=None if d["propensity"] is None else decode_model(d["propensity"]),
-    )
-
-
-register_codec("cate", CateModel, _encode_cate, _decode_cate)
+register_codec("cate", CateModel)

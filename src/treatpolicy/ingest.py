@@ -269,16 +269,7 @@ def impute_and_flag(data: Dataset) -> tuple[Dataset, tuple[str, ...]]:
             new_cols.append(ColumnInfo(name + MISSING_SUFFIX, KIND_INDICATOR))
 
     covariates = np.hstack(blocks) if len(blocks) > 1 else blocks[0]
-    out = Dataset(
-        covariates=covariates,
-        columns=new_cols,
-        treatment=data.treatment.copy(),
-        outcome=data.outcome.copy(),
-        secondary={k: v.copy() for k, v in data.secondary.items()},
-        split=None if data.split is None else data.split.copy(),
-        row_ids=data.row_ids.copy(),
-    )
-    return out, flagged
+    return replace(data, covariates=covariates, columns=new_cols), flagged
 
 
 def _largest_remainder_counts(n: int, fractions) -> list[int]:

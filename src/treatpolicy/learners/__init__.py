@@ -30,13 +30,7 @@ from .metrics import (
     r_squared,
     rmse,
 )
-from .serialize import (
-    decode_model,
-    encode_model,
-    load_model,
-    register_codec,
-    save_model,
-)
+from .serialize import decode_model, encode_model, load_model, register_codec, save_model
 from .trees import BoostedTreesModel, Tree, fit_gbt
 
 __all__ = [
@@ -168,6 +162,11 @@ class FittedModel:
     center: np.ndarray | None = None
     scale: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.center is not None:
+            self.center = np.asarray(self.center, dtype=float)
+            self.scale = np.asarray(self.scale, dtype=float)
+
     def _transform(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if self.center is None:
@@ -235,41 +234,7 @@ def fit_classifier(spec: LearnerSpec, X, y) -> FittedModel:
     )
 
 
-def _encode_calibrated(m: CalibratedClassifier) -> dict:
-    return {
-        "slope": float(m.slope),
-        "offset": float(m.offset),
-        "base": encode_model(m.base),
-    }
-
-
-def _decode_calibrated(d: dict) -> CalibratedClassifier:
-    return CalibratedClassifier(
-        base=decode_model(d["base"]), slope=float(d["slope"]), offset=float(d["offset"])
-    )
-
-
-def _encode_fitted(m: FittedModel) -> dict:
-    return {
-        "family": m.family,
-        "task": m.task,
-        "model": encode_model(m.model),
-        "center": None if m.center is None else [float(v) for v in m.center],
-        "scale": None if m.scale is None else [float(v) for v in m.scale],
-    }
-
-
-def _decode_fitted(d: dict) -> FittedModel:
-    return FittedModel(
-        family=d["family"],
-        task=d["task"],
-        model=decode_model(d["model"]),
-        center=None if d["center"] is None else np.asarray(d["center"], dtype=float),
-        scale=None if d["scale"] is None else np.asarray(d["scale"], dtype=float),
-    )
-
-
-register_codec("linear", LinearModel, LinearModel.to_dict, LinearModel.from_dict)
-register_codec("gbt", BoostedTreesModel, BoostedTreesModel.to_dict, BoostedTreesModel.from_dict)
-register_codec("calibrated", CalibratedClassifier, _encode_calibrated, _decode_calibrated)
-register_codec("fitted", FittedModel, _encode_fitted, _decode_fitted)
+register_codec("linear", LinearModel)
+register_codec("gbt", BoostedTreesModel)
+register_codec("calibrated", CalibratedClassifier)
+register_codec("fitted", FittedModel)

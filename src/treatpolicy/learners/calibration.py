@@ -32,6 +32,9 @@ class CalibratedClassifier:
     slope: float
     offset: float
 
+    def __post_init__(self):
+        self.slope, self.offset = float(self.slope), float(self.offset)
+
     def predict_proba(self, X) -> np.ndarray:
         z = _logit(np.asarray(self.base.predict_proba(X), dtype=float))
         return sigmoid(self.slope * z + self.offset)

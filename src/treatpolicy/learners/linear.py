@@ -53,6 +53,12 @@ class LinearModel:
     lam: float
     n_iter: int = 0
 
+    def __post_init__(self):
+        self.coefficients = np.asarray(self.coefficients, dtype=float)
+        self.intercept = float(self.intercept)
+        self.lam = float(self.lam)
+        self.n_iter = int(self.n_iter)
+
     def decision_function(self, X) -> np.ndarray:
         return np.asarray(X, dtype=float) @ self.coefficients + self.intercept
 
@@ -66,27 +72,6 @@ class LinearModel:
         if self.family != "logistic":
             raise ValueError("predict_proba requires a logistic model")
         return sigmoid(self.decision_function(X))
-
-    def to_dict(self) -> dict:
-        return {
-            "coefficients": [float(c) for c in self.coefficients],
-            "intercept": float(self.intercept),
-            "family": self.family,
-            "penalty": self.penalty,
-            "lam": float(self.lam),
-            "n_iter": int(self.n_iter),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearModel":
-        return cls(
-            coefficients=np.asarray(d["coefficients"], dtype=float),
-            intercept=float(d["intercept"]),
-            family=d["family"],
-            penalty=d["penalty"],
-            lam=float(d["lam"]),
-            n_iter=int(d["n_iter"]),
-        )
 
 
 def fit_linear(

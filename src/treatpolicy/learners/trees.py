@@ -33,6 +33,7 @@ import numpy as np
 
 from ..errors import DataError
 from .linear import _check_weights, sigmoid
+from .serialize import from_fields
 
 __all__ = ["Tree", "BoostedTreesModel", "fit_gbt"]
 
@@ -82,25 +83,6 @@ class Tree:
             stack.append((self.left[node], idx[go_left]))
             stack.append((self.right[node], idx[~go_left]))
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": list(self.feature),
-            "threshold": [float(t) for t in self.threshold],
-            "left": list(self.left),
-            "right": list(self.right),
-            "value": [float(v) for v in self.value],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(
-            feature=list(d["feature"]),
-            threshold=[float(t) for t in d["threshold"]],
-            left=list(d["left"]),
-            right=list(d["right"]),
-            value=[float(v) for v in d["value"]],
-        )
 
 
 def _best_split(fit, g, rows, S):
@@ -186,6 +168,13 @@ class BoostedTreesModel:
     trees: list[Tree]
     n_features: int
 
+    def __post_init__(self):
+        self.base_score = float(self.base_score)
+        self.learning_rate = float(self.learning_rate)
+        # a model file holds each tree as its fields
+        self.trees = [t if isinstance(t, Tree) else from_fields(Tree, t) for t in self.trees]
+        self.n_features = int(self.n_features)
+
     def raw_predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
@@ -205,25 +194,6 @@ class BoostedTreesModel:
         if self.loss != "logistic":
             raise ValueError("predict_proba requires logistic loss")
         return sigmoid(self.raw_predict(X))
-
-    def to_dict(self) -> dict:
-        return {
-            "base_score": float(self.base_score),
-            "learning_rate": float(self.learning_rate),
-            "loss": self.loss,
-            "trees": [t.to_dict() for t in self.trees],
-            "n_features": int(self.n_features),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoostedTreesModel":
-        return cls(
-            base_score=float(d["base_score"]),
-            learning_rate=float(d["learning_rate"]),
-            loss=d["loss"],
-            trees=[Tree.from_dict(t) for t in d["trees"]],
-            n_features=int(d["n_features"]),
-        )
 
 
 def fit_gbt(

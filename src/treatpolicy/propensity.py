@@ -18,8 +18,6 @@ from .learners import (
     LearnerSpec,
     auroc as _auroc,
     calibrate,
-    decode_model,
-    encode_model,
     eval_metrics,
     fit_classifier,
     register_codec,
@@ -49,6 +47,11 @@ class PropensityModel:
     family: str
     bounds: tuple[float, float] | None = None
     metrics: dict | None = None
+
+    def __post_init__(self):
+        if self.bounds is not None:
+            lo, hi = self.bounds
+            self.bounds = (float(lo), float(hi))
 
     def predict(self, X) -> np.ndarray:
         scores = np.asarray(self.scorer.predict_proba(X), dtype=float)
@@ -227,22 +230,4 @@ def overlap_report(
     )
 
 
-def _encode_propensity(m: PropensityModel) -> dict:
-    return {
-        "scorer": encode_model(m.scorer),
-        "family": m.family,
-        "bounds": None if m.bounds is None else [float(m.bounds[0]), float(m.bounds[1])],
-        "metrics": m.metrics,
-    }
-
-
-def _decode_propensity(d: dict) -> PropensityModel:
-    return PropensityModel(
-        scorer=decode_model(d["scorer"]),
-        family=d["family"],
-        bounds=None if d["bounds"] is None else (d["bounds"][0], d["bounds"][1]),
-        metrics=d["metrics"],
-    )
-
-
-register_codec("propensity", PropensityModel, _encode_propensity, _decode_propensity)
+register_codec("propensity", PropensityModel)

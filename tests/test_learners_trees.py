@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from treatpolicy.errors import DataError
 from treatpolicy.learners.linear import sigmoid
+from treatpolicy.learners import decode_model, encode_model
 from treatpolicy.learners.trees import BoostedTreesModel, Tree, fit_gbt
 
 
@@ -199,7 +200,7 @@ class TestPresortedSearchMatchesOracle:
     @given(gbt_problems())
     def test_models_identical(self, problem):
         X, y, params = problem
-        assert fit_gbt(X, y, **params).to_dict() == oracle_fit_gbt(X, y, **params).to_dict()
+        assert encode_model(fit_gbt(X, y, **params)) == encode_model(oracle_fit_gbt(X, y, **params))
 
 
 class TestBoosting:
@@ -232,7 +233,7 @@ class TestBoosting:
         X, y = self.sine_fixture()
         a = fit_gbt(X, y, n_trees=30, max_depth=3)
         b = fit_gbt(X, y, n_trees=30, max_depth=3)
-        assert a.to_dict() == b.to_dict()
+        assert encode_model(a) == encode_model(b)
         np.testing.assert_array_equal(a.predict(X), b.predict(X))
 
     def test_min_samples_leaf_respected(self):
@@ -291,12 +292,12 @@ class TestSerialization:
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
         model = fit_gbt(X, y, n_trees=12, max_depth=3)
-        clone = BoostedTreesModel.from_dict(model.to_dict())
+        clone = decode_model(encode_model(model))
         np.testing.assert_array_equal(model.predict(X), clone.predict(X))
         # model files that still carry the old, unused seed field load and predict the same
-        legacy = BoostedTreesModel.from_dict({**model.to_dict(), "seed": 0})
+        legacy = decode_model({**encode_model(model), "seed": 0})
         np.testing.assert_array_equal(model.predict(X), legacy.predict(X))
-        assert legacy.to_dict() == model.to_dict()
+        assert encode_model(legacy) == encode_model(model)
 
 
 @st.composite
@@ -351,7 +352,7 @@ class TestCountWeightsMatchRowCopies:
         X, y, take, params = problem
         keep, w = count_weights(len(y), take)
         weighted = fit_gbt(X[keep], y[keep], sample_weight=w, **params)
-        assert weighted.to_dict() == fit_gbt(X[take], y[take], **params).to_dict()
+        assert encode_model(weighted) == encode_model(fit_gbt(X[take], y[take], **params))
 
     @pytest.mark.parametrize("loss", ["squared", "logistic"])
     def test_fifty_trees_same_splits(self, loss):
@@ -377,8 +378,8 @@ class TestCountWeightsMatchRowCopies:
         X[:, 2] = rng.integers(0, 2, 80)
         y = X[:, 0] + rng.normal(size=80)
         params = dict(n_trees=10, max_depth=3, min_samples_leaf=4)
-        assert (fit_gbt(X, y, sample_weight=np.ones(80), **params).to_dict()
-                == fit_gbt(X, y, **params).to_dict())
+        assert (encode_model(fit_gbt(X, y, sample_weight=np.ones(80), **params))
+                == encode_model(fit_gbt(X, y, **params)))
 
     def test_min_samples_leaf_counts_weight(self):
         X = np.array([[0.0], [1.0]])

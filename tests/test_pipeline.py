@@ -478,6 +478,24 @@ class TestStoredPerModelArtifacts:
         err = capsys.readouterr().err
         assert "no overlap bounds" in err and "rerun fit-propensity" in err
 
+    def test_unparsable_propensity_model_is_a_data_error_naming_the_file(self, run_dir, capsys):
+        _, cfg_path, out = run_dir
+        model_path = out / "propensity" / "model.json"
+        model_path.write_text("{not json")
+        assert main(["defer", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {model_path}: not valid JSON" in err
+
+    def test_propensity_model_missing_a_field_is_a_data_error_naming_it(self, run_dir, capsys):
+        _, cfg_path, out = run_dir
+        model_path = out / "propensity" / "model.json"
+        doc = json.loads(model_path.read_text())
+        del doc["model"]["bounds"]
+        model_path.write_text(json.dumps(doc))
+        assert main(["defer", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {model_path}: 'propensity' model lacks field(s) ['bounds']" in err
+
     def test_ensembles_vote_over_stored_estimates_not_model_files(self, run_dir):
         cfg, _, out = run_dir
         recs = out / "eval" / "recommendations.csv"
