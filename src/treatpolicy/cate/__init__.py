@@ -11,6 +11,7 @@ from .intervals import (
     CateInterval,
     UncertaintySpec,
     causal_shift,
+    gate_menu,
     tilted_mean,
     uncertainty_interval,
 )
@@ -21,6 +22,7 @@ __all__ = [
     "fit_meta_learner",
     "UncertaintySpec",
     "CateFitSpec",
+    "gate_menu",
     "CateInterval",
     "tilted_mean",
     "causal_shift",

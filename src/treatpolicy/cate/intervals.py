@@ -41,6 +41,7 @@ from .meta import CateModel, fit_meta_learner
 __all__ = [
     "UncertaintySpec",
     "CateFitSpec",
+    "gate_menu",
     "CateInterval",
     "tilted_mean",
     "causal_shift",
@@ -79,6 +80,26 @@ class CateFitSpec:
             self.kind, train, self.learner,
             propensity=propensity, g_constant=self.g_constant, weights=weights,
         )
+
+
+def gate_menu(menu: dict, train: Dataset, val: Dataset, propensity) -> tuple[dict, dict]:
+    """Fit every menu model on ``train`` and put it through the component gate:
+    a model whose outcome error on ``val`` is no better than predicting the
+    mean carries no signal and must not shape a policy.  Returns each model's
+    gate entry (``heldout_mse``, ``outcome_variance``, ``excluded``) and the
+    retained models, both in menu order."""
+    var_val = float(np.var(val.outcome))
+    gate = {}
+    retained = {}
+    for name, fit_spec in menu.items():
+        model = fit_spec.fit(train, propensity=propensity)
+        pred = model.predict_outcome(val.covariates, val.treatment)
+        mse = float(np.mean((pred - val.outcome) ** 2))
+        excluded = bool(mse >= var_val)
+        gate[name] = {"heldout_mse": mse, "outcome_variance": var_val, "excluded": excluded}
+        if not excluded:
+            retained[name] = model
+    return gate, retained
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .cate import CateFitSpec, UncertaintySpec
 from .deferral import MODES as DEFERRAL_MODES
 from .errors import ConfigError
-from .ingest import SPLIT_NAMES, TableSchema
+from .ingest import DEFAULT_FRACTIONS, SPLIT_NAMES, TableSchema
 from .learners import LearnerSpec
 from .policy_eval import DIRECTIONS, ENSEMBLE_MODES, ESTIMATORS, PLUG_IN_LEARNER, DecisionRule
 from .propensity import PROPENSITY_LEARNER
@@ -235,7 +235,7 @@ _SCHEMA = {
     "splits": (
         "section",
         {
-            "fractions": ("value", [0.6, 0.15, 0.25], _fractions),
+            "fractions": ("value", list(DEFAULT_FRACTIONS), _fractions),
             "seed": ("value", 0, _integer(0)),
         },
     ),
@@ -296,6 +296,7 @@ _SCHEMA = {
             "effect_size": ("value", 0.5, _number(0.0, lo_open=True)),
             "noise_factor": ("value", 1.2, _number(0.0, lo_open=True)),
             "runs": ("value", 5, _integer(2)),
+            # the share of rows each study run fits on, train and validation together
             "train_frac": ("value", 0.7, _number(0.0, 1.0, lo_open=True, hi_open=True)),
             "seed": ("value", 0, _integer(0)),
         },

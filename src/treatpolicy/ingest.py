@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 SPLIT_NAMES = ("train", "validation", "test")
+# the share of rows in each split, in SPLIT_NAMES order, when the config gives none
+DEFAULT_FRACTIONS = (0.6, 0.15, 0.25)
 
 KIND_NUMERIC = "numeric"
 KIND_BINARY = "binary"

@@ -36,6 +36,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import warnings
 
@@ -163,9 +164,21 @@ class StageIO:
         self.warnings.append({"stage": self.stage, "kind": kind, "message": message})
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float, which JSON cannot spell, as None."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def write_json(full_path, obj) -> None:
+    """Write ``obj`` as JSON with sorted keys; NaN and infinities become ``null``."""
     with open(full_path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_finite(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import layout
-from .cate import CateInterval, cate_diagnostics, uncertainty_interval
+from .cate import CateInterval, cate_diagnostics, gate_menu, uncertainty_interval
 from .cate.intervals import _BootstrapMoments
 from .config import PipelineConfig
 from .deferral import (
@@ -202,6 +202,8 @@ def stage_simulate(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
         runs=sim["runs"],
         seed=sim["seed"],
         train_frac=sim["train_frac"],
+        fractions=cfg.echo["splits"]["fractions"],
+        modes=cfg.ensembles,
         plug_in_spec=cfg.plug_in_spec(),
         p_star_spec=cfg.propensity_spec(),
     )
@@ -221,31 +223,20 @@ def stage_fit_cate(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
     data = _load_data(io)
     prop = load_model(io.need(layout.PROPENSITY_MODEL))
     train = data.rows_in("train")
-    val = data.rows_in("validation")
     test = data.rows_in("test")
     menu = cfg.cate_menu()
 
-    # component gate: a model whose held-out outcome error is no better than
-    # predicting the mean carries no signal and must not shape a policy
-    var_val = float(np.var(val.outcome))
-    gate = {}
-    retained = {}
-    for name, fit_spec in menu.items():
-        model = fit_spec.fit(train, propensity=prop)
-        pred = model.predict_outcome(val.covariates, val.treatment)
-        mse = float(np.mean((pred - val.outcome) ** 2))
-        excluded = bool(mse >= var_val)
+    gate, retained = gate_menu(menu, train, data.rows_in("validation"), prop)
+    for name, entry in gate.items():
         # the menu entry the model was fitted from, checked by the stages that read it
-        gate[name] = {"heldout_mse": mse, "outcome_variance": var_val, "excluded": excluded,
-                      "spec": cfg.echo["cate"]["menu"][name]}
-        if excluded:
+        entry["spec"] = cfg.echo["cate"]["menu"][name]
+        if entry["excluded"]:
             io.warn(
                 "component-gate",
-                f"model {name!r} excluded: held-out MSE {mse:.6g} >= outcome "
-                f"variance {var_val:.6g}",
+                f"model {name!r} excluded: held-out MSE {entry['heldout_mse']:.6g} >= outcome "
+                f"variance {entry['outcome_variance']:.6g}",
             )
-            continue
-        retained[name] = model
+    for name, model in retained.items():
         save_model(model, io.out(layout.cate_model(name)))
     write_json(io.out(layout.CATE_GATE), gate)
     if not retained:

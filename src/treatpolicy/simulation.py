@@ -14,15 +14,15 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .cate import gate_menu
 from .errors import ConfigError, DataError
-from .ingest import ColumnInfo, Dataset
+from .ingest import DEFAULT_FRACTIONS, ColumnInfo, Dataset, assign_splits
 from .learners import LearnerSpec, fit_classifier, standardize
 from .learners.linear import fit_linear
 from .learners.metrics import pearson
 from .parallel import pmap
 from .policy_eval import (
     DEFER,
-    ENSEMBLE_MODES,
     PLUG_IN_LEARNER,
     DecisionRule,
     Policy,
@@ -195,20 +195,27 @@ def run_study(
     runs: int = 5,
     seed: int | None = None,
     train_frac: float = 0.7,
+    fractions=DEFAULT_FRACTIONS,
+    modes=(),
     plug_in_spec: LearnerSpec | None = None,
     p_star_spec: LearnerSpec | None = None,
 ) -> StudyReport:
     """Validate the estimation stack against simulated ground truth.
 
-    Each run re-simulates outcomes on standardized covariates, refits every
-    menu meta-learner on a fresh train split, and values the policies on the
-    held-out rows with evaluate's own ``fit_plug_in``, ``build_policy_set``
-    and ``point_values`` (every ensemble mode, no deferral, ``STUDY_RULE``),
-    next to their true values.  The evaluation propensity, a classifier on
-    every row, is fitted here once and shared by the runs.  A run that raises
-    is recorded as a failure and the study continues.  The runs are
-    independent and run in worker processes (``pmap``); each run's seeds are
-    drawn here, so the report does not depend on how many workers ran.
+    Each run re-simulates outcomes on standardized covariates and splits
+    the rows with ingest's ``assign_splits``: ``train_frac`` of them are
+    fitted on, shared between train and validation as the first two
+    ``fractions`` are, and the rest are the test rows.  It fits the menu
+    behind fit-cate's gate (``gate_menu``) and values the retained models,
+    their ``modes`` ensembles and the baselines on the test rows with
+    evaluate's own ``fit_plug_in``, ``build_policy_set`` and
+    ``point_values`` (no deferral, ``STUDY_RULE``), next to their true
+    values.  The evaluation propensity, a classifier on every row, is fitted
+    here once and shared by the runs.  A run that raises, or whose every
+    model fails the gate, is recorded as a failure and the study continues.
+    The runs are independent and run in worker processes (``pmap``); each
+    run's seeds are drawn here, so the report does not depend on how many
+    workers ran.
     """
     if runs < 2:
         raise ConfigError(f"need at least 2 runs, got {runs}")
@@ -223,6 +230,9 @@ def run_study(
     plug_spec = plug_in_spec or LearnerSpec.from_dict(PLUG_IN_LEARNER)
     p_star_model = fit_classifier(p_star_spec or LearnerSpec.from_dict(PROPENSITY_LEARNER), X, T)
     columns = [ColumnInfo(f"x{j}", "numeric") for j in range(X.shape[1])]
+    f_train, f_val = fractions[0], fractions[1]
+    fit_share = train_frac / (f_train + f_val)
+    shares = (f_train * fit_share, f_val * fit_share, 1.0 - train_frac)
 
     run_seeds = np.random.SeedSequence(seed).generate_state(3 * runs, dtype=np.uint32)
     rows: list[dict] = []
@@ -233,7 +243,8 @@ def run_study(
         try:
             return _one_run(
                 X, T, sim_spec, menu, plug_spec, p_star_model, columns,
-                train_frac=train_frac,
+                shares=shares,
+                modes=modes,
                 sim_seed=int(run_seeds[3 * r]),
                 split_seed=int(run_seeds[3 * r + 1]),
                 baseline_seed=int(run_seeds[3 * r + 2]),
@@ -253,6 +264,9 @@ def run_study(
 
     if not rows:
         raise DataError("every study run failed")
+    # menu models, then ensembles, then baselines, whichever runs the gate kept a model out of
+    rank = {name: i for i, name in enumerate([*menu, *(f"ensemble-{m}" for m in modes)])}
+    policy_order.sort(key=lambda name: rank.get(name, len(rank)))
 
     aggregates = []
     for name in policy_order:
@@ -279,31 +293,27 @@ def run_study(
 def _one_run(
     X, T, sim_spec, menu, plug_spec, p_star_model, columns,
     *,
-    train_frac, sim_seed, split_seed, baseline_seed,
+    shares, modes, sim_seed, split_seed, baseline_seed,
 ) -> list[dict]:
-    n = X.shape[0]
+    """One run: simulate, split as ingest does, gate the menu and value its
+    policies on the test rows; a row per policy."""
     outcomes = simulate_outcomes(X, T, replace(sim_spec, seed=sim_seed))
-    y_obs = outcomes.observed(T)
+    data = assign_splits(
+        Dataset(covariates=X, columns=columns, treatment=T, outcome=outcomes.observed(T)),
+        shares, split_seed,
+    )
+    train, test = data.rows_in("train"), data.rows_in("test")
+    out_test = outcomes.subset(test.row_ids)
 
-    perm = np.random.default_rng(np.random.SeedSequence(split_seed)).permutation(n)
-    n_train = int(round(train_frac * n))
-    train_idx, test_idx = perm[:n_train], perm[n_train:]
-    if train_idx.size < 4 or test_idx.size < 4:
-        raise DataError("split leaves too few rows to fit or evaluate")
-
-    train = Dataset(covariates=X[train_idx], columns=columns, treatment=T[train_idx], outcome=y_obs[train_idx])
-    test = Dataset(covariates=X[test_idx], columns=columns, treatment=T[test_idx], outcome=y_obs[test_idx])
-    out_test = outcomes.subset(test_idx)
+    _, retained = gate_menu(menu, train, data.rows_in("validation"), p_star_model)
+    if not retained:
+        raise DataError("every model in the menu failed the held-out error gate")
+    taus = {name: model.predict(test.covariates) for name, model in retained.items()}
 
     p_star_test = p_star_model.predict_proba(test.covariates)
-
     plug_test = fit_plug_in(plug_spec, train, test.covariates)
-    taus = {
-        name: fit_spec.fit(train, propensity=p_star_model).predict(test.covariates)
-        for name, fit_spec in menu.items()
-    }
     policies = build_policy_set(
-        taus, STUDY_RULE, test, p_star_test, modes=ENSEMBLE_MODES, seed=baseline_seed
+        taus, STUDY_RULE, test, p_star_test, modes=modes, seed=baseline_seed
     )
     policies.append(Policy(name="optimal", rec=out_test.optimal_policy, source="baseline"))
     values = point_values(policies, test, p_star_test, plug_in=plug_test)
@@ -337,8 +347,8 @@ def _study_checks(rows: list, aggregates: list, menu: dict) -> dict:
     by_name = {row["policy"]: row for row in aggregates}
     doctors = by_name["doctors"]["v_true_mean"]
     optimal = by_name["optimal"]["v_true_mean"]
-    # pick the menu policy with the best (lowest) estimated DR value
-    selected = min(menu, key=lambda name: by_name[name]["v_dr_mean"])
+    # pick the menu policy with the best (lowest) estimated DR value among the models some run kept
+    selected = min((n for n in menu if n in by_name), key=lambda n: by_name[n]["v_dr_mean"])
     selected_true = by_name[selected]["v_true_mean"]
     improves = {
         "selected": selected,

@@ -25,6 +25,7 @@ from treatpolicy.cate import (
     cate_calibration_curve,
     cate_diagnostics,
     fit_meta_learner,
+    gate_menu,
     intervals,
     tilted_mean,
     uncertainty_interval,
@@ -324,6 +325,32 @@ class TestUncertaintySpec:
         with pytest.raises(ConfigError, match="b_boot"):
             UncertaintySpec(alpha_stat=0.5, b_boot=1)
         UncertaintySpec(alpha_stat=0.0, b_boot=0)
+
+
+class TestGateMenu:
+    def test_entries_and_survivors_in_menu_order(self):
+        train, val = small_dataset(seed=3), small_dataset(seed=4)
+        menu = {
+            # absurd shrinkage leaves the train mean, which cannot beat the
+            # outcome variance on held-out rows
+            "flat": CateFitSpec(kind="s", learner=LearnerSpec.from_dict({"kind": "lasso", "lam": 1e9})),
+            "t-ridge": CateFitSpec(kind="t", learner=RIDGE),
+            "s-ridge": CateFitSpec(kind="s", learner=RIDGE),
+        }
+        gate, retained = gate_menu(menu, train, val, None)
+        assert list(gate) == list(menu) and list(retained) == ["t-ridge", "s-ridge"]
+        var_val = float(np.var(val.outcome))
+        for name, entry in gate.items():
+            assert set(entry) == {"heldout_mse", "outcome_variance", "excluded"}
+            assert entry["outcome_variance"] == var_val
+            assert entry["excluded"] is (entry["heldout_mse"] >= var_val)
+        assert gate["flat"]["excluded"]
+        model = retained["t-ridge"]
+        pred = model.predict_outcome(val.covariates, val.treatment)
+        assert gate["t-ridge"]["heldout_mse"] == float(np.mean((pred - val.outcome) ** 2))
+        np.testing.assert_array_equal(
+            model.predict(val.covariates), menu["t-ridge"].fit(train).predict(val.covariates)
+        )
 
 
 FIT = CateFitSpec(kind="t", learner=RIDGE)

@@ -598,6 +598,40 @@ class TestSimulateStage:
         }
 
 
+    def test_study_values_what_evaluate_reports(self, tmp_path):
+        raw = _small_raw(tmp_path, cate={"ensembles": ["average"]},
+                         simulation={"enabled": True, "runs": 2, "seed": 3})
+        run_pipeline(validate_config(raw))
+        out = tmp_path / "out"
+        evaluated = {r[0] for r in read_csv(out / "eval" / "policy_values.csv")[1:]}
+        studied = {r[0] for r in read_csv(out / "study" / "aggregates.csv")[1:]}
+        assert "ensemble-average" in evaluated
+        assert studied == evaluated | {"optimal"}
+
+
+class TestJsonArtifacts:
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        path = tmp_path / "a.json"
+        layout.write_json(path, {"a": [1.5, math.nan, (math.inf, -math.inf)], "b": np.float64("nan")})
+        assert layout.read_json(path) == {"a": [1.5, None, [None, None]], "b": None}
+
+    def test_constant_effects_leave_valid_json(self, tmp_path):
+        # a two-stump s-learner that never splits on the arm has every effect 0,
+        # so its Pearson and Kendall cells with any other model are undefined
+        menu = {"t-ridge": {"kind": "t", "learner": {"kind": "ridge", "lam": 1.0}},
+                "s-gbt": {"kind": "s", "learner": {"kind": "gbt", "n_trees": 5, "max_depth": 1}}}
+        cfg = validate_config(_small_raw(tmp_path, cate={"menu": menu, "ensembles": []}))
+        run_stages(cfg, ["ingest", "fit-propensity", "fit-cate"])
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        text = (tmp_path / "out" / layout.CATE_DIAGNOSTICS).read_text()
+        diag = json.loads(text, parse_constant=refuse)
+        assert diag["ates"]["s-gbt"] == 0.0
+        assert diag["pearson"][0][1] is None and diag["kendall"][1][0] is None
+
+
 class TestManifestMerge:
     def test_rerunning_a_stage_replaces_its_entries(self, tmp_path):
         csv_path = tmp_path / "table.csv"

@@ -7,8 +7,9 @@ from conftest import see_cpus, synthetic_covariates
 from treatpolicy import simulation
 from treatpolicy.cate import CateFitSpec
 from treatpolicy.errors import ConfigError, DataError
+from treatpolicy.ingest import SPLIT_NAMES, assign_splits
 from treatpolicy.learners import LearnerSpec, fit_classifier
-from treatpolicy.policy_eval import DEFER, Policy
+from treatpolicy.policy_eval import DEFER, ENSEMBLE_MODES, Policy
 from treatpolicy.simulation import (
     SimulationSpec,
     StudyReport,
@@ -160,6 +161,49 @@ MENU = {
     "ridge-t": CateFitSpec(kind="t", learner=RIDGE),
     "ridge-s": CateFitSpec(kind="s", learner=RIDGE),
 }
+# absurd shrinkage leaves the train mean, which fails the held-out error gate
+PLANTED = CateFitSpec(kind="s", learner=LearnerSpec.from_dict({"kind": "lasso", "lam": 1e9}))
+
+
+class Flaky:
+    """Fails on the train split given, in whichever process fits it."""
+
+    def __init__(self, inner, failing=None):
+        self.inner, self.failing, self.seen = inner, failing, []
+
+    def fit(self, train, propensity=None):
+        self.seen.append(train.covariates.tobytes())
+        if self.seen[-1] == self.failing:
+            raise DataError("planted failure")
+        return self.inner.fit(train, propensity=propensity)
+
+
+class GatedOut(Flaky):
+    """On the train split given, fits the planted model, which the gate excludes."""
+
+    def fit(self, train, propensity=None):
+        self.seen.append(train.covariates.tobytes())
+        spec = PLANTED if self.seen[-1] == self.failing else self.inner
+        return spec.fit(train, propensity=propensity)
+
+
+def flaky_study(monkeypatch, kind, **others):
+    """A three-run study of a ``kind`` model that misbehaves on run 0's train
+    split, ahead of the menu entries ``others``."""
+    X, T = synthetic_covariates(300, 4, seed=21)
+    ridge_t = CateFitSpec(kind="t", learner=RIDGE)
+
+    def study(spec):
+        return run_study(
+            X, T, SimulationSpec(lam=0.5, effect_size=1.0), {"flaky": spec, **others},
+            runs=3, seed=5, plug_in_spec=RIDGE,
+        )
+
+    with monkeypatch.context() as serial:
+        see_cpus(serial, 1)
+        recorder = kind(ridge_t)
+        study(recorder)  # in this process: run 0 fits first
+    return study(kind(ridge_t, failing=recorder.seen[0]))
 
 
 def small_study(**kw):
@@ -175,7 +219,7 @@ def small_study(**kw):
 
 class TestRunStudy:
     def test_report_layout(self):
-        report = small_study()
+        report = small_study(modes=ENSEMBLE_MODES)
         assert report.n_runs == 3 and report.failures == []
         expected = {
             "ridge-t", "ridge-s",
@@ -220,37 +264,54 @@ class TestRunStudy:
         assert len(fits) == 1
 
     def test_failed_run_recorded_and_study_continues(self, monkeypatch):
-        class Flaky:
-            """Fails on the train split given, in whichever process fits it."""
-
-            def __init__(self, inner, failing=None):
-                self.inner, self.failing, self.seen = inner, failing, []
-
-            def fit(self, train, propensity=None):
-                self.seen.append(train.covariates.tobytes())
-                if self.seen[-1] == self.failing:
-                    raise DataError("planted failure")
-                return self.inner.fit(train, propensity=propensity)
-
-        X, T = synthetic_covariates(300, 4, seed=21)
-        ridge_t = CateFitSpec(kind="t", learner=RIDGE)
-
-        def study(spec):
-            return run_study(
-                X, T, SimulationSpec(lam=0.5, effect_size=1.0), {"flaky": spec},
-                runs=3, seed=5, plug_in_spec=RIDGE,
-            )
-
-        with monkeypatch.context() as serial:
-            see_cpus(serial, 1)
-            recorder = Flaky(ridge_t)
-            study(recorder)  # in this process: run 0 fits first
-        report = study(Flaky(ridge_t, failing=recorder.seen[0]))
+        report = flaky_study(monkeypatch, Flaky)
         assert len(report.failures) == 1
         assert report.failures[0]["run"] == 0
         assert "planted failure" in report.failures[0]["error"]
         runs_seen = {row["run"] for row in report.rows}
         assert runs_seen == {1, 2}
+
+    def test_run_whose_every_model_is_gated_out_is_a_failure_naming_the_gate(self, monkeypatch):
+        report = flaky_study(monkeypatch, GatedOut)
+        assert [f["run"] for f in report.failures] == [0]
+        assert "held-out error gate" in report.failures[0]["error"]
+        assert {row["run"] for row in report.rows} == {1, 2}
+
+    def test_model_is_not_valued_in_the_run_that_gated_it_out(self, monkeypatch):
+        report = flaky_study(monkeypatch, GatedOut, other=MENU["ridge-t"])
+        assert report.failures == []
+        assert {row["run"] for row in report.rows if row["policy"] == "flaky"} == {1, 2}
+        assert {row["run"] for row in report.rows if row["policy"] == "other"} == {0, 1, 2}
+        n_runs = {agg["policy"]: agg["n_runs"] for agg in report.aggregates}
+        assert n_runs["flaky"] == 2 and n_runs["other"] == 3
+        # menu order is kept though run 0 lists "other" first
+        assert report.policies[:2] == ["flaky", "other"]
+
+    def test_gated_out_model_is_not_valued(self):
+        menu = {"planted": PLANTED, "ridge-t": MENU["ridge-t"]}
+        X, T = synthetic_covariates(400, 5, seed=20)
+        report = run_study(X, T, SimulationSpec(lam=0.5, effect_size=1.0), menu,
+                           runs=3, seed=77, plug_in_spec=RIDGE)
+        assert report.failures == []
+        assert "planted" not in report.policies
+        assert not any(row["policy"] == "planted" for row in report.rows)
+        assert report.checks["improves_on_current"]["selected"] == "ridge-t"
+
+    def test_runs_split_as_ingest_does(self, monkeypatch, one_worker):
+        labels = []
+
+        def recording(data, fractions, seed):
+            labelled = assign_splits(data, fractions, seed)
+            labels.append(labelled.split)
+            return labelled
+
+        monkeypatch.setattr(simulation, "assign_splits", recording)
+        small_study(n=400, train_frac=0.5, fractions=[0.5, 0.25, 0.25])
+        assert len(labels) == 3
+        for split in labels:
+            counts = {name: int((split == name).sum()) for name in SPLIT_NAMES}
+            assert counts == {"train": 133, "validation": 67, "test": 200}
+        assert not np.array_equal(labels[0], labels[1])
 
     def test_all_runs_failing_raises(self):
         class Broken:
