@@ -365,10 +365,12 @@ def uncertainty_interval(
     b_boot)`` query rows, the budget of a chunk of count rows, so the effects
     held at once stay one chunk's size.  ``moments``, built for ``train``,
     ``theta.b_boot`` and ``seed``, lets the models of one menu share their ols
-    and ridge refits' moments; without it the call builds its own.  The causal part shifts the point by
-    the summed per-arm tilts at lam of the point fit's sorted train
-    residuals, symmetric on both sides; the reported interval is the union of
-    the two extents, so it always brackets the point estimate.
+    and ridge refits' moments; without it the call builds its own.  The
+    causal part shifts the point by the summed per-arm tilts at lam of the
+    point fit's sorted train residuals, symmetric on both sides; at lam = 1
+    every tilt is 0 and the residuals are not computed.  The reported
+    interval is the union of the two extents, so it always brackets the
+    point estimate.
     """
     X_query = np.asarray(X_query, dtype=float)
     if moments is not None:
@@ -393,9 +395,11 @@ def uncertainty_interval(
         stat_lo = point.copy()
         stat_hi = point.copy()
 
-    residuals = train.outcome - model.predict_outcome(train.covariates, train.treatment)
-    shift = sum(causal_shift(np.sort(residuals[train.treatment == arm]), theta.lam)
-                for arm in (0, 1))
+    shift = 0.0
+    if theta.lam != 1.0:
+        residuals = train.outcome - model.predict_outcome(train.covariates, train.treatment)
+        shift = sum(causal_shift(np.sort(residuals[train.treatment == arm]), theta.lam)
+                    for arm in (0, 1))
 
     lower = np.minimum(stat_lo, point - shift)
     upper = np.maximum(stat_hi, point + shift)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class Dataset:
     columns: list[ColumnInfo]
     treatment: np.ndarray
     outcome: np.ndarray
-    secondary: dict[str, np.ndarray] = field(default_factory=dict)
     split: np.ndarray | None = None
     row_ids: np.ndarray | None = None
 
@@ -125,7 +124,6 @@ class Dataset:
             columns=list(self.columns),
             treatment=self.treatment[idx],
             outcome=self.outcome[idx],
-            secondary={k: v[idx] for k, v in self.secondary.items()},
             split=None if self.split is None else self.split[idx],
             row_ids=self.row_ids[idx],
         )
@@ -156,10 +154,12 @@ def _parse_cell(text: str) -> float:
 def load_table(path, schema: TableSchema, delimiter: str = ",") -> Dataset:
     """Read a headered CSV into a Dataset per the schema's column roles.
 
-    The file is read as UTF-8, after a byte-order mark if there is one.
-    Unparseable numeric cells become missing (NaN).  Treatment must be an
-    exact 0/1 and the primary outcome must parse on every row; violations
-    raise SchemaError naming the offending row and column.
+    Every header is a covariate except the treatment, the outcome and the
+    other columns the schema names, which must be in the header and are left
+    out of the table unparsed.  The file is read as UTF-8, after a byte-order
+    mark if there is one.  Unparseable numeric cells become missing (NaN).
+    Treatment must be an exact 0/1 and the outcome must parse on every row;
+    violations raise SchemaError naming the offending row and column.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         header = next(csv.reader(fh, delimiter=delimiter), None)
@@ -180,7 +180,7 @@ def load_table(path, schema: TableSchema, delimiter: str = ",") -> Dataset:
         cov_names = [h for h in header if h not in special]
         col_of = {h: i for i, h in enumerate(header)}
         t_col, y_col = col_of[schema.treatment], col_of[schema.outcome]
-        rest = [col_of[k] for k in (*schema.secondary_outcomes, *cov_names)]
+        cov_cols = [col_of[k] for k in cov_names]
 
         def parse_row(record, rownum):
             t_raw = record[t_col].strip()
@@ -195,29 +195,27 @@ def load_table(path, schema: TableSchema, delimiter: str = ",") -> Dataset:
                 raise SchemaError(
                     f"{path}: row {rownum}: outcome column {schema.outcome!r} is missing"
                 )
-            return [t_val, y_val, *map(_parse_cell, map(record.__getitem__, rest))]
+            return [t_val, y_val, *map(_parse_cell, map(record.__getitem__, cov_cols))]
 
         def valid(columns):
             # the checks parse_row makes, on a block parsed in bulk
             return bool(np.isin(columns[0], (0.0, 1.0)).all() and not np.isnan(columns[1]).any())
 
         (treatment, outcome, *values), _ = parse_columns(
-            fh, path, len(header), [t_col, y_col, *rest], row=parse_row, valid=valid,
+            fh, path, len(header), [t_col, y_col, *cov_cols], row=parse_row, valid=valid,
             missing=_MISSING_CELLS, delimiter=delimiter, first_row=2,
         )
 
     if not len(treatment):
         raise SchemaError(f"{path}: no data rows")
 
-    n_sec = len(schema.secondary_outcomes)
-    covariates = np.stack(values[n_sec:], axis=1) if cov_names else np.empty((len(treatment), 0))
+    covariates = np.stack(values, axis=1) if cov_names else np.empty((len(treatment), 0))
     columns = [ColumnInfo(name, _detect_kind(covariates[:, j])) for j, name in enumerate(cov_names)]
     return Dataset(
         covariates=covariates,
         columns=columns,
         treatment=treatment.astype(np.int8),
         outcome=outcome,
-        secondary=dict(zip(schema.secondary_outcomes, values[:n_sec])),
     )
 
 
@@ -379,80 +377,71 @@ def summarize(data: Dataset, group_by: np.ndarray, group_names: tuple[str, str])
     return SummaryTable(group_names=names, rows=rows)
 
 
-# the split code a dataset row stores for no split; a label stores its index in SPLIT_NAMES
-NO_SPLIT = -1
-
-
 def save_dataset(data: Dataset, csv_path) -> dict:
-    """Write the dataset to ``csv_path`` as one ``.npy`` matrix; returns the
-    description that ``data/dataset.json`` holds next to it.
+    """Write the split dataset to ``csv_path`` as one ``.npy`` matrix; returns
+    the description that ``data/dataset.json`` holds next to it: ``columns``
+    (each covariate's name and kind) and ``n_rows``.
 
     The matrix is C-order float64 with one row per data row.  Its columns are
-    ``row_id``, the split code (``NO_SPLIT``, or the label's index in
-    ``SPLIT_NAMES``), ``treatment``, ``outcome``, the secondary outcomes in
-    sorted order, then the covariates.  float64 holds every value exactly
-    (a ``row_id`` up to 2**53), so a reload is bit-identical, and the ``.npy``
-    header holds only dtype, order and shape, so two writes of one dataset
-    give the same bytes.  A split label that is not a split name raises
-    DataError naming its row, counted from 1.
+    ``row_id``, the split code (the label's index in ``SPLIT_NAMES``),
+    ``treatment``, ``outcome``, then the covariates.  float64 holds every
+    value exactly (a ``row_id`` up to 2**53), so a reload is bit-identical,
+    and the ``.npy`` header holds only dtype, order and shape, so two writes
+    of one dataset give the same bytes.  A dataset without a split, or with
+    a split label that is not a split name (named with its row, counted from
+    1), raises DataError.
 
     The path parameter keeps the name ``csv_path`` that it had when the file
     was a CSV table: the benchmark's tracer reads the written file's size
     through that name.
     """
-    sec_names = sorted(data.secondary)
     if data.split is None:
-        codes = np.full(data.n, NO_SPLIT)
-    else:
-        codes = np.full(data.n, len(SPLIT_NAMES))
-        for code, name in enumerate(SPLIT_NAMES):
-            codes[data.split == name] = code
-        bad = np.flatnonzero(codes == len(SPLIT_NAMES))
-        if bad.size:
-            raise DataError(f"row {bad[0] + 1} has split label {str(data.split[bad[0]])!r}; "
-                            f"expected one of {list(SPLIT_NAMES)}")
-    matrix = np.column_stack([data.row_ids, codes, data.treatment, data.outcome,
-                              *(data.secondary[k] for k in sec_names), data.covariates])
+        raise DataError("dataset has no split assignment to save")
+    codes = np.full(data.n, len(SPLIT_NAMES))
+    for code, name in enumerate(SPLIT_NAMES):
+        codes[data.split == name] = code
+    bad = np.flatnonzero(codes == len(SPLIT_NAMES))
+    if bad.size:
+        raise DataError(f"row {bad[0] + 1} has split label {str(data.split[bad[0]])!r}; "
+                        f"expected one of {list(SPLIT_NAMES)}")
+    matrix = np.column_stack([data.row_ids, codes, data.treatment, data.outcome, data.covariates])
     with open(csv_path, "wb") as fh:
         np.save(fh, matrix)
-    return {
-        "columns": [{"name": c.name, "kind": c.kind} for c in data.columns],
-        "secondary_outcomes": sec_names,
-        "n_rows": data.n,
-    }
+    return {"columns": [{"name": c.name, "kind": c.kind} for c in data.columns], "n_rows": data.n}
 
 
 def load_description(path) -> dict:
     """Read the description that :func:`save_dataset` returned from the JSON
-    file at ``path``.  One that is not valid JSON, that lacks ``columns``,
-    ``secondary_outcomes`` or ``n_rows``, or that holds one of them with the
-    wrong type (a column entry without a text ``name`` and ``kind``) raises
-    StageError naming the file and asking for ingest to be rerun.
+    file at ``path``.  One that is not valid JSON, whose keys are not
+    ``columns`` and ``n_rows``, or that holds one of them with the wrong type
+    (a column entry without a text ``name`` and ``kind``) raises StageError
+    naming the file and asking for ingest to be rerun.
     """
 
     def refuse(what):
         return StageError(f"{path}: {what}; rerun the 'ingest' stage")
 
-    def texts(v):
-        return isinstance(v, list) and all(isinstance(x, str) for x in v)
-
+    checks = {
+        "columns": ("a list of entries with a text 'name' and 'kind'",
+                    lambda v: isinstance(v, list) and all(
+                        isinstance(c, dict) and isinstance(c.get("name"), str)
+                        and isinstance(c.get("kind"), str) for c in v)),
+        "n_rows": ("a row count", lambda v: type(v) is int and v >= 0),
+    }
     try:
         description = read_json(path)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise refuse(f"not valid JSON ({exc})") from exc
     if not isinstance(description, dict):
         raise refuse("not a JSON object")
-    for key, what, ok in (
-        ("columns", "a list of entries with a text 'name' and 'kind'",
-         lambda v: isinstance(v, list) and all(
-             isinstance(c, dict) and texts([c.get("name"), c.get("kind")]) for c in v)),
-        ("secondary_outcomes", "a list of names", texts),
-        ("n_rows", "a row count", lambda v: type(v) is int and v >= 0),
-    ):
+    for key, (what, ok) in checks.items():
         if key not in description:
             raise refuse(f"no {key!r}")
         if not ok(description[key]):
             raise refuse(f"{key!r} is not {what}")
+    extra = sorted(set(description) - set(checks))
+    if extra:
+        raise refuse(f"unexpected key(s) {extra}")
     return description
 
 
@@ -462,12 +451,11 @@ def load_dataset(csv_path, description: dict) -> Dataset:
 
     A file that is not such a matrix raises StageError naming it and asking
     for ingest to be rerun: one that does not load as a float64 array, whose
-    shape is not the description's, whose ``row_id`` is not an integer or
-    whose treatment is not 0 or 1 on some row, or whose split codes are not
-    all ``NO_SPLIT`` or all split indices.
+    shape is not the description's ``n_rows`` by 4 plus its covariate
+    columns, or whose ``row_id`` is not an integer, whose split code is not a
+    split index (0-2) or whose treatment is not 0 or 1 on some row.
     """
-    sec_names = list(description["secondary_outcomes"])
-    width = 4 + len(sec_names) + len(description["columns"])
+    width = 4 + len(description["columns"])
 
     def refuse(what):
         return StageError(f"{csv_path}: {what}; rerun the 'ingest' stage")
@@ -485,25 +473,17 @@ def load_dataset(csv_path, description: dict) -> Dataset:
     row_ids, codes, treatment = matrix[:, 0], matrix[:, 1], matrix[:, 2]
     for name, column, bad in (
         ("row_id", row_ids, ~((np.abs(row_ids) <= 2.0**53) & (row_ids == np.trunc(row_ids)))),
+        ("split code", codes, ~np.isin(codes, np.arange(len(SPLIT_NAMES)))),
         ("treatment", treatment, ~np.isin(treatment, (0.0, 1.0))),
     ):
         if bad.any():
             row = np.flatnonzero(bad)[0]
             raise refuse(f"row {row + 1} has {name} {float(column[row])!r}")
-    split = None
-    if not (codes == NO_SPLIT).all():
-        labelled = np.isin(codes, np.arange(len(SPLIT_NAMES)))
-        if not labelled.all():
-            row = np.flatnonzero(~labelled)[0]
-            raise refuse(f"row {row + 1} has split code {float(codes[row])!r}; expected "
-                         f"{NO_SPLIT} on every row or 0-{len(SPLIT_NAMES) - 1} on every row")
-        split = np.array(SPLIT_NAMES, dtype="<U10")[codes.astype(np.intp)]
     return Dataset(
-        covariates=np.ascontiguousarray(matrix[:, 4 + len(sec_names):]),
+        covariates=np.ascontiguousarray(matrix[:, 4:]),
         columns=[ColumnInfo(c["name"], c["kind"]) for c in description["columns"]],
         treatment=treatment.astype(np.int8),
         outcome=np.ascontiguousarray(matrix[:, 3]),
-        secondary={k: np.ascontiguousarray(matrix[:, 4 + i]) for i, k in enumerate(sec_names)},
-        split=split,
+        split=np.array(SPLIT_NAMES, dtype="<U10")[codes.astype(np.intp)],
         row_ids=row_ids.astype(int),
     )

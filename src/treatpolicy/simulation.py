@@ -221,6 +221,9 @@ def run_study(
         raise ConfigError(f"need at least 2 runs, got {runs}")
     if not 0.0 < train_frac < 1.0:
         raise ConfigError(f"train_frac must be in (0, 1), got {train_frac}")
+    f_train, f_val = fractions[0], fractions[1]
+    if not f_train + f_val > 0.0:
+        raise ConfigError(f"fractions {list(fractions)} leave no train or validation rows to fit on")
     if not menu:
         raise ConfigError("empty model menu")
     X = standardize(np.asarray(X, dtype=float))[0]
@@ -230,7 +233,6 @@ def run_study(
     plug_spec = plug_in_spec or LearnerSpec.from_dict(PLUG_IN_LEARNER)
     p_star_model = fit_classifier(p_star_spec or LearnerSpec.from_dict(PROPENSITY_LEARNER), X, T)
     columns = [ColumnInfo(f"x{j}", "numeric") for j in range(X.shape[1])]
-    f_train, f_val = fractions[0], fractions[1]
     fit_share = train_frac / (f_train + f_val)
     shares = (f_train * fit_share, f_val * fit_share, 1.0 - train_frac)
 

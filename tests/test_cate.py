@@ -377,6 +377,29 @@ class TestUncertaintyInterval:
         np.testing.assert_allclose(iv.lower, iv.point - shift, atol=1e-12)
         np.testing.assert_allclose(iv.upper, iv.point + shift, atol=1e-12)
 
+    def test_lam_one_predicts_no_train_rows_and_lam_two_widens_by_the_pools(self, monkeypatch):
+        data = small_dataset(seed=27)
+        model, X = FIT.fit(data), data.covariates[:10]
+        calls = []
+        predict_outcome = CateModel.predict_outcome
+
+        def recording(self, X, t):
+            calls.append(len(X))
+            return predict_outcome(self, X, t)
+
+        monkeypatch.setattr(CateModel, "predict_outcome", recording)
+        ivs = [uncertainty_interval(FIT, data, X, UncertaintySpec(0.8, lam, b_boot=8), seed=4,
+                                    model=model) for lam in (1.0, 2.0)]
+        assert calls == [data.n]  # the residual pools of lam 2 alone
+        assert ivs[0].shift == 0.0
+        res = data.outcome - predict_outcome(model, data.covariates, data.treatment)
+        shift = sum(causal_shift(np.sort(res[data.treatment == arm]), 2.0) for arm in (0, 1))
+        # lam 1 leaves the bootstrap bounds unioned with the point; lam 2 widens them by shift
+        assert ivs[1].shift == shift > 0
+        np.testing.assert_array_equal(ivs[1].point, ivs[0].point)
+        np.testing.assert_array_equal(ivs[1].lower, np.minimum(ivs[0].lower, ivs[0].point - shift))
+        np.testing.assert_array_equal(ivs[1].upper, np.maximum(ivs[0].upper, ivs[0].point + shift))
+
     def test_ordering_holds_with_bootstrap(self):
         data = small_dataset(seed=23, n=80)
         theta = UncertaintySpec(alpha_stat=0.8, lam=1.5, b_boot=16)

@@ -179,12 +179,12 @@ class TestExitCodes:
         assert main(["ingest", str(cfg_path)]) == 0
         path = tmp_path / "out" / "data" / "dataset.json"
         desc = json.loads(path.read_text())
-        del desc["secondary_outcomes"]
+        del desc["n_rows"]
         path.write_text(json.dumps(desc))
         capsys.readouterr()
         assert main(["fit-propensity", str(cfg_path)]) == 4
         err = capsys.readouterr().err
-        assert f"{path}: no 'secondary_outcomes'" in err
+        assert f"{path}: no 'n_rows'" in err
         assert "rerun the 'ingest' stage" in err
 
 

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -528,3 +529,12 @@ def test_full_echo_is_pinned(bounds, resolved, digest):
     # == takes 1 for 1.0; the JSON text, which the hash is taken over, does not
     assert json.dumps(cfg.echo, sort_keys=True) == json.dumps(expected, sort_keys=True)
     assert cfg.hash == digest
+
+
+
+def test_every_json_config_in_the_readme_validates():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    assert blocks
+    for text in blocks:
+        validate_config(json.loads(text))

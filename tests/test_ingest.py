@@ -84,7 +84,8 @@ class TestLoadTable:
         path = write_csv(tmp_path, "id,a,y2,t,y\n7,1.0,5.0,1,2.0\n")
         data = load_table(path, schema)
         assert data.column_names == ["a"]
-        np.testing.assert_allclose(data.secondary["y2"], [5.0])
+        np.testing.assert_array_equal(data.covariates, [[1.0]])
+        assert not hasattr(data, "secondary")
 
 
 def make_dataset(cov, t, y, columns=None, split=None):
@@ -209,14 +210,12 @@ class TestRoundTrip:
         cov = rng.normal(size=(7, 3))
         data = make_dataset(cov, rng.integers(0, 2, 7), rng.normal(size=7),
                             split=["train"] * 4 + ["validation"] * 1 + ["test"] * 2)
-        data.secondary["aux"] = rng.normal(size=7)
         desc = save_dataset(data, tmp_path / "d.npy")
         back = load_dataset(tmp_path / "d.npy", desc)
         np.testing.assert_array_equal(back.covariates, data.covariates)
         np.testing.assert_array_equal(back.outcome, data.outcome)
         np.testing.assert_array_equal(back.treatment, data.treatment)
         np.testing.assert_array_equal(back.split, data.split)
-        np.testing.assert_array_equal(back.secondary["aux"], data.secondary["aux"])
         np.testing.assert_array_equal(back.row_ids, data.row_ids)
 
     @pytest.mark.parametrize("edit", ["extra", "missing"])
@@ -236,11 +235,11 @@ class TestRoundTrip:
         with pytest.raises(SchemaError, match="header does not match"):
             _read_dataset_table(tmp_path / "d.csv", header)
 
-    def test_unsplit_dataset_reloads_without_split(self, tmp_path):
+    def test_unsplit_dataset_is_refused(self, tmp_path):
         data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], [1.0, 2.0, 3.0])
-        back = load_dataset(tmp_path / "d.npy", save_dataset(data, tmp_path / "d.npy"))
-        assert back.split is None
-        np.testing.assert_array_equal(back.covariates, data.covariates)
+        with pytest.raises(DataError, match="no split"):
+            save_dataset(data, tmp_path / "d.npy")
+        assert not (tmp_path / "d.npy").exists()
 
     def test_unknown_split_label_names_its_row(self, tmp_path):
         data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], [1.0, 2.0, 3.0],
@@ -272,23 +271,21 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back.split, ["train", "test", "test"])
 
     def test_reloaded_covariates_are_c_contiguous(self, tmp_path):
-        data = make_dataset(np.arange(12.0).reshape(4, 3), [0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0])
-        data.secondary["aux"] = np.ones(4)
+        data = make_dataset(np.arange(12.0).reshape(4, 3), [0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0],
+                            split=["train", "train", "validation", "test"])
         back = load_dataset(tmp_path / "d.npy", save_dataset(data, tmp_path / "d.npy"))
-        for a in (back.covariates, back.outcome, back.secondary["aux"]):
+        for a in (back.covariates, back.outcome):
             assert a.flags["C_CONTIGUOUS"]
 
 
 def _dataset_table(data, path):
     """Write ``data`` to ``path`` as the CSV table the dataset was stored as
     before data/dataset.npy: int row_id, text split and int treatment, then
-    float outcome, secondary outcomes and covariates.  Returns its header."""
-    sec_names = sorted(data.secondary)
-    header = ["row_id", "split", "treatment", "outcome", *sec_names, *data.column_names]
+    float outcome and covariates.  Returns its header."""
+    header = ["row_id", "split", "treatment", "outcome", *data.column_names]
     split = np.full(data.n, "") if data.split is None else data.split
     layout.write_table(path, header, [data.row_ids, split, data.treatment.astype(int),
-                                      data.outcome, *(data.secondary[k] for k in sec_names),
-                                      *data.covariates.T])
+                                      data.outcome, *data.covariates.T])
     return header
 
 
@@ -301,17 +298,16 @@ def _read_dataset_table(path, header):
 def _edge_dataset():
     """Every float the .npy file must keep bit for bit, the largest exact row_id and
     all three splits."""
-    cov = np.array([[-0.0, 5e-324], [math.inf, -math.inf], [-2.2250738585072e-308, 1e308]])
+    cov = np.array([[-0.0, 5e-324, math.nan], [math.inf, -math.inf, -math.nan],
+                    [-2.2250738585072e-308, 1e308, 1.0]])
     data = make_dataset(cov, [0, 1, 1], [0.5, -0.0, 1e-310], split=list(SPLIT_NAMES))
     data.row_ids = np.array([2**53, 0, 7])
-    data.secondary["aux"] = np.array([math.nan, -math.nan, 1.0])
     return data
 
 
 def _per_row_save_dataset(data, csv_path):
     """The CSV dataset writer before the table codec: one formatted row at a time."""
-    sec_names = sorted(data.secondary)
-    header = ["row_id", "split", "treatment", "outcome", *sec_names, *data.column_names]
+    header = ["row_id", "split", "treatment", "outcome", *data.column_names]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -322,7 +318,6 @@ def _per_row_save_dataset(data, csv_path):
                 str(int(data.treatment[i])),
                 repr(float(data.outcome[i])),
             ]
-            row += [repr(float(data.secondary[k][i])) for k in sec_names]
             row += [repr(float(v)) for v in data.covariates[i]]
             writer.writerow(row)
 
@@ -358,13 +353,9 @@ def _datasets(draw):
                    dtype=float).reshape(n, d)
     data = make_dataset(cov, draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                         draw(st.lists(_FLOATS, min_size=n, max_size=n)),
-                        split=draw(st.none() | st.lists(st.sampled_from(SPLIT_NAMES),
-                                                        min_size=n, max_size=n)))
+                        split=draw(st.lists(st.sampled_from(SPLIT_NAMES), min_size=n, max_size=n)))
     data.row_ids = np.array(draw(st.lists(st.integers(0, 2**53), min_size=n, max_size=n)),
                             dtype=int)
-    for name in draw(st.sets(st.sampled_from(["z", "aux", "b"]))):
-        data.secondary[name] = np.array(
-            draw(st.lists(_FLOATS, min_size=n, max_size=n)), dtype=float)
     return data
 
 
@@ -381,19 +372,17 @@ class TestDatasetArtifact:
         assert save_dataset(data, folder / "b.npy") == desc
         assert (folder / "a.npy").read_bytes() == (folder / "b.npy").read_bytes()
         back = load_dataset(folder / "a.npy", desc)
-        assert desc["secondary_outcomes"] == sorted(data.secondary)
-        assert back.columns == data.columns and list(back.secondary) == sorted(data.secondary)
+        assert desc == {"columns": [{"name": c.name, "kind": c.kind} for c in data.columns],
+                        "n_rows": data.n}
+        assert np.load(folder / "a.npy").shape == (data.n, 4 + len(data.columns))
+        assert back.columns == data.columns
         pairs = [(back.covariates, data.covariates), (back.outcome, data.outcome),
-                 (back.treatment, data.treatment.astype(np.int8)), (back.row_ids, data.row_ids),
-                 *((back.secondary[k], data.secondary[k]) for k in data.secondary)]
+                 (back.treatment, data.treatment.astype(np.int8)), (back.row_ids, data.row_ids)]
         for got, want in pairs:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        if data.split is None:
-            assert back.split is None
-        else:
-            assert back.split.dtype == np.dtype("<U10")
-            assert back.split.tolist() == data.split.tolist()
+        assert back.split.dtype == np.dtype("<U10")
+        assert back.split.tolist() == data.split.tolist()
 
     REFUSALS = {
         "empty": "not a readable .npy matrix",
@@ -404,6 +393,8 @@ class TestDatasetArtifact:
         "dropped-column": r"a matrix of shape \(6, 6\), but its description has 6 rows of 5 ",
         "split-code-5": "row 2 has split code 5.0",
         "no-split-among-labels": "row 3 has split code -1.0",
+        "no-split": "row 1 has split code -1.0",
+        "secondary-block": r"a matrix of shape \(6, 7\), but its description has 6 rows of 6 ",
         "row-id-1.5": "row 4 has row_id 1.5",
         "treatment-2": "row 5 has treatment 2.0",
     }
@@ -428,6 +419,13 @@ class TestDatasetArtifact:
                 np.savez(fh, matrix)
         elif edit == "dropped-column":
             del desc["columns"][0]
+        elif edit == "no-split":
+            # an unsplit dataset as an older ingest could save it
+            matrix[:, 1] = -1.0
+            np.save(path, matrix)
+        elif edit == "secondary-block":
+            # an older layout: a secondary outcome between outcome and covariates
+            np.save(path, np.insert(matrix, 4, 5.0, axis=1))
         else:
             row, column, value = planted[edit]
             matrix[row, column] = value
@@ -442,7 +440,8 @@ class TestDatasetDescription:
     """data/dataset.json: the saved description, and a StageError for anything else."""
 
     def described(self, tmp_path, edit=None):
-        data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], np.ones(3))
+        data = make_dataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], np.ones(3),
+                            split=list(SPLIT_NAMES))
         desc = save_dataset(data, tmp_path / "dataset.npy")
         if edit is not None:
             edit(desc)
@@ -466,14 +465,18 @@ class TestDatasetDescription:
         path.write_text(text)
         self.refused(path, "not valid JSON")
 
-    @pytest.mark.parametrize("key", ["columns", "secondary_outcomes", "n_rows"])
+    @pytest.mark.parametrize("key", ["columns", "n_rows"])
     def test_a_missing_key_is_refused(self, tmp_path, key):
         path, _ = self.described(tmp_path, lambda d: d.pop(key))
         self.refused(path, f"no '{key}'")
 
+    @pytest.mark.parametrize("names", [[], ["y2"]])
+    def test_an_older_description_with_secondary_outcomes_is_refused(self, tmp_path, names):
+        path, _ = self.described(tmp_path, lambda d: d.update(secondary_outcomes=names))
+        self.refused(path, r"unexpected key\(s\) \['secondary_outcomes'\]")
+
     @pytest.mark.parametrize("key, value", [
-        ("columns", {"x0": "numeric"}), ("secondary_outcomes", "y2"),
-        ("secondary_outcomes", [3]), ("n_rows", "3"), ("n_rows", 3.0), ("n_rows", True),
+        ("columns", {"x0": "numeric"}), ("n_rows", "3"), ("n_rows", 3.0), ("n_rows", True),
         ("n_rows", -1),
     ])
     def test_a_key_of_the_wrong_type_is_refused(self, tmp_path, key, value):
@@ -525,7 +528,6 @@ class TestTableCodec:
         data = make_dataset(cov, rng.integers(0, 2, n), rng.normal(size=n),
                             columns=[ColumnInfo(k, "numeric") for k in names],
                             split=rng.choice(["train", "validation", "test"], n) if split else None)
-        data.secondary["aux"] = rng.normal(size=n)
         _per_row_save_dataset(data, tmp_path / "old.csv")
         _dataset_table(data, tmp_path / "new.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -836,8 +838,7 @@ class TestErrorsBeyondTheFirstBlock:
         with pytest.raises(StageError) as info:
             load_dataset(path, desc)
         assert str(info.value) == (
-            f"{path}: row {index + 1} has split code {code!r}; expected -1 on every row "
-            "or 0-2 on every row; rerun the 'ingest' stage"
+            f"{path}: row {index + 1} has split code {code!r}; rerun the 'ingest' stage"
         )
 
     @pytest.mark.parametrize("index", WHERE)

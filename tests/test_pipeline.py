@@ -885,6 +885,32 @@ class TestStagesLoadTheDatasetFile:
                                              "'ingest' stage"):
             run_stages(cfg, ["fit-propensity"])
 
+    def test_secondary_outcome_and_ignored_columns_leave_every_artifact_unchanged(
+            self, tmp_path):
+        plain = _small_raw(tmp_path, simulation={"enabled": True, "runs": 2})
+        rows = read_csv(plain["data"]["path"])
+        rng = np.random.default_rng(1)
+        write_csv(tmp_path / "wide.csv", [["id", *rows[0][:2], "y2", *rows[0][2:]]] + [
+            [str(i), *row[:2], repr(float(y2)), *row[2:]]
+            for i, (row, y2) in enumerate(zip(rows[1:], rng.normal(size=len(rows) - 1)))])
+        wide = {**plain, "output_dir": str(tmp_path / "wide"),
+                "data": {**plain["data"], "path": str(tmp_path / "wide.csv"),
+                         "secondary_outcomes": ["y2"], "ignore": ["id"]}}
+        hashes = [run_pipeline(validate_config(raw)).config_hash for raw in (plain, wide)]
+        out, wide_out = tmp_path / "out", tmp_path / "wide"
+        files = disk_files(out)
+        assert disk_files(wide_out) == files
+        # the manifest echoes the config, and the report index names its hash
+        assert [rel for rel in sorted(files - {"manifest.json", "report/index.md"})
+                if (out / rel).read_bytes() != (wide_out / rel).read_bytes()] == []
+        index = [(o / "report" / "index.md").read_text().replace(h, "")
+                 for o, h in zip((out, wide_out), hashes)]
+        assert index[0] == index[1]
+        description = read_json(wide_out / "data" / "dataset.json")
+        assert description.keys() == {"columns", "n_rows"}
+        assert [c["name"] for c in description["columns"]] == rows[0][:-2]
+        assert np.load(wide_out / "data" / "dataset.npy").shape == (len(rows) - 1, 4 + 4)
+
     def test_missing_dataset_still_names_ingest(self, tmp_path):
         cfg = validate_config(_small_raw(tmp_path))
         run_stages(cfg, ["ingest"])

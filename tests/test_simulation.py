@@ -344,6 +344,11 @@ class TestRunStudy:
         with pytest.raises(ConfigError, match="menu"):
             run_study(X, T, SimulationSpec(0.5, 1.0), {}, runs=2)
 
+    def test_fractions_without_train_or_validation_rows_rejected(self):
+        X, T = synthetic_covariates(200, 3, seed=24)
+        with pytest.raises(ConfigError, match=r"fractions \[0, 0, 1\]"):
+            run_study(X, T, SimulationSpec(0.5, 1.0), MENU, runs=2, fractions=(0, 0, 1))
+
     @pytest.mark.parametrize("train_frac", [-0.2, 0.0, 1.0, 1.5, float("nan")])
     def test_train_frac_outside_unit_interval_rejected(self, train_frac):
         X, T = synthetic_covariates(100, 3, seed=24)
