@@ -2,7 +2,6 @@
 
 from .diagnostics import (
     CalibrationSegment,
-    CateDiagnostics,
     cate_calibration_curve,
     cate_diagnostics,
 )
@@ -29,6 +28,5 @@ __all__ = [
     "uncertainty_interval",
     "CalibrationSegment",
     "cate_calibration_curve",
-    "CateDiagnostics",
     "cate_diagnostics",
 ]

@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import DataError
 from ..learners.metrics import kendall_tau, pearson
 
-__all__ = ["CalibrationSegment", "cate_calibration_curve", "CateDiagnostics", "cate_diagnostics"]
+__all__ = ["CalibrationSegment", "cate_calibration_curve", "cate_diagnostics"]
 
 
 @dataclass
@@ -73,29 +73,15 @@ def cate_calibration_curve(
     return segments
 
 
-@dataclass
-class CateDiagnostics:
-    names: tuple
-    pearson: np.ndarray
-    kendall: np.ndarray
-    ates: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "pearson": [[float(v) for v in row] for row in self.pearson],
-            "kendall": [[float(v) for v in row] for row in self.kendall],
-            "ates": {k: float(v) for k, v in self.ates.items()},
-        }
-
-
-def cate_diagnostics(estimates: dict) -> CateDiagnostics:
+def cate_diagnostics(estimates: dict) -> dict:
     """Pairwise agreement between named effect vectors scored on shared rows.
 
-    Returns Pearson and Kendall matrices in insertion order plus each
-    model's implied average effect (the mean of its vector).
+    Returns the dict that ``cate/diagnostics.json`` holds: the ``names`` in
+    insertion order, the ``pearson`` and ``kendall`` matrices in that order
+    as nested lists, and ``ates``, each model's implied average effect (the
+    mean of its vector).
     """
-    names = tuple(estimates.keys())
+    names = list(estimates)
     if not names:
         raise ValueError("need at least one estimate vector")
     vectors = [np.asarray(estimates[name], dtype=float) for name in names]
@@ -111,4 +97,4 @@ def cate_diagnostics(estimates: dict) -> CateDiagnostics:
             pear[i, j] = pear[j, i] = pearson(vectors[i], vectors[j])
             kend[i, j] = kend[j, i] = kendall_tau(vectors[i], vectors[j])
     ates = {name: float(v.mean()) for name, v in zip(names, vectors)}
-    return CateDiagnostics(names=names, pearson=pear, kendall=kend, ates=ates)
+    return {"names": names, "pearson": pear.tolist(), "kendall": kend.tolist(), "ates": ates}

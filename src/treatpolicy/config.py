@@ -112,7 +112,8 @@ def _fractions(value, path):
         raise ConfigError(
             f"{path} must list {len(SPLIT_NAMES)} fractions ({'/'.join(SPLIT_NAMES)})"
         )
-    fractions = [_number(0.0)(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    # largest-remainder rounding gives a zero fraction no row, which ingest refuses
+    fractions = [_number(0.0, lo_open=True)(v, f"{path}[{i}]") for i, v in enumerate(value)]
     total = sum(fractions)
     if abs(total - 1.0) > 1e-9:
         raise ConfigError(f"{path} must sum to 1, got {total}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cate.intervals import CateInterval
 from .errors import DataError
-from .ingest import Dataset, SummaryTable, summarize
+from .ingest import Dataset, summarize
 from .learners import standardize
 from .learners.linear import fit_linear
 from .propensity import overlap_mask
@@ -23,7 +23,6 @@ __all__ = [
     "DeferralRule",
     "DeferralDecision",
     "evaluate_deferral",
-    "SubpopProfile",
     "characterize_subpop",
 ]
 
@@ -90,29 +89,16 @@ def evaluate_deferral(
     return DeferralDecision(defer=defer, reason=reason)
 
 
-@dataclass
-class SubpopProfile:
-    """What separates deferred rows from recommended ones."""
-
-    coefficients: list
-    table: SummaryTable
-    n_deferred: int
-    n_recommended: int
-
-    def to_dict(self) -> dict:
-        return {
-            "coefficients": self.coefficients,
-            "n_deferred": self.n_deferred,
-            "n_recommended": self.n_recommended,
-        }
-
-
-def characterize_subpop(deferred, data: Dataset, lam: float = 0.1) -> SubpopProfile:
+def characterize_subpop(deferred, data: Dataset, lam: float = 0.1) -> dict:
     """Profile the deferred sub-population against the recommended one.
 
     Fits an L1-penalized logistic regression of the defer flag on z-scored
-    covariates and ranks surviving coefficients by magnitude, alongside the
-    grouped descriptive table.  Needs both classes present.
+    covariates and ranks surviving coefficients by magnitude.  Returns the
+    profile that ``defer/subpop.json`` holds per model:
+    ``coefficients`` (``column`` and ``coefficient``, largest magnitude
+    first), ``n_deferred``, ``n_recommended`` and ``table``, the
+    :func:`summarize` table by defer flag as its header row, then every
+    cell as text.  Needs both classes present.
     """
     flags = np.asarray(deferred, dtype=bool)
     if flags.shape != (data.n,):
@@ -131,10 +117,10 @@ def characterize_subpop(deferred, data: Dataset, lam: float = 0.1) -> SubpopProf
         ),
         key=lambda row: -abs(row["coefficient"]),
     )
-    table = summarize(data, group_by=flags, group_names=("recommended", "deferred"))
-    return SubpopProfile(
-        coefficients=ranked,
-        table=table,
-        n_deferred=n_def,
-        n_recommended=data.n - n_def,
-    )
+    header, rows = summarize(data, group_by=flags, group_names=("recommended", "deferred"))
+    return {
+        "coefficients": ranked,
+        "n_deferred": n_def,
+        "n_recommended": data.n - n_def,
+        "table": [header, *([str(cell) for cell in row] for row in rows)],
+    }

@@ -27,7 +27,6 @@ __all__ = [
     "ColumnInfo",
     "TableSchema",
     "Dataset",
-    "SummaryTable",
     "load_table",
     "impute_and_flag",
     "assign_splits",
@@ -229,20 +228,20 @@ def _detect_kind(values: np.ndarray) -> str:
 def impute_and_flag(data: Dataset) -> tuple[Dataset, tuple[str, ...]]:
     """Median-impute missing covariates and append missing indicators.
 
-    Medians come from the train split (all rows when the dataset is
-    unsplit); every column with a missing value anywhere in the data is
-    flagged and gains an indicator.  Returns the new dataset and the flagged
-    column names.  Applying the function twice is a no-op.
+    Medians come from the train split; every column with a missing value
+    anywhere in the data is flagged and gains an indicator.  Returns the new
+    dataset and the flagged column names.  Applying the function twice is a
+    no-op.  A dataset without a split, or without train rows, raises
+    DataError.
     """
     base_idx = [i for i, c in enumerate(data.columns) if c.kind != KIND_INDICATOR]
     existing = set(data.column_names)
 
-    if data.split is not None:
-        train_mask = data.split == "train"
-        if not train_mask.any():
-            raise DataError("no train rows to derive imputation statistics from")
-    else:
-        train_mask = np.ones(data.n, dtype=bool)
+    if data.split is None:
+        raise DataError("dataset has no split assignment to derive imputation statistics from")
+    train_mask = data.split == "train"
+    if not train_mask.any():
+        raise DataError("no train rows to derive imputation statistics from")
     medians: dict[str, float] = {}
     for i in base_idx:
         name = data.columns[i].name
@@ -308,31 +307,6 @@ def assign_splits(data: Dataset, fractions, seed: int) -> Dataset:
     return replace(data, split=labels)
 
 
-@dataclass
-class SummaryTable:
-    """Per-column descriptive statistics, overall and by group.
-
-    Numeric columns report "mean (SD)", binary columns "n (%)"; the missing
-    column counts NaNs in the summarized data.
-    """
-
-    group_names: tuple[str, ...]
-    rows: list[dict]
-
-    @property
-    def header(self) -> list[str]:
-        return ["column", "statistic", "missing", "overall", *self.group_names]
-
-    def columns(self) -> list[list]:
-        """One list per ``header`` name, in row order."""
-        return [[r[k] for r in self.rows] for k in self.header[:4]] + [
-            [r["groups"][g] for r in self.rows] for g in self.group_names
-        ]
-
-    def to_csv_rows(self) -> list[list[str]]:
-        return [self.header, *([str(cell) for cell in row] for row in zip(*self.columns()))]
-
-
 def _format_stat(values: np.ndarray, kind: str) -> str:
     present = values[~np.isnan(values)]
     if present.size == 0:
@@ -344,17 +318,23 @@ def _format_stat(values: np.ndarray, kind: str) -> str:
     return f"{n_pos} ({100.0 * n_pos / present.size:.1f}%)"
 
 
-def summarize(data: Dataset, group_by: np.ndarray, group_names: tuple[str, str]) -> SummaryTable:
+def summarize(data: Dataset, group_by: np.ndarray, group_names: tuple[str, str]
+              ) -> tuple[list[str], list[list]]:
     """Descriptive table over covariates, treatment and outcome, overall and
-    in two groups.
+    in two groups: ``(header, rows)``, the table that ``data/summary.csv``
+    holds by treatment arm and the deferral profile's ``table`` holds by
+    defer flag.
 
-    ``group_by`` is a boolean row mask; False rows go under ``group_names[0]``.
+    ``header`` is ``column``, ``statistic``, ``missing``, ``overall`` and the
+    two ``group_names``; each row holds those cells in that order.  Numeric
+    columns report "mean (SD)", binary columns "n (%)"; ``missing`` counts
+    the NaNs of the column.  ``group_by`` is a boolean row mask; False rows
+    go under ``group_names[0]``.
     """
     group_by = np.asarray(group_by, dtype=bool)
     if group_by.shape != (data.n,):
         raise DataError("group_by length does not match dataset")
     masks = [~group_by, group_by]
-    names = tuple(group_names)
 
     entries: list[tuple[str, str, np.ndarray]] = [
         (c.name, KIND_BINARY if c.kind == KIND_INDICATOR else c.kind, data.covariates[:, j])
@@ -363,18 +343,17 @@ def summarize(data: Dataset, group_by: np.ndarray, group_names: tuple[str, str])
     entries.append(("treatment", KIND_BINARY, data.treatment.astype(float)))
     entries.append(("outcome", KIND_NUMERIC, data.outcome))
 
-    rows = []
-    for name, kind, values in entries:
-        rows.append(
-            {
-                "column": name,
-                "statistic": "mean (SD)" if kind == KIND_NUMERIC else "n (%)",
-                "missing": int(np.isnan(values).sum()),
-                "overall": _format_stat(values, kind),
-                "groups": {g: _format_stat(values[m], kind) for g, m in zip(names, masks)},
-            }
-        )
-    return SummaryTable(group_names=names, rows=rows)
+    rows = [
+        [
+            name,
+            "mean (SD)" if kind == KIND_NUMERIC else "n (%)",
+            int(np.isnan(values).sum()),
+            _format_stat(values, kind),
+            *(_format_stat(values[m], kind) for m in masks),
+        ]
+        for name, kind, values in entries
+    ]
+    return ["column", "statistic", "missing", "overall", *group_names], rows
 
 
 def save_dataset(data: Dataset, csv_path) -> dict:

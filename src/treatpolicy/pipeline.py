@@ -161,8 +161,8 @@ def stage_ingest(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
     with open(io.out(layout.IDENTIFICATION), "w") as fh:
         fh.write(_CHECKLIST)
     write_json(io.out(layout.DATASET_META), save_dataset(data, io.out(layout.DATASET)))
-    table = summarize(data, group_by=data.treatment == 1, group_names=("control", "treated"))
-    write_table(io.out(layout.SUMMARY), table.header, table.columns())
+    header, rows = summarize(data, group_by=data.treatment == 1, group_names=("control", "treated"))
+    write_table(io.out(layout.SUMMARY), header, list(zip(*rows)))
     if flagged:
         cols = ", ".join(sorted(flagged))
         io.warn("imputation", f"missing values imputed (indicators added) in: {cols}")
@@ -182,12 +182,12 @@ def stage_fit_propensity(cfg: PipelineConfig, manifest: RunManifest, io) -> None
     _write_table(io, layout.PROPENSITY_SCORES, [data.row_ids, data.split, data.treatment, scores])
 
     rep = overlap_report(scores, data.treatment, bounds, bins=cfg.echo["report"]["bins"])
-    write_json(io.out(layout.OVERLAP), {"method": bounds_spec, "report": rep.to_dict()})
-    if rep.auroc_flag:
+    write_json(io.out(layout.OVERLAP), {"method": bounds_spec, "report": rep})
+    if rep["auroc_flag"]:
         io.warn(
             "overlap",
-            f"treatment scores separate the arms (AUROC {rep.auroc:.3f} >= "
-            f"{rep.auroc_flag_threshold}); overlap is strained and deferral rates will be high",
+            f"treatment scores separate the arms (AUROC {rep['auroc']:.3f} >= "
+            f"{rep['auroc_flag_threshold']}); overlap is strained and deferral rates will be high",
         )
 
 
@@ -261,8 +261,7 @@ def stage_fit_cate(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
         io, layout.CATE_ESTIMATES, list(retained), test.row_ids,
         [iv.point for iv in intervals], [iv.lower for iv in intervals], [iv.upper for iv in intervals],
     )
-    diag = cate_diagnostics(taus)
-    write_json(io.out(layout.CATE_DIAGNOSTICS), diag.to_dict())
+    write_json(io.out(layout.CATE_DIAGNOSTICS), cate_diagnostics(taus))
 
 
 def _retained_names(cfg: PipelineConfig, gate: dict) -> list[str]:
@@ -350,10 +349,9 @@ def stage_defer(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
             "profile": None,
         }
         try:
-            prof = characterize_subpop(
+            entry["profile"] = characterize_subpop(
                 decision.defer, test, lam=cfg.echo["deferral"]["profile_lam"]
             )
-            entry["profile"] = {**prof.to_dict(), "table": prof.table.to_csv_rows()}
         except DataError:
             io.warn(
                 "subpopulation",

@@ -8,7 +8,7 @@ arm too well) raises a warning flag in the overlap report.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .learners import (
 
 __all__ = [
     "PropensityModel",
-    "OverlapReport",
     "fit_propensity",
     "select_overlap_bounds",
     "overlap_mask",
@@ -170,34 +169,21 @@ def overlap_mask(scores, eta_low: float, eta_high: float) -> np.ndarray:
     return (scores >= eta_low) & (scores <= eta_high)
 
 
-@dataclass
-class OverlapReport:
-    """Per-arm score histograms before and after trimming, plus diagnostics."""
-
-    bounds: tuple[float, float]
-    bin_edges: list[float]
-    histograms: dict  # arm -> {"all": [...], "retained": [...]}
-    n_total: int
-    n_retained: int
-    n_excluded_by_arm: dict
-    auroc: float | None
-    auroc_flag: bool
-    auroc_flag_threshold: float
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "bounds": {"eta_low": self.bounds[0], "eta_high": self.bounds[1]}}
-
-
 def overlap_report(
     scores,
     treatment,
     bounds: tuple[float, float],
     bins: int = 20,
-) -> OverlapReport:
+) -> dict:
     """Summarize arm-wise score distributions and the effect of trimming.
 
-    The flag fires when the scores separate the observed arms with AUROC at
-    or above ``AUROC_FLAG_THRESHOLD``, a sign the overlap assumption is strained.
+    Returns the dict that ``propensity/overlap.json`` holds under ``report``:
+    the ``bounds`` as ``{"eta_low", "eta_high"}``, the ``bin_edges``, per-arm
+    ``histograms`` of all and retained scores, ``n_total``, ``n_retained``,
+    ``n_excluded_by_arm``, the arm-separating ``auroc`` and its
+    ``auroc_flag`` against ``auroc_flag_threshold``.  The flag fires when the
+    scores separate the observed arms with AUROC at or above
+    ``AUROC_FLAG_THRESHOLD``, a sign the overlap assumption is strained.
     """
     scores = np.asarray(scores, dtype=float)
     treatment = np.asarray(treatment)
@@ -217,17 +203,17 @@ def overlap_report(
         }
         excluded[str(arm)] = int(np.sum(arm_mask & ~retained))
     score_auroc = _auroc(scores, treatment.astype(float))
-    return OverlapReport(
-        bounds=(float(bounds[0]), float(bounds[1])),
-        bin_edges=[float(e) for e in edges],
-        histograms=histograms,
-        n_total=int(scores.size),
-        n_retained=int(retained.sum()),
-        n_excluded_by_arm=excluded,
-        auroc=score_auroc,
-        auroc_flag=score_auroc is not None and score_auroc >= AUROC_FLAG_THRESHOLD,
-        auroc_flag_threshold=AUROC_FLAG_THRESHOLD,
-    )
+    return {
+        "bounds": {"eta_low": float(bounds[0]), "eta_high": float(bounds[1])},
+        "bin_edges": [float(e) for e in edges],
+        "histograms": histograms,
+        "n_total": int(scores.size),
+        "n_retained": int(retained.sum()),
+        "n_excluded_by_arm": excluded,
+        "auroc": score_auroc,
+        "auroc_flag": score_auroc is not None and score_auroc >= AUROC_FLAG_THRESHOLD,
+        "auroc_flag_threshold": AUROC_FLAG_THRESHOLD,
+    }
 
 
 register_codec("propensity", PropensityModel)

@@ -1022,24 +1022,25 @@ class TestCateDiagnostics:
         rng = np.random.default_rng(41)
         a = rng.normal(size=50)
         out = cate_diagnostics({"a": a, "b": 2 * a + 3})
-        assert out.pearson[0, 0] == 1.0 and out.kendall[1, 1] == 1.0
-        assert out.pearson[0, 1] == pytest.approx(1.0, abs=1e-12)
-        assert out.kendall[0, 1] == pytest.approx(1.0, abs=1e-12)
-        assert out.ates["b"] == pytest.approx(2 * a.mean() + 3, abs=1e-12)
+        assert set(out) == {"names", "pearson", "kendall", "ates"}
+        assert out["pearson"][0][0] == 1.0 and out["kendall"][1][1] == 1.0
+        assert out["pearson"][0][1] == pytest.approx(1.0, abs=1e-12)
+        assert out["kendall"][0][1] == pytest.approx(1.0, abs=1e-12)
+        assert out["ates"]["b"] == pytest.approx(2 * a.mean() + 3, abs=1e-12)
 
     def test_independent_vectors_nearly_uncorrelated(self):
         rng = np.random.default_rng(42)
         out = cate_diagnostics({"a": rng.normal(size=1000), "b": rng.normal(size=1000)})
-        assert abs(out.pearson[0, 1]) <= 0.1
-        assert abs(out.kendall[0, 1]) <= 0.1
+        assert abs(out["pearson"][0][1]) <= 0.1
+        assert abs(out["kendall"][0][1]) <= 0.1
 
     def test_matrices_are_symmetric_in_name_order(self):
         rng = np.random.default_rng(43)
         est = {k: rng.normal(size=30) for k in ("m1", "m2", "m3")}
         out = cate_diagnostics(est)
-        assert out.names == ("m1", "m2", "m3")
-        np.testing.assert_array_equal(out.pearson, out.pearson.T)
-        np.testing.assert_array_equal(out.kendall, out.kendall.T)
+        assert out["names"] == ["m1", "m2", "m3"]
+        np.testing.assert_array_equal(out["pearson"], np.transpose(out["pearson"]))
+        np.testing.assert_array_equal(out["kendall"], np.transpose(out["kendall"]))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
@@ -1058,7 +1059,7 @@ class TestCateDiagnostics:
             "a = rng.normal(size=100_000)\n"
             "out = cate_diagnostics({'a': a, 'b': a + rng.normal(size=a.size),\n"
             "                        'c': np.full(a.size, 0.25)})\n"
-            "print(json.dumps(out.to_dict()))\n"
+            "print(json.dumps(out))\n"
         )
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         src = str(Path(treatpolicy.__file__).resolve().parents[1])

@@ -396,6 +396,9 @@ LOAD_TIME_REFUSALS = [
                  r"policy\.threshold must be a finite number", id="threshold-nan"),
     pytest.param({"splits": {"fractions": [math.nan, 0.5, 0.5]}},
                  r"splits\.fractions\[0\] must be a finite number", id="fraction-nan"),
+    # a zero fraction gets no row, which ingest refuses only after parsing the whole table
+    pytest.param({"splits": {"fractions": [0.8, 0.0, 0.2]}},
+                 r"splits\.fractions\[1\] must be > 0\.0, got 0\.0", id="fraction-zero"),
     pytest.param({"deferral": {"profile_lam": math.inf}},
                  r"deferral\.profile_lam must be a finite number, got inf", id="profile-lam-inf"),
     pytest.param({"uncertainty": {"lam": math.inf}},

@@ -112,9 +112,9 @@ class TestCharacterizeSubpop:
         flags = X[:, 3] > 0
         data = make_dataset(X, rng.integers(0, 2, 400), rng.normal(size=400))
         profile = characterize_subpop(flags, data, lam=0.05)
-        assert profile.coefficients[0]["column"] == "x3"
-        assert profile.n_deferred == int(flags.sum())
-        assert profile.n_recommended == 400 - profile.n_deferred
+        assert profile["coefficients"][0]["column"] == "x3"
+        assert profile["n_deferred"] == int(flags.sum())
+        assert profile["n_recommended"] == 400 - profile["n_deferred"]
 
     def test_independent_labels_fully_shrunk(self):
         rng = np.random.default_rng(4)
@@ -122,7 +122,7 @@ class TestCharacterizeSubpop:
         flags = rng.random(200) < 0.5
         data = make_dataset(X, rng.integers(0, 2, 200), rng.normal(size=200))
         profile = characterize_subpop(flags, data, lam=50.0)
-        assert profile.coefficients == []
+        assert profile["coefficients"] == []
 
     def test_grouped_counts_sum_to_total(self):
         rng = np.random.default_rng(5)
@@ -130,9 +130,11 @@ class TestCharacterizeSubpop:
         flags = np.arange(60) % 3 == 0
         data = make_dataset(X, rng.integers(0, 2, 60), rng.normal(size=60))
         profile = characterize_subpop(flags, data)
-        header = profile.table.to_csv_rows()[0]
+        assert set(profile) == {"coefficients", "n_deferred", "n_recommended", "table"}
+        header = profile["table"][0]
         assert "recommended" in header and "deferred" in header
-        assert profile.n_deferred + profile.n_recommended == 60
+        assert all(isinstance(cell, str) for row in profile["table"] for cell in row)
+        assert profile["n_deferred"] + profile["n_recommended"] == 60
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(6)

@@ -114,27 +114,33 @@ class TestImputeAndFlag:
         np.testing.assert_array_equal(out.covariates[:, 1], [0, 0, 1, 0])
 
     def test_no_missing_no_indicator(self):
-        data = make_dataset([[1.0], [2.0]], [0, 1], [0, 0])
+        data = make_dataset([[1.0], [2.0]], [0, 1], [0, 0], split=["train", "test"])
         out, flagged = impute_and_flag(data)
         assert out.column_names == ["x0"]
         assert flagged == ()
 
     def test_idempotent(self):
         cov = [[1.0], [np.nan], [3.0]]
-        data = make_dataset(cov, [0, 1, 0], [0, 0, 0])
+        data = make_dataset(cov, [0, 1, 0], [0, 0, 0], split=["train", "train", "test"])
         once, _ = impute_and_flag(data)
         twice, _ = impute_and_flag(once)
         np.testing.assert_array_equal(once.covariates, twice.covariates)
         assert once.column_names == twice.column_names
 
     def test_entirely_missing_train_column_is_error(self):
-        data = make_dataset([[np.nan], [np.nan]], [0, 1], [0, 0])
+        data = make_dataset([[np.nan], [np.nan], [1.0]], [0, 1, 0], [0, 0, 0],
+                            split=["train", "train", "test"])
         with pytest.raises(DataError, match="x0"):
+            impute_and_flag(data)
+
+    def test_unsplit_dataset_is_error(self):
+        data = make_dataset([[1.0], [np.nan]], [0, 1], [0, 0])
+        with pytest.raises(DataError, match="no split"):
             impute_and_flag(data)
 
     def test_original_dataset_not_mutated(self):
         cov = np.array([[np.nan], [2.0]])
-        data = make_dataset(cov, [0, 1], [0, 0])
+        data = make_dataset(cov, [0, 1], [0, 0], split=["train", "train"])
         impute_and_flag(data)
         assert math.isnan(data.covariates[0, 0])
 
@@ -183,12 +189,11 @@ class TestSummarize:
         cov = [[1.0, 1], [2.0, 0], [3.0, 1], [4.0, 0]]
         columns = [ColumnInfo("age", "numeric"), ColumnInfo("flag", "binary")]
         data = make_dataset(cov, [0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0], columns=columns)
-        table = summarize(data, group_by=np.array([False, False, True, True]),
-                          group_names=("recommended", "deferred"))
-        rows = table.to_csv_rows()
-        assert rows[0] == ["column", "statistic", "missing", "overall",
-                           "recommended", "deferred"]
-        by_col = {r[0]: r for r in rows[1:]}
+        header, rows = summarize(data, group_by=np.array([False, False, True, True]),
+                                 group_names=("recommended", "deferred"))
+        assert header == ["column", "statistic", "missing", "overall",
+                          "recommended", "deferred"]
+        by_col = {r[0]: r for r in rows}
         assert by_col["age"][1] == "mean (SD)"
         assert by_col["age"][3] == "2.50 (1.29)"
         assert by_col["flag"][1] == "n (%)"
@@ -198,8 +203,8 @@ class TestSummarize:
 
     def test_missing_counted(self):
         data = make_dataset([[np.nan], [2.0]], [0, 1], [0.0, 1.0])
-        table = summarize(data, group_by=np.array([False, True]), group_names=("a", "b"))
-        row = next(r for r in table.rows if r["column"] == "x0")
+        header, rows = summarize(data, group_by=np.array([False, True]), group_names=("a", "b"))
+        row = dict(zip(header, next(r for r in rows if r[0] == "x0")))
         assert row["missing"] == 1
         assert row["overall"] == "2.00 (0.00)"
 

@@ -141,18 +141,18 @@ class TestOverlapReport:
         scores = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 0.2, 0.4, 0.6, 0.8, 0.95])
         treatment = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
         report = overlap_report(scores, treatment, (0.25, 0.85), bins=10)
-        assert report.n_total == 10
-        assert report.n_retained == int(overlap_mask(scores, 0.25, 0.85).sum())
-        assert sum(report.histograms["0"]["all"]) == 5
-        assert sum(report.histograms["0"]["retained"]) + report.n_excluded_by_arm["0"] == 5
-        assert not report.auroc_flag
+        assert report["n_total"] == 10
+        assert report["n_retained"] == int(overlap_mask(scores, 0.25, 0.85).sum())
+        assert sum(report["histograms"]["0"]["all"]) == 5
+        assert sum(report["histograms"]["0"]["retained"]) + report["n_excluded_by_arm"]["0"] == 5
+        assert not report["auroc_flag"]
 
     def test_dict_holds_every_field(self):
         # the "report" object of propensity/overlap.json
         scores = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 0.2, 0.4, 0.6, 0.8, 0.95])
         treatment = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
         report = overlap_report(scores, treatment, (0.25, 0.85), bins=4)
-        assert report.to_dict() == {
+        assert report == {
             "bounds": {"eta_low": 0.25, "eta_high": 0.85},
             "bin_edges": [0.0, 0.25, 0.5, 0.75, 1.0],
             "histograms": {"0": {"all": [1, 1, 2, 1], "retained": [0, 1, 2, 0]},
@@ -170,9 +170,9 @@ class TestOverlapReport:
                                  np.linspace(0.7, 0.99, 30)])
         treatment = np.array([0] * 30 + [1] * 30)
         report = overlap_report(scores, treatment, (0.4, 0.6))
-        assert report.auroc == 1.0
-        assert report.auroc_flag
-        assert report.n_retained == 0
+        assert report["auroc"] == 1.0
+        assert report["auroc_flag"]
+        assert report["n_retained"] == 0
 
     def test_near_deterministic_assignment_flags(self):
         rng = np.random.default_rng(4)
@@ -183,5 +183,5 @@ class TestOverlapReport:
         model = fit_propensity(data, spec)
         scores = model.predict(X)
         report = overlap_report(scores, t, (0.1, 0.9))
-        assert report.auroc >= 0.99
-        assert report.auroc_flag
+        assert report["auroc"] >= 0.99
+        assert report["auroc_flag"]
