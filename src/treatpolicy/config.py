@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .cate import CateFitSpec, UncertaintySpec
 from .deferral import MODES as DEFERRAL_MODES
-from .errors import ConfigError
+from .errors import ConfigError, SchemaError
 from .ingest import DEFAULT_FRACTIONS, SPLIT_NAMES, TableSchema
 from .learners import LearnerSpec
 from .policy_eval import DIRECTIONS, ENSEMBLE_MODES, ESTIMATORS, PLUG_IN_LEARNER, DecisionRule
@@ -99,6 +99,15 @@ def _choice(options):
         return value
 
     return check
+
+
+def _delimiter(value, path):
+    # csv takes one character; a quote or a line break would split the fields wrongly
+    if not isinstance(value, str) or len(value) != 1 or value in '"\r\n':
+        raise ConfigError(
+            f"{path} must be one character other than a quote or a line break, got {value!r}"
+        )
+    return value
 
 
 def _string_list(value, path):
@@ -230,7 +239,7 @@ _SCHEMA = {
             "outcome": ("value", _REQUIRED, _string),
             "secondary_outcomes": ("value", [], _string_list),
             "ignore": ("value", [], _string_list),
-            "delimiter": ("value", ",", _string),
+            "delimiter": ("value", ",", _delimiter),
         },
     ),
     "splits": (
@@ -422,7 +431,12 @@ class PipelineConfig:
 def validate_config(raw: dict, source: str | None = None) -> PipelineConfig:
     """Resolve a raw config dict against the schema; reject unknown keys."""
     echo = _resolve(raw, _SCHEMA)
-    return PipelineConfig(echo=echo, hash=config_hash(echo), source=source)
+    cfg = PipelineConfig(echo=echo, hash=config_hash(echo), source=source)
+    try:
+        cfg.table_schema()  # its role rule: no column is named twice
+    except SchemaError as exc:
+        raise ConfigError(f"data: {exc}") from None
+    return cfg
 
 
 def _parse_override(text: str) -> tuple[list, object]:

@@ -51,10 +51,11 @@ class DeferralRule:
 
 @dataclass
 class DeferralDecision:
-    """Per-row defer flags with the first reason that fired."""
+    """Per-row defer flags with the first reason that fired, ``""`` for a
+    kept row."""
 
     defer: np.ndarray
-    reason: list
+    reason: np.ndarray
 
     @property
     def n_deferred(self) -> int:
@@ -82,10 +83,7 @@ def evaluate_deferral(
     else:
         uncertain = np.zeros_like(outside)
     defer = outside | uncertain
-    reason = [
-        REASON_OVERLAP if o else (REASON_UNCERTAINTY if u else None)
-        for o, u in zip(outside, uncertain)
-    ]
+    reason = np.where(outside, REASON_OVERLAP, np.where(uncertain, REASON_UNCERTAINTY, ""))
     return DeferralDecision(defer=defer, reason=reason)
 
 

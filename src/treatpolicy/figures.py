@@ -2,7 +2,9 @@
 
 Every function returns a complete ``<svg>`` document with no external
 assets, scripts, or timestamps, so identical inputs give identical bytes
-and the files diff cleanly under version control.
+and the files diff cleanly under version control.  Every element inside the
+root is written by :func:`_el`, which formats coordinates and escapes text
+in one place; the chart functions hold only their layout arithmetic.
 """
 
 from __future__ import annotations
@@ -42,6 +44,20 @@ def escape(text: str) -> str:
 def _fmt(x: float) -> str:
     # pixel coordinates; two decimals keeps files small and stable
     return f"{float(x):.2f}"
+
+
+# the stroke of frames, ticks, boxes and tree nodes
+_INK = {"stroke": "#333333", "stroke_width": "1"}
+
+
+def _el(tag: str, text: str | None = None, /, **attrs) -> str:
+    """One SVG element with ``attrs`` in the order given, an underscore in a
+    name written as a hyphen: a number as a pixel coordinate (:func:`_fmt`),
+    a string as given.  ``text``, escaped, is its content; an element without
+    text closes itself."""
+    cells = "".join(f' {name.replace("_", "-")}="{v if isinstance(v, str) else _fmt(v)}"'
+                    for name, v in attrs.items())
+    return f"<{tag}{cells}/>" if text is None else f"<{tag}{cells}>{escape(text)}</{tag}>"
 
 
 def _num(x: float) -> str:
@@ -98,10 +114,8 @@ class _Frame:
         return self.y0 + self.h - (float(y) - lo) / (hi - lo) * self.h
 
     def axes(self, x_label="", y_label="", x_ticks=None) -> list[str]:
-        out = [
-            f'<rect x="{_fmt(self.x0)}" y="{_fmt(self.y0)}" width="{_fmt(self.w)}" '
-            f'height="{_fmt(self.h)}" fill="none" stroke="#333333" stroke-width="1"/>'
-        ]
+        out = [_el("rect", x=self.x0, y=self.y0, width=self.w, height=self.h, fill="none",
+                   **_INK)]
         if x_ticks is None:
             x_ticks = nice_ticks(*self.xlim)
         base = self.y0 + self.h
@@ -109,38 +123,23 @@ class _Frame:
             if not self.xlim[0] <= t <= self.xlim[1]:
                 continue
             x = self.px(t)
-            out.append(
-                f'<line x1="{_fmt(x)}" y1="{_fmt(base)}" x2="{_fmt(x)}" '
-                f'y2="{_fmt(base + 4)}" stroke="#333333" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_fmt(x)}" y="{_fmt(base + 16)}" font-size="10" '
-                f'text-anchor="middle" fill="#333333">{_num(t)}</text>'
-            )
+            out.append(_el("line", x1=x, y1=base, x2=x, y2=base + 4, **_INK))
+            out.append(_el("text", _num(t), x=x, y=base + 16, font_size="10",
+                           text_anchor="middle", fill="#333333"))
         for t in nice_ticks(*self.ylim):
             if not self.ylim[0] <= t <= self.ylim[1]:
                 continue
             y = self.py(t)
-            out.append(
-                f'<line x1="{_fmt(self.x0 - 4)}" y1="{_fmt(y)}" x2="{_fmt(self.x0)}" '
-                f'y2="{_fmt(y)}" stroke="#333333" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_fmt(self.x0 - 7)}" y="{_fmt(y + 3)}" font-size="10" '
-                f'text-anchor="end" fill="#333333">{_num(t)}</text>'
-            )
+            out.append(_el("line", x1=self.x0 - 4, y1=y, x2=self.x0, y2=y, **_INK))
+            out.append(_el("text", _num(t), x=self.x0 - 7, y=y + 3, font_size="10",
+                           text_anchor="end", fill="#333333"))
         if x_label:
-            out.append(
-                f'<text x="{_fmt(self.x0 + self.w / 2)}" y="{_fmt(base + 32)}" '
-                f'font-size="11" text-anchor="middle" fill="#333333">{escape(x_label)}</text>'
-            )
+            out.append(_el("text", x_label, x=self.x0 + self.w / 2, y=base + 32, font_size="11",
+                           text_anchor="middle", fill="#333333"))
         if y_label:
             cx, cy = self.x0 - 42, self.y0 + self.h / 2
-            out.append(
-                f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" font-size="11" text-anchor="middle" '
-                f'fill="#333333" transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">'
-                f"{escape(y_label)}</text>"
-            )
+            out.append(_el("text", y_label, x=cx, y=cy, font_size="11", text_anchor="middle",
+                           fill="#333333", transform=f"rotate(-90 {_fmt(cx)} {_fmt(cy)})"))
         return out
 
 
@@ -148,13 +147,11 @@ def _doc(width: int, height: int, body: list[str], title: str) -> str:
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="Helvetica, Arial, sans-serif">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        _el("rect", x="0", y="0", width=str(width), height=str(height), fill="#ffffff"),
     ]
     if title:
-        head.append(
-            f'<text x="{width / 2:.0f}" y="20" font-size="14" text-anchor="middle" '
-            f'fill="#111111">{escape(title)}</text>'
-        )
+        head.append(_el("text", title, x=f"{width / 2:.0f}", y="20", font_size="14",
+                        text_anchor="middle", fill="#111111"))
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
@@ -163,11 +160,8 @@ def _legend(frame: _Frame, labels: list[str]) -> list[str]:
     for i, label in enumerate(labels):
         x, y = frame.x0 + frame.w - 150, frame.y0 + 14 + 16 * i
         color = PALETTE[i % len(PALETTE)]
-        out.append(f'<rect x="{_fmt(x)}" y="{_fmt(y - 9)}" width="10" height="10" fill="{color}"/>')
-        out.append(
-            f'<text x="{_fmt(x + 15)}" y="{_fmt(y)}" font-size="10" fill="#333333">'
-            f"{escape(label)}</text>"
-        )
+        out.append(_el("rect", x=x, y=y - 9, width="10", height="10", fill=color))
+        out.append(_el("text", label, x=x + 15, y=y, font_size="10", fill="#333333"))
     return out
 
 
@@ -191,10 +185,8 @@ def svg_histogram(panels: list[dict], *, title: str = "", x_label: str = "") -> 
         frame = _Frame(62, y_top + 14, width - 82, panel_h - 14,
                        (edges[0], edges[-1]), (0.0, max(max_count, 1) * 1.05))
         if panel.get("title"):
-            body.append(
-                f'<text x="62" y="{_fmt(y_top + 8)}" font-size="11" fill="#111111">'
-                f'{escape(panel["title"])}</text>'
-            )
+            body.append(_el("text", panel["title"], x="62", y=y_top + 8, font_size="11",
+                            fill="#111111"))
         for s_i, s in enumerate(series):
             color = PALETTE[s_i % len(PALETTE)]
             for b, count in enumerate(s["counts"]):
@@ -202,11 +194,9 @@ def svg_histogram(panels: list[dict], *, title: str = "", x_label: str = "") -> 
                     continue
                 x_l, x_r = frame.px(edges[b]), frame.px(edges[b + 1])
                 y = frame.py(count)
-                body.append(
-                    f'<rect x="{_fmt(x_l)}" y="{_fmt(y)}" width="{_fmt(x_r - x_l)}" '
-                    f'height="{_fmt(frame.y0 + frame.h - y)}" fill="{color}" '
-                    f'fill-opacity="0.55" stroke="{color}" stroke-width="0.5"/>'
-                )
+                body.append(_el("rect", x=x_l, y=y, width=x_r - x_l, height=frame.y0 + frame.h - y,
+                                fill=color, fill_opacity="0.55", stroke=color,
+                                stroke_width="0.5"))
         body.extend(frame.axes(x_label=x_label if p_i == len(panels) - 1 else "", y_label="count"))
         if len(series) > 1:
             body.extend(_legend(frame, [s["label"] for s in series]))
@@ -225,18 +215,13 @@ def svg_scatter(series: list[dict], *, title: str = "", x_label: str = "",
     lim = _pad(min(min(xs), min(ys)), max(max(xs), max(ys)))
     frame = _Frame(66, 36, width - 96, height - 96, lim, lim)
     a, b = lim
-    body = [
-        f'<line x1="{_fmt(frame.px(a))}" y1="{_fmt(frame.py(a))}" '
-        f'x2="{_fmt(frame.px(b))}" y2="{_fmt(frame.py(b))}" '
-        f'stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
-    ]
+    body = [_el("line", x1=frame.px(a), y1=frame.py(a), x2=frame.px(b), y2=frame.py(b),
+                stroke="#999999", stroke_width="1", stroke_dasharray="4 3")]
     for s_i, s in enumerate(series):
         color = PALETTE[s_i % len(PALETTE)]
         for x, y in zip(s["x"], s["y"]):
-            body.append(
-                f'<circle cx="{_fmt(frame.px(x))}" cy="{_fmt(frame.py(y))}" r="3" '
-                f'fill="{color}" fill-opacity="0.75"/>'
-            )
+            body.append(_el("circle", cx=frame.px(x), cy=frame.py(y), r="3", fill=color,
+                            fill_opacity="0.75"))
     body.extend(frame.axes(x_label=x_label, y_label=y_label))
     if len(series) > 1:
         body.extend(_legend(frame, [s["label"] for s in series]))
@@ -283,41 +268,23 @@ def svg_box(items: list[dict], *, title: str = "", y_label: str = "") -> str:
         x_l, x_r = frame.px(cx - half), frame.px(cx + half)
         x_c = frame.px(cx)
         y_q1, y_q3 = frame.py(s["q1"]), frame.py(s["q3"])
-        body.append(
-            f'<line x1="{_fmt(x_c)}" y1="{_fmt(frame.py(s["whisker_low"]))}" '
-            f'x2="{_fmt(x_c)}" y2="{_fmt(y_q1)}" stroke="#333333" stroke-width="1"/>'
-        )
-        body.append(
-            f'<line x1="{_fmt(x_c)}" y1="{_fmt(y_q3)}" x2="{_fmt(x_c)}" '
-            f'y2="{_fmt(frame.py(s["whisker_high"]))}" stroke="#333333" stroke-width="1"/>'
-        )
+        body.append(_el("line", x1=x_c, y1=frame.py(s["whisker_low"]), x2=x_c, y2=y_q1, **_INK))
+        body.append(_el("line", x1=x_c, y1=y_q3, x2=x_c, y2=frame.py(s["whisker_high"]), **_INK))
         for y_val in (s["whisker_low"], s["whisker_high"]):
             y = frame.py(y_val)
-            body.append(
-                f'<line x1="{_fmt(frame.px(cx - half / 2))}" y1="{_fmt(y)}" '
-                f'x2="{_fmt(frame.px(cx + half / 2))}" y2="{_fmt(y)}" '
-                f'stroke="#333333" stroke-width="1"/>'
-            )
-        body.append(
-            f'<rect x="{_fmt(x_l)}" y="{_fmt(y_q3)}" width="{_fmt(x_r - x_l)}" '
-            f'height="{_fmt(y_q1 - y_q3)}" fill="{color}" fill-opacity="0.45" '
-            f'stroke="#333333" stroke-width="1"/>'
-        )
+            body.append(_el("line", x1=frame.px(cx - half / 2), y1=y, x2=frame.px(cx + half / 2),
+                            y2=y, **_INK))
+        body.append(_el("rect", x=x_l, y=y_q3, width=x_r - x_l, height=y_q1 - y_q3, fill=color,
+                        fill_opacity="0.45", **_INK))
         y_med = frame.py(s["median"])
-        body.append(
-            f'<line x1="{_fmt(x_l)}" y1="{_fmt(y_med)}" x2="{_fmt(x_r)}" '
-            f'y2="{_fmt(y_med)}" stroke="#111111" stroke-width="1.5"/>'
-        )
+        body.append(_el("line", x1=x_l, y1=y_med, x2=x_r, y2=y_med, stroke="#111111",
+                        stroke_width="1.5"))
         for out_v in s["outliers"]:
-            body.append(
-                f'<circle cx="{_fmt(x_c)}" cy="{_fmt(frame.py(out_v))}" r="2.5" '
-                f'fill="none" stroke="#333333" stroke-width="1"/>'
-            )
-        body.append(
-            f'<text x="{_fmt(x_c)}" y="{_fmt(frame.y0 + frame.h + 16)}" font-size="10" '
-            f'text-anchor="middle" fill="#333333" transform="rotate(-20 {_fmt(x_c)} '
-            f'{_fmt(frame.y0 + frame.h + 16)})">{escape(item["label"])}</text>'
-        )
+            body.append(_el("circle", cx=x_c, cy=frame.py(out_v), r="2.5", fill="none", **_INK))
+        y_text = frame.y0 + frame.h + 16
+        body.append(_el("text", item["label"], x=x_c, y=y_text, font_size="10",
+                        text_anchor="middle", fill="#333333",
+                        transform=f"rotate(-20 {_fmt(x_c)} {_fmt(y_text)})"))
     return _doc(width, height, body, title)
 
 
@@ -338,42 +305,29 @@ def svg_rank_curve(series: list[dict], *, title: str = "") -> str:
         color = PALETTE[s_i % len(PALETTE)]
         pairs = sorted(zip([float(f) for f in s["fractions"]], [float(v) for v in s["values"]]))
         pts = " ".join(f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in pairs)
-        body.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
+        body.append(_el("polyline", points=pts, fill="none", stroke=color, stroke_width="1.5"))
         for x, y in pairs:
-            body.append(
-                f'<circle cx="{_fmt(frame.px(x))}" cy="{_fmt(frame.py(y))}" r="2.5" '
-                f'fill="{color}"/>'
-            )
+            body.append(_el("circle", cx=frame.px(x), cy=frame.py(y), r="2.5", fill=color))
     body.extend(frame.axes(x_label="fraction treated", y_label="value"))
     base = frame.y0 + frame.h
-    body.append(
-        f'<text x="{_fmt(frame.px(0.0))}" y="{_fmt(base + 30)}" font-size="10" '
-        f'text-anchor="start" fill="#555555">Treat-all-0</text>'
-    )
-    body.append(
-        f'<text x="{_fmt(frame.px(1.0))}" y="{_fmt(base + 30)}" font-size="10" '
-        f'text-anchor="end" fill="#555555">Treat-all-1</text>'
-    )
+    for end, anchor in ((0, "start"), (1, "end")):
+        body.append(_el("text", f"Treat-all-{end}", x=frame.px(end), y=base + 30, font_size="10",
+                        text_anchor=anchor, fill="#555555"))
     if len(series) > 1:
         body.extend(_legend(frame, [s["label"] for s in series]))
     return _doc(width, height, body, title)
 
 
 def _tree_box(x, y, w, h, label, node, color) -> list[str]:
-    lines = [
-        f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-        f'rx="4" fill="{color}" fill-opacity="0.18" stroke="#333333" stroke-width="1"/>',
-        f'<text x="{_fmt(x + w / 2)}" y="{_fmt(y + 15)}" font-size="11" '
-        f'text-anchor="middle" fill="#111111">{escape(label)}</text>',
-        f'<text x="{_fmt(x + w / 2)}" y="{_fmt(y + 29)}" font-size="10" '
-        f'text-anchor="middle" fill="#333333">n={node["n"]}</text>',
-        f'<text x="{_fmt(x + w / 2)}" y="{_fmt(y + 42)}" font-size="10" '
-        f'text-anchor="middle" fill="#333333">mean={_num(node["mean"])} '
-        f"sem={_num(node['sem'])}</text>",
+    return [
+        _el("rect", x=x, y=y, width=w, height=h, rx="4", fill=color, fill_opacity="0.18", **_INK),
+        _el("text", label, x=x + w / 2, y=y + 15, font_size="11", text_anchor="middle",
+            fill="#111111"),
+        _el("text", f"n={node['n']}", x=x + w / 2, y=y + 29, font_size="10",
+            text_anchor="middle", fill="#333333"),
+        _el("text", f"mean={_num(node['mean'])} sem={_num(node['sem'])}", x=x + w / 2, y=y + 42,
+            font_size="10", text_anchor="middle", fill="#333333"),
     ]
-    return lines
 
 
 def svg_tree(tree: dict, *, title: str = "") -> str:
@@ -390,10 +344,8 @@ def svg_tree(tree: dict, *, title: str = "") -> str:
     for a_i, (arm_key, arm_label, cx) in enumerate(zip(arm_names, arm_labels, centers)):
         arm = tree["children"][arm_key]
         ax = cx - bw / 2
-        body.append(
-            f'<line x1="{_fmt(root_x + bw / 2)}" y1="{_fmt(40 + bh)}" x2="{_fmt(cx)}" '
-            f'y2="{_fmt(arm_y)}" stroke="#777777" stroke-width="1"/>'
-        )
+        body.append(_el("line", x1=root_x + bw / 2, y1=40 + bh, x2=cx, y2=arm_y,
+                        stroke="#777777", stroke_width="1"))
         body.extend(_tree_box(ax, arm_y, bw, bh, arm_label, arm, PALETTE[a_i]))
         leaves = ("agree", "disagree", "defer")
         gap, lw = 8, 110
@@ -401,11 +353,7 @@ def svg_tree(tree: dict, *, title: str = "") -> str:
         for l_i, leaf_key in enumerate(leaves):
             leaf = arm["children"][leaf_key]
             lx = start + l_i * (lw + gap)
-            body.append(
-                f'<line x1="{_fmt(cx)}" y1="{_fmt(arm_y + bh)}" x2="{_fmt(lx + lw / 2)}" '
-                f'y2="{_fmt(leaf_y)}" stroke="#777777" stroke-width="1"/>'
-            )
-            body.extend(
-                _tree_box(lx, leaf_y, lw, bh, leaf_key, leaf, PALETTE[a_i])
-            )
+            body.append(_el("line", x1=cx, y1=arm_y + bh, x2=lx + lw / 2, y2=leaf_y,
+                            stroke="#777777", stroke_width="1"))
+            body.extend(_tree_box(lx, leaf_y, lw, bh, leaf_key, leaf, PALETTE[a_i]))
     return _doc(width, height, body, title)

@@ -16,7 +16,9 @@ stage hands over: one header row, floats as ``repr`` (a reload is
 bit-identical), integers and booleans as decimals, text quoted as ``csv``
 quotes it, UTF-8 with ``\r\n`` line ends.  It formats a block of rows a
 column at a time and returns the sha256 of the bytes it wrote.
-:func:`read_columns` reads named columns back as arrays.  It, and the input
+:func:`read_columns` reads named columns back as arrays, and
+:func:`read_by_model` reads a per-model artifact, whose first column names
+the model, back as each model's arrays.  They, and the input
 table's reader, parse a block of rows in bulk with ``np.loadtxt``, where a
 cell spelled as the caller's missing value reads as NaN; a block that does
 not parse in bulk, or that fails the caller's check, is parsed again one row
@@ -279,6 +281,16 @@ def read_columns(full_path, header, numbers, *, ints=(), text=()):
     with open(full_path, newline="", encoding="utf-8") as fh:
         _header(full_path, next(csv.reader(fh), None), header)
         return parse_columns(fh, full_path, len(header), numbers, ints=ints, text=text)
+
+
+def read_by_model(full_path, header, numbers, *, ints=()) -> dict:
+    """``{model: arrays}`` of a table written by :func:`write_table` whose
+    first column names the model: each model's rows of the columns
+    ``numbers``, read as :func:`read_columns` reads them, in file order.
+    Models come in order of first appearance."""
+    values, (names,) = read_columns(full_path, header, numbers, ints=ints, text=(0,))
+    models = np.asarray(names, dtype=str)
+    return {name: [v[models == name] for v in values] for name in dict.fromkeys(names)}
 
 
 def parse_columns(fh, where, width, numbers, *, ints=(), text=(), row=None, valid=None,

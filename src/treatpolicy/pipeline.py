@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -299,19 +298,17 @@ def _per_model_values(io, rel: str, test, names, width: int) -> dict:
     array in test-split order.  A model without rows, or whose rows do not
     line up with the current test split, asks for the producer of ``rel`` to
     be rerun."""
-    (row_ids, *values), (models,) = layout.read_columns(
-        io.need(rel), layout.HEADERS[rel], [1, *range(2, 2 + width)], ints=(1,), text=(0,)
+    by_model = layout.read_by_model(
+        io.need(rel), layout.HEADERS[rel], [1, *range(2, 2 + width)], ints=(1,)
     )
-    models = np.asarray(models, dtype=str)
     out = {}
     for name in names:
-        rows = np.flatnonzero(models == name)
-        if not np.array_equal(row_ids[rows], test.row_ids):
+        if name not in by_model or not np.array_equal(by_model[name][0], test.row_ids):
             raise StageError(
                 f"{rel} rows for model {name!r} are missing or do not line up with the "
                 f"current test split; rerun {layout.PRODUCER[rel]}"
             )
-        out[name] = np.stack([v[rows] for v in values])
+        out[name] = np.stack(by_model[name][1:])
     return out
 
 
@@ -339,13 +336,12 @@ def stage_defer(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
         interval = CateInterval(lower=lower, point=tau, upper=upper)
         decision = evaluate_deferral(rule, scores, interval=interval)
         flags.append(decision.defer)
-        reasons.append([why or "" for why in decision.reason])
-        why = Counter(w for w in decision.reason if w)
+        reasons.append(decision.reason)
         entry = {
             "n_deferred": decision.n_deferred,
             "n_recommended": test.n - decision.n_deferred,
-            "n_overlap": int(why.get(REASON_OVERLAP, 0)),
-            "n_uncertainty": int(why.get(REASON_UNCERTAINTY, 0)),
+            "n_overlap": int((decision.reason == REASON_OVERLAP).sum()),
+            "n_uncertainty": int((decision.reason == REASON_UNCERTAINTY).sum()),
             "profile": None,
         }
         try:

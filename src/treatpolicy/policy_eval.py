@@ -311,12 +311,10 @@ class TournamentResult:
     """
 
     policies: list
-    estimators: tuple
     points: dict
     wins: dict
     distributions: dict
     skipped: dict
-    B: int
 
 
 def _stacks(policies: list, data: Dataset, p_star, estimators, plug_in) -> list:
@@ -406,8 +404,8 @@ def bootstrap_tournament(
         for est, v in dists.items()
     }
     return TournamentResult(
-        policies=[p.name for p in policies], estimators=tuple(estimators), points=points,
-        wins=wins, distributions=dists, skipped=skipped, B=B,
+        policies=[p.name for p in policies], points=points, wins=wins, distributions=dists,
+        skipped=skipped,
     )
 
 

@@ -17,31 +17,15 @@ from collections import OrderedDict
 import numpy as np
 
 from . import figures, layout
-from .layout import read_columns, read_header, read_json
+from .layout import HEADERS, read_by_model, read_columns, read_header, read_json
 
 __all__ = ["emit_report"]
 
 
-def _float_columns(full_path, header, cols, key=None) -> dict:
-    """Columns ``cols`` of the table at ``full_path`` as lists of floats,
-    grouped by the text in column ``key`` in order of first appearance (one
-    group, ``None``, when there is no key and the table has rows)."""
-    values, texts = read_columns(full_path, header, cols, text=() if key is None else (key,))
-    if key is None:
-        return {None: [v.tolist() for v in values]} if len(values[0]) else {}
-    keys = np.asarray(texts[0], dtype=str)
-    return {group: [v[keys == group].tolist() for v in values] for group in dict.fromkeys(texts[0])}
-
-
-def _artifact_columns(at, rel, cols, key=None) -> dict:
-    """:func:`_float_columns` of the fixed-header artifact ``rel``."""
-    return _float_columns(at(rel), layout.HEADERS[rel], cols, key)
-
-
 def _fig_cate_hist(at, bins: int):
     panels = []
-    for model, (tau,) in _artifact_columns(at, layout.CATE_ESTIMATES, [2], key=0).items():
-        tau = np.array(tau)
+    estimates = read_by_model(at(layout.CATE_ESTIMATES), HEADERS[layout.CATE_ESTIMATES], [2])
+    for model, (tau,) in estimates.items():
         lo, hi = float(tau.min()), float(tau.max())
         if hi - lo <= max(abs(lo), abs(hi), 1.0) * 1e-9:
             # effectively constant estimates (e.g. a purely linear s-learner)
@@ -81,9 +65,9 @@ def _fig_overlap_hist(at, bins: int):
 
 
 def _fig_value_scatter(at, bins: int):
-    header = layout.HEADERS[layout.STUDY_SCATTER]
+    header = HEADERS[layout.STUDY_SCATTER]
     cols = [header.index(name) for name in ("v_true", "v_dr", "v_ipw")]
-    truth, dr, ipw = _artifact_columns(at, layout.STUDY_SCATTER, cols).get(None, [[], [], []])
+    (truth, dr, ipw), _ = read_columns(at(layout.STUDY_SCATTER), header, cols)
     series = [{"label": "DR", "x": truth, "y": dr}, {"label": "IPW", "x": truth, "y": ipw}]
     return figures.svg_scatter(
         series,
@@ -100,9 +84,9 @@ def _fig_value_box(at, bins: int):
         except FileNotFoundError:
             continue
         names = read_header(full)
-        cols = _float_columns(full, names, range(len(names))).get(None, [[] for _ in names])
+        cols, _ = read_columns(full, names, range(len(names)))
         # NaN-only columns cannot be drawn
-        items = [{"label": k, "values": v} for k, v in zip(names, cols) if any(x == x for x in v)]
+        items = [{"label": k, "values": v} for k, v in zip(names, cols) if not np.isnan(v).all()]
         return figures.svg_box(
             items, title=f"Bootstrap policy values ({est})", y_label="policy value"
         )
@@ -110,10 +94,10 @@ def _fig_value_box(at, bins: int):
 
 
 def _fig_rank_curve(at, bins: int):
+    curves = read_by_model(at(layout.RANK_CURVE), HEADERS[layout.RANK_CURVE], [2, 3])
     series = [
         {"label": model, "fractions": fractions, "values": values}
-        for model, (fractions, values) in
-        _artifact_columns(at, layout.RANK_CURVE, [2, 3], key=0).items()
+        for model, (fractions, values) in curves.items()
     ]
     return figures.svg_rank_curve(series, title="Value by fraction treated")
 

@@ -352,6 +352,10 @@ def menu_learner(**learner):
     return {"cate": {"menu": {"m": {"kind": "t", "learner": learner}}}}
 
 
+def data(**keys):
+    return {"data": {"path": "t.csv", "treatment": "t", "outcome": "y", **keys}}
+
+
 # values a stage would refuse, or silently misread, after the earlier stages
 # had run; each is refused when the config is loaded
 LOAD_TIME_REFUSALS = [
@@ -407,6 +411,15 @@ LOAD_TIME_REFUSALS = [
                  r"uncertainty\.alpha_causal must be a finite number", id="alpha-causal-inf"),
     pytest.param({"evaluation": {"rank_step": 10 ** 400}},
                  r"evaluation\.rank_step must be a finite number, got inf", id="huge-integer"),
+    # ingest refused these only after the config had passed
+    pytest.param(data(outcome="t"), "data: column 't' assigned more than one role",
+                 id="treatment-is-outcome"),
+    pytest.param(data(secondary_outcomes=["z"], ignore=["z"]),
+                 "data: column 'z' assigned more than one role", id="secondary-and-ignored"),
+    *(pytest.param(data(delimiter=d), r"data\.delimiter must be one character other than a "
+                   f"quote or a line break, got {re.escape(repr(d))}", id=f"delimiter-{name}")
+      for d, name in ((";;", "two-characters"), ('"', "quote"), ("\n", "newline"),
+                      ("\r", "carriage-return"))),
 ]
 
 

@@ -32,20 +32,20 @@ class TestEvaluateDeferral:
         rule = DeferralRule(0.1, 0.9, mode="conservative")
         out = evaluate_deferral(rule, [0.05], interval([0.2], [0.7]))
         assert out.defer.tolist() == [True]
-        assert out.reason == ["overlap"]
+        assert out.reason.tolist() == ["overlap"]
 
     def test_interval_excluding_zero_proceeds(self):
         rule = DeferralRule(0.1, 0.9, mode="conservative")
         out = evaluate_deferral(rule, [0.5], interval([0.2], [0.7]))
         assert out.defer.tolist() == [False]
-        assert out.reason == [None]
+        assert out.reason.tolist() == [""]
 
     def test_zero_in_interval_defers_only_in_conservative_mode(self):
         iv = interval([-0.1], [0.3])
         con = DeferralRule(0.1, 0.9, mode="conservative")
         inc = DeferralRule(0.1, 0.9, mode="inclusive")
         assert evaluate_deferral(con, [0.5], iv).defer.tolist() == [True]
-        assert evaluate_deferral(con, [0.5], iv).reason == ["uncertainty"]
+        assert evaluate_deferral(con, [0.5], iv).reason.tolist() == ["uncertainty"]
         assert evaluate_deferral(inc, [0.5], iv).defer.tolist() == [False]
 
     def test_bounds_are_inclusive_at_endpoints(self):
@@ -101,7 +101,7 @@ class TestEvaluateDeferral:
         rule = DeferralRule(0.1, 0.9, mode="conservative")
         out = evaluate_deferral(rule, [0.05, 0.5, 0.5], interval([-1, -1, 1], [1, 0.5, 2]))
         assert out.defer.tolist() == [True, True, False]
-        assert out.reason == ["overlap", "uncertainty", None]
+        assert out.reason.tolist() == ["overlap", "uncertainty", ""]
         assert out.n_deferred == 2
 
 

@@ -965,3 +965,32 @@ class TestPerModelValues:
         io = self.stored(tmp_path, np.full(len(ids), "b" if how == "missing-model" else "a"), ids)
         with pytest.raises(StageError, match="rows for model 'a' are missing or do not line up"):
             pipeline._per_model_values(io, layout.CATE_ESTIMATES, test, ["a"], 3)
+
+
+class TestReadByModel:
+    HEADER = ("model", "row_id", "value")
+
+    def test_round_trip_through_write_table(self, tmp_path):
+        # two blocks of interleaved models; "b,c" is written quoted, and "d"
+        # first appears in the second block
+        n = layout.BLOCK_ROWS + 10
+        models = np.tile(["b,c", "a"], n)
+        models[-3:] = "d"
+        row_ids = np.arange(2 * n)[::-1]
+        values = np.arange(2 * n) / 8
+        path = tmp_path / "t.csv"
+        layout.write_table(path, self.HEADER, [models, row_ids, values])
+        assert path.read_text().splitlines()[1] == f'"b,c",{2 * n - 1},0.0'
+        out = layout.read_by_model(path, self.HEADER, [1, 2], ints=(1,))
+        assert list(out) == ["b,c", "a", "d"]
+        for name, (ids, vals) in out.items():
+            rows = models == name
+            assert ids.dtype == np.int64 and vals.dtype == np.float64
+            np.testing.assert_array_equal(ids, row_ids[rows])
+            np.testing.assert_array_equal(vals, values[rows])
+
+    def test_a_table_without_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        layout.write_table(path, self.HEADER, [np.array([], dtype=str), np.array([], dtype=int),
+                                               np.array([])])
+        assert layout.read_by_model(path, self.HEADER, [1, 2], ints=(1,)) == {}

@@ -1,10 +1,13 @@
+import ast
+import hashlib
 import math
+import re
 import xml.dom.minidom
 
 import numpy as np
 import pytest
 
-from treatpolicy import layout
+from treatpolicy import figures, layout
 from treatpolicy.config import validate_config
 from treatpolicy.figures import (
     box_stats,
@@ -21,6 +24,29 @@ from treatpolicy.report import emit_report
 
 def well_formed(svg: str) -> xml.dom.minidom.Document:
     return xml.dom.minidom.parseString(svg)
+
+
+_LEAF = {"n": 5, "mean": 1.0, "sem": 0.1, "children": {}}
+
+# Each renderer on fixed inputs that reach every element it draws.
+RENDER = {
+    "histogram": lambda: svg_histogram(
+        [{"title": "m1", "edges": [0, 1, 2, 3],
+          "series": [{"label": "a", "counts": [3, 0, 5]}, {"label": "b", "counts": [1, 2, 0]}]},
+         {"title": "m2", "edges": [0, 1, 2, 3], "series": [{"label": "a", "counts": [2, 2, 2]}]}],
+        title="hist", x_label="value"),
+    "scatter": lambda: svg_scatter([{"label": "a<b&c", "x": [0, 1], "y": [0, 1]},
+                                    {"label": "other", "x": [0], "y": [1]}]),
+    "box": lambda: svg_box([{"label": "p", "values": [0, 1, 2, 3, 4, 50, -10]}], title="boxes"),
+    "rank curve": lambda: svg_rank_curve(
+        [{"label": "m", "fractions": [0.0, 0.5, 1.0], "values": [1.0, 1.5, 1.2]}], title="rank"),
+    "tree": lambda: svg_tree(
+        {"n": 20, "mean": 0.5, "sem": 0.2,
+         "children": {arm: {"n": n, "mean": mean, "sem": sem,
+                            "children": {"agree": _LEAF, "disagree": _LEAF, "defer": _LEAF}}
+                      for arm, n, mean, sem in (("arm_0", 12, 0.4, 0.2), ("arm_1", 8, 0.7, 0.3))}},
+        title="tree"),
+}
 
 
 class TestNiceTicks:
@@ -69,14 +95,7 @@ class TestBoxStats:
 
 class TestSvgRenderers:
     def test_histogram_panels_and_legend(self):
-        panels = [
-            {"title": "m1", "edges": [0, 1, 2, 3],
-             "series": [{"label": "a", "counts": [3, 0, 5]},
-                        {"label": "b", "counts": [1, 2, 0]}]},
-            {"title": "m2", "edges": [0, 1, 2, 3],
-             "series": [{"label": "a", "counts": [2, 2, 2]}]},
-        ]
-        svg = svg_histogram(panels, title="hist", x_label="value")
+        svg = RENDER["histogram"]()
         well_formed(svg)
         assert "hist" in svg and "m1" in svg and "m2" in svg
         assert svg.count('opacity="0.55"') == 7  # zero-count bars are skipped
@@ -93,35 +112,23 @@ class TestSvgRenderers:
         assert "stroke-dasharray" in with_line
 
     def test_box_draws_outlier_points(self):
-        svg = svg_box([{"label": "p", "values": [0, 1, 2, 3, 4, 50, -10]}], title="boxes")
+        svg = RENDER["box"]()
         well_formed(svg)
         assert "boxes" in svg
 
     def test_rank_curve_labels_endpoints(self):
-        series = [{"label": "m", "fractions": [0.0, 0.5, 1.0], "values": [1.0, 1.5, 1.2]}]
-        svg = svg_rank_curve(series, title="rank")
+        svg = RENDER["rank curve"]()
         well_formed(svg)
         assert "Treat-all-0" in svg and "Treat-all-1" in svg
 
     def test_tree_shows_split_leaves(self):
-        leaf = {"n": 5, "mean": 1.0, "sem": 0.1, "children": {}}
-        tree = {
-            "n": 20, "mean": 0.5, "sem": 0.2,
-            "children": {
-                "arm_0": {"n": 12, "mean": 0.4, "sem": 0.2,
-                          "children": {"agree": leaf, "disagree": leaf, "defer": leaf}},
-                "arm_1": {"n": 8, "mean": 0.7, "sem": 0.3,
-                          "children": {"agree": leaf, "disagree": leaf, "defer": leaf}},
-            },
-        }
-        svg = svg_tree(tree, title="tree")
+        svg = RENDER["tree"]()
         well_formed(svg)
         for label in ("agree", "disagree", "defer", "observed arm 0", "observed arm 1"):
             assert label in svg
 
     def test_text_is_escaped(self):
-        svg = svg_scatter([{"label": "a<b&c", "x": [0, 1], "y": [0, 1]},
-                           {"label": "other", "x": [0], "y": [1]}])
+        svg = RENDER["scatter"]()
         well_formed(svg)
         assert "a<b&c" not in svg and "a&lt;b&amp;c" in svg
 
@@ -129,6 +136,30 @@ class TestSvgRenderers:
         series = [{"label": "m", "x": list(np.linspace(0, 1, 40)),
                    "y": list(np.sin(np.linspace(0, 6, 40)))}]
         assert svg_scatter(series) == svg_scatter(series)
+
+    @pytest.mark.parametrize("name, digest", [
+        ("histogram", "d26a47711c76561717deedca7e940b4a377cf989ebbb44de1ccaf48fbd5935b9"),
+        ("scatter", "e436eb1656d5c882e6f961ad7145ed83aa48edd8000ecd2c6c031e9e75bf6b4c"),
+        ("box", "ff8af5e5a96167a6c24dc84cd860067063ba7edf686ef88d5e8632665e6dc88e"),
+        ("rank curve", "f26ac82d567278eed646c14a4d9175314a972ffc85145c9cc15aca80f1d234ba"),
+        ("tree", "d2e5e3d42a3800ca33bafdf7f09f3e37094ddc48631292d802b7bf0fbc80a4ab"),
+    ])
+    def test_rendered_bytes_are_pinned(self, name, digest):
+        # a figure is committed and diffed as bytes, so no byte may move unnoticed
+        assert hashlib.sha256(RENDER[name]().encode()).hexdigest() == digest
+
+    def test_every_element_is_written_by_the_one_writer(self):
+        # a string literal that opens or closes an element tag, other than the
+        # <svg> root, may appear only inside figures._el
+        tree = ast.parse(open(figures.__file__).read())
+        writer = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_el")
+        inside = {id(n) for n in ast.walk(writer)}
+        tags = [
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in inside and re.search(r"<(?!/?svg\b)/?[A-Za-z]", node.value)
+        ]
+        assert tags == []
 
 
 class TestEmitReport:
