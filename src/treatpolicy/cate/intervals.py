@@ -144,10 +144,9 @@ def tilted_mean(residuals, lam: float) -> float:
 
 
 def causal_shift(residuals, lam: float) -> float:
-    """How far the worst-case tilted mean sits above the plain mean; >= 0."""
+    """How far the worst-case tilted mean sits above the plain mean; >= 0.
+    An empty pool raises DataError (from ``tilted_mean``)."""
     r = np.asarray(residuals, dtype=float)
-    if r.size == 0:
-        raise DataError("empty residual pool")
     return max(0.0, tilted_mean(r, lam) - float(r.mean()))
 
 

@@ -210,6 +210,15 @@ _UNCERTAINTY = {
 }
 
 
+def _rank_step(value, path):
+    # the rank curve's grid has round(1 / step) + 1 levels, so any other step draws another grid
+    step = _number(0.0, 1.0, lo_open=True, hi_open=True)(value, path)
+    levels = 1.0 / step
+    if not (math.isfinite(levels) and abs(levels - round(levels)) <= 1e-9):
+        raise ConfigError(f"{path} must divide 1 (1/step an integer), got {value}")
+    return step
+
+
 def _uncertainty(value, path):
     if isinstance(value, dict) and "alpha_causal" in value:
         if "lam" in value:
@@ -292,7 +301,7 @@ _SCHEMA = {
         {
             "estimators": ("value", ["IPW", "DR"], _names(ESTIMATORS, "estimator", least=1)),
             "bootstrap_b": ("value", 1000, _integer(1)),
-            "rank_step": ("value", 0.1, _number(0.0, 1.0, lo_open=True, hi_open=True)),
+            "rank_step": ("value", 0.1, _rank_step),
             "plug_in": ("value", PLUG_IN_LEARNER, _learner("regression")),
             "seed": ("value", 0, _integer(0)),
         },
@@ -373,8 +382,7 @@ class PipelineConfig:
         return TableSchema(
             treatment=d["treatment"],
             outcome=d["outcome"],
-            secondary_outcomes=tuple(d["secondary_outcomes"]),
-            ignore=tuple(d["ignore"]),
+            ignore=(*d["secondary_outcomes"], *d["ignore"]),
         )
 
     def propensity_spec(self) -> LearnerSpec:

@@ -59,16 +59,17 @@ class ColumnInfo:
 class TableSchema:
     """Column-role declaration for an input table.
 
-    Every header not named here is treated as a covariate.
+    Every header not named here is treated as a covariate; ``ignore`` lists
+    the columns left out of the table (the config's secondary outcomes and
+    ignored columns).
     """
 
     treatment: str
     outcome: str
-    secondary_outcomes: tuple[str, ...] = ()
     ignore: tuple[str, ...] = ()
 
     def __post_init__(self):
-        named = [self.treatment, self.outcome, *self.secondary_outcomes, *self.ignore]
+        named = [self.treatment, self.outcome, *self.ignore]
         seen = set()
         for name in named:
             if name in seen:
@@ -155,7 +156,9 @@ def load_table(path, schema: TableSchema, delimiter: str = ",") -> Dataset:
 
     Every header is a covariate except the treatment, the outcome and the
     other columns the schema names, which must be in the header and are left
-    out of the table unparsed.  The file is read as UTF-8, after a byte-order
+    out of the table unparsed.  A covariate whose name ends in ``__missing``
+    (``MISSING_SUFFIX``, the names of the indicators that ``impute_and_flag``
+    adds) raises SchemaError.  The file is read as UTF-8, after a byte-order
     mark if there is one.  Unparseable numeric cells become missing (NaN).
     Treatment must be an exact 0/1 and the outcome must parse on every row;
     violations raise SchemaError naming the offending row and column.
@@ -171,12 +174,18 @@ def load_table(path, schema: TableSchema, delimiter: str = ",") -> Dataset:
         for role, name in (("treatment", schema.treatment), ("outcome", schema.outcome)):
             if name not in header:
                 raise SchemaError(f"{path}: {role} column {name!r} not in header")
-        for name in (*schema.secondary_outcomes, *schema.ignore):
+        for name in schema.ignore:
             if name not in header:
                 raise SchemaError(f"{path}: declared column {name!r} not in header")
 
-        special = {schema.treatment, schema.outcome, *schema.secondary_outcomes, *schema.ignore}
+        special = {schema.treatment, schema.outcome, *schema.ignore}
         cov_names = [h for h in header if h not in special]
+        for name in cov_names:
+            if name.endswith(MISSING_SUFFIX):
+                raise SchemaError(
+                    f"{path}: covariate column {name!r} ends in {MISSING_SUFFIX!r}, "
+                    "which names the missing indicators that ingest adds"
+                )
         col_of = {h: i for i, h in enumerate(header)}
         t_col, y_col = col_of[schema.treatment], col_of[schema.outcome]
         cov_cols = [col_of[k] for k in cov_names]
@@ -234,41 +243,32 @@ def impute_and_flag(data: Dataset) -> tuple[Dataset, tuple[str, ...]]:
     no-op.  A dataset without a split, or without train rows, raises
     DataError.
     """
-    base_idx = [i for i, c in enumerate(data.columns) if c.kind != KIND_INDICATOR]
-    existing = set(data.column_names)
-
     if data.split is None:
         raise DataError("dataset has no split assignment to derive imputation statistics from")
     train_mask = data.split == "train"
     if not train_mask.any():
         raise DataError("no train rows to derive imputation statistics from")
     medians: dict[str, float] = {}
-    for i in base_idx:
-        name = data.columns[i].name
+    for i, column in enumerate(data.columns):
         col = data.covariates[train_mask, i]
         present = col[~np.isnan(col)]
         if present.size == 0:
-            raise DataError(f"column {name!r} entirely missing on the train split")
-        medians[name] = float(np.median(present))
-    flagged = tuple(
-        data.columns[i].name
-        for i in base_idx
-        if np.isnan(data.covariates[:, i]).any()
-    )
+            raise DataError(f"column {column.name!r} entirely missing on the train split")
+        medians[column.name] = float(np.median(present))
 
     new_cols = list(data.columns)
     blocks = [data.covariates.copy()]
-    for i in base_idx:
-        name = data.columns[i].name
+    flagged = []
+    for i, column in enumerate(data.columns):
         miss = np.isnan(blocks[0][:, i])
         if miss.any():
-            blocks[0][miss, i] = medians[name]
-        if name in flagged and name + MISSING_SUFFIX not in existing:
+            blocks[0][miss, i] = medians[column.name]
             blocks.append(miss.astype(float)[:, None])
-            new_cols.append(ColumnInfo(name + MISSING_SUFFIX, KIND_INDICATOR))
+            new_cols.append(ColumnInfo(column.name + MISSING_SUFFIX, KIND_INDICATOR))
+            flagged.append(column.name)
 
     covariates = np.hstack(blocks) if len(blocks) > 1 else blocks[0]
-    return replace(data, covariates=covariates, columns=new_cols), flagged
+    return replace(data, covariates=covariates, columns=new_cols), tuple(flagged)
 
 
 def _largest_remainder_counts(n: int, fractions) -> list[int]:

@@ -186,11 +186,8 @@ def standardize(X: np.ndarray, w=None):
     on its value with scale 1, so its scores are exactly 0."""
     if X.shape[0] == 0:
         raise DataError("cannot fit on an empty dataset")
-    if w is None:
-        center, scale = X.mean(axis=0), X.std(axis=0)
-    else:
-        center = np.average(X, axis=0, weights=w)
-        scale = np.sqrt(np.average((X - center) ** 2, axis=0, weights=w))
+    center = np.average(X, axis=0, weights=w)
+    scale = np.sqrt(np.average((X - center) ** 2, axis=0, weights=w))
     const = (X == X[0]).all(axis=0)
     center = np.where(const, X[0], center)
     scale = np.where(const | ~(scale > 0), 1.0, scale)

@@ -174,7 +174,7 @@ def stage_fit_propensity(cfg: PipelineConfig, manifest: RunManifest, io) -> None
     model = fit_propensity(train, cfg.propensity_spec(), calibration=cal)
     scores = model.predict(data.covariates)
     bounds_spec = cfg.echo["propensity"]["bounds"]
-    bounds = select_overlap_bounds(scores, treatment=data.treatment, **bounds_spec)
+    bounds = select_overlap_bounds(scores, data.treatment, bounds_spec)
     model = replace(model, bounds=bounds)
     save_model(model, io.out(layout.PROPENSITY_MODEL))
 
@@ -376,15 +376,17 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
 
     p_star = prop.predict(test.covariates)
 
-    plug_spec = cfg.plug_in_spec()
-    plug_in = fit_plug_in(plug_spec, train, test.covariates)
-    for name in retained:
-        if cfg.echo["cate"]["menu"][name]["learner"]["kind"] == plug_spec.kind:
-            io.warn(
-                "congeniality",
-                f"policy model {name!r} and the DR plug-in share the learner family "
-                f"{plug_spec.kind!r}; DR values for that policy may be optimistic",
-            )
+    plug_in = None
+    if "DR" in cfg.estimators:
+        plug_spec = cfg.plug_in_spec()
+        plug_in = fit_plug_in(plug_spec, train, test.covariates)
+        for name in retained:
+            if cfg.echo["cate"]["menu"][name]["learner"]["kind"] == plug_spec.kind:
+                io.warn(
+                    "congeniality",
+                    f"policy model {name!r} and the DR plug-in share the learner family "
+                    f"{plug_spec.kind!r}; DR values for that policy may be optimistic",
+                )
 
     if cfg.ensembles and len(retained) < 2:
         io.warn(
@@ -422,8 +424,7 @@ def stage_evaluate(cfg: PipelineConfig, manifest: RunManifest, io) -> None:
         for name in retained
         for pt in rank_curve(
             taus[name], test, p_star,
-            estimator=curve_est, step=eval_cfg["rank_step"],
-            plug_in=plug_in if curve_est == "DR" else None,
+            estimator=curve_est, step=eval_cfg["rank_step"], plug_in=plug_in,
         )
     ]
     _write_records(io, layout.RANK_CURVE, curve)

@@ -1,9 +1,11 @@
 """Propensity scoring, overlap bounds, trimming, and overlap diagnostics.
 
 Scores are clipped to [1e-6, 1 - 1e-6].  The retained (overlap) region is the
-closed interval [eta_low, eta_high]; trimming keeps rows whose score falls
-inside it.  A high treatment-separability AUROC (scores predict the observed
-arm too well) raises a warning flag in the overlap report.
+closed interval [eta_low, eta_high], chosen from the scores by the resolved
+``propensity.bounds`` object, whose method, keys and ranges only the config
+checks; trimming keeps rows whose score falls inside it.  A high
+treatment-separability AUROC (scores predict the observed arm too well)
+raises a warning flag in the overlap report.
 """
 
 from __future__ import annotations
@@ -86,81 +88,51 @@ def fit_propensity(
     return PropensityModel(scorer=scorer, family=spec.kind, metrics=metrics)
 
 
-def select_overlap_bounds(
-    scores,
-    method: str,
-    *,
-    treatment=None,
-    eta_low: float | None = None,
-    eta_high: float | None = None,
-    q_low: float | None = None,
-    q_high: float | None = None,
-    min_count: int | None = None,
-) -> tuple[float, float]:
+def select_overlap_bounds(scores, treatment, spec: dict) -> tuple[float, float]:
     """Choose the retained score interval [eta_low, eta_high].
+
+    ``spec`` is the resolved ``propensity.bounds`` config object, whose
+    method, keys and ranges the config has already checked.  ``treatment``
+    holds both arms (fit-propensity refuses a train split with one arm).
 
     Methods
     -------
     fixed
-        Pass bounds through unchanged.
+        ``eta_low`` and ``eta_high`` pass through unchanged.
     quantile
         Per-arm score quantiles: the low bound is the largest of the two
-        arms' q_low quantiles, the high bound the smallest of their q_high
-        quantiles, so the retained range is quantile-supported in both arms.
+        arms' ``q_low`` quantiles, the high bound the smallest of their
+        ``q_high`` quantiles, so the retained range is quantile-supported in
+        both arms.
     min-count
         Widest bounds leaving at least ``min_count`` units of each arm at or
         below the low bound and at or above the high bound, so every retained
         score has that many units of both arms on each side.
 
-    Infeasible results (eta_low >= eta_high) raise DataError.
+    A ``min_count`` larger than an arm, and infeasible results
+    (eta_low >= eta_high), raise DataError.
     """
     scores = np.asarray(scores, dtype=float)
+    arm0, arm1 = scores[treatment == 0], scores[treatment == 1]
+    method = spec["method"]
     if method == "fixed":
-        if eta_low is None or eta_high is None:
-            raise ValueError("fixed bounds need eta_low and eta_high")
-        if not (0.0 <= eta_low and eta_high <= 1.0):
-            raise ValueError("bounds must lie in [0, 1]")
-        lo, hi = float(eta_low), float(eta_high)
+        lo, hi = spec["eta_low"], spec["eta_high"]
     elif method == "quantile":
-        if q_low is None or q_high is None:
-            raise ValueError("quantile bounds need q_low and q_high")
-        if not (0.0 <= q_low < q_high <= 1.0):
-            raise ValueError("need 0 <= q_low < q_high <= 1")
-        arm0, arm1 = _split_arms(scores, treatment)
-        lo = max(float(np.quantile(arm0, q_low)), float(np.quantile(arm1, q_low)))
-        hi = min(float(np.quantile(arm0, q_high)), float(np.quantile(arm1, q_high)))
-    elif method == "min-count":
-        if min_count is None or min_count < 1:
-            raise ValueError("min-count bounds need min_count >= 1")
-        arm0, arm1 = _split_arms(scores, treatment)
-        k = int(min_count)
+        lo = max(float(np.quantile(arm, spec["q_low"])) for arm in (arm0, arm1))
+        hi = min(float(np.quantile(arm, spec["q_high"])) for arm in (arm0, arm1))
+    else:  # min-count
+        k = spec["min_count"]
         if arm0.size < k or arm1.size < k:
             raise DataError(
                 f"min-count {k} exceeds an arm size ({arm0.size}, {arm1.size})"
             )
-        s0 = np.sort(arm0)
-        s1 = np.sort(arm1)
+        s0, s1 = np.sort(arm0), np.sort(arm1)
         lo = max(float(s0[k - 1]), float(s1[k - 1]))
         hi = min(float(s0[-k]), float(s1[-k]))
-    else:
-        raise ValueError(f"unknown bounds method {method!r}")
 
     if lo >= hi:
         raise DataError(f"infeasible overlap bounds: eta_low {lo} >= eta_high {hi}")
     return lo, hi
-
-
-def _split_arms(scores, treatment):
-    if treatment is None:
-        raise ValueError("this bounds method needs the treatment labels")
-    treatment = np.asarray(treatment)
-    if treatment.shape != scores.shape:
-        raise ValueError("treatment length does not match scores")
-    arm0 = scores[treatment == 0]
-    arm1 = scores[treatment == 1]
-    if arm0.size == 0 or arm1.size == 0:
-        raise DataError("both treatment arms are required to choose bounds")
-    return arm0, arm1
 
 
 def overlap_mask(scores, eta_low: float, eta_high: float) -> np.ndarray:
@@ -186,9 +158,6 @@ def overlap_report(
     ``AUROC_FLAG_THRESHOLD``, a sign the overlap assumption is strained.
     """
     scores = np.asarray(scores, dtype=float)
-    treatment = np.asarray(treatment)
-    if treatment.shape != scores.shape:
-        raise ValueError("treatment length does not match scores")
     retained = overlap_mask(scores, *bounds)
     edges = np.linspace(0.0, 1.0, bins + 1)
     histograms = {}

@@ -153,6 +153,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error:" in err and "latin1.csv" in err and "utf-8" in err
 
+    def test_covariate_named_like_a_missing_indicator_is_3(self, workspace, capsys):
+        _, cfg_path, _ = workspace
+        table = cfg_path.with_name("indicator.csv")
+        table.write_text("a,a__missing,treat,outcome\n" + "".join(
+            f"{'' if i < 8 else i},7.5,{i % 2},{i / 10}\n" for i in range(40)))
+        assert main(["ingest", str(cfg_path), "--set", f"data.path={table}"]) == 3
+        err = capsys.readouterr().err
+        assert "data error:" in err and "'a__missing'" in err
+
     def test_bad_column_is_3(self, workspace, capsys):
         _, cfg_path, _ = workspace
         assert main(["ingest", str(cfg_path), "--set", "data.outcome=nope"]) == 3

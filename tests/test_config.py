@@ -15,6 +15,7 @@ from treatpolicy.config import (
     validate_config,
 )
 from treatpolicy.errors import ConfigError
+from treatpolicy.ingest import TableSchema
 
 
 def minimal(**extra):
@@ -371,6 +372,12 @@ LOAD_TIME_REFUSALS = [
                  "eta_low must be below eta_high", id="fixed-equal"),
     pytest.param({"evaluation": {"rank_step": 1.0}},
                  r"evaluation\.rank_step must be < 1\.0", id="rank-step-one"),
+    # the rank curve's grid has round(1 / step) + 1 levels: 0.3 gave thirds, 0.4 halves
+    # and 0.7 only the two ends
+    *(pytest.param({"evaluation": {"rank_step": step}},
+                   rf"evaluation\.rank_step must divide 1 \(1/step an integer\), got {step}",
+                   id=f"rank-step-{step}")
+      for step in (0.3, 0.4, 0.7)),
     pytest.param(menu_learner(kind="ridge", lam=-1),
                  r"cate\.menu\.m\.learner: ridge lam must be a finite number >= 0",
                  id="ridge-negative-lam"),
@@ -442,13 +449,22 @@ class TestLoadTimeRefusals:
         assert validate_config(minimal(policy={"threshold": value})).echo["policy"]["threshold"] \
             == float("inf") * (1 if value > 0 else -1)
 
+    @pytest.mark.parametrize("step", [0.1, 0.125, 0.25, 0.5])
+    def test_rank_step_dividing_one_accepted(self, step):
+        assert validate_config(minimal(evaluation={"rank_step": step})).echo[
+            "evaluation"]["rank_step"] == step
+
+    def test_secondary_outcomes_and_ignored_columns_are_left_out_alike(self):
+        cfg = validate_config(data(secondary_outcomes=["y2"], ignore=["id"]))
+        assert cfg.table_schema() == TableSchema(treatment="t", outcome="y", ignore=("y2", "id"))
+
     def test_linear_boundaries_accepted(self):
         learner = {"kind": "lasso", "lam": 0, "tol": 1e-12, "max_iter": 1, "fit_intercept": False}
         propensity = {"learner": {"kind": "logistic", "penalty": "none", "lam": 0.0},
                       "bounds": {"method": "fixed", "eta_low": 0.0, "eta_high": 1e-9}}
         echo = validate_config(minimal(cate={"menu": {"m": {"kind": "t", "learner": learner}}},
                                        propensity=propensity,
-                                       evaluation={"rank_step": 0.999})).echo
+                                       evaluation={"rank_step": 0.5})).echo
         assert echo["cate"]["menu"]["m"]["learner"] == learner
         assert echo["propensity"]["learner"] == propensity["learner"]
         assert echo["propensity"]["bounds"] == propensity["bounds"]

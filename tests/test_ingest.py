@@ -77,10 +77,20 @@ class TestLoadTable:
         with pytest.raises(SchemaError, match="treatment"):
             load_table(path, SCHEMA)
 
+    def test_covariate_named_like_a_missing_indicator_is_refused(self, tmp_path):
+        # it would stand in for the indicator that imputing a's empty cells adds
+        rows = "".join(f"{'' if i < 8 else i},7.5,{i % 2},1.0\n" for i in range(40))
+        path = write_csv(tmp_path, "a,a__missing,t,y\n" + rows)
+        with pytest.raises(SchemaError, match="covariate column 'a__missing' ends in"):
+            load_table(path, SCHEMA)
+
+    def test_left_out_column_may_end_like_a_missing_indicator(self, tmp_path):
+        path = write_csv(tmp_path, "a,b__missing,t,y\n1.0,2.0,1,2.0\n")
+        schema = TableSchema(treatment="t", outcome="y", ignore=("b__missing",))
+        assert load_table(path, schema).column_names == ["a"]
+
     def test_secondary_and_ignored_columns(self, tmp_path):
-        schema = TableSchema(
-            treatment="t", outcome="y", secondary_outcomes=("y2",), ignore=("id",)
-        )
+        schema = TableSchema(treatment="t", outcome="y", ignore=("y2", "id"))
         path = write_csv(tmp_path, "id,a,y2,t,y\n7,1.0,5.0,1,2.0\n")
         data = load_table(path, schema)
         assert data.column_names == ["a"]

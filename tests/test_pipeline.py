@@ -681,6 +681,27 @@ class TestEvaluateWarnings:
         assert not any(n.startswith("ensemble-") for n in names)
 
 
+    def test_ipw_only_fits_no_plug_in_and_warns_of_no_dr_value(self, tmp_path, monkeypatch):
+        # the congeniality case above, valued by IPW alone
+        fits = []
+        monkeypatch.setattr(pipeline, "fit_plug_in", lambda *a: fits.append(a))
+        csv_path = tmp_path / "table.csv"
+        write_observational_csv(csv_path)
+        raw = pipeline_raw(
+            csv_path, tmp_path / "out",
+            cate={"menu": {"t-ridge": {"kind": "t", "learner": {"kind": "ridge", "lam": 1.0}}}},
+            uncertainty={"alpha_stat": 0.8, "b_boot": 8},
+            evaluation={"estimators": ["IPW"], "bootstrap_b": 8,
+                        "plug_in": {"kind": "ridge", "lam": 1.0}},
+        )
+        manifest = run_stages(validate_config(raw),
+                              ["ingest", "fit-propensity", "fit-cate", "defer", "evaluate"])
+        assert fits == []
+        assert "congeniality" not in {w["kind"] for w in manifest.warnings}
+        rows = read_csv(tmp_path / "out" / "eval" / "policy_values.csv")
+        assert {r[rows[0].index("estimator")] for r in rows[1:]} == {"IPW"}
+
+
 class TestChangedMenuEntry:
     """A menu entry that keeps its name but changes its learner asks for a fit-cate rerun."""
 
@@ -954,3 +975,83 @@ class TestStagesLoadTheDatasetFile:
         assert disk_files(shared) == disk_files(parsed)
         assert [rel for rel in sorted(disk_files(shared))
                 if (shared / rel).read_bytes() != (parsed / rel).read_bytes()] == []
+
+
+_SMALL_GBT = {"kind": "gbt", "n_trees": 5, "max_depth": 2, "min_samples_leaf": 10}
+
+# Config sections merged over a small base run.  Together the cases take every
+# menu kind and learner, every bounds method, both deferral modes, each
+# estimator alone, both sensitivity keys, both directions, a delimited table
+# with missing cells and left-out columns, and both simulation plans.
+CONFIG_MATRIX = {
+    "linear-menu-fixed-bounds-inclusive-ipw-only": {
+        "cate": {"menu": {
+            "s-ols": {"kind": "s", "learner": {"kind": "ols"}},
+            "t-ridge": {"kind": "t", "learner": {"kind": "ridge", "lam": 1.0}},
+            "x-ridge": {"kind": "x", "learner": {"kind": "ridge", "lam": 1.0},
+                        "g_constant": 0.5},
+            "t-ridge-no-intercept": {"kind": "t", "learner": {"kind": "ridge", "lam": 1.0,
+                                                              "fit_intercept": False}},
+            "t-lasso": {"kind": "t", "learner": {"kind": "lasso", "lam": 0.05}},
+        }, "ensembles": ["average", "majority", "consensus"]},
+        "propensity": {"bounds": {"method": "fixed", "eta_low": 0.05, "eta_high": 0.95}},
+        "deferral": {"mode": "inclusive"},
+        "evaluation": {"estimators": ["IPW"]},
+    },
+    "tree-menu-gbt-propensity-min-count-dr-only": {
+        "cate": {"menu": {"x-gbt": {"kind": "x", "learner": _SMALL_GBT},
+                          "s-gbt": {"kind": "s", "learner": _SMALL_GBT}}},
+        "propensity": {"learner": _SMALL_GBT, "calibrate": False,
+                       "bounds": {"method": "min-count", "min_count": 10}},
+        "evaluation": {"estimators": ["DR"]},
+    },
+    "quantile-bounds-alpha-causal-lower-better": {
+        "propensity": {"bounds": {"method": "quantile", "q_low": 0.05, "q_high": 0.9}},
+        "uncertainty": {"alpha_stat": 0.0, "alpha_causal": 0.5},
+        "policy": {"direction": "lower-better", "threshold": 0.2},
+    },
+    "delimited-missing-cells-left-out-columns": {
+        "data": {"path": "delimited.csv", "delimiter": ";",
+                 "secondary_outcomes": ["y2"], "ignore": ["id"]},
+    },
+    "simulation": {"simulation": {"enabled": True, "runs": 2}},
+    "simulation-only": {"simulation": {"enabled": True, "only": True, "runs": 2}},
+}
+
+
+@pytest.fixture(scope="module")
+def matrix_cohort(tmp_path_factory):
+    """A comma table and the same rows as a ';' table with an id column, a
+    secondary outcome and empty cells in two covariates."""
+    root = tmp_path_factory.mktemp("matrix")
+    write_observational_csv(root / "table.csv", n=700, d=5)
+    header, *rows = read_csv(root / "table.csv")
+    rng = np.random.default_rng(2)
+    with open(root / "delimited.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, delimiter=";")
+        writer.writerow(["id", *header, "y2"])
+        for i, row in enumerate(rows):
+            row = ["" if (j == 1 and i % 9 == 0) or (j == 3 and i % 13 == 0) else cell
+                   for j, cell in enumerate(row)]
+            writer.writerow([str(i), *row, repr(float(rng.normal()))])
+    return root
+
+
+class TestEveryConfigChoiceRuns:
+    @pytest.mark.parametrize("case", list(CONFIG_MATRIX))
+    def test_run_completes(self, matrix_cohort, tmp_path, case):
+        raw = pipeline_raw(matrix_cohort / "table.csv", tmp_path / "out",
+                           uncertainty={"alpha_stat": 0.8, "b_boot": 6},
+                           evaluation={"bootstrap_b": 20, "plug_in": {"kind": "ridge", "lam": 1.0}})
+        for section, values in CONFIG_MATRIX[case].items():
+            raw[section] = {**raw.get(section, {}), **values}
+        raw["data"]["path"] = str(matrix_cohort / raw["data"]["path"])
+        cfg = validate_config(raw)
+        manifest = run_pipeline(cfg)
+        assert manifest.stages == planned_stages(cfg)
+        kinds = {w["kind"] for w in manifest.warnings}
+        if cfg.estimators == ("IPW",):
+            # the menu shares the ridge plug-in's family, but no DR value is reported
+            assert "congeniality" not in kinds
+        if cfg.echo["data"]["delimiter"] == ";":
+            assert "imputation" in kinds

@@ -69,12 +69,13 @@ class TestFitPropensity:
 
 class TestSelectBounds:
     def test_fixed_passthrough(self):
-        assert select_overlap_bounds(np.array([0.5]), "fixed",
-                                     eta_low=0.21, eta_high=0.9) == (0.21, 0.9)
+        spec = {"method": "fixed", "eta_low": 0.21, "eta_high": 0.9}
+        assert select_overlap_bounds(np.array([0.5]), np.array([1]), spec) == (0.21, 0.9)
 
     def test_fixed_infeasible(self):
         with pytest.raises(DataError, match="infeasible"):
-            select_overlap_bounds(np.array([0.5]), "fixed", eta_low=0.9, eta_high=0.21)
+            select_overlap_bounds(np.array([0.5]), np.array([1]),
+                                  {"method": "fixed", "eta_low": 0.9, "eta_high": 0.21})
 
     def test_quantile_grid_oracle(self):
         # identical score grids in both arms: the per-arm quantiles equal the
@@ -82,16 +83,16 @@ class TestSelectBounds:
         grid = np.round(np.arange(0.01, 1.0, 0.01), 2)
         scores = np.concatenate([grid, grid])
         treatment = np.array([0] * grid.size + [1] * grid.size)
-        lo, hi = select_overlap_bounds(scores, "quantile", treatment=treatment,
-                                       q_low=0.02, q_high=0.98)
+        lo, hi = select_overlap_bounds(scores, treatment,
+                                       {"method": "quantile", "q_low": 0.02, "q_high": 0.98})
         assert lo == pytest.approx(np.quantile(grid, 0.02))
         assert hi == pytest.approx(np.quantile(grid, 0.98))
 
     def test_quantile_takes_tighter_arm(self):
         scores = np.array([0.1, 0.4, 0.6, 0.9, 0.3, 0.5, 0.7, 0.95])
         treatment = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        lo, hi = select_overlap_bounds(scores, "quantile", treatment=treatment,
-                                       q_low=0.0, q_high=1.0)
+        lo, hi = select_overlap_bounds(scores, treatment,
+                                       {"method": "quantile", "q_low": 0.0, "q_high": 1.0})
         # max of per-arm minima, min of per-arm maxima
         assert (lo, hi) == (0.3, 0.9)
 
@@ -99,15 +100,14 @@ class TestSelectBounds:
         scores = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
         treatment = np.array([0, 0, 0, 0, 1, 1, 1, 1])
         with pytest.raises(DataError, match="infeasible"):
-            select_overlap_bounds(scores, "quantile", treatment=treatment,
-                                  q_low=0.0, q_high=1.0)
+            select_overlap_bounds(scores, treatment,
+                                  {"method": "quantile", "q_low": 0.0, "q_high": 1.0})
 
     def test_min_count_leaves_k_on_each_side(self):
         scores = np.array([0.1, 0.2, 0.4, 0.6, 0.8, 0.15, 0.3, 0.5, 0.7, 0.9])
         treatment = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
         k = 2
-        lo, hi = select_overlap_bounds(scores, "min-count", treatment=treatment,
-                                       min_count=k)
+        lo, hi = select_overlap_bounds(scores, treatment, {"method": "min-count", "min_count": k})
         # arm0 k-th smallest/largest: .2/.6; arm1: .3/.7 -> (.3, .6)
         assert (lo, hi) == (0.3, 0.6)
         for s in np.linspace(lo, hi, 7):
@@ -118,8 +118,8 @@ class TestSelectBounds:
 
     def test_min_count_exceeding_arm_is_error(self):
         with pytest.raises(DataError):
-            select_overlap_bounds(np.array([0.2, 0.8]), "min-count",
-                                  treatment=np.array([0, 1]), min_count=2)
+            select_overlap_bounds(np.array([0.2, 0.8]), np.array([0, 1]),
+                                  {"method": "min-count", "min_count": 2})
 
 
 class TestMaskAndNestedness:
