@@ -79,7 +79,9 @@ def cate_diagnostics(estimates: dict) -> dict:
     Returns the dict that ``cate/diagnostics.json`` holds: the ``names`` in
     insertion order, the ``pearson`` and ``kendall`` matrices in that order
     as nested lists, and ``ates``, each model's implied average effect (the
-    mean of its vector).
+    mean of its vector).  A vector that is one number up to rounding
+    (``ptp(v) <= 1e-12 * max|v|``, as an s-learner on ols gives) has no
+    ranking to agree with: its off-diagonal cells are NaN.
     """
     names = list(estimates)
     if not names:
@@ -90,10 +92,14 @@ def cate_diagnostics(estimates: dict) -> dict:
         if v.size != n:
             raise ValueError(f"estimate {name!r} has length {v.size}, expected {n}")
     k = len(names)
+    flat = [np.ptp(v) <= 1e-12 * np.max(np.abs(v)) for v in vectors]
     pear = np.ones((k, k))
     kend = np.ones((k, k))
     for i in range(k):
         for j in range(i + 1, k):
+            if flat[i] or flat[j]:
+                pear[i, j] = pear[j, i] = kend[i, j] = kend[j, i] = np.nan
+                continue
             pear[i, j] = pear[j, i] = pearson(vectors[i], vectors[j])
             kend[i, j] = kend[j, i] = kendall_tau(vectors[i], vectors[j])
     ates = {name: float(v.mean()) for name, v in zip(names, vectors)}

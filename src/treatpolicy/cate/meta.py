@@ -82,9 +82,6 @@ def fit_meta_learner(
     The "x" kind needs either a propensity scorer or a constant blend weight.
     Each arm must hold at least two rows, counted by weight.
     """
-    kind = kind.lower()
-    if kind not in KINDS:
-        raise ValueError(f"unknown meta-learner kind {kind!r}")
     X = train.covariates
     y = train.outcome
     t = train.treatment.astype(int)

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .cate import CateFitSpec, UncertaintySpec
+from .cate.meta import KINDS
 from .deferral import MODES as DEFERRAL_MODES
 from .errors import ConfigError, SchemaError
 from .ingest import DEFAULT_FRACTIONS, SPLIT_NAMES, TableSchema
@@ -168,7 +169,7 @@ def _bounds(value, path):
 
 
 _MENU_ENTRY = {
-    "kind": ("value", _REQUIRED, _choice(("s", "t", "x"))),
+    "kind": ("value", _REQUIRED, _choice(KINDS)),
     "learner": ("value", _REQUIRED, _learner("regression")),
     "g_constant": ("value", None, lambda v, path: None if v is None else _UNIT(v, path)),
 }
@@ -211,10 +212,11 @@ _UNCERTAINTY = {
 
 
 def _rank_step(value, path):
-    # the rank curve's grid has round(1 / step) + 1 levels, so any other step draws another grid
-    step = _number(0.0, 1.0, lo_open=True, hi_open=True)(value, path)
+    # the rank curve's grid has round(1 / step) + 1 levels, so any other step draws another
+    # grid; each level holds an n x 6 stack of the test rows, so the grid stops at 101 levels
+    step = _number(0.01, 1.0, hi_open=True)(value, path)
     levels = 1.0 / step
-    if not (math.isfinite(levels) and abs(levels - round(levels)) <= 1e-9):
+    if abs(levels - round(levels)) > 1e-9:
         raise ConfigError(f"{path} must divide 1 (1/step an integer), got {value}")
     return step
 
@@ -230,10 +232,8 @@ def _uncertainty(value, path):
         except OverflowError:
             raise ConfigError(f"{path}.alpha_causal is too large, got {a}") from None
     out = _resolve(value, _UNCERTAINTY, path)
-    try:
-        UncertaintySpec(alpha_stat=out["alpha_stat"], lam=out["lam"], b_boot=out["b_boot"])
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    if out["alpha_stat"] > 0.0 and out["b_boot"] < 2:
+        raise ConfigError(f"{path}: b_boot must be >= 2 when alpha_stat > 0")
     return out
 
 

@@ -41,8 +41,7 @@ class DeferralRule:
     mode: str = "conservative"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        # the bounds come from propensity/model.json on disk; the mode is checked at load
         if not 0.0 <= self.eta_low < self.eta_high <= 1.0:
             raise ValueError(
                 f"need 0 <= eta_low < eta_high <= 1, got ({self.eta_low}, {self.eta_high})"

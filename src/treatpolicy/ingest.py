@@ -284,15 +284,10 @@ def _largest_remainder_counts(n: int, fractions) -> list[int]:
 def assign_splits(data: Dataset, fractions, seed: int) -> Dataset:
     """Assign train/validation/test labels by seeded shuffle.
 
-    Fractions must sum to 1; sizes follow largest-remainder rounding, so they
-    are within one row of ``fraction * n`` each.  Any empty split is an error.
+    ``fractions``, one per split, sum to 1 (``config._fractions`` checks
+    them at load); sizes follow largest-remainder rounding, so they are within
+    one row of ``fraction * n`` each.  Any empty split is an error.
     """
-    fractions = [float(f) for f in fractions]
-    if len(fractions) != len(SPLIT_NAMES):
-        raise ValueError(f"expected {len(SPLIT_NAMES)} fractions, got {len(fractions)}")
-    if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must be non-negative and sum to 1, got {fractions}")
-
     counts = _largest_remainder_counts(data.n, fractions)
     if any(c == 0 for c in counts):
         empty = [SPLIT_NAMES[i] for i, c in enumerate(counts) if c == 0]

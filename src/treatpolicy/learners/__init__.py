@@ -106,13 +106,13 @@ class LearnerSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LearnerSpec":
+        """The spec a config learner object names, unchecked: ``config._learner``
+        calls ``validate`` with the task once, at load."""
         d = dict(d)
         kind = d.pop("kind", None)
         if kind is None:
             raise ConfigError("learner spec needs a 'kind'")
-        spec = cls(kind=kind, params=tuple(sorted(d.items())))
-        spec.validate()
-        return spec
+        return cls(kind=kind, params=tuple(sorted(d.items())))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **dict(self.params)}
@@ -196,8 +196,8 @@ def standardize(X: np.ndarray, w=None):
 
 def fit_regressor(spec: LearnerSpec, X, y, sample_weight=None) -> FittedModel:
     """Fit the named regressor, each row weighted by ``sample_weight`` if
-    given; linear kinds are standardized internally."""
-    spec.validate(task="regression")
+    given; linear kinds are standardized internally.  ``spec`` is taken as
+    given: config validated it for a regression target at load."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     p = spec.param_dict
@@ -215,7 +215,6 @@ def fit_regressor(spec: LearnerSpec, X, y, sample_weight=None) -> FittedModel:
 
 def fit_classifier(spec: LearnerSpec, X, y) -> FittedModel:
     """Fit the named probabilistic classifier on 0/1 labels."""
-    spec.validate(task="classification")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     p = spec.param_dict

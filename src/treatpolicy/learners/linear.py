@@ -104,10 +104,6 @@ def fit_linear(
         raise DataError("cannot fit on an empty dataset")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if penalty not in PENALTIES:
-        raise ValueError(f"unknown penalty {penalty!r}")
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
     if penalty == "none":
         lam = 0.0
 

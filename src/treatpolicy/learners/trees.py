@@ -223,8 +223,6 @@ def fit_gbt(
         raise DataError("cannot fit on an empty dataset")
     if loss not in ("squared", "logistic"):
         raise ValueError(f"unknown loss {loss!r}")
-    if n_trees < 0 or max_depth < 1 or min_samples_leaf < 1:
-        raise ValueError("n_trees, max_depth, min_samples_leaf out of range")
     w = None if sample_weight is None else _check_weights(sample_weight, X.shape[0])
 
     n = X.shape[0]

@@ -84,10 +84,6 @@ class DecisionRule:
     threshold: float = 0.0
     direction: str = "higher-better"
 
-    def __post_init__(self):
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
-
     def apply(self, tau) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
         if self.direction == "higher-better":
@@ -152,8 +148,6 @@ def ensemble_effects(taus, mode: str) -> tuple[np.ndarray, np.ndarray]:
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 2 or taus.shape[0] < 2:
         raise ValueError("ensemble needs at least two members")
-    if mode not in ENSEMBLE_MODES:
-        raise ValueError(f"unknown ensemble mode {mode!r}")
     if mode == "average":
         return taus.mean(axis=0), np.zeros(taus.shape[1], dtype=bool)
     n_members = taus.shape[0]
@@ -319,9 +313,6 @@ class TournamentResult:
 
 def _stacks(policies: list, data: Dataset, p_star, estimators, plug_in) -> list:
     """Check the valuation inputs; then each policy's ``_sum_columns`` stack."""
-    for est in estimators:
-        if est not in ESTIMATORS:
-            raise ValueError(f"estimator must be one of {ESTIMATORS}, got {est!r}")
     for policy in policies:
         _check_policy(policy, data)
     if "DR" in estimators and plug_in is None:
@@ -385,8 +376,6 @@ def bootstrap_tournament(
     points' sums.  A round with zero matched weight is NaN, wins no pair in
     either direction and counts in ``skipped``; a failure on all rows raises.
     """
-    if B < 1:
-        raise ValueError(f"need at least one round, got B={B}")
     n = data.n
     stacks = _stacks(policies, data, p_star, estimators, plug_in)
     points = _points(policies, stacks, n, estimators)
@@ -424,8 +413,6 @@ def rank_curve(
     the q-quantile, so q = 1 treats nobody (identical to the all-control
     policy) and q = 0 treats everything above the minimum.
     """
-    if not 0.0 < step < 1.0:
-        raise ValueError(f"step must be in (0, 1), got {step}")
     tau = np.asarray(tau, dtype=float)
     if tau.size != data.n:
         raise ValueError("effect vector length does not match dataset")

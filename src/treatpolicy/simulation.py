@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .cate import gate_menu
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .ingest import DEFAULT_FRACTIONS, ColumnInfo, Dataset, assign_splits
 from .learners import LearnerSpec, fit_classifier, standardize
 from .learners.linear import fit_linear
@@ -46,20 +46,13 @@ STUDY_RULE = DecisionRule(threshold=0.0, direction="lower-better")
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """Generator knobs: correctness weight lam, target effect size, noise."""
+    """Generator knobs: correctness weight lam, target effect size, noise,
+    taken as given: config checks them at load."""
 
     lam: float
     effect_size: float
     noise_factor: float = 1.2
     seed: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError(f"lam must be in [0, 1], got {self.lam}")
-        if self.effect_size <= 0.0:
-            raise ConfigError(f"effect_size must be positive, got {self.effect_size}")
-        if self.noise_factor <= 0.0:
-            raise ConfigError(f"noise_factor must be positive, got {self.noise_factor}")
 
 
 @dataclass
@@ -215,17 +208,10 @@ def run_study(
     model fails the gate, is recorded as a failure and the study continues.
     The runs are independent and run in worker processes (``pmap``); each
     run's seeds are drawn here, so the report does not depend on how many
-    workers ran.
+    workers ran.  ``runs``, ``train_frac``, ``fractions`` and ``menu`` are
+    taken as given: config checks them at load.
     """
-    if runs < 2:
-        raise ConfigError(f"need at least 2 runs, got {runs}")
-    if not 0.0 < train_frac < 1.0:
-        raise ConfigError(f"train_frac must be in (0, 1), got {train_frac}")
     f_train, f_val = fractions[0], fractions[1]
-    if not f_train + f_val > 0.0:
-        raise ConfigError(f"fractions {list(fractions)} leave no train or validation rows to fit on")
-    if not menu:
-        raise ConfigError("empty model menu")
     X = standardize(np.asarray(X, dtype=float))[0]
     T = np.asarray(T)
     if not ((T == 0).any() and (T == 1).any()):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import synthetic_covariates
+from treatpolicy.cate import CateFitSpec
 from treatpolicy.cli import main
 from treatpolicy.config import (
     RESERVED_POLICY_NAMES,
@@ -16,6 +18,9 @@ from treatpolicy.config import (
 )
 from treatpolicy.errors import ConfigError
 from treatpolicy.ingest import TableSchema
+from treatpolicy.learners import LearnerSpec
+from treatpolicy.policy_eval import ENSEMBLE_MODES
+from treatpolicy.simulation import SimulationSpec, run_study
 
 
 def minimal(**extra):
@@ -140,6 +145,18 @@ class TestMenu:
             raw = self.menu({name: {"kind": "t", "learner": {"kind": "ridge"}}})
             with pytest.raises(ConfigError, match="reserved"):
                 validate_config(raw)
+
+    def test_reserved_names_are_the_names_of_every_policy_outside_the_menu(self):
+        # the study values what evaluate builds (baselines and every ensemble mode)
+        # and the true optimum, so a policy added there must be reserved here
+        X, T = synthetic_covariates(300, 3, seed=5)
+        ridge = LearnerSpec.from_dict({"kind": "ridge", "lam": 1.0})
+        menu = {"m-t": CateFitSpec(kind="t", learner=ridge),
+                "m-s": CateFitSpec(kind="s", learner=ridge)}
+        study = run_study(X, T, SimulationSpec(lam=0.5, effect_size=1.0), menu, runs=2, seed=0,
+                          modes=ENSEMBLE_MODES)
+        assert study.failures == []
+        assert set(study.policies) - set(menu) == RESERVED_POLICY_NAMES
 
     def test_name_charset(self):
         for bad in ("-lead", "has space", ""):
@@ -427,6 +444,24 @@ LOAD_TIME_REFUSALS = [
                    f"quote or a line break, got {re.escape(repr(d))}", id=f"delimiter-{name}")
       for d, name in ((";;", "two-characters"), ('"', "quote"), ("\n", "newline"),
                       ("\r", "carriage-return"))),
+    # checked only here: the spec classes, run_study and rank_curve take these as given
+    pytest.param({"uncertainty": {"alpha_stat": 0.5, "b_boot": 1}},
+                 r"uncertainty: b_boot must be >= 2 when alpha_stat > 0", id="one-replicate"),
+    pytest.param({"policy": {"direction": "sideways"}},
+                 r"policy\.direction must be one of \['higher-better', 'lower-better'\], "
+                 "got 'sideways'", id="direction-sideways"),
+    pytest.param({"simulation": {"lam": 1.5}},
+                 r"simulation\.lam must be <= 1\.0, got 1\.5", id="simulation-lam-above-one"),
+    pytest.param({"simulation": {"noise_factor": 0}},
+                 r"simulation\.noise_factor must be > 0\.0, got 0", id="noise-factor-zero"),
+    *(pytest.param({"simulation": {"train_frac": frac}},
+                   rf"simulation\.train_frac must be {bound}, got {frac}", id=f"train-frac-{frac}")
+      for frac, bound in ((0.0, r"> 0\.0"), (-0.2, r"> 0\.0"), (1.5, r"< 1\.0"))),
+    # the grid holds one n x 6 stack of the test rows per level, so memory and time
+    # grow as 1/step
+    *(pytest.param({"evaluation": {"rank_step": step}},
+                   rf"evaluation\.rank_step must be >= 0\.01, got {step}", id=f"rank-step-{step}")
+      for step in (0.005, 1e-8)),
 ]
 
 
@@ -449,7 +484,7 @@ class TestLoadTimeRefusals:
         assert validate_config(minimal(policy={"threshold": value})).echo["policy"]["threshold"] \
             == float("inf") * (1 if value > 0 else -1)
 
-    @pytest.mark.parametrize("step", [0.1, 0.125, 0.25, 0.5])
+    @pytest.mark.parametrize("step", [0.01, 0.1, 0.125, 0.25, 0.5])
     def test_rank_step_dividing_one_accepted(self, step):
         assert validate_config(minimal(evaluation={"rank_step": step})).echo[
             "evaluation"]["rank_step"] == step

@@ -18,10 +18,6 @@ def interval(lower, upper):
 
 
 class TestRuleValidation:
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            DeferralRule(0.1, 0.9, mode="strict")
-
     def test_bad_bounds(self):
         with pytest.raises(ValueError, match="eta_low"):
             DeferralRule(0.9, 0.1)

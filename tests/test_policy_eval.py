@@ -52,10 +52,6 @@ class TestDecisionRule:
         rule = DecisionRule(threshold=2.0, direction="higher-better")
         assert rule.apply([1.9, 2.0, 2.1]).tolist() == [False, True, True]
 
-    def test_unknown_direction_rejected(self):
-        with pytest.raises(ValueError, match="direction"):
-            DecisionRule(direction="sideways")
-
 
 class TestBuildPolicy:
     def test_defer_takes_precedence(self):
@@ -185,8 +181,6 @@ class TestPointValues:
 
     def test_inputs_validated(self):
         data, p_star, policy = four_row_fixture()
-        with pytest.raises(ValueError, match="estimator"):
-            point_values([policy], data, p_star, estimators=("AIPW",))
         with pytest.raises(ValueError, match="rows"):
             point_values([Policy(name="short", rec=[1, 0])], data, p_star, estimators=("IPW",))
         with pytest.raises(ValueError, match="plug-in"):
@@ -458,13 +452,6 @@ class TestTournament:
         assert set(s) == {"mean", "std", "min", "q25", "median", "q75", "max"}
         assert all(np.isnan(v) for v in s.values())
 
-    def test_unknown_estimator_rejected(self):
-        # a factual policy never reaches the estimator branch of _value
-        data, p_star, _ = four_row_fixture()
-        doctors = Policy(name="doctors", rec=data.treatment, factual=True)
-        with pytest.raises(ValueError, match="estimator"):
-            bootstrap_tournament([doctors], data, p_star, estimators=("AIPW",), B=3, seed=0)
-
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(2, 12).flatmap(
@@ -646,12 +633,6 @@ class TestRankCurve:
         best = max(curve, key=lambda row: row["value"])
         true_frac = (tau > 0).mean()
         assert abs(best["treated_fraction"] - true_frac) <= 0.1 + 1e-9
-
-    def test_bad_step_rejected(self):
-        data, tau = self.randomized(n=20)
-        for step in (0.0, 1.0, -0.1):
-            with pytest.raises(ValueError, match="step"):
-                rank_curve(tau, data, np.full(20, 0.5), step=step)
 
 
 class TestOutcomeTree:

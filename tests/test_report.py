@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,7 +152,7 @@ class TestSvgRenderers:
     def test_every_element_is_written_by_the_one_writer(self):
         # a string literal that opens or closes an element tag, other than the
         # <svg> root, may appear only inside figures._el
-        tree = ast.parse(open(figures.__file__).read())
+        tree = ast.parse(Path(figures.__file__).read_text())
         writer = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_el")
         inside = {id(n) for n in ast.walk(writer)}
         tags = [

@@ -6,7 +6,7 @@ from conftest import see_cpus, synthetic_covariates
 
 from treatpolicy import simulation
 from treatpolicy.cate import CateFitSpec
-from treatpolicy.errors import ConfigError, DataError
+from treatpolicy.errors import DataError
 from treatpolicy.ingest import SPLIT_NAMES, assign_splits
 from treatpolicy.learners import LearnerSpec, fit_classifier
 from treatpolicy.policy_eval import DEFER, ENSEMBLE_MODES, Policy
@@ -28,14 +28,6 @@ def standardized_fixture(seed=0, n=300, d=6):
 
 
 class TestSimulationSpec:
-    def test_validation(self):
-        with pytest.raises(ConfigError, match="lam"):
-            SimulationSpec(lam=1.5, effect_size=0.5)
-        with pytest.raises(ConfigError, match="effect_size"):
-            SimulationSpec(lam=0.5, effect_size=0.0)
-        with pytest.raises(ConfigError, match="noise_factor"):
-            SimulationSpec(lam=0.5, effect_size=0.5, noise_factor=-1.0)
-
     def test_defaults(self):
         spec = SimulationSpec(lam=0.5, effect_size=0.5)
         assert spec.noise_factor == 1.2
@@ -336,21 +328,3 @@ class TestRunStudy:
         all0, all1 = aggs["treat-all-0"], aggs["treat-all-1"]
         assert abs(doctors - prop) < abs(doctors - all0)
         assert abs(doctors - prop) < abs(doctors - all1)
-
-    def test_parameter_validation(self):
-        X, T = synthetic_covariates(100, 3, seed=24)
-        with pytest.raises(ConfigError, match="runs"):
-            run_study(X, T, SimulationSpec(0.5, 1.0), MENU, runs=1)
-        with pytest.raises(ConfigError, match="menu"):
-            run_study(X, T, SimulationSpec(0.5, 1.0), {}, runs=2)
-
-    def test_fractions_without_train_or_validation_rows_rejected(self):
-        X, T = synthetic_covariates(200, 3, seed=24)
-        with pytest.raises(ConfigError, match=r"fractions \[0, 0, 1\]"):
-            run_study(X, T, SimulationSpec(0.5, 1.0), MENU, runs=2, fractions=(0, 0, 1))
-
-    @pytest.mark.parametrize("train_frac", [-0.2, 0.0, 1.0, 1.5, float("nan")])
-    def test_train_frac_outside_unit_interval_rejected(self, train_frac):
-        X, T = synthetic_covariates(100, 3, seed=24)
-        with pytest.raises(ConfigError, match="train_frac"):
-            run_study(X, T, SimulationSpec(0.5, 1.0), MENU, runs=2, train_frac=train_frac)
